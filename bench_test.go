@@ -527,6 +527,34 @@ func BenchmarkProbeOutcome(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasure is the Atlas campaign alone at rootbench's replay_nov30
+// size (1000 VPs × 1440 minutes): probe fan-out, identity cleaning and
+// dataset recording over one completed simulation, at one worker and at
+// two. Measure only reads the evaluator, so every iteration repeats the
+// same 4.37 M probes.
+func BenchmarkMeasure(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := core.DefaultConfig(7)
+			cfg.VPs, cfg.Minutes = 1000, 1440
+			ev, err := core.NewEvaluator(cfg, core.WithWorkers(workers))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := ev.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.Measure(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Parallel-engine benches: the same work at each worker count ---
 //
 // The engine guarantees byte-identical output for every worker count, so

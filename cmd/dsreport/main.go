@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"github.com/rootevent/anycastddos/internal/atlas"
+	"github.com/rootevent/anycastddos/internal/core"
 	"github.com/rootevent/anycastddos/internal/report"
 	"github.com/rootevent/anycastddos/internal/stats"
 )
@@ -21,6 +22,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dsreport: ")
+	if err := run(); err != nil {
+		log.Print(err)
+		os.Exit(core.ExitFailure)
+	}
+}
+
+func run() error {
 	dataPath := flag.String("data", "out/dataset.bin", "archived dataset file")
 	letter := flag.String("letter", "", "optional letter for per-site detail")
 	width := flag.Int("width", 96, "sparkline width")
@@ -28,12 +36,12 @@ func main() {
 
 	f, err := os.Open(*dataPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	d, err := atlas.LoadDataset(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	fmt.Printf("Dataset: %d VPs (%d excluded), letters %s, %d bins of %d min (raw: %d bins of %d min for ",
@@ -66,52 +74,38 @@ func main() {
 	for _, l := range d.Letters {
 		s, err := d.SuccessSeries(l)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		success[l] = s
 		r, err := d.MedianRTTSeries(l)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rtt[l] = r
 	}
 	if err := report.WriteLetterSeries(os.Stdout, "VPs with successful queries per bin", success, *width); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Println()
 	if err := report.WriteLetterSeries(os.Stdout, "Median RTT (ms) of successful queries", rtt, *width); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if *letter != "" {
 		lb := (*letter)[0]
 		if !d.HasLetter(lb) {
-			log.Fatalf("letter %c not in dataset", lb)
+			return fmt.Errorf("letter %c not in dataset", lb)
 		}
 		fmt.Printf("\nPer-site catchments for %c (sites with any VPs):\n", lb)
-		for site := 0; site < 256; site++ {
-			s, err := d.SiteSeries(lb, site)
-			if err != nil {
-				log.Fatal(err)
-			}
+		series, err := d.SiteSeriesAll(lb, 0)
+		if err != nil {
+			return err
+		}
+		for site, s := range series {
 			if med := s.Median(); med > 0 {
 				fmt.Printf("  site %3d (median %4.0f)  %s\n", site, med, report.Sparkline(s, *width))
-			} else if max, _, _ := s.Max(); max == 0 && site > 0 {
-				// Heuristic stop: past the deployment's site list,
-				// series are all-zero.
-				foundLater := false
-				for probe := site + 1; probe < site+4; probe++ {
-					ps, err := d.SiteSeries(lb, probe)
-					if err == nil {
-						if m, _, _ := ps.Max(); m > 0 {
-							foundLater = true
-						}
-					}
-				}
-				if !foundLater {
-					break
-				}
 			}
 		}
 	}
+	return nil
 }

@@ -32,6 +32,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,7 +46,6 @@ import (
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/analysis"
-	"github.com/rootevent/anycastddos/internal/atlas"
 	"github.com/rootevent/anycastddos/internal/atomicio"
 	"github.com/rootevent/anycastddos/internal/attack"
 	"github.com/rootevent/anycastddos/internal/core"
@@ -59,38 +59,53 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rootevent: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Print(err)
+		os.Exit(core.ExitCode(err))
+	}
+}
 
-	seed := flag.Int64("seed", 1, "simulation seed (runs are bit-reproducible per seed)")
-	vps := flag.Int("vps", 4000, "Atlas vantage-point population size")
-	small := flag.Bool("small", false, "small topology and population for a quick run")
-	workers := flag.Int("workers", 0, "parallel workers for simulation and measurement (0 = all cores; output is identical for any value)")
-	outDir := flag.String("out", "out", "output directory")
-	only := flag.String("only", "", "comma-separated experiment list (e.g. table2,fig3); empty = all")
-	saveData := flag.String("save", "", "also archive the cleaned measurement dataset to this file")
-	scheduleName := flag.String("schedule", "nov2015", "attack scenario: nov2015 (the paper) or june2016 (the follow-up event)")
-	faultsSpec := flag.String("faults", "", "inject a seeded fault plan on top of the attack: random:SEED[:PROFILE] (profiles: light, heavy, monitor)")
-	verbose := flag.Bool("progress", false, "log simulation/measurement progress")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file before exiting")
-	minutesFlag := flag.Int("minutes", 0, "override the simulated minutes (0 = schedule default)")
-	ckptDir := flag.String("checkpoint", "", "snapshot engine state into this directory for crash recovery")
-	ckptEvery := flag.Int("checkpoint-every", 10, "minutes between checkpoints (with -checkpoint)")
-	resume := flag.Bool("resume", false, "resume from the newest good snapshot in -checkpoint (falls back to a fresh run)")
-	supervise := flag.Bool("supervise", false, "run under the crash supervisor: watchdog plus bounded restarts from -checkpoint")
-	hashFile := flag.String("hashfile", "", "write the hex SHA-256 of the cleaned dataset to this file")
-	flag.Parse()
+// run is the whole command. Every failure comes back as an error so that the
+// deferred profile writers run before main exits through core.ExitCode.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("rootevent", flag.ExitOnError)
+	seed := fs.Int64("seed", 1, "simulation seed (runs are bit-reproducible per seed)")
+	vps := fs.Int("vps", 4000, "Atlas vantage-point population size")
+	small := fs.Bool("small", false, "small topology and population for a quick run")
+	workers := fs.Int("workers", 0, "parallel workers for simulation and measurement (0 = all cores; output is identical for any value)")
+	outDir := fs.String("out", "out", "output directory")
+	only := fs.String("only", "", "comma-separated experiment list (e.g. table2,fig3); empty = all")
+	saveData := fs.String("save", "", "also archive the cleaned measurement dataset to this file")
+	scheduleName := fs.String("schedule", "nov2015", "attack scenario: nov2015 (the paper) or june2016 (the follow-up event)")
+	faultsSpec := fs.String("faults", "", "inject a seeded fault plan on top of the attack: random:SEED[:PROFILE] (profiles: light, heavy, monitor)")
+	verbose := fs.Bool("progress", false, "log simulation/measurement progress")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file before exiting")
+	minutesFlag := fs.Int("minutes", 0, "override the simulated minutes (0 = schedule default)")
+	ckptDir := fs.String("checkpoint", "", "snapshot engine state into this directory for crash recovery")
+	ckptEvery := fs.Int("checkpoint-every", 10, "minutes between checkpoints (with -checkpoint)")
+	resume := fs.Bool("resume", false, "resume from the newest good snapshot in -checkpoint (falls back to a fresh run)")
+	supervise := fs.Bool("supervise", false, "run under the crash supervisor: watchdog plus bounded restarts from -checkpoint")
+	hashFile := fs.String("hashfile", "", "write the hex SHA-256 of the cleaned dataset to this file")
+	_ = fs.Parse(args) // ExitOnError: Parse exits rather than return an error
 
 	if *cpuProfile != "" {
 		// The profile streams for the lifetime of the run; a temp+rename
 		// write cannot express that, and a torn profile is harmless.
 		f, err := os.Create(*cpuProfile) //repolint:allow atomicwrite
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("cpuprofile: %w", cerr)
+			}
+		}()
 	}
 	defer writeHeapProfile(*memProfile)
 
@@ -110,12 +125,12 @@ func main() {
 	case "june2016":
 		opts = append(opts, core.WithSchedule(attack.June2016Schedule()))
 	default:
-		log.Fatalf("unknown -schedule %q (nov2015 or june2016)", *scheduleName)
+		return fmt.Errorf("unknown -schedule %q (nov2015 or june2016)", *scheduleName)
 	}
 	if *faultsSpec != "" {
 		plan, err := parseFaultsSpec(*faultsSpec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("fault injection: %s", plan)
 		opts = append(opts, core.WithFaults(plan))
@@ -143,11 +158,11 @@ func main() {
 	selected := func(key string) bool { return len(want) == 0 || want[key] }
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	if (*resume || *supervise) && *ckptDir == "" {
-		log.Fatal("-resume and -supervise require -checkpoint DIR")
+		return errors.New("-resume and -supervise require -checkpoint DIR")
 	}
 	if *ckptDir != "" && !*supervise {
 		// The supervisor appends its own checkpoint option per attempt.
@@ -157,7 +172,6 @@ func main() {
 	start := time.Now()
 	log.Printf("building evaluator (seed %d, %d VPs)...", *seed, cfg.VPs)
 	var ev *core.Evaluator
-	var err error
 	switch {
 	case *supervise:
 		log.Printf("simulating the two event days (supervised)...")
@@ -174,31 +188,30 @@ func main() {
 			log.Printf("wrote %s", filepath.Join(*outDir, "recovery.json"))
 		}
 		if err != nil {
-			// Distinct documented exit codes (see core.ExitCode): 2 panic,
-			// 3 restart budget exhausted, 4 canceled, 1 anything else — so a
-			// parent supervisor can classify the failure without log parsing.
-			code := core.ExitCode(err)
-			log.Printf("supervised run failed (exit %d): %v", code, err)
-			os.Exit(code)
+			// main turns the cause into its documented exit code (see
+			// core.ExitCode): 2 panic, 3 restart budget exhausted, 4
+			// canceled, 1 anything else — so a parent supervisor can
+			// classify the failure without log parsing.
+			return fmt.Errorf("supervised run failed: %w", err)
 		}
 	case *resume:
 		log.Printf("simulating the two event days (resuming from %s)...", *ckptDir)
 		if ev, err = core.ResumeRun(*ckptDir, cfg, opts...); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	default:
 		if ev, err = core.NewEvaluator(cfg, opts...); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("simulating the two event days...")
 		if err := ev.Run(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	log.Printf("running the Atlas measurement campaign...")
 	d, err := ev.Measure()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	log.Printf("simulation + measurement done in %v (%d VPs kept, %d excluded)",
 		time.Since(start).Round(time.Millisecond), d.NumVPs-d.NumExcluded(), d.NumExcluded())
@@ -206,26 +219,29 @@ func main() {
 	if *hashFile != "" {
 		var buf bytes.Buffer
 		if err := d.Save(&buf); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if err := atomicio.WriteFileBytes(*hashFile, []byte(hex.EncodeToString(sum[:])+"\n")); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("dataset hash %x -> %s", sum[:4], *hashFile)
 	}
 
 	if *saveData != "" {
 		if err := atomicio.WriteFile(*saveData, d.Save); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("archived dataset to %s", *saveData)
 	}
 
 	an := analysis.New(ev, d)
 
-	run := func(key, desc string, fn func(w io.Writer) error) {
-		if !selected(key) {
+	// The first experiment to fail ends the run: its error is kept, every
+	// later emit and writeCSV is a no-op, and run returns it at the end.
+	var failed error
+	emit := func(key, desc string, fn func(w io.Writer) error) {
+		if failed != nil || !selected(key) {
 			return
 		}
 		path := filepath.Join(*outDir, key+".txt")
@@ -234,12 +250,13 @@ func main() {
 			return fn(w)
 		})
 		if err != nil {
-			log.Fatalf("%s: %v", key, err)
+			failed = fmt.Errorf("%s: %w", key, err)
+			return
 		}
 		log.Printf("wrote %s (%s)", path, desc)
 	}
 	writeCSV := func(key string, series ...*stats.Series) {
-		if !selected(key) || len(series) == 0 {
+		if failed != nil || !selected(key) || len(series) == 0 {
 			return
 		}
 		path := filepath.Join(*outDir, key+".csv")
@@ -247,7 +264,7 @@ func main() {
 			return report.WriteSeriesCSV(w, series...)
 		})
 		if err != nil {
-			log.Fatalf("%s: %v", key, err)
+			failed = fmt.Errorf("%s: %w", key, err)
 		}
 	}
 
@@ -261,11 +278,11 @@ func main() {
 		return out
 	}
 
-	run("table2", "Table 2: letters, reported vs observed sites", func(w io.Writer) error {
+	emit("table2", "Table 2: letters, reported vs observed sites", func(w io.Writer) error {
 		return report.WriteTable2(w, an.Table2())
 	})
-	run("table3", "Table 3: RSSAC-002 event-size estimation", func(w io.Writer) error {
-		for evIdx := range ev.Schedule().Events {
+	emit("table3", "Table 3: RSSAC-002 event-size estimation", func(w io.Writer) error {
+		for _, evIdx := range ev.SimulatedEvents() {
 			res, err := an.Table3(evIdx)
 			if err != nil {
 				return err
@@ -277,31 +294,31 @@ func main() {
 		}
 		return nil
 	})
-	run("fig2", "Figure 2 / §2.2: policy thought experiment", func(w io.Writer) error {
+	emit("fig2", "Figure 2 / §2.2: policy thought experiment", func(w io.Writer) error {
 		return writePolicyCases(w)
 	})
 
 	fig3, err := an.Figure3()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	run("fig3", "Figure 3: VPs with successful queries per letter", func(w io.Writer) error {
+	emit("fig3", "Figure 3: VPs with successful queries per letter", func(w io.Writer) error {
 		return report.WriteLetterSeries(w, "VPs with successful queries (10-min bins)", fig3, 96)
 	})
 	writeCSV("fig3", letterSeriesCSV(fig3)...)
 
 	fig4, err := an.Figure4()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	run("fig4", "Figure 4: median RTT per letter", func(w io.Writer) error {
+	emit("fig4", "Figure 4: median RTT per letter", func(w io.Writer) error {
 		return report.WriteLetterSeries(w, "Median RTT of successful queries (ms)", fig4, 96)
 	})
 	writeCSV("fig4", letterSeriesCSV(fig4)...)
 
 	for _, lb := range []byte{'E', 'K'} {
 		key5 := fmt.Sprintf("fig5%c", lb+32)
-		run(key5, fmt.Sprintf("Figure 5: %c-Root site swings", lb), func(w io.Writer) error {
+		emit(key5, fmt.Sprintf("Figure 5: %c-Root site swings", lb), func(w io.Writer) error {
 			rows, err := an.Figure5(lb)
 			if err != nil {
 				return err
@@ -309,7 +326,7 @@ func main() {
 			return report.WriteFigure5(w, lb, rows)
 		})
 		key6 := fmt.Sprintf("fig6%c", lb+32)
-		run(key6, fmt.Sprintf("Figure 6: %c-Root per-site catchments", lb), func(w io.Writer) error {
+		emit(key6, fmt.Sprintf("Figure 6: %c-Root per-site catchments", lb), func(w io.Writer) error {
 			minis, err := an.Figure6(lb)
 			if err != nil {
 				return err
@@ -318,7 +335,7 @@ func main() {
 		})
 	}
 
-	run("fig7", "Figure 7: RTT at stressed K-Root sites", func(w io.Writer) error {
+	emit("fig7", "Figure 7: RTT at stressed K-Root sites", func(w io.Writer) error {
 		series, err := an.Figure7('K', []string{"AMS", "NRT", "LHR", "FRA"})
 		if err != nil {
 			return err
@@ -338,21 +355,21 @@ func main() {
 
 	fig8, err := an.Figure8()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	run("fig8", "Figure 8: site flips per letter", func(w io.Writer) error {
+	emit("fig8", "Figure 8: site flips per letter", func(w io.Writer) error {
 		return report.WriteLetterSeries(w, "Site flips per 10-min bin", fig8, 96)
 	})
 	writeCSV("fig8", letterSeriesCSV(fig8)...)
 
 	fig9 := an.Figure9()
-	run("fig9", "Figure 9: BGP route changes per letter", func(w io.Writer) error {
+	emit("fig9", "Figure 9: BGP route changes per letter", func(w io.Writer) error {
 		return report.WriteLetterSeries(w, "Route changes at 152 collector peers", fig9, 96)
 	})
 	writeCSV("fig9", letterSeriesCSV(fig9)...)
 
-	run("fig10", "Figure 10: flip flows from K-LHR/K-FRA", func(w io.Writer) error {
-		for evIdx := range ev.Schedule().Events {
+	emit("fig10", "Figure 10: flip flows from K-LHR/K-FRA", func(w io.Writer) error {
+		for _, evIdx := range ev.SimulatedEvents() {
 			flows, err := an.Figure10('K', []string{"LHR", "FRA"}, evIdx)
 			if err != nil {
 				return err
@@ -364,12 +381,12 @@ func main() {
 		}
 		return nil
 	})
-	run("fig11", "Figure 11: VP raster for K-LHR/K-FRA homes", func(w io.Writer) error {
+	emit("fig11", "Figure 11: VP raster for K-LHR/K-FRA homes", func(w io.Writer) error {
 		rows, err := an.Figure11('K', "LHR", "FRA", "AMS", 300)
 		if err != nil {
 			return err
 		}
-		for evIdx := range ev.Schedule().Events {
+		for _, evIdx := range ev.SimulatedEvents() {
 			groups, err := an.ClassifyRaster(rows, evIdx)
 			if err != nil {
 				return err
@@ -383,7 +400,7 @@ func main() {
 		fmt.Fprintln(w)
 		return report.WriteRaster(w, rows, 180)
 	})
-	run("fig12-13", "Figures 12/13: per-server reachability and RTT (K-FRA, K-NRT)", func(w io.Writer) error {
+	emit("fig12-13", "Figures 12/13: per-server reachability and RTT (K-FRA, K-NRT)", func(w io.Writer) error {
 		for _, code := range []string{"FRA", "NRT"} {
 			series, err := an.FigureServers('K', code)
 			if err != nil {
@@ -396,7 +413,7 @@ func main() {
 		}
 		return nil
 	})
-	run("fig14", "Figure 14: collateral damage at D-Root sites", func(w io.Writer) error {
+	emit("fig14", "Figure 14: collateral damage at D-Root sites", func(w io.Writer) error {
 		sites, err := an.Figure14('D', 0.10)
 		if err != nil {
 			return err
@@ -414,7 +431,7 @@ func main() {
 		writeCSV("fig14", csv...)
 		return nil
 	})
-	run("fig15", "Figure 15: .nl collateral damage", func(w io.Writer) error {
+	emit("fig15", "Figure 15: .nl collateral damage", func(w io.Writer) error {
 		series := an.Figure15()
 		writeCSV("fig15", series...)
 		for i, s := range series {
@@ -424,14 +441,14 @@ func main() {
 		}
 		return nil
 	})
-	run("correlation", "§3.2.1: sites vs worst reachability (paper: R²=0.87)", func(w io.Writer) error {
+	emit("correlation", "§3.2.1: sites vs worst reachability (paper: R²=0.87)", func(w io.Writer) error {
 		res, err := an.SiteCorrelation()
 		if err != nil {
 			return err
 		}
 		return report.WriteCorrelation(w, res)
 	})
-	run("letterflips", "§3.2.2: failover load at L-Root", func(w io.Writer) error {
+	emit("letterflips", "§3.2.2: failover load at L-Root", func(w io.Writer) error {
 		res, err := an.LetterFlips('L')
 		if err != nil {
 			return err
@@ -440,7 +457,7 @@ func main() {
 			res.NormalQPS, res.PeakEventQPS, res.IncreaseRatio, res.Event2Ratio)
 		return err
 	})
-	run("ablation", "full-event policy ablation: mix vs all-absorb vs all-withdraw", func(w io.Writer) error {
+	emit("ablation", "full-event policy ablation: mix vs all-absorb vs all-withdraw", func(w io.Writer) error {
 		abCfg := cfg
 		abCfg.VPs = 50 // no measurement pass needed
 		rows, err := analysis.PolicyAblation(abCfg)
@@ -463,7 +480,7 @@ func main() {
 		fmt.Fprintln(w, "than withdrawing — the paper's §2.2 case-5 conclusion at full scale.")
 		return nil
 	})
-	run("dnsmon", "DNSMON-style availability dashboard", func(w io.Writer) error {
+	emit("dnsmon", "DNSMON-style availability dashboard", func(w io.Writer) error {
 		rows, err := an.DNSMON()
 		if err != nil {
 			return err
@@ -481,7 +498,7 @@ func main() {
 		}
 		return report.WriteTable(w, []string{"letter", "overall ok", "event ok", "worst bin", "median RTT ms", "event p90 RTT ms"}, out)
 	})
-	run("detect", "blind event detection from the measurement data", func(w io.Writer) error {
+	emit("detect", "blind event detection from the measurement data", func(w io.Writer) error {
 		windows, err := an.DetectEvents(0.25, 3)
 		if err != nil {
 			return err
@@ -498,7 +515,7 @@ func main() {
 		}
 		return nil
 	})
-	run("rssac002", "RSSAC-002 daily reports for the reporting letters (A,H,J,K,L)", func(w io.Writer) error {
+	emit("rssac002", "RSSAC-002 daily reports for the reporting letters (A,H,J,K,L)", func(w io.Writer) error {
 		dir := filepath.Join(*outDir, "rssac")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -520,7 +537,7 @@ func main() {
 		}
 		return nil
 	})
-	run("userimpact", "extension (§2.3/§5): end-user impact through caching resolvers", func(w io.Writer) error {
+	emit("userimpact", "extension (§2.3/§5): end-user impact through caching resolvers", func(w io.Writer) error {
 		res, err := an.UserImpact(analysis.DefaultUserImpactConfig(*seed))
 		if err != nil {
 			return err
@@ -539,8 +556,11 @@ func main() {
 		return nil
 	})
 
-	_ = atlas.AtlasTimeoutMs // keep import pinned for doc reference
+	if failed != nil {
+		return failed
+	}
 	log.Printf("all selected experiments done in %v", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // writeHeapProfile records a post-GC heap profile to path (no-op when

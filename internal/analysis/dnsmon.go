@@ -32,7 +32,7 @@ func (a *Analyzer) DNSMON() ([]DNSMONRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rtt, err := d.MedianRTTSeries(lb)
+		rtt, err := a.medianRTTSeries(lb)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,9 @@
 //
 // Figure and table computations walk the dataset through its columnar
 // cursors (atlas.Dataset.Rows / RawRows), so they scan contiguous column
-// slices with no per-row allocation; methods that need only the simulation
+// slices with no per-row allocation. The series several figures derive from
+// (a letter's per-site catchments, its median RTT) are computed once per
+// Analyzer and handed out as copies; methods that need only the simulation
 // (Figure9, Figure15, Table3, LetterFlips, UserImpact) read the evaluator
 // directly.
 //

@@ -38,11 +38,11 @@ func (a *Analyzer) Figure4() (map[byte]*stats.Series, error) {
 		if lb == 'A' {
 			continue // probed too rarely for RTT dynamics
 		}
-		s, err := a.d.MedianRTTSeries(lb)
+		s, err := a.medianRTTSeries(lb)
 		if err != nil {
 			return nil, err
 		}
-		out[lb] = s
+		out[lb] = s.Clone()
 	}
 	return out, nil
 }
@@ -68,16 +68,14 @@ func (a *Analyzer) Figure5(letter byte) ([]Figure5Row, error) {
 	if sites == nil {
 		return nil, fmt.Errorf("analysis: unknown letter %c", letter)
 	}
-	order, medians, err := sortedSiteIndexesByMedian(a.d, letter, len(sites))
+	series, err := a.siteSeries(letter, len(sites))
 	if err != nil {
 		return nil, err
 	}
+	order, medians := sortedSiteIndexesByMedian(series[:len(sites)])
 	var rows []Figure5Row
 	for _, si := range order {
-		s, err := a.d.SiteSeries(letter, si)
-		if err != nil {
-			return nil, err
-		}
+		s := series[si]
 		row := Figure5Row{
 			Site: sites[si].Name(), SiteIndex: si,
 			MedianVPs:      medians[si],
@@ -113,16 +111,14 @@ func (a *Analyzer) Figure6(letter byte) ([]Figure6Site, error) {
 	if sites == nil {
 		return nil, fmt.Errorf("analysis: unknown letter %c", letter)
 	}
-	order, medians, err := sortedSiteIndexesByMedian(a.d, letter, len(sites))
+	series, err := a.siteSeries(letter, len(sites))
 	if err != nil {
 		return nil, err
 	}
+	order, medians := sortedSiteIndexesByMedian(series[:len(sites)])
 	var out []Figure6Site
 	for _, si := range order {
-		s, err := a.d.SiteSeries(letter, si)
-		if err != nil {
-			return nil, err
-		}
+		s := series[si]
 		entry := Figure6Site{Site: sites[si].Name(), SiteIndex: si, MedianVPs: medians[si]}
 		if medians[si] > 0 {
 			norm, err := s.Normalize(medians[si])
@@ -136,7 +132,7 @@ func (a *Analyzer) Figure6(letter byte) ([]Figure6Site, error) {
 				}
 			}
 		} else {
-			entry.Norm = s
+			entry.Norm = s.Clone()
 		}
 		out = append(out, entry)
 	}
@@ -589,12 +585,13 @@ func (a *Analyzer) Figure14(letter byte, minDip float64) ([]Figure14Site, error)
 	if sites == nil {
 		return nil, fmt.Errorf("analysis: unknown letter %c", letter)
 	}
+	series, err := a.siteSeries(letter, len(sites))
+	if err != nil {
+		return nil, err
+	}
 	var out []Figure14Site
 	for si := range sites {
-		s, err := a.d.SiteSeries(letter, si)
-		if err != nil {
-			return nil, err
-		}
+		s := series[si]
 		med := s.Median()
 		if med < StableVPThreshold {
 			continue
@@ -613,7 +610,7 @@ func (a *Analyzer) Figure14(letter byte, minDip float64) ([]Figure14Site, error)
 		if worst >= minDip {
 			out = append(out, Figure14Site{
 				Site: sites[si].Name(), SiteIndex: si,
-				MedianVPs: med, DipFrac: worst, Series: s,
+				MedianVPs: med, DipFrac: worst, Series: s.Clone(),
 			})
 		}
 	}

@@ -104,7 +104,7 @@ func (a *Analyzer) Outcome(cfg OutcomeConfig) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		rtt, err := d.MedianRTTSeries(lb)
+		rtt, err := a.medianRTTSeries(lb)
 		if err != nil {
 			return nil, err
 		}

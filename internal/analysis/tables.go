@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/rootevent/anycastddos/internal/atlas"
 	"github.com/rootevent/anycastddos/internal/attack"
 	"github.com/rootevent/anycastddos/internal/rssac"
 	"github.com/rootevent/anycastddos/internal/stats"
@@ -25,7 +24,6 @@ type Table2Row struct {
 // Table2 reproduces Table 2: reported architecture vs. sites observed
 // through CHAOS measurements.
 func (a *Analyzer) Table2() []Table2Row {
-	d := a.d
 	var rows []Table2Row
 	for _, l := range a.ev.Deployment.Letters {
 		row := Table2Row{
@@ -40,18 +38,14 @@ func (a *Analyzer) Table2() []Table2Row {
 				row.GlobalReported++
 			}
 		}
-		seen := map[int16]bool{}
-		if cur, err := d.Rows(l.Letter); err == nil {
-			for cur.Next() {
-				status, site := cur.Status(), cur.Site()
-				for b, st := range status {
-					if st == atlas.OK && site[b] >= 0 {
-						seen[site[b]] = true
-					}
+		// A letter the dataset does not track was observed at no site.
+		if series, err := a.siteSeries(l.Letter, len(l.Sites)); err == nil {
+			for _, s := range series {
+				if max, _, _ := s.Max(); max > 0 {
+					row.SitesObserved++
 				}
 			}
 		}
-		row.SitesObserved = len(seen)
 		rows = append(rows, row)
 	}
 	return rows
@@ -272,21 +266,16 @@ func (a *Analyzer) LetterFlips(letter byte) (*LetterFlipsResult, error) {
 	return res, nil
 }
 
-// sortedSiteIndexesByMedian returns a letter's site indexes ordered by
-// median VP count (descending), mirroring the ordering of Figures 5 and 6.
-func sortedSiteIndexesByMedian(d *atlas.Dataset, letter byte, nSites int) ([]int, []float64, error) {
-	medians := make([]float64, nSites)
-	for si := 0; si < nSites; si++ {
-		s, err := d.SiteSeries(letter, si)
-		if err != nil {
-			return nil, nil, err
-		}
+// sortedSiteIndexesByMedian orders a letter's sites by median VP count
+// (descending), mirroring the ordering of Figures 5 and 6; series[i] is
+// site i's catchment series. It returns the order and each site's median.
+func sortedSiteIndexesByMedian(series []*stats.Series) ([]int, []float64) {
+	medians := make([]float64, len(series))
+	idx := make([]int, len(series))
+	for si, s := range series {
 		medians[si] = s.Median()
-	}
-	idx := make([]int, nSites)
-	for i := range idx {
-		idx[i] = i
+		idx[si] = si
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return medians[idx[a]] > medians[idx[b]] })
-	return idx, medians, nil
+	return idx, medians
 }

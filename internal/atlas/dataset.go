@@ -196,74 +196,91 @@ func (d *Dataset) HasRaw(letter byte) bool {
 	return ok
 }
 
-// bin returns the bin index for an absolute minute, or -1.
-func (d *Dataset) bin(minute int) int {
-	if minute < d.StartMinute {
-		return -1
-	}
-	i := (minute - d.StartMinute) / d.BinMinutes
-	if i >= d.Bins {
-		return -1
-	}
-	return i
+// rowWriter folds one VP's probes of one letter into the dataset. Building
+// it resolves everything a walk's probes share — the letter's columns and
+// the VP's row in each — so record pays no map lookup per probe.
+type rowWriter struct {
+	d *Dataset
+	// Binned row, length Bins.
+	status []Status
+	site   []int16
+	rtt    []uint16
+	// Raw row, length RawBins; nil slices unless the letter retains raw
+	// probes.
+	rawStatus []Status
+	rawSite   []int16
+	rawServer []int8
+	rawRTT    []uint16
 }
 
-// rawBin returns the raw-bin index for an absolute minute, or -1.
-func (d *Dataset) rawBin(minute int) int {
-	if minute < d.StartMinute {
-		return -1
-	}
-	i := (minute - d.StartMinute) / d.RawBinMinutes
-	if i >= d.RawBins {
-		return -1
-	}
-	return i
-}
-
-// record folds one probe into the binned columns (and the raw columns when
-// retained), applying the site>error>timeout precedence within each bin.
-// Probes stream straight into the columns as they happen; no per-row struct
-// is ever materialized. Must not be called after Seal.
-func (d *Dataset) record(vp VPID, letter byte, minute int, site int, server int, status Status, rttMs float64) {
+// rowWriter returns the writer for (vp, letter); ok is false when the
+// dataset does not track the letter. Must not be called after Seal.
+func (d *Dataset) rowWriter(vp VPID, letter byte) (w rowWriter, ok bool) {
 	li, ok := d.letterIdx[letter]
 	if !ok {
-		return
+		return rowWriter{}, false
+	}
+	lo := int(vp) * d.Bins
+	w = rowWriter{
+		d:      d,
+		status: d.binStatus[li][lo : lo+d.Bins],
+		site:   d.binSite[li][lo : lo+d.Bins],
+		rtt:    d.binRTT[li][lo : lo+d.Bins],
 	}
 	if rc, ok := d.raw[letter]; ok {
-		if rb := d.rawBin(minute); rb >= 0 {
-			i := int(vp)*d.RawBins + rb
-			// One probe per raw bin; last write wins.
-			rc.status[i] = status
-			rc.site[i] = int16(site)
-			rc.server[i] = int8(server)
-			rc.rtt[i] = d.clampRTT(rttMs)
-		}
+		lo := int(vp) * d.RawBins
+		w.rawStatus = rc.status[lo : lo+d.RawBins]
+		w.rawSite = rc.site[lo : lo+d.RawBins]
+		w.rawServer = rc.server[lo : lo+d.RawBins]
+		w.rawRTT = rc.rtt[lo : lo+d.RawBins]
 	}
-	b := d.bin(minute)
-	if b < 0 {
+	return w, true
+}
+
+// record folds one probe into the binned row (and the raw row when
+// retained), applying the site>error>timeout precedence within each bin.
+// Probes stream straight into the columns as they happen; no per-row struct
+// is ever materialized. Minutes outside the dataset are dropped.
+//
+//repolint:hot
+func (w *rowWriter) record(minute int, site int, server int, status Status, rttMs float64) {
+	d := w.d
+	off := minute - d.StartMinute
+	if off < 0 {
 		return
 	}
-	i := int(vp)*d.Bins + b
-	st := d.binStatus[li]
+	if len(w.rawStatus) > 0 {
+		if rb := off / d.RawBinMinutes; rb < len(w.rawStatus) {
+			// One probe per raw bin; last write wins.
+			w.rawStatus[rb] = status
+			w.rawSite[rb] = int16(site)
+			w.rawServer[rb] = int8(server)
+			w.rawRTT[rb] = d.clampRTT(rttMs)
+		}
+	}
+	b := off / d.BinMinutes
+	if b >= len(w.status) {
+		return
+	}
 	switch status {
 	case OK:
-		if st[i] == OK {
+		if w.status[b] == OK {
 			// Average successive successful RTTs in the bin.
-			d.binRTT[li][i] = uint16((uint32(d.binRTT[li][i]) + uint32(d.clampRTT(rttMs))) / 2)
+			w.rtt[b] = uint16((uint32(w.rtt[b]) + uint32(d.clampRTT(rttMs))) / 2)
 		} else {
-			st[i] = OK
-			d.binRTT[li][i] = d.clampRTT(rttMs)
+			w.status[b] = OK
+			w.rtt[b] = d.clampRTT(rttMs)
 		}
-		d.binSite[li][i] = int16(site)
+		w.site[b] = int16(site)
 	case RCodeErr:
-		if st[i] != OK {
-			st[i] = RCodeErr
-			d.binSite[li][i] = NoSite
+		if w.status[b] != OK {
+			w.status[b] = RCodeErr
+			w.site[b] = NoSite
 		}
 	case Timeout:
-		if st[i] == NoData {
-			st[i] = Timeout
-			d.binSite[li][i] = NoSite
+		if w.status[b] == NoData {
+			w.status[b] = Timeout
+			w.site[b] = NoSite
 		}
 	}
 }
@@ -450,13 +467,38 @@ func (d *Dataset) MedianRTTSeries(letter byte) (*stats.Series, error) {
 }
 
 // SiteSeries returns the number of VPs resolved to the given site of a
-// letter per bin (Figures 5, 6, 14).
+// letter per bin. It costs a pass over the whole letter; code that wants
+// more than one site's catchment takes them all from one SiteSeriesAll.
 func (d *Dataset) SiteSeries(letter byte, site int) (*stats.Series, error) {
+	if site < 0 {
+		return nil, fmt.Errorf("atlas: site index %d out of range", site)
+	}
+	all, err := d.SiteSeriesAll(letter, site+1)
+	if err != nil {
+		return nil, err
+	}
+	return all[site], nil
+}
+
+// SiteSeriesAll returns every site's catchment series for one letter — the
+// number of VPs resolved to the site per bin (Figures 5, 6, 14) — from a
+// single pass over the letter's columns. Element i is site i's series; the
+// result covers site indexes 0..n-1 where n is the larger of nSites and
+// one past the largest site index observed, so callers that know the
+// deployment get a series for never-seen sites and callers that do not
+// (an archived dataset) pass 0.
+func (d *Dataset) SiteSeriesAll(letter byte, nSites int) ([]*stats.Series, error) {
 	li, ok := d.letterIdx[letter]
 	if !ok {
 		return nil, fmt.Errorf("atlas: letter %c not in dataset", letter)
 	}
-	s := stats.NewSeries(fmt.Sprintf("vps-%c-site%d", letter, site), d.StartMinute, d.BinMinutes, d.Bins)
+	var out []*stats.Series
+	grow := func(n int) {
+		for i := len(out); i < n; i++ {
+			out = append(out, stats.NewSeries(fmt.Sprintf("vps-%c-site%d", letter, i), d.StartMinute, d.BinMinutes, d.Bins))
+		}
+	}
+	grow(nSites)
 	st, si := d.binStatus[li], d.binSite[li]
 	for vp := 0; vp < d.NumVPs; vp++ {
 		if d.Excluded[vp] {
@@ -465,12 +507,20 @@ func (d *Dataset) SiteSeries(letter byte, site int) (*stats.Series, error) {
 		lo := vp * d.Bins
 		row := st[lo : lo+d.Bins]
 		for b, c := range row {
-			if c == OK && int(si[lo+b]) == site {
-				s.Values[b]++
+			if c != OK {
+				continue
 			}
+			site := int(si[lo+b])
+			if site < 0 {
+				continue
+			}
+			if site >= len(out) {
+				grow(site + 1)
+			}
+			out[site].Values[b]++
 		}
 	}
-	return s, nil
+	return out, nil
 }
 
 // SiteRTTSeries returns the per-bin median RTT of successful queries that
@@ -525,23 +575,52 @@ func (d *Dataset) medianSeries(s *stats.Series, st []Status, rtt []uint16, si []
 		}
 	}
 	for b := 0; b < d.Bins; b++ {
-		seg := flat[offs[b]:offs[b+1]]
-		slices.Sort(seg)
-		s.Values[b] = medianSortedU16(seg)
+		s.Values[b] = medianU16(flat[offs[b]:offs[b+1]])
 	}
 }
 
-// medianSortedU16 is the median of an ascending-sorted uint16 slice,
+// medianU16 is the median of seg: the middle value, or the mean of the two
+// middle values. It selects them by counting instead of sorting, and is
 // bit-identical to stats.Median over the same values widened to float64:
-// every uint16 converts exactly, and for even n the two middle integers
-// halve exactly, so the q=0.5 linear interpolation loses nothing.
-func medianSortedU16(seg []uint16) float64 {
+// every uint16 converts exactly and the two middle integers halve exactly
+// (for odd n both are the same value, whose halves sum back to it).
+func medianU16(seg []uint16) float64 {
 	n := len(seg)
 	if n == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return float64(seg[n/2])
+	hi := selectU16(seg, n/2)
+	lo := hi
+	if n%2 == 0 {
+		lo = selectU16(seg, n/2-1)
 	}
-	return float64(seg[n/2-1])*0.5 + float64(seg[n/2])*0.5
+	return float64(lo)*0.5 + float64(hi)*0.5
+}
+
+// selectU16 returns the k-th smallest (0-based) value of seg without
+// reordering it: a histogram of the high bytes finds the 256-value bucket
+// holding rank k, a histogram of the low bytes inside that bucket finds the
+// value. Two linear passes, whatever the spread of the values.
+func selectU16(seg []uint16, k int) uint16 {
+	var hist [256]int
+	for _, v := range seg {
+		hist[v>>8]++
+	}
+	high := 0
+	for k >= hist[high] {
+		k -= hist[high]
+		high++
+	}
+	hist = [256]int{}
+	for _, v := range seg {
+		if int(v>>8) == high {
+			hist[v&0xff]++
+		}
+	}
+	low := 0
+	for k >= hist[low] {
+		k -= hist[low]
+		low++
+	}
+	return uint16(high<<8 | low)
 }

@@ -147,25 +147,58 @@ func RunContext(ctx context.Context, p *Population, w World, cfg ScheduleConfig)
 	return d, nil
 }
 
+// identityMemo remembers the chaos.Matches verdict of the first few distinct
+// identity strings one (VP, letter) walk meets. A VP sees a handful of
+// (site, server) identities per letter, so nearly every probe is answered
+// by a string comparison; a string the memo has no room for is validated
+// afresh, which keeps every verdict exactly chaos.Matches's for any World.
+type identityMemo struct {
+	txt [8]string
+	ok  [8]bool
+	n   int
+}
+
+func (m *identityMemo) matches(letter byte, txt string) bool {
+	for i := 0; i < m.n; i++ {
+		if m.txt[i] == txt {
+			return m.ok[i]
+		}
+	}
+	ok := chaos.Matches(letter, txt)
+	if m.n < len(m.txt) {
+		m.txt[m.n], m.ok[m.n] = txt, ok
+		m.n++
+	}
+	return ok
+}
+
 // runVP executes one vantage point's whole campaign.
+//
+//repolint:hot
 func runVP(vp *VP, w World, cfg ScheduleConfig, d *Dataset) {
 	if vp.Firmware < MinFirmware {
 		d.Exclude(vp.ID, "firmware")
 		return
 	}
 	hijackEvidence := false
+	end := cfg.StartMinute + cfg.Minutes
 	for _, letter := range cfg.Letters {
+		row, ok := d.rowWriter(vp.ID, letter)
+		if !ok {
+			continue
+		}
 		interval := cfg.IntervalMin
 		if letter == 'A' && cfg.AIntervalMin > 0 {
 			interval = cfg.AIntervalMin
 		}
-		for minute := cfg.StartMinute + vp.Phase%interval; minute < cfg.StartMinute+cfg.Minutes; minute += interval {
+		var seen identityMemo
+		for minute := cfg.StartMinute + vp.Phase%interval; minute < end; minute += interval {
 			out := w.ProbeOutcome(vp, letter, minute)
 			status := out.Status
 			if status == OK && out.RTTms >= AtlasTimeoutMs {
 				status = Timeout
 			}
-			if status == OK && out.ChaosTXT != "" && !chaos.Matches(letter, out.ChaosTXT) {
+			if status == OK && out.ChaosTXT != "" && !seen.matches(letter, out.ChaosTXT) {
 				if out.RTTms < HijackRTTThresholdMs {
 					hijackEvidence = true
 				}
@@ -173,7 +206,7 @@ func runVP(vp *VP, w World, cfg ScheduleConfig, d *Dataset) {
 				// hijack is kept but carries no site mapping.
 				out.Site = NoSite
 			}
-			d.record(vp.ID, letter, minute, out.Site, out.Server, status, out.RTTms)
+			row.record(minute, out.Site, out.Server, status, out.RTTms)
 		}
 	}
 	if hijackEvidence {

@@ -41,210 +41,117 @@ var (
 	ErrPatternMismatch = errors.New("chaos: reply does not match letter pattern")
 )
 
-// pattern describes one letter's identity convention as a printf-style
-// template over (site, server) plus a matching parser. Site codes appear in
+// shape is where a letter's convention puts the site code and the server
+// index between its fixed prefix and suffix.
+type shape uint8
+
+const (
+	numDotSite  shape = iota // "<prefix><n>.<site><suffix>"
+	siteNum                  // "<prefix><site><n><suffix>"
+	siteDashNum              // "<prefix><site>-<n><suffix>"
+)
+
+// pattern describes one letter's identity convention. Site codes appear in
 // lower case on the wire.
 type pattern struct {
-	format func(site string, server int) string
-	parse  func(txt string) (site string, server int, err error)
+	shape          shape
+	prefix, suffix string
 }
 
-// trailing splits "prefixN" into ("prefix", N) where N is the longest
-// numeric suffix.
-func trailing(s string) (string, int, bool) {
-	i := len(s)
-	for i > 0 && s[i-1] >= '0' && s[i-1] <= '9' {
-		i--
-	}
-	if i == len(s) {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(s[i:])
-	if err != nil {
-		return "", 0, false
-	}
-	return s[:i], n, true
+// patterns holds each letter's convention, indexed by letter-'A'.
+// Conventions are stable per letter and intentionally distinct in shape,
+// mirroring the diversity of the real deployments.
+var patterns = [...]pattern{
+	'A' - 'A': {siteNum, "rootns-", ".verisign.com"},
+	'B' - 'A': {numDotSite, "b", ".isi.edu"},
+	'C' - 'A': {siteNum, "", "b.c.root-servers.org"},
+	'D' - 'A': {numDotSite, "d", ".droot.maryland.edu"},
+	'E' - 'A': {numDotSite, "e", ".eroot.nasa.gov"},
+	'F' - 'A': {siteNum, "", ".f.root-servers.org"},
+	'G' - 'A': {siteDashNum, "groot-", ".disa.mil"},
+	'H' - 'A': {numDotSite, "h", ".aos.arl.army.mil"},
+	'I' - 'A': {numDotSite, "s", ".i.root-servers.org"},
+	'J' - 'A': {siteNum, "rootnsj-", ".verisign.com"},
+	'K' - 'A': {numDotSite, "ns", ".k.ripe.net"},
+	'L' - 'A': {siteNum, "", ".l.root-servers.org"},
+	'M' - 'A': {numDotSite, "m", ".wide.ad.jp"},
 }
 
-// sitePart validates a lower-case IATA code and returns it in upper case.
-func sitePart(s string) (string, bool) {
+// lookup returns the letter's pattern, or nil for an unknown letter.
+func lookup(letter byte) *pattern {
+	if letter < 'A' || int(letter-'A') >= len(patterns) {
+		return nil
+	}
+	return &patterns[letter-'A']
+}
+
+// format renders the identity of (site, server); site may be in any case.
+func (p *pattern) format(site string, server int) string {
+	site, n := strings.ToLower(site), strconv.Itoa(server)
+	switch p.shape {
+	case numDotSite:
+		return p.prefix + n + "." + site + p.suffix
+	case siteDashNum:
+		return p.prefix + site + "-" + n + p.suffix
+	default:
+		return p.prefix + site + n + p.suffix
+	}
+}
+
+// match validates a trimmed, lower-cased reply against the pattern and
+// returns the site code as it appears in the reply (a substring, so nothing
+// is allocated) and the server index. It is the one validator behind Parse
+// and Matches.
+func (p *pattern) match(txt string) (site string, server int, ok bool) {
+	body, ok := strings.CutSuffix(txt, p.suffix)
+	if !ok {
+		return "", 0, false
+	}
+	rest, ok := strings.CutPrefix(body, p.prefix)
+	if !ok {
+		return "", 0, false
+	}
+	var num string
+	switch p.shape {
+	case numDotSite:
+		num, site, ok = strings.Cut(rest, ".")
+	case siteDashNum:
+		site, num, ok = strings.Cut(rest, "-")
+	default:
+		// The server index is the longest numeric suffix.
+		i := len(rest)
+		for i > 0 && rest[i-1] >= '0' && rest[i-1] <= '9' {
+			i--
+		}
+		site, num, ok = rest[:i], rest[i:], i < len(rest)
+	}
+	if !ok || !validSite(site) {
+		return "", 0, false
+	}
+	n, err := strconv.Atoi(num)
+	if err != nil || n < 1 {
+		return "", 0, false
+	}
+	return site, n, true
+}
+
+// validSite reports whether s is a lower-case IATA code.
+func validSite(s string) bool {
 	if len(s) != 3 {
-		return "", false
+		return false
 	}
 	for i := 0; i < 3; i++ {
 		if s[i] < 'a' || s[i] > 'z' {
-			return "", false
+			return false
 		}
 	}
-	return strings.ToUpper(s), true
+	return true
 }
 
-// prefixNumSite parses "<prefix><n>.<site>.<suffix>".
-func prefixNumSite(prefix, suffix string) func(string) (string, int, error) {
-	return func(txt string) (string, int, error) {
-		body, ok := strings.CutSuffix(txt, suffix)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		rest, ok := strings.CutPrefix(body, prefix)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		numStr, siteStr, ok := strings.Cut(rest, ".")
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		n, err := strconv.Atoi(numStr)
-		if err != nil || n < 1 {
-			return "", 0, ErrPatternMismatch
-		}
-		site, ok := sitePart(siteStr)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		return site, n, nil
-	}
-}
-
-// siteNumSuffix parses "<site><n>.<suffix>".
-func siteNumSuffix(suffix string) func(string) (string, int, error) {
-	return func(txt string) (string, int, error) {
-		body, ok := strings.CutSuffix(txt, suffix)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		prefix, n, ok := trailing(body)
-		if !ok || n < 1 {
-			return "", 0, ErrPatternMismatch
-		}
-		site, ok := sitePart(prefix)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		return site, n, nil
-	}
-}
-
-// dashSiteNum parses "<prefix>-<site><n>" or "<prefix>-<site>-<n>".
-func dashSiteNum(prefix string, dashed bool, suffix string) func(string) (string, int, error) {
-	return func(txt string) (string, int, error) {
-		body, ok := strings.CutSuffix(txt, suffix)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		rest, ok := strings.CutPrefix(body, prefix+"-")
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		if dashed {
-			siteStr, numStr, ok := strings.Cut(rest, "-")
-			if !ok {
-				return "", 0, ErrPatternMismatch
-			}
-			n, err := strconv.Atoi(numStr)
-			if err != nil || n < 1 {
-				return "", 0, ErrPatternMismatch
-			}
-			site, ok := sitePart(siteStr)
-			if !ok {
-				return "", 0, ErrPatternMismatch
-			}
-			return site, n, nil
-		}
-		siteStr, n, ok := trailing(rest)
-		if !ok || n < 1 {
-			return "", 0, ErrPatternMismatch
-		}
-		site, ok := sitePart(siteStr)
-		if !ok {
-			return "", 0, ErrPatternMismatch
-		}
-		return site, n, nil
-	}
-}
-
-// patterns maps each letter to its convention. Conventions are stable per
-// letter and intentionally distinct in shape, mirroring the diversity of
-// the real deployments.
-var patterns = map[byte]pattern{
-	'A': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("rootns-%s%d.verisign.com", strings.ToLower(site), server)
-		},
-		parse: dashSiteNum("rootns", false, ".verisign.com"),
-	},
-	'B': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("b%d.%s.isi.edu", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("b", ".isi.edu"),
-	},
-	'C': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("%s%db.c.root-servers.org", strings.ToLower(site), server)
-		},
-		parse: siteNumSuffix("b.c.root-servers.org"),
-	},
-	'D': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("d%d.%s.droot.maryland.edu", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("d", ".droot.maryland.edu"),
-	},
-	'E': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("e%d.%s.eroot.nasa.gov", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("e", ".eroot.nasa.gov"),
-	},
-	'F': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("%s%d.f.root-servers.org", strings.ToLower(site), server)
-		},
-		parse: siteNumSuffix(".f.root-servers.org"),
-	},
-	'G': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("groot-%s-%d.disa.mil", strings.ToLower(site), server)
-		},
-		parse: dashSiteNum("groot", true, ".disa.mil"),
-	},
-	'H': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("h%d.%s.aos.arl.army.mil", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("h", ".aos.arl.army.mil"),
-	},
-	'I': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("s%d.%s.i.root-servers.org", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("s", ".i.root-servers.org"),
-	},
-	'J': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("rootnsj-%s%d.verisign.com", strings.ToLower(site), server)
-		},
-		parse: dashSiteNum("rootnsj", false, ".verisign.com"),
-	},
-	'K': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("ns%d.%s.k.ripe.net", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("ns", ".k.ripe.net"),
-	},
-	'L': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("%s%d.l.root-servers.org", strings.ToLower(site), server)
-		},
-		parse: siteNumSuffix(".l.root-servers.org"),
-	},
-	'M': {
-		format: func(site string, server int) string {
-			return fmt.Sprintf("m%d.%s.wide.ad.jp", server, strings.ToLower(site))
-		},
-		parse: prefixNumSite("m", ".wide.ad.jp"),
-	},
+// normalize strips surrounding space and case from a reply; it returns txt
+// itself when there is nothing to strip.
+func normalize(txt string) string {
+	return strings.ToLower(strings.TrimSpace(txt))
 }
 
 // Letters returns the 13 root letters in order.
@@ -254,14 +161,14 @@ func Letters() []byte {
 
 // Format renders the CHAOS TXT identity a given letter's server returns.
 func Format(letter byte, site string, server int) (string, error) {
-	p, ok := patterns[letter]
-	if !ok {
+	p := lookup(letter)
+	if p == nil {
 		return "", ErrUnknownLetter
 	}
 	if server < 1 {
 		return "", fmt.Errorf("chaos: server index %d: must be >= 1", server)
 	}
-	if _, ok := sitePart(strings.ToLower(site)); !ok {
+	if !validSite(strings.ToLower(site)) {
 		return "", fmt.Errorf("chaos: site %q: must be a 3-letter code", site)
 	}
 	return p.format(site, server), nil
@@ -281,15 +188,15 @@ func MustFormat(letter byte, site string, server int) string {
 
 // Parse interprets txt as an identity reply from the given letter.
 func Parse(letter byte, txt string) (Identity, error) {
-	p, ok := patterns[letter]
-	if !ok {
+	p := lookup(letter)
+	if p == nil {
 		return Identity{}, ErrUnknownLetter
 	}
-	site, server, err := p.parse(strings.ToLower(strings.TrimSpace(txt)))
-	if err != nil {
-		return Identity{}, fmt.Errorf("letter %c, reply %q: %w", letter, txt, err)
+	site, server, ok := p.match(normalize(txt))
+	if !ok {
+		return Identity{}, fmt.Errorf("letter %c, reply %q: %w", letter, txt, ErrPatternMismatch)
 	}
-	return Identity{Letter: letter, Site: site, Server: server}, nil
+	return Identity{Letter: letter, Site: strings.ToUpper(site), Server: server}, nil
 }
 
 // ParseAny tries all letters and returns the first match. Useful when the
@@ -303,10 +210,16 @@ func ParseAny(txt string) (Identity, bool) {
 	return Identity{}, false
 }
 
-// Matches reports whether txt is a well-formed identity for the letter.
-// The atlas cleaning stage flags VPs whose replies fail this check and whose
-// RTTs are implausibly short as hijacked (§2.4.1).
+// Matches reports whether txt is a well-formed identity for the letter —
+// exactly when Parse succeeds, but without building the Identity or the
+// error, so a reply already in wire form (lower case, no surrounding space)
+// costs no allocation. The atlas cleaning stage flags VPs whose replies fail this
+// check and whose RTTs are implausibly short as hijacked (§2.4.1).
 func Matches(letter byte, txt string) bool {
-	_, err := Parse(letter, txt)
-	return err == nil
+	p := lookup(letter)
+	if p == nil {
+		return false
+	}
+	_, _, ok := p.match(normalize(txt))
+	return ok
 }

@@ -118,7 +118,7 @@ func TestLettersComplete(t *testing.T) {
 		t.Errorf("Letters() = %v", ls)
 	}
 	for _, l := range ls {
-		if _, ok := patterns[l]; !ok {
+		if lookup(l) == nil {
 			t.Errorf("letter %c has no pattern", l)
 		}
 	}
@@ -163,6 +163,58 @@ func TestParseRobustness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFormatWireStrings pins every letter's convention to its literal wire
+// form, so the pattern table cannot drift while still round-tripping.
+func TestFormatWireStrings(t *testing.T) {
+	want := map[byte]string{
+		'A': "rootns-ams2.verisign.com",
+		'B': "b2.ams.isi.edu",
+		'C': "ams2b.c.root-servers.org",
+		'D': "d2.ams.droot.maryland.edu",
+		'E': "e2.ams.eroot.nasa.gov",
+		'F': "ams2.f.root-servers.org",
+		'G': "groot-ams-2.disa.mil",
+		'H': "h2.ams.aos.arl.army.mil",
+		'I': "s2.ams.i.root-servers.org",
+		'J': "rootnsj-ams2.verisign.com",
+		'K': "ns2.ams.k.ripe.net",
+		'L': "ams2.l.root-servers.org",
+		'M': "m2.ams.wide.ad.jp",
+	}
+	for _, l := range Letters() {
+		if got := MustFormat(l, "AMS", 2); got != want[l] {
+			t.Errorf("MustFormat(%c, AMS, 2) = %q, want %q", l, got, want[l])
+		}
+	}
+}
+
+// TestMatchesDoesNotAllocate guards the atlas cleaning stage's per-probe
+// check: a well-formed wire-form identity validates without touching the
+// heap, for every letter's convention.
+func TestMatchesDoesNotAllocate(t *testing.T) {
+	for _, l := range Letters() {
+		txt := MustFormat(l, "AMS", 12)
+		allocs := testing.AllocsPerRun(100, func() {
+			if !Matches(l, txt) {
+				t.Fatalf("Matches(%c, %q) = false", l, txt)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Matches(%c, %q) allocates %v per call, want 0", l, txt, allocs)
+		}
+	}
+}
+
+func BenchmarkMatchesK(b *testing.B) {
+	txt := MustFormat('K', "AMS", 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !Matches('K', txt) {
+			b.Fatal("no match")
+		}
 	}
 }
 

@@ -28,3 +28,26 @@ func FuzzParseAny(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMatchesAgreesWithParse pins Matches, the allocation-free check the
+// atlas cleaning stage runs, to Parse: for any letter and any reply the two
+// must give the same verdict.
+func FuzzMatchesAgreesWithParse(f *testing.F) {
+	for _, txt := range []string{
+		"ns1.ams.k.ripe.net", "  NS3.AMS.K.RIPE.NET \n", "ns+1.ams.k.ripe.net",
+		"ns-1.ams.k.ripe.net", "ns0.ams.k.ripe.net", "ns01.ams.k.ripe.net",
+		"ns99999999999999999999.ams.k.ripe.net", "ns1.ams.\u212a.ripe.net",
+		"groot-ams--1.disa.mil", "groot-ams-2.disa.mil", "ams1b.c.root-servers.org",
+		"1.f.root-servers.org", "rootns-lax1.verisign.com", "dnsmasq-2.76", "",
+	} {
+		f.Add(txt)
+	}
+	f.Fuzz(func(t *testing.T, txt string) {
+		for _, l := range append(Letters(), 'Q', 0) {
+			_, err := Parse(l, txt)
+			if got := Matches(l, txt); got != (err == nil) {
+				t.Fatalf("Matches(%c, %q) = %v, Parse error = %v", l, txt, got, err)
+			}
+		}
+	})
+}

@@ -120,7 +120,7 @@ type Letter struct {
 // Encode serializes the snapshot deterministically: magic, version, body,
 // SHA-256 trailer over everything before it.
 func Encode(s *Snapshot) []byte {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, sizeBound(s))}
 	e.bytes([]byte(magic))
 	e.u32(Version)
 	e.uvarint(uint64(s.Minute))
@@ -168,6 +168,37 @@ func Encode(s *Snapshot) []byte {
 	}
 	sum := sha256.Sum256(e.buf)
 	return append(e.buf, sum[:]...)
+}
+
+// sizeBound is an upper bound on len(Encode(s)): the encoding with every
+// count at a varint's full width. Encode sizes its buffer with it, once; a
+// multi-megabyte buffer grown by append was reallocated dozens of times per
+// snapshot, several times the encoding in garbage. A field Encode gains and
+// this misses costs a reallocation, never correctness.
+func sizeBound(s *Snapshot) int {
+	const count = binary.MaxVarintLen64
+	vec := func(n, elemBytes int) int { return count + n*elemBytes }
+	n := len(magic) + 4 + count + len(s.ConfigDigest) + sha256.Size
+	n += count
+	for _, row := range s.CityExcess {
+		n += vec(len(row), 8)
+	}
+	n += vec(len(s.Updates), 1+4*4)
+	n += count
+	for i := range s.Letters {
+		l := &s.Letters[i]
+		n += 1 + vec(len(l.Routers), 1+2*4) + vec(len(l.Active), 1) + 1 + vec(len(l.EffActive), 1)
+		n += count
+		for _, ep := range l.Epochs {
+			n += 4 + vec(len(ep.Active), 1)
+		}
+		n += count
+		for si := range l.Loss {
+			n += vec(len(l.Loss[si]), 4) + vec(len(l.Delay[si]), 4) + vec(len(l.HasRoute[si]), 1)
+		}
+		n += vec(len(l.LegitServed), 8) + vec(len(l.AttackServed), 8) + vec(len(l.RetryServed), 8) + vec(len(l.Responses), 8)
+	}
+	return n
 }
 
 // Decode parses and validates a serialized snapshot. It returns an error

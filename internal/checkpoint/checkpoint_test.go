@@ -74,6 +74,34 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// Encode must fill the buffer it sized up front and never regrow it: one
+// allocation per snapshot, whatever the snapshot's size.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	big := sampleSnapshot(40)
+	for i := range big.Letters {
+		l := &big.Letters[i]
+		l.LegitServed = make([]float64, 100_000)
+		l.Loss = append(l.Loss, make([]float32, 300_000))
+		l.Delay = append(l.Delay, make([]float32, 300_000))
+		l.HasRoute = append(l.HasRoute, make([]bool, 300_000))
+		for j := 0; j < 500; j++ {
+			l.Epochs = append(l.Epochs, Epoch{Start: int32(j), Active: make([]bool, 40)})
+		}
+	}
+	for name, s := range map[string]*Snapshot{"empty": {}, "sample": sampleSnapshot(40), "big": big} {
+		data := Encode(s)
+		if bound := sizeBound(s); len(data) > bound || cap(data) != bound {
+			t.Errorf("%s: encoding is %d bytes in a buffer of %d, sizeBound %d", name, len(data), cap(data), bound)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Encode(s) }); allocs != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", name, allocs)
+		}
+	}
+	if n, bound := len(Encode(big)), sizeBound(big); float64(bound) > 1.01*float64(n) {
+		t.Errorf("sizeBound %d is more than 1%% above the %d-byte encoding", bound, n)
+	}
+}
+
 func TestDecodeEmptySnapshot(t *testing.T) {
 	s := &Snapshot{Minute: 0}
 	got, err := Decode(Encode(s))

@@ -1080,3 +1080,17 @@ func (ev *Evaluator) CityRTTms(a, b string) float64 { return ev.cityRTT(a, b) }
 
 // Schedule returns the attack scenario this evaluator runs.
 func (ev *Evaluator) Schedule() *attack.Schedule { return ev.sched }
+
+// SimulatedEvents returns the indexes into Schedule().Events of the events
+// that end inside the simulated horizon. A run shortened with Cfg.Minutes
+// (one day of the two, say) has no data for the later events, so per-event
+// figures iterate these rather than every scheduled event.
+func (ev *Evaluator) SimulatedEvents() []int {
+	var idx []int
+	for i, e := range ev.sched.Events {
+		if e.EndMinute <= ev.Cfg.Minutes {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}

@@ -303,6 +303,32 @@ func TestWithScheduleOption(t *testing.T) {
 	}
 }
 
+// TestSimulatedEvents: only events that end inside the horizon count as
+// simulated, whatever the schedule lists.
+func TestSimulatedEvents(t *testing.T) {
+	for _, tt := range []struct {
+		minutes int
+		want    []int
+	}{
+		{attack.Event1Start, nil},
+		{attack.Event1End - 1, nil},
+		{attack.Event1End, []int{0}},
+		{1440, []int{0}},
+		{attack.Event2End, []int{0, 1}},
+		{2880, []int{0, 1}},
+	} {
+		cfg := tinyConfig(3)
+		cfg.Minutes = tt.minutes
+		ev, err := NewEvaluator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ev.SimulatedEvents(); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%d minutes: SimulatedEvents = %v, want %v", tt.minutes, got, tt.want)
+		}
+	}
+}
+
 // TestAccessorDefensiveCopies enforces the documented sharing contract of
 // the read accessors: returned slices are copies (or freshly built), so
 // caller mutations cannot corrupt evaluator state.

@@ -74,6 +74,13 @@ func (s *Series) Max() (float64, int, error) {
 // Median returns the median bin value.
 func (s *Series) Median() float64 { return Median(s.Values) }
 
+// Clone returns a copy of the series that shares nothing with it.
+func (s *Series) Clone() *Series {
+	c := *s
+	c.Values = append([]float64(nil), s.Values...)
+	return &c
+}
+
 // Normalize returns a new series with every value divided by d. It returns
 // an error when d == 0; the caller decides how to treat empty catchments
 // (the paper excludes sites with medians below its 20-VP threshold).
