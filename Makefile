@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build lint lint-baseline test race soak soak-resume soak-failover campaign-smoke campaign-resume bench bench-server bench-gate bench-workers reproduce
+.PHONY: verify fmt vet build lint lint-baseline test race soak soak-resume soak-failover campaign-smoke campaign-resume bench bench-server bench-gate bench-workers bench-e2e reproduce
 
 # Keep bench going even if tee's upstream pipeline status matters on some
 # shells: the JSON step only runs when the bench run itself succeeded.
@@ -123,6 +123,20 @@ bench-gate:
 # Parallel-engine scaling benches (byte-identical output per worker count).
 bench-workers:
 	$(GO) test -bench='ParallelSmallWorkers|Nov30EventWorkers' -benchtime=1x -run '^$$' .
+
+# End-to-end benchmark (cmd/rootbench, declared in BENCHMARK.json; every
+# workload, metric and bound is documented in bench/README.md): the two
+# replay workloads — the checkpointed replay and the headline Nov 30
+# reproduction — each into its own bench/out/<workload>/results.json
+# (rootbench rewrites results.json on every invocation). Append
+# `--trace 1` to a line for the per-layer pass. To judge a change, run the
+# same workload on both commits several times, alternating, and compare.
+bench-e2e:
+	$(GO) run ./cmd/rootbench --workload replay_ckpt --out bench/out/replay_ckpt
+	$(GO) run ./cmd/rootbench --workload replay_nov30 --out bench/out/replay_nov30
+	@echo "compare against another checkout's run of the same target (bounds from BENCHMARK.json):"
+	@echo "  $(GO) run ./cmd/rootbench -compare <parent>/bench/out/replay_ckpt/results.json bench/out/replay_ckpt/results.json"
+	@echo "  $(GO) run ./cmd/rootbench -compare <parent>/bench/out/replay_nov30/results.json bench/out/replay_nov30/results.json"
 
 reproduce:
 	$(GO) run ./cmd/rootevent -out out -save out/dataset.bin

@@ -33,17 +33,20 @@
 //
 // # Crash recovery
 //
-// Long replays are kill-safe. core.WithCheckpoint(dir, everyN) snapshots
-// engine state at epoch boundaries into versioned, content-hashed files
-// written atomically (internal/checkpoint + internal/atomicio), and
-// core.ResumeRun restores the newest good snapshot — falling back to the
-// previous generation on a torn write, or to a fresh run on an empty
-// directory — with output byte-identical to an uninterrupted run at any
-// worker count, under any fault plan. core.Supervise adds a watchdog that
-// turns stalled workers and recovered panics into bounded restarts from
-// the last checkpoint and emits a structured RecoveryReport; rootevent
-// exposes it as -checkpoint/-resume/-supervise, and `make soak-resume`
-// proves the guarantee through real SIGKILLs (chaossoak -mode killresume).
+// Long replays are kill-safe. core.WithCheckpoint(dir, everyN) appends one
+// checksummed, fsynced record per checkpoint to the directory's
+// append-only log (internal/checkpoint on internal/ledger's framing) —
+// only the minutes, routing epochs and collector updates since the
+// previous record, so a checkpoint costs its interval, not the run so far
+// — and core.ResumeRun folds the longest valid record prefix back into the
+// engine: a torn or damaged record ends the prefix, an empty directory
+// means a fresh run, and the output is byte-identical to an uninterrupted
+// run at any worker count, under any fault plan. core.Supervise adds a
+// watchdog that turns stalled workers and recovered panics into bounded
+// restarts from the last checkpoint and emits a structured RecoveryReport;
+// rootevent exposes it as -checkpoint/-resume/-supervise, and
+// `make soak-resume` proves the guarantee through real SIGKILLs (chaossoak
+// -mode killresume).
 //
 // # Determinism invariants
 //

@@ -1,24 +1,30 @@
-// Package checkpoint provides versioned, content-hashed snapshots of the
+// Package checkpoint provides versioned, checksummed checkpoints of the
 // evaluation engine's mutable state at minute boundaries, so a long event
-// replay killed at minute 140 of 160 resumes from its last snapshot and
+// replay killed at minute 140 of 160 resumes from its last checkpoint and
 // finishes byte-identical to an uninterrupted run.
 //
 // A Snapshot is plain data: everything the engine mutates minute to minute
 // (announcement state machines, routing-epoch history as effective
-// announcement vectors, per-site service-quality prefixes, shared-fabric
+// announcement vectors, per-site service-quality series, shared-fabric
 // city load, the BGP collector's update stream) plus a digest of the
 // configuration that determines the run. Everything *derivable* from the
 // configuration — topology, deployment, population, routing tables — is
 // deliberately absent: the resuming engine rebuilds it deterministically
 // from the same seed and replays the epoch vectors through the same route
-// computation, which keeps snapshots small and the format stable.
+// computation, which keeps checkpoints small and the format stable.
 //
-// The serialized form is deterministic (same state, same bytes): a fixed
-// magic, a format version, a length-prefixed body, and a SHA-256 trailer
-// over everything before it. Decode never panics on hostile input — torn,
-// truncated, bit-flipped, or version-skewed snapshots return errors
-// wrapping ErrCorrupt or ErrVersion, which is what lets the loader fall
-// back to the previous good snapshot.
+// Every series a Snapshot holds is append-only once its minute has passed,
+// so a checkpoint directory is one append-only log (log.go) on
+// internal/ledger's framing: each checkpoint appends one checksummed,
+// fsynced record — a Snapshot covering only [From, Minute) plus the small
+// mutable head — and costs its interval, not the run so far. LoadLatest
+// folds the longest valid, contiguous record prefix back into one full
+// Snapshot; resume is deterministic, so any prefix is a valid checkpoint and
+// damage costs recomputation, never correctness.
+//
+// Encode and Decode frame the same record body as a standalone blob (magic,
+// version, body, SHA-256 trailer). Decoding never panics on hostile input:
+// torn, bit-flipped or version-skewed data wraps ErrCorrupt or ErrVersion.
 package checkpoint
 
 import (
@@ -27,32 +33,36 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Version is the current snapshot format version. Bump it whenever the
-// body layout changes; old snapshots then fail with ErrVersion instead of
-// decoding into garbage.
-const Version = 1
+// Version is the format version of the record body and the log. Bump it
+// whenever the body layout changes; old checkpoints then fail with
+// ErrVersion instead of decoding into garbage. (Version 1, full snapshot
+// files plus a manifest, is not read: its directories hold no log.)
+const Version = 2
 
-// magic identifies a snapshot file. 8 bytes, never changes across versions.
+// magic identifies a standalone encoded snapshot; fixed across versions.
 const magic = "RDNSCKPT"
 
 var (
-	// ErrCorrupt marks a snapshot that is torn, truncated, or fails its
-	// checksum; unwrap with errors.Is.
+	// ErrCorrupt marks a torn, truncated, or checksum-failing snapshot.
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
-	// ErrVersion marks a snapshot written by an incompatible format
-	// version.
+	// ErrVersion marks a snapshot written by another format version.
 	ErrVersion = errors.New("checkpoint: unsupported snapshot version")
 	// ErrNoSnapshot is returned by LoadLatest when a directory holds no
-	// usable snapshot at all (missing, empty, or everything corrupt).
+	// usable checkpoint (missing, empty, or corrupt from the first record).
 	ErrNoSnapshot = errors.New("checkpoint: no usable snapshot")
 )
 
-// Snapshot is the engine state at one minute boundary: Minute is the next
-// minute to execute; every per-minute series holds exactly the [0, Minute)
-// prefix.
+// Snapshot is the engine state at one minute boundary, or the part of it
+// added since an earlier one: Minute is the next minute to execute, every
+// per-minute series holds exactly [From, Minute), and Updates and each
+// letter's Epochs hold what was appended since the snapshot at From. From = 0
+// is a full snapshot (what LoadLatest returns, and a log's first record).
 type Snapshot struct {
+	// From is the first minute the per-minute series cover.
+	From int
 	// Minute is the first unexecuted minute of the resumed run.
 	Minute int
 	// ConfigDigest identifies the run: a hash of the engine configuration,
@@ -62,7 +72,7 @@ type Snapshot struct {
 	// CityExcess[city][m] is the shared-fabric over-capacity load, city
 	// dimension in the engine's dense city order.
 	CityExcess [][]float64
-	// Updates is the BGP collector's update stream so far.
+	// Updates is the BGP collector's update stream since From.
 	Updates []Update
 	// Letters is the per-letter mutable state, in the engine's sorted
 	// letter order.
@@ -106,11 +116,11 @@ type Letter struct {
 	Overlay   bool
 	EffActive []bool
 	Epochs    []Epoch
-	// Per-site per-minute service prefixes, [site][minute].
+	// Per-site per-minute service series, [site][minute - From].
 	Loss     [][]float32
 	Delay    [][]float32
 	HasRoute [][]bool
-	// Per-minute letter traffic prefixes.
+	// Per-minute letter traffic series.
 	LegitServed  []float64
 	AttackServed []float64
 	RetryServed  []float64
@@ -123,6 +133,15 @@ func Encode(s *Snapshot) []byte {
 	e := encoder{buf: make([]byte, 0, sizeBound(s))}
 	e.bytes([]byte(magic))
 	e.u32(Version)
+	e.body(s)
+	sum := sha256.Sum256(e.buf)
+	return append(e.buf, sum[:]...)
+}
+
+// body appends the snapshot's fields: a log record's whole payload, and
+// what Encode frames.
+func (e *encoder) body(s *Snapshot) {
+	e.uvarint(uint64(s.From))
 	e.uvarint(uint64(s.Minute))
 	e.bytes(s.ConfigDigest[:])
 	e.uvarint(uint64(len(s.CityExcess)))
@@ -166,19 +185,16 @@ func Encode(s *Snapshot) []byte {
 		e.f64s(l.RetryServed)
 		e.f64s(l.Responses)
 	}
-	sum := sha256.Sum256(e.buf)
-	return append(e.buf, sum[:]...)
 }
 
-// sizeBound is an upper bound on len(Encode(s)): the encoding with every
-// count at a varint's full width. Encode sizes its buffer with it, once; a
-// multi-megabyte buffer grown by append was reallocated dozens of times per
-// snapshot, several times the encoding in garbage. A field Encode gains and
-// this misses costs a reallocation, never correctness.
+// sizeBound is an upper bound on len(Encode(s)) — the encoding with every
+// count at a varint's full width — so Encode allocates its multi-megabyte
+// buffer once instead of regrowing it. A field Encode gains and this misses
+// costs a reallocation, never correctness.
 func sizeBound(s *Snapshot) int {
 	const count = binary.MaxVarintLen64
 	vec := func(n, elemBytes int) int { return count + n*elemBytes }
-	n := len(magic) + 4 + count + len(s.ConfigDigest) + sha256.Size
+	n := len(magic) + 4 + 2*count + len(s.ConfigDigest) + sha256.Size
 	n += count
 	for _, row := range s.CityExcess {
 		n += vec(len(row), 8)
@@ -218,66 +234,91 @@ func Decode(data []byte) (*Snapshot, error) {
 	if sum := sha256.Sum256(body); string(sum[:]) != string(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch (torn write?)", ErrCorrupt)
 	}
-	d := decoder{data: body, off: len(magic) + 4}
-	s := &Snapshot{}
-	s.Minute = int(d.uvarint())
-	d.read(s.ConfigDigest[:])
-	s.CityExcess = make([][]float64, d.count(8))
+	return decodeBody(body[len(magic)+4:], nil)
+}
+
+// decodeBody parses what encoder.body wrote, already checksum-verified by
+// the caller. With acc nil it returns a new snapshot. With acc — the fold of
+// a log's earlier records — it appends to acc instead: the body must
+// continue acc (same run and shape, From == acc.Minute); its series, updates
+// and epochs extend acc's, its head replaces acc's. On error discard acc.
+func decodeBody(body []byte, acc *Snapshot) (*Snapshot, error) {
+	d := decoder{data: body}
+	s, fresh := acc, acc == nil
+	if fresh {
+		s = &Snapshot{}
+	}
+	from, minute := int(d.uvarint()), int(d.uvarint())
+	var digest [32]byte
+	d.read(digest[:])
+	if from < 0 || minute < from {
+		d.fail("bad minute range [%d, %d)", from, minute)
+	}
+	if fresh {
+		s.From, s.ConfigDigest = from, digest
+	} else if from != s.Minute || digest != s.ConfigDigest {
+		d.fail("record [%d, %d) does not continue minute %d of this run", from, minute, s.Minute)
+	}
+	s.Minute = minute
+	s.CityExcess = shaped(&d, s.CityExcess, fresh, 8)
 	for i := range s.CityExcess {
-		s.CityExcess[i] = d.f64s()
+		s.CityExcess[i] = d.f64s(s.CityExcess[i])
 	}
-	s.Updates = make([]Update, d.count(14))
-	for i := range s.Updates {
-		u := &s.Updates[i]
-		u.Minute = d.i32()
-		u.Letter = d.byte()
-		u.Peer = d.i32()
-		u.From = d.i32()
-		u.To = d.i32()
+	for n := d.count(14); n > 0 && d.err == nil; n-- {
+		s.Updates = append(s.Updates, Update{Minute: d.i32(), Letter: d.byte(), Peer: d.i32(), From: d.i32(), To: d.i32()})
 	}
-	s.Letters = make([]Letter, d.count(16))
+	s.Letters = shaped(&d, s.Letters, fresh, 16)
 	for i := range s.Letters {
 		l := &s.Letters[i]
-		l.Letter = d.byte()
-		l.Routers = make([]Router, d.count(9))
-		for j := range l.Routers {
-			r := &l.Routers[j]
-			r.Announced = d.bool()
-			r.OverMinutes = d.i32()
-			r.DownSince = d.i32()
+		if lb := d.byte(); fresh {
+			l.Letter = lb
+		} else if lb != l.Letter {
+			d.fail("letter %c where the log has %c", lb, l.Letter)
 		}
-		l.Active = d.bools()
+		l.Routers = l.Routers[:0]
+		for n := d.count(9); n > 0 && d.err == nil; n-- {
+			l.Routers = append(l.Routers, Router{Announced: d.bool(), OverMinutes: d.i32(), DownSince: d.i32()})
+		}
+		l.Active = d.bools(l.Active[:0])
 		l.Overlay = d.bool()
-		l.EffActive = d.bools()
-		l.Epochs = make([]Epoch, d.count(5))
-		for j := range l.Epochs {
-			l.Epochs[j].Start = d.i32()
-			l.Epochs[j].Active = d.bools()
+		l.EffActive = d.bools(l.EffActive[:0])
+		for n := d.count(5); n > 0 && d.err == nil; n-- {
+			l.Epochs = append(l.Epochs, Epoch{Start: d.i32(), Active: d.bools(nil)})
 		}
-		nSites := d.count(3)
-		l.Loss = make([][]float32, nSites)
-		l.Delay = make([][]float32, nSites)
-		l.HasRoute = make([][]bool, nSites)
-		for si := 0; si < nSites; si++ {
-			l.Loss[si] = d.f32s()
-			l.Delay[si] = d.f32s()
-			l.HasRoute[si] = d.bools()
+		l.Loss = shaped(&d, l.Loss, fresh, 3)
+		if fresh {
+			l.Delay, l.HasRoute = make([][]float32, len(l.Loss)), make([][]bool, len(l.Loss))
 		}
-		l.LegitServed = d.f64s()
-		l.AttackServed = d.f64s()
-		l.RetryServed = d.f64s()
-		l.Responses = d.f64s()
+		for si := range l.Loss {
+			l.Loss[si] = d.f32s(l.Loss[si])
+			l.Delay[si] = d.f32s(l.Delay[si])
+			l.HasRoute[si] = d.bools(l.HasRoute[si])
+		}
+		l.LegitServed = d.f64s(l.LegitServed)
+		l.AttackServed = d.f64s(l.AttackServed)
+		l.RetryServed = d.f64s(l.RetryServed)
+		l.Responses = d.f64s(l.Responses)
+	}
+	if d.err == nil && d.off != len(body) {
+		d.fail("%d trailing bytes after body", len(body)-d.off)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after body", ErrCorrupt, len(body)-d.off)
-	}
-	if s.Minute < 0 {
-		return nil, fmt.Errorf("%w: negative minute", ErrCorrupt)
-	}
 	return s, nil
+}
+
+// shaped reads an entity count (cities, letters, sites): a fresh decode
+// sizes the slice by it, an appending one requires it to match.
+func shaped[T any](d *decoder, have []T, fresh bool, minElemBytes int) []T {
+	n := d.count(minElemBytes)
+	if fresh {
+		return make([]T, n)
+	}
+	if d.err == nil && n != len(have) {
+		d.fail("%d entries where the log has %d", n, len(have))
+	}
+	return have
 }
 
 // --- deterministic little-endian encoding helpers ---
@@ -302,26 +343,17 @@ func (e *encoder) bool(v bool) {
 	}
 }
 
-func (e *encoder) bools(v []bool) {
+// encodeVec writes a length-prefixed vector through the element encoder.
+func encodeVec[T any](e *encoder, v []T, elem func(T)) {
 	e.uvarint(uint64(len(v)))
-	for _, b := range v {
-		e.bool(b)
+	for _, x := range v {
+		elem(x)
 	}
 }
 
-func (e *encoder) f64s(v []float64) {
-	e.uvarint(uint64(len(v)))
-	for _, f := range v {
-		e.f64(f)
-	}
-}
-
-func (e *encoder) f32s(v []float32) {
-	e.uvarint(uint64(len(v)))
-	for _, f := range v {
-		e.f32(f)
-	}
-}
+func (e *encoder) bools(v []bool)   { encodeVec(e, v, e.bool) }
+func (e *encoder) f64s(v []float64) { encodeVec(e, v, e.f64) }
+func (e *encoder) f32s(v []float32) { encodeVec(e, v, e.f32) }
 
 // decoder reads the body with sticky errors and allocation caps: every
 // count is validated against the bytes remaining, so a corrupted length
@@ -340,17 +372,19 @@ func (d *decoder) fail(format string, args ...any) {
 
 func (d *decoder) remaining() int { return len(d.data) - d.off }
 
-func (d *decoder) read(dst []byte) {
+// take returns the next n bytes uncopied, or nil once the input ran out.
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && d.remaining() < n {
+		d.fail("truncated: need %d bytes", n)
+	}
 	if d.err != nil {
-		return
+		return nil
 	}
-	if d.remaining() < len(dst) {
-		d.fail("truncated: need %d bytes", len(dst))
-		return
-	}
-	copy(dst, d.data[d.off:])
-	d.off += len(dst)
+	d.off += n
+	return d.data[d.off-n : d.off]
 }
+
+func (d *decoder) read(dst []byte) { copy(dst, d.take(len(dst))) }
 
 func (d *decoder) byte() byte {
 	var b [1]byte
@@ -405,40 +439,34 @@ func (d *decoder) count(minElemBytes int) int {
 	return int(v)
 }
 
-func (d *decoder) bools() []bool {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
+// decodeVec appends a length-prefixed vector of width-byte elements to dst,
+// bounds-checked once; an empty vector leaves dst (nil included) as is.
+func decodeVec[T any](d *decoder, dst []T, width int, elem func([]byte) T) []T {
+	n := d.count(width)
+	b := d.take(n * width)
+	if b == nil {
+		return dst
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.bool()
+	dst = slices.Grow(dst, n)
+	for ; len(b) > 0; b = b[width:] {
+		dst = append(dst, elem(b))
 	}
-	return out
+	return dst
 }
 
-func (d *decoder) f64s() []float64 {
-	n := d.count(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		var b [8]byte
-		d.read(b[:])
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-	}
-	return out
+func (d *decoder) f64s(dst []float64) []float64 {
+	return decodeVec(d, dst, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
 }
 
-func (d *decoder) f32s() []float32 {
-	n := d.count(4)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(d.u32())
-	}
-	return out
+func (d *decoder) f32s(dst []float32) []float32 {
+	return decodeVec(d, dst, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
+}
+
+func (d *decoder) bools(dst []bool) []bool {
+	return decodeVec(d, dst, 1, func(b []byte) bool {
+		if b[0] > 1 {
+			d.fail("invalid bool")
+		}
+		return b[0] == 1
+	})
 }

@@ -10,40 +10,66 @@ import (
 	"testing"
 )
 
-// sampleSnapshot builds a representative snapshot with every field class
-// populated, parameterized so tests can produce distinguishable states.
-func sampleSnapshot(minute int) *Snapshot {
+// sampleSnapshot builds a representative full snapshot with every field
+// class populated: the state of a made-up run after `minute` minutes.
+func sampleSnapshot(minute int) *Snapshot { return sampleRecord(0, minute) }
+
+// sampleRecord is the [from, minute) delta of that run — what a log record
+// holds — so folding consecutive records equals sampleSnapshot(minute). An
+// update lands every 7th minute and a routing epoch every 15th.
+func sampleRecord(from, minute int) *Snapshot {
+	f64s := func(scale float64) []float64 {
+		out := make([]float64, 0, minute-from)
+		for k := from; k < minute; k++ {
+			out = append(out, scale*float64(k)+0.25)
+		}
+		return out
+	}
 	s := &Snapshot{
+		From:         from,
 		Minute:       minute,
 		ConfigDigest: sha256.Sum256([]byte("config")),
-		CityExcess: [][]float64{
-			{0, 1.5, 2.25},
-			{0.5, 0, float64(minute)},
-		},
-		Updates: []Update{
-			{Minute: 3, Letter: 'C', Peer: 17, From: 2, To: 1},
-			{Minute: int32(minute), Letter: 'K', Peer: 9, From: 0, To: 4},
-		},
+		CityExcess:   [][]float64{f64s(1.5), f64s(-2)},
+	}
+	for k := from + 1; k <= minute; k++ {
+		if k%7 == 0 {
+			s.Updates = append(s.Updates, Update{Minute: int32(k), Letter: 'K', Peer: int32(9 + k), From: 0, To: 4})
+		}
 	}
 	for _, l := range []byte{'C', 'K'} {
-		s.Letters = append(s.Letters, Letter{
+		cl := Letter{
 			Letter: l,
 			Routers: []Router{
 				{Announced: true, OverMinutes: 2, DownSince: -1},
 				{Announced: false, OverMinutes: 0, DownSince: int32(minute)},
 			},
-			Active:       []bool{true, false},
+			Active:       []bool{true, minute%2 == 0},
 			Overlay:      l == 'K',
 			EffActive:    []bool{true, true},
-			Epochs:       []Epoch{{Start: 0, Active: []bool{true, true}}, {Start: int32(minute / 2), Active: []bool{true, false}}},
-			Loss:         [][]float32{{0, 0.25, 0.5}, {1, 0, 0}},
-			Delay:        [][]float32{{30, 31, 32}, {90, 91, 92}},
-			HasRoute:     [][]bool{{true, true, false}, {false, true, true}},
-			LegitServed:  []float64{100, 101, 102.5},
-			AttackServed: []float64{0, 5000, 4999.5},
-			RetryServed:  []float64{1, 2, 3},
-			Responses:    []float64{99, 98, 97},
-		})
+			Loss:         make([][]float32, 2),
+			Delay:        make([][]float32, 2),
+			HasRoute:     make([][]bool, 2),
+			LegitServed:  f64s(100),
+			AttackServed: f64s(5000),
+			RetryServed:  f64s(1),
+			Responses:    f64s(99),
+		}
+		if from == 0 {
+			cl.Epochs = append(cl.Epochs, Epoch{Start: 0, Active: []bool{true, true}})
+		}
+		for k := from + 1; k <= minute; k++ {
+			if k%15 == 0 {
+				cl.Epochs = append(cl.Epochs, Epoch{Start: int32(k), Active: []bool{true, k%2 == 0}})
+			}
+		}
+		for si := range cl.Loss {
+			for k := from; k < minute; k++ {
+				cl.Loss[si] = append(cl.Loss[si], float32(k%4)/4)
+				cl.Delay[si] = append(cl.Delay[si], float32(30*si+k))
+				cl.HasRoute[si] = append(cl.HasRoute[si], (k+si)%3 != 0)
+			}
+		}
+		s.Letters = append(s.Letters, cl)
 	}
 	return s
 }
@@ -157,117 +183,141 @@ func reversion(data []byte, v uint32) []byte {
 	return out
 }
 
+// writeLog appends sampleRecord(m[i-1], m[i]) for consecutive minutes to a
+// fresh log in dir.
+func writeLog(t *testing.T, dir string, minutes ...int) {
+	t.Helper()
+	l, err := OpenLog(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := 0
+	for _, m := range minutes {
+		if err := l.Append(sampleRecord(from, m)); err != nil {
+			t.Fatal(err)
+		}
+		from = m
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordStarts walks the log's framing (header, then length prefix +
+// payload + SHA-256 per record) and returns every record's offset.
+func recordStarts(data []byte) []int {
+	var starts []int
+	for off := len(logFormat.Magic) + 1; off+4 <= len(data); {
+		starts = append(starts, off)
+		off += 4 + int(binary.LittleEndian.Uint32(data[off:])) + sha256.Size
+	}
+	return starts
+}
+
+func loadMinute(t *testing.T, dir string, want int) {
+	t.Helper()
+	got, err := LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.From != 0 || !snapshotsEqual(got, sampleSnapshot(want)) {
+		t.Fatalf("LoadLatest = [%d, %d), want the full state at minute %d", got.From, got.Minute, want)
+	}
+}
+
 func TestWriteLoadLatest(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := LoadLatest(dir); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("empty dir: err = %v, want ErrNoSnapshot", err)
 	}
+	// Full snapshots replace the log; deltas continue it.
 	for _, m := range []int{10, 20, 30} {
 		if err := Write(dir, sampleSnapshot(m)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := LoadLatest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Minute != 30 {
-		t.Fatalf("LoadLatest minute = %d, want 30", got.Minute)
-	}
+	loadMinute(t, dir, 30)
 	if m, err := LatestMinute(dir); err != nil || m != 30 {
 		t.Fatalf("LatestMinute = %d, %v", m, err)
 	}
+	if err := Write(dir, sampleRecord(30, 45)); err != nil {
+		t.Fatal(err)
+	}
+	loadMinute(t, dir, 45)
+	if err := Write(dir, sampleRecord(50, 60)); err == nil {
+		t.Fatal("a delta that skips minutes 45-50 was accepted")
+	}
+	loadMinute(t, dir, 45)
 }
 
-func TestWritePrunesOldSnapshots(t *testing.T) {
+// The log is the sum of its records: folding them yields the full state,
+// a reopened log continues where it is told to, and records past that
+// point are dropped.
+func TestLogFoldsRecords(t *testing.T) {
 	dir := t.TempDir()
-	for _, m := range []int{10, 20, 30, 40, 50} {
-		if err := Write(dir, sampleSnapshot(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names, err := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != keepSnapshots {
-		t.Fatalf("%d snapshot files on disk, want %d: %v", len(names), keepSnapshots, names)
-	}
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Entries) != keepSnapshots || m.Entries[len(m.Entries)-1].Minute != 50 {
-		t.Fatalf("manifest entries: %+v", m.Entries)
-	}
-}
+	writeLog(t, dir, 10, 20, 30, 40)
+	loadMinute(t, dir, 40)
 
-// TestLoadLatestFallsBackToPreviousGood is the torn-write contract: when
-// the newest snapshot file is truncated on disk, LoadLatest must return
-// the previous generation rather than failing.
-func TestLoadLatestFallsBackToPreviousGood(t *testing.T) {
-	dir := t.TempDir()
-	for _, m := range []int{10, 20} {
-		if err := Write(dir, sampleSnapshot(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	newest := filepath.Join(dir, snapName(20))
-	data, err := os.ReadFile(newest)
+	l, err := OpenLog(dir, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest, data[:len(data)/2], 0o644); err != nil {
+	loadMinute(t, dir, 20)
+	if err := l.Append(sampleRecord(30, 40)); err == nil {
+		t.Fatal("non-contiguous append accepted")
+	}
+	if err := l.Append(sampleRecord(20, 35)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLatest(dir)
-	if err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Minute != 10 {
-		t.Fatalf("fallback minute = %d, want 10", got.Minute)
-	}
-}
+	loadMinute(t, dir, 35)
 
-// TestLoadLatestSurvivesTornManifest: with the manifest replaced by
-// garbage, the directory scan must still find the newest self-validating
-// snapshot.
-func TestLoadLatestSurvivesTornManifest(t *testing.T) {
-	dir := t.TempDir()
-	for _, m := range []int{10, 20} {
-		if err := Write(dir, sampleSnapshot(m)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := OpenLog(dir, 25); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open at a minute no record ends at: err = %v, want ErrCorrupt", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"version":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadLatest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Minute != 20 {
-		t.Fatalf("scan fallback minute = %d, want 20", got.Minute)
-	}
-	// And the next Write rebuilds a usable manifest.
-	if err := Write(dir, sampleSnapshot(30)); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := LatestMinute(dir); err != nil || m != 30 {
-		t.Fatalf("after manifest rebuild: LatestMinute = %d, %v", m, err)
-	}
+	// Minute 0 replaces the log, whatever it held.
+	writeLog(t, dir, 5)
+	loadMinute(t, dir, 5)
 }
 
 func TestLoadLatestAllCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	if err := Write(dir, sampleSnapshot(10)); err != nil {
+	writeLog(t, dir, 10, 20)
+	path := filepath.Join(dir, LogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(10)), []byte("garbage"), 0o644); err != nil {
+	// A flipped bit in the first record leaves nothing to fold.
+	if err := os.WriteFile(path, flipBit(data, len(logFormat.Magic)+1+4+3), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadLatest(dir); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("all-corrupt dir: err = %v, want ErrNoSnapshot", err)
+		t.Fatalf("all-corrupt log: err = %v, want ErrNoSnapshot", err)
+	}
+}
+
+// A writer killed mid-append leaves the last record cut anywhere: at every
+// byte offset the log reads as the records before it.
+func TestLoadLatestTruncatedAtEveryByte(t *testing.T) {
+	dir := t.TempDir()
+	writeLog(t, dir, 10, 20, 30)
+	path := filepath.Join(dir, LogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := recordStarts(data)
+	for n := starts[2]; n < len(data); n++ {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loadMinute(t, dir, 20)
+		if m, err := LatestMinute(dir); err != nil || m != 20 {
+			t.Fatalf("cut at byte %d of %d: LatestMinute = %d, %v, want 20", n, len(data), m, err)
+		}
 	}
 }
 
@@ -275,4 +325,91 @@ func TestLatestMinuteMissingDir(t *testing.T) {
 	if _, err := LatestMinute(filepath.Join(t.TempDir(), "nope")); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
+}
+
+// LatestMinute reads record heads only: on a long log it reports the last
+// complete record even when an earlier payload is damaged (which LoadLatest
+// must notice), ignores a half-written tail, and never modifies the file.
+func TestLatestMinuteReadsHeadsOnly(t *testing.T) {
+	dir := t.TempDir()
+	var minutes []int
+	for m := 5; m <= 600; m += 5 {
+		minutes = append(minutes, m)
+	}
+	writeLog(t, dir, minutes...)
+	path := filepath.Join(dir, LogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := LatestMinute(dir); err != nil || m != 600 {
+		t.Fatalf("LatestMinute = %d, %v, want 600 over %d records", m, err, len(minutes))
+	}
+	// Half of one more record after the last, and a flipped series bit in
+	// the middle of the log.
+	next := sampleRecord(600, 605)
+	e := encoder{}
+	e.body(next)
+	torn := binary.LittleEndian.AppendUint32(append([]byte(nil), data...), uint32(len(e.buf)))
+	torn = append(torn, e.buf[:len(e.buf)/2]...)
+	starts := recordStarts(data)
+	torn[starts[len(starts)/2]+4+40] ^= 0x40 // inside the middle record's payload, past its head
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := LatestMinute(dir); err != nil || m != 600 {
+		t.Fatalf("LatestMinute with a torn tail and a damaged payload = %d, %v, want 600", m, err)
+	}
+	got, err := LoadLatest(dir)
+	if want := 5 * (len(starts) / 2); err != nil || got.Minute != want {
+		t.Fatalf("LoadLatest = %v, %v, want the %d minutes before the damaged record", got, err, want)
+	}
+	loadMinute(t, dir, got.Minute)
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, torn) {
+		t.Fatalf("reading the log modified it (%v)", err)
+	}
+}
+
+// The kill scheduler polls a log another process is appending to: every
+// poll must see a minute some record really ended at, never going backwards.
+func TestLatestMinuteConcurrentWriter(t *testing.T) {
+	dir := t.TempDir()
+	const records, step = 120, 3
+	l, err := OpenLog(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < records && err == nil; i++ {
+			err = l.Append(sampleRecord(i*step, (i+1)*step))
+		}
+		done <- errors.Join(err, l.Close())
+	}()
+	last, polls := 0, 0
+	for writing := true; writing; polls++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		m, err := LatestMinute(dir)
+		if errors.Is(err, ErrNoSnapshot) {
+			m = 0
+		} else if err != nil {
+			t.Fatalf("poll %d: %v", polls, err)
+		}
+		if m < last || m%step != 0 || m > records*step {
+			t.Fatalf("poll %d: minute %d after %d", polls, m, last)
+		}
+		last = m
+	}
+	if last != records*step {
+		t.Fatalf("final poll saw minute %d, want %d", last, records*step)
+	}
+	loadMinute(t, dir, records*step)
 }

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzDecode asserts the decoder's hostile-input contract: any byte string
+// FuzzDecode asserts the hostile-input contract of the one decoder behind
+// both standalone snapshots and log records: any byte string
 // either decodes cleanly and re-encodes to the identical bytes, or fails
 // with an error wrapping ErrCorrupt or ErrVersion. It must never panic and
 // never allocate proportionally to a corrupted length prefix.
@@ -19,6 +20,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(flipBit(good, len(good)/4))
 	f.Add(reversion(good, Version+7))
 	f.Add(Encode(&Snapshot{Minute: 0}))
+	f.Add(Encode(sampleRecord(30, 40)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {

@@ -2,15 +2,19 @@ package core
 
 // Checkpoint capture/restore for the evaluation engine.
 //
-// A snapshot taken at the end of minute m-1 (Minute = m, the next minute
+// A checkpoint taken at the end of minute m-1 (Minute = m, the next minute
 // to run) holds exactly the state the minute loop mutates: announcement
 // state machines, the fault-overlay vector, the routing-epoch history (as
 // effective announcement vectors — tables are recomputed, see below),
-// per-site service-quality prefixes, per-letter traffic prefixes, the
-// shared-fabric city load, and the BGP collector's update stream.
+// per-site service-quality series, per-letter traffic series, the
+// shared-fabric city load, and the BGP collector's update stream. All of
+// it but the small head (routers, announcement vectors) is append-only
+// once its minute has passed, so each checkpoint appends to the run's log
+// only what the run added since the one before (ckptWriter), and resume
+// folds the log back into one snapshot (checkpoint.LoadLatest).
 // Everything else — topology, deployment, population, botnet, the RSSAC
 // accumulator — is rebuilt deterministically from the Config or replayed
-// from the restored per-minute series, so resuming from a snapshot
+// from the restored per-minute series, so resuming from a checkpoint
 // produces output byte-identical to the uninterrupted run.
 
 import (
@@ -91,69 +95,114 @@ func writeSortedMap[K comparable, V any](h interface{ Write([]byte) (int, error)
 	}
 }
 
-// writeCheckpoint captures the engine state with the first `minute`
-// minutes complete and persists it crash-safely under dir.
-func (ev *Evaluator) writeCheckpoint(dir string, minute int, states []*letterState) error {
-	snap := ev.captureSnapshot(minute, states)
-	if err := checkpoint.Write(dir, snap); err != nil {
-		return fmt.Errorf("core: checkpoint at minute %d: %w", minute, err)
-	}
-	return nil
+// ckptWriter appends a run's checkpoints to its directory's log. It
+// remembers how much of the append-only state the log already holds, so
+// every record carries only the interval since the last one.
+type ckptWriter struct {
+	dir     string
+	log     *checkpoint.Log // opened at the first checkpoint, not before
+	minute  int             // the log holds the run up to this minute
+	updates int             // collector updates already in the log
+	epochs  []int           // per letter, epochs already in the log
+	// rec is reused from record to record; its series alias engine state
+	// (never copied), which the encoder reads before append returns.
+	rec checkpoint.Snapshot
 }
 
-func (ev *Evaluator) captureSnapshot(minute int, states []*letterState) *checkpoint.Snapshot {
-	snap := &checkpoint.Snapshot{
-		Minute:       minute,
+// newCkptWriter starts a run's writer at minute `start`, with the engine
+// state of that minute in place: everything already there is what the log
+// being continued (or, at minute 0, nothing) holds.
+func (ev *Evaluator) newCkptWriter(start int, states []*letterState) *ckptWriter {
+	w := &ckptWriter{
+		dir: ev.opts.checkpointDir, minute: start,
+		updates: len(ev.Collector.Updates()), epochs: make([]int, len(states)),
+	}
+	w.rec = checkpoint.Snapshot{
 		ConfigDigest: ev.configDigest(),
 		CityExcess:   make([][]float64, len(ev.cityExcess)),
 		Letters:      make([]checkpoint.Letter, len(states)),
 	}
-	for ci, row := range ev.cityExcess {
-		snap.CityExcess[ci] = append([]float64(nil), row[:minute]...)
-	}
-	updates := ev.Collector.Updates()
-	snap.Updates = make([]checkpoint.Update, len(updates))
-	for i, u := range updates {
-		snap.Updates[i] = checkpoint.Update{
-			Minute: int32(u.Minute), Letter: u.Letter,
-			Peer: int32(u.Peer), From: int32(u.From), To: int32(u.To),
+	for i, ls := range states {
+		w.epochs[i] = len(ls.epochs)
+		nSites := len(ls.letter.Sites)
+		w.rec.Letters[i] = checkpoint.Letter{
+			Letter:   ls.letter.Letter,
+			Routers:  make([]checkpoint.Router, len(ls.states)),
+			Loss:     make([][]float32, nSites),
+			Delay:    make([][]float32, nSites),
+			HasRoute: make([][]bool, nSites),
 		}
 	}
+	return w
+}
+
+// append makes the engine state with the first `minute` minutes complete
+// durable: one log record covering the minutes, epochs and collector
+// updates since the previous record, plus the mutable head. The first call
+// opens the log — replacing it when the run started at minute 0, continuing
+// it after the record the run resumed from otherwise.
+func (w *ckptWriter) append(ev *Evaluator, minute int, states []*letterState) error {
+	rec, from := &w.rec, w.minute
+	if w.log == nil {
+		log, err := checkpoint.OpenLog(w.dir, from)
+		if err != nil {
+			return fmt.Errorf("core: checkpoint at minute %d: %w", minute, err)
+		}
+		w.log = log
+	}
+	rec.From, rec.Minute = from, minute
+	for ci, row := range ev.cityExcess {
+		rec.CityExcess[ci] = row[from:minute]
+	}
+	updates := ev.Collector.Updates()
+	rec.Updates = rec.Updates[:0]
+	for _, u := range updates[w.updates:] {
+		rec.Updates = append(rec.Updates, checkpoint.Update{
+			Minute: int32(u.Minute), Letter: u.Letter,
+			Peer: int32(u.Peer), From: int32(u.From), To: int32(u.To),
+		})
+	}
 	for i, ls := range states {
-		cl := &snap.Letters[i]
-		cl.Letter = ls.letter.Letter
-		cl.Routers = make([]checkpoint.Router, len(ls.states))
+		cl := &rec.Letters[i]
 		for oi := range ls.states {
 			rs := ls.states[oi].router.State()
 			cl.Routers[oi] = checkpoint.Router{
 				Announced: rs.Announced, OverMinutes: int32(rs.OverMinutes), DownSince: int32(rs.DownSince),
 			}
 		}
-		cl.Active = append([]bool(nil), ls.active...)
+		cl.Active = ls.active
 		cl.Overlay = ls.effActive != nil
-		cl.EffActive = append([]bool(nil), ls.effActive...)
-		cl.Epochs = make([]checkpoint.Epoch, len(ls.epochs))
-		for j := range ls.epochs {
-			cl.Epochs[j] = checkpoint.Epoch{
-				Start:  int32(ls.epochs[j].Start),
-				Active: append([]bool(nil), ls.epochs[j].act...),
-			}
+		cl.EffActive = ls.effActive
+		cl.Epochs = cl.Epochs[:0]
+		for _, ep := range ls.epochs[w.epochs[i]:] {
+			cl.Epochs = append(cl.Epochs, checkpoint.Epoch{Start: int32(ep.Start), Active: ep.act})
 		}
-		nSites := len(ls.letter.Sites)
-		cl.Loss = make([][]float32, nSites)
-		cl.Delay = make([][]float32, nSites)
-		cl.HasRoute = make([][]bool, nSites)
-		for si := 0; si < nSites; si++ {
-			cl.Loss[si] = append([]float32(nil), ls.loss[si][:minute]...)
-			cl.Delay[si] = append([]float32(nil), ls.delay[si][:minute]...)
-			cl.HasRoute[si] = append([]bool(nil), ls.hasRoute[si][:minute]...)
+		for si := range cl.Loss {
+			cl.Loss[si] = ls.loss[si][from:minute]
+			cl.Delay[si] = ls.delay[si][from:minute]
+			cl.HasRoute[si] = ls.hasRoute[si][from:minute]
 		}
-		cl.LegitServed = append([]float64(nil), ls.legitServed[:minute]...)
-		cl.AttackServed = append([]float64(nil), ls.attackServed[:minute]...)
-		cl.RetryServed = append([]float64(nil), ls.retryServed[:minute]...)
-		cl.Responses = append([]float64(nil), ls.responses[:minute]...)
+		cl.LegitServed = ls.legitServed[from:minute]
+		cl.AttackServed = ls.attackServed[from:minute]
+		cl.RetryServed = ls.retryServed[from:minute]
+		cl.Responses = ls.responses[from:minute]
 	}
-	return snap
+	if err := w.log.Append(rec); err != nil {
+		return fmt.Errorf("core: checkpoint at minute %d: %w", minute, err)
+	}
+	w.minute, w.updates = minute, len(updates)
+	for i, ls := range states {
+		w.epochs[i] = len(ls.epochs)
+	}
+	return nil
+}
+
+// close releases the log, if a checkpoint ever opened it.
+func (w *ckptWriter) close() error {
+	if w.log == nil {
+		return nil
+	}
+	return w.log.Close()
 }
 
 // restoreSnapshot loads a snapshot into a freshly built evaluator,
@@ -322,12 +371,13 @@ func (ev *Evaluator) replayRSSAC(upto int, letters []byte) {
 }
 
 // ResumeRun builds an evaluator for cfg and continues the run recorded
-// under dir: it loads the newest good snapshot (falling back across torn
-// generations), restores the engine state, and executes the remaining
-// minutes. When the directory holds no usable snapshot at all, it runs
-// from the beginning — an empty or missing checkpoint directory degrades
-// to a fresh run, not an error. A snapshot from a different configuration
-// fails with ErrSnapshotMismatch.
+// under dir: it folds the longest valid prefix of the directory's
+// checkpoint log (a torn or damaged record ends the prefix; everything
+// before it still counts), restores the engine state, and executes the
+// remaining minutes. When the directory holds no usable checkpoint at all,
+// it runs from the beginning — an empty or missing checkpoint directory
+// degrades to a fresh run, not an error. A log from a different
+// configuration fails with ErrSnapshotMismatch.
 //
 // Pass the same options as the original run; include WithCheckpoint to
 // keep checkpointing during the resumed portion. The resumed run's output

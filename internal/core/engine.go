@@ -110,7 +110,7 @@ func (ev *Evaluator) RunContext(ctx context.Context) error {
 // final values and the routing-epoch history must already be replayed;
 // runFrom itself is the shared tail of both paths, so a resumed run
 // executes the exact instruction sequence of the uninterrupted one.
-func (ev *Evaluator) runFrom(ctx context.Context, start int) error {
+func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -119,6 +119,13 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) error {
 	states := make([]*letterState, len(letters))
 	for i, lb := range letters {
 		states[i] = ev.letters[lb]
+	}
+	var ckpt *ckptWriter
+	if ev.opts.checkpointDir != "" {
+		// Before the initial epochs below, so a fresh run's first record
+		// carries them. Nothing is opened until the first checkpoint.
+		ckpt = ev.newCkptWriter(start, states)
+		defer func() { err = errors.Join(err, ckpt.close()) }()
 	}
 	workers := ev.opts.resolveWorkers()
 	if workers > len(states) {
@@ -242,12 +249,16 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) error {
 		}
 
 		// Checkpoint before the progress callback: a caller canceling from
-		// inside progress at minute m+1 is then guaranteed the snapshot for
-		// m+1 is already durable, and a canceled run writes nothing after
-		// the cancel (the next action is the loop-top context check).
-		if dir := ev.opts.checkpointDir; dir != "" &&
-			(minute+1)%ev.opts.checkpointEvery == 0 && minute+1 < ev.Cfg.Minutes {
-			if err := ev.writeCheckpoint(dir, minute+1, states); err != nil {
+		// inside progress at minute m+1 is then guaranteed the checkpoint
+		// for m+1 is already durable. A canceled run must write nothing
+		// after the cancel — the supervisor may have abandoned this
+		// goroutine and started another attempt on the same log — and a
+		// letter step can outlast the loop-top check, so check again here.
+		if ckpt != nil && (minute+1)%ev.opts.checkpointEvery == 0 && minute+1 < ev.Cfg.Minutes {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("core: run canceled at minute %d: %w", minute+1, err)
+			}
+			if err := ckpt.append(ev, minute+1, states); err != nil {
 				return err
 			}
 		}

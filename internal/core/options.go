@@ -36,7 +36,7 @@ type options struct {
 	schedule     *attack.Schedule
 	faults       *faults.Plan
 	routingCache bool
-	// checkpointDir enables periodic state snapshots; checkpointEvery is
+	// checkpointDir enables periodic checkpoints; checkpointEvery is
 	// the minute stride between them.
 	checkpointDir   string
 	checkpointEvery int
@@ -107,11 +107,14 @@ func WithRoutingCache(enabled bool) Option {
 	return func(o *options) { o.routingCache = enabled }
 }
 
-// WithCheckpoint enables periodic crash-safe snapshots of the engine's
-// state under dir, one every everyN simulated minutes (everyN < 1 selects
-// the default of 10). Snapshots are written at minute boundaries through
-// the internal/checkpoint package — temp file, fsync, rename, checksummed
-// manifest — so a killed process leaves a loadable directory for ResumeRun.
+// WithCheckpoint makes the engine's state durable under dir every everyN
+// simulated minutes (everyN < 1 selects the default of 10). Each checkpoint
+// appends one checksummed, fsynced record to the directory's log through
+// the internal/checkpoint package — only what the run added since the
+// previous record, so its cost does not grow with the minute — and a killed
+// process leaves a log ResumeRun can fold, however the kill tore its tail.
+// A run from minute 0 replaces whatever log dir held; a resumed run
+// continues it. Nothing is opened or created before the first checkpoint.
 // Checkpointing never perturbs the simulation: a checkpointed run's output
 // is byte-identical to the same run without WithCheckpoint.
 func WithCheckpoint(dir string, everyN int) Option {

@@ -187,8 +187,9 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestResumeRunFreshFallback is the guards-style table test: ResumeRun on
-// a directory with no usable snapshot — missing, empty, or corrupt — must
-// degrade to a fresh full run, not fail.
+// a directory with no usable checkpoint — missing, empty, holding only a
+// format-version-1 store's debris, or a foreign file — must degrade to a
+// fresh full run, not fail.
 func TestResumeRunFreshFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several engine runs")
@@ -218,6 +219,13 @@ func TestResumeRunFreshFallback(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
 					t.Fatal(err)
 				}
+			}
+			return dir
+		}},
+		{"foreign file under the log's name", func(t *testing.T) string {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, checkpoint.LogName), []byte("definitely not a checkpoint log"), 0o644); err != nil {
+				t.Fatal(err)
 			}
 			return dir
 		}},
@@ -252,9 +260,9 @@ func runCheckpointedUntil(t *testing.T, seed int64, stop int, dir string) {
 	}
 }
 
-// TestResumeTornSnapshotFallsBack: when the newest snapshot is torn on
-// disk, resume silently falls back to the previous good generation and
-// still finishes byte-identical.
+// TestResumeTornSnapshotFallsBack: when the newest checkpoint is torn on
+// disk, resume silently falls back to the previous good one and still
+// finishes byte-identical.
 func TestResumeTornSnapshotFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine runs")
@@ -263,13 +271,11 @@ func TestResumeTornSnapshotFallsBack(t *testing.T) {
 	golden := uninterruptedFingerprint(t, seed, 2, nil)
 	dir := t.TempDir()
 	runCheckpointedUntil(t, seed, 30, dir)
-	// Tear the newest snapshot (minute 30); minute 20 remains good.
-	newest := filepath.Join(dir, "snap-000030.ckpt")
-	data, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newest, data[:len(data)/3], 0o644); err != nil {
+	// Tear the newest record (minute 30); minute 20 remains good.
+	data := readLog(t, dir)
+	recs := logRecords(t, data)
+	newest := recs[len(recs)-1]
+	if err := os.WriteFile(filepath.Join(dir, checkpoint.LogName), data[:newest.start+(newest.end-newest.start)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ev, err := ResumeRun(dir, resumeConfig(seed),

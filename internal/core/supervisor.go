@@ -244,10 +244,11 @@ func superviseAttempt(ctx context.Context, cfg Config, scfg *SupervisorConfig, a
 			}
 			// Stall: cancel the attempt and wait a bounded grace period
 			// for the run goroutine to acknowledge. A canceled engine
-			// writes nothing after the cancellation (the checkpoint write
-			// precedes the progress callback and the loop-top context
-			// check), so abandoning a wedged goroutine cannot corrupt the
-			// checkpoint directory the next attempt reads.
+			// starts no checkpoint append after the cancellation (runFrom
+			// re-checks the context immediately before each append, and
+			// an append already in flight is over long before the grace
+			// period is), so abandoning a wedged goroutine cannot write
+			// into the log the next attempt continues.
 			st.detected = true
 			st.lastMinute = int(lastMinute.Load())
 			logf("supervisor: attempt %d stalled (no heartbeat for %v at minute ~%d), canceling",

@@ -26,14 +26,20 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"github.com/rootevent/anycastddos/internal/atomicio"
 )
 
 // maxRecordBytes caps one record's payload so a corrupted length prefix
 // cannot drive a huge allocation.
 const maxRecordBytes = 16 << 20
 
-// ErrVersion marks a ledger written by an incompatible format version.
-var ErrVersion = errors.New("ledger: unsupported format version")
+var (
+	// ErrVersion marks a ledger written by an incompatible format version.
+	ErrVersion = errors.New("ledger: unsupported format version")
+	// ErrMagic marks a file that opens with some other magic string.
+	ErrMagic = errors.New("ledger: bad magic")
+)
 
 // Format identifies one ledger file type: its opening magic string and the
 // record-format version byte that follows it.
@@ -88,6 +94,17 @@ func Open(path string, format Format, validate Validate) (*Ledger, [][]byte, err
 	return l, payloads, nil
 }
 
+// Create atomically replaces whatever is at path with an empty ledger and
+// opens it for appends: until the rename commits, path holds its previous
+// content untouched.
+func Create(path string, format Format) (*Ledger, error) {
+	if err := atomicio.WriteFileBytes(path, format.header()); err != nil {
+		return nil, fmt.Errorf("ledger: create: %w", err)
+	}
+	l, _, err := Open(path, format, nil)
+	return l, err
+}
+
 // Read recovers the readable payloads of the ledger at path without
 // opening it for writing (and without truncating the tail) — the
 // observation path for reading a live writer's log. A missing file reads
@@ -110,23 +127,24 @@ func Read(path string, format Format, validate Validate) ([][]byte, error) {
 // truncation point). Only a wrong magic or an incompatible version is an
 // error: torn and corrupt data simply ends the readable prefix.
 func recoverPrefix(f *os.File, format Format, validate Validate) ([][]byte, int64, error) {
-	data, err := io.ReadAll(f)
+	// One buffer of the file's size, not io.ReadAll's repeated regrowth: a
+	// checkpoint log runs to megabytes. A file that grows meanwhile (a live
+	// writer) reads as its prefix, one that shrinks as what is left.
+	info, err := f.Stat()
 	if err != nil {
 		return nil, 0, fmt.Errorf("ledger: read: %w", err)
 	}
-	headerLen := len(format.Magic) + 1
-	if len(data) < headerLen {
-		// Empty or torn header: treat the whole file as absent.
-		return nil, 0, nil
+	data := make([]byte, info.Size())
+	n, err := io.ReadFull(f, data)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, 0, fmt.Errorf("ledger: read: %w", err)
 	}
-	if string(data[:len(format.Magic)]) != format.Magic {
-		return nil, 0, fmt.Errorf("ledger: %s is not a %s ledger (bad magic)", f.Name(), format.Magic)
-	}
-	if v := data[len(format.Magic)]; v != format.Version {
-		return nil, 0, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, format.Version)
+	data = data[:n]
+	off, err := format.checkHeader(data, f.Name())
+	if off == 0 {
+		return nil, 0, err
 	}
 	var payloads [][]byte
-	off := headerLen
 	good := int64(off)
 	for {
 		payload, next, ok := parseRecord(data, off)
@@ -138,6 +156,82 @@ func recoverPrefix(f *os.File, format Format, validate Validate) ([][]byte, int6
 		good = int64(off)
 	}
 	return payloads, good, nil
+}
+
+// header is the magic and version byte every ledger of this format opens with.
+func (format Format) header() []byte { return append([]byte(format.Magic), format.Version) }
+
+// checkHeader validates the opening bytes of a ledger file and returns the
+// offset of the first record. An empty or torn header reads as an absent
+// file: offset 0 and no error.
+func (format Format) checkHeader(data []byte, name string) (int, error) {
+	hdr := format.header()
+	if len(data) < len(hdr) {
+		return 0, nil
+	}
+	if string(data[:len(format.Magic)]) != format.Magic {
+		return 0, fmt.Errorf("%w: %s is not a %s ledger", ErrMagic, name, format.Magic)
+	}
+	if v := data[len(format.Magic)]; v != format.Version {
+		return 0, fmt.Errorf("%w: version %d, this build reads %d", ErrVersion, v, format.Version)
+	}
+	return len(hdr), nil
+}
+
+// Heads returns the first n payload bytes (all of a shorter payload) of
+// every complete record of the ledger at path. It reads length prefixes and
+// those bytes only: no payload is hashed and nothing is truncated, so it is
+// a cheap progress poll against a live writer — whose half-written tail just
+// ends the scan — and not a validity check; Read is the authority. A missing
+// file reads as an empty ledger.
+func Heads(path string, format Format, n int) ([][]byte, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ledger: heads: %w", err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("ledger: heads: %w", err)
+	}
+	size := info.Size()
+	// readAt fills buf from off, or as much of it as the file still holds.
+	readAt := func(buf []byte, off int64) ([]byte, error) {
+		got, err := f.ReadAt(buf[:min(int64(len(buf)), size-off)], off)
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("ledger: heads: %w", err)
+		}
+		return buf[:got], nil
+	}
+	data, err := readAt(make([]byte, len(format.Magic)+1), 0)
+	if err != nil {
+		return nil, err
+	}
+	hdr, err := format.checkHeader(data, path)
+	if hdr == 0 {
+		return nil, err
+	}
+	var heads [][]byte
+	buf := make([]byte, 4+n)
+	for off := int64(hdr); off+4 <= size; {
+		if data, err = readAt(buf, off); err != nil {
+			return nil, err
+		}
+		if len(data) < 4 {
+			break
+		}
+		length := int64(binary.LittleEndian.Uint32(data))
+		end := off + 4 + length + sha256.Size
+		if length <= 0 || length > maxRecordBytes || end > size {
+			break
+		}
+		heads = append(heads, bytes.Clone(data[4:min(int64(len(data)), 4+length)]))
+		off = end
+	}
+	return heads, nil
 }
 
 // parseRecord reads one record's payload at off; ok is false at a clean
@@ -160,8 +254,7 @@ func parseRecord(data []byte, off int) (payload []byte, next int, ok bool) {
 
 // writeHeader emits the magic and version, durably.
 func (l *Ledger) writeHeader(format Format) error {
-	hdr := append([]byte(format.Magic), format.Version)
-	if _, err := l.f.Write(hdr); err != nil {
+	if _, err := l.f.Write(format.header()); err != nil {
 		return fmt.Errorf("ledger: write header: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {

@@ -174,8 +174,8 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("definitely not a ledger"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(bad, testFormat, nil); err == nil {
-		t.Fatal("bad magic accepted")
+	if _, _, err := Open(bad, testFormat, nil); !errors.Is(err, ErrMagic) {
+		t.Fatalf("bad magic: got %v, want ErrMagic", err)
 	}
 	future := filepath.Join(dir, "future.bin")
 	if err := os.WriteFile(future, append([]byte(testFormat.Magic), 99), 0o644); err != nil {
@@ -224,5 +224,93 @@ func TestAppendRejectsEmpty(t *testing.T) {
 	}()
 	if err := l.Append(nil); err == nil {
 		t.Fatal("empty payload accepted")
+	}
+}
+
+// Create replaces whatever is at the path — an earlier ledger, a foreign
+// file, nothing — with an empty ledger ready for appends.
+func TestCreateReplaces(t *testing.T) {
+	path := writeTestLedger(t, testPayloads())
+	foreign := filepath.Join(filepath.Dir(path), "foreign.bin")
+	if err := os.WriteFile(foreign, []byte("definitely not a ledger"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{path, foreign, filepath.Join(filepath.Dir(path), "new.bin")} {
+		l, err := Create(p, testFormat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte("fresh")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(p, testFormat, nil)
+		if err != nil || len(got) != 1 || string(got[0]) != "fresh" {
+			t.Fatalf("%s after Create + Append: %q, %v", filepath.Base(p), got, err)
+		}
+	}
+}
+
+// Heads returns the leading bytes of every complete record and nothing of
+// a half-written one, without validating or modifying anything.
+func TestHeads(t *testing.T) {
+	payloads := testPayloads()
+	path := writeTestLedger(t, payloads)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, n int, want ...string) {
+		t.Helper()
+		heads, err := Heads(path, testFormat, n)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(heads) != len(want) {
+			t.Fatalf("%s: %d heads, want %d", label, len(heads), len(want))
+		}
+		for i := range want {
+			if string(heads[i]) != want[i] {
+				t.Errorf("%s: head %d = %q, want %q", label, i, heads[i], want[i])
+			}
+		}
+	}
+	check("short heads", 4, `{"a"`, `{"b"`, `{"c"`)
+	check("heads longer than the payloads", 100, string(payloads[0]), string(payloads[1]), string(payloads[2]))
+
+	// A damaged payload is not Heads' business; a torn tail ends the scan at
+	// every cut, and the file is never touched.
+	damaged := append([]byte(nil), data...)
+	damaged[len(testFormat.Magic)+1+4+5] ^= 0xFF
+	lastStart := len(data) - (4 + len(payloads[2]) + 32)
+	for cut := lastStart; cut < len(data); cut++ {
+		if err := os.WriteFile(path, damaged[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		heads, err := Heads(path, testFormat, 4)
+		if err != nil || len(heads) != 2 {
+			t.Fatalf("cut at %d of %d: %d heads, %v, want 2", cut, len(data), len(heads), err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, damaged[:cut]) {
+			t.Fatalf("Heads modified the file (%v)", err)
+		}
+	}
+
+	if heads, err := Heads(filepath.Join(t.TempDir(), "nope.bin"), testFormat, 4); err != nil || heads != nil {
+		t.Fatalf("missing file: %q, %v", heads, err)
+	}
+	if err := os.WriteFile(path, []byte("definitely not a ledger"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Heads(path, testFormat, 4); !errors.Is(err, ErrMagic) {
+		t.Fatalf("foreign file: got %v, want ErrMagic", err)
+	}
+	if err := os.WriteFile(path, append([]byte(testFormat.Magic), 99), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Heads(path, testFormat, 4); !errors.Is(err, ErrVersion) {
+		t.Fatalf("future version: got %v, want ErrVersion", err)
 	}
 }

@@ -263,7 +263,14 @@ func WriteFlipFlows(w io.Writer, flows []analysis.FlipFlow) error {
 		for d := range f.Dest {
 			dests = append(dests, d)
 		}
-		sort.Slice(dests, func(i, j int) bool { return f.Dest[dests[i]] > f.Dest[dests[j]] })
+		// Largest share first; equal shares by name, so the order never
+		// depends on map iteration.
+		sort.Slice(dests, func(i, j int) bool {
+			if fi, fj := f.Dest[dests[i]], f.Dest[dests[j]]; fi != fj {
+				return fi > fj
+			}
+			return dests[i] < dests[j]
+		})
 		for _, d := range dests {
 			if _, err := fmt.Fprintf(w, "  -> %-8s %5.1f%%\n", d, f.Dest[d]*100); err != nil {
 				return err

@@ -182,6 +182,25 @@ func TestWriteFlipFlowsAndRaster(t *testing.T) {
 	}
 }
 
+// Destinations with equal shares must come out in one order every time:
+// fig10.txt is part of the byte-identical output contract, and a sort keyed
+// on the share alone leaves ties in map-iteration order.
+func TestWriteFlipFlowsTieOrderIsStable(t *testing.T) {
+	flows := []analysis.FlipFlow{{FromSite: "K-LHR", Movers: 8, Returned: 0.5,
+		Dest: map[string]float64{"K-NRT": 0.25, "K-FRA": 0.25, "K-AMS": 0.5, "K-MIA": 0.25, "K-BNE": 0.25}}}
+	const want = "From K-LHR: 8 movers, 50% return after event\n" +
+		"  -> K-AMS     50.0%\n  -> K-BNE     25.0%\n  -> K-FRA     25.0%\n  -> K-MIA     25.0%\n  -> K-NRT     25.0%\n"
+	for i := 0; i < 50; i++ {
+		var sb strings.Builder
+		if err := WriteFlipFlows(&sb, flows); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != want {
+			t.Fatalf("run %d:\n%s\nwant:\n%s", i, sb.String(), want)
+		}
+	}
+}
+
 func TestWriteServerSeriesAndCorrelation(t *testing.T) {
 	var sb strings.Builder
 	series := []analysis.ServerSeries{
