@@ -127,16 +127,19 @@ bench-workers:
 # End-to-end benchmark (cmd/rootbench, declared in BENCHMARK.json; every
 # workload, metric and bound is documented in bench/README.md): the two
 # replay workloads — the checkpointed replay and the headline Nov 30
-# reproduction — each into its own bench/out/<workload>/results.json
-# (rootbench rewrites results.json on every invocation). Append
+# reproduction — and the campaign grid, each into its own
+# bench/out/<workload>/results.json (rootbench rewrites results.json on
+# every invocation). Append
 # `--trace 1` to a line for the per-layer pass. To judge a change, run the
 # same workload on both commits several times, alternating, and compare.
 bench-e2e:
 	$(GO) run ./cmd/rootbench --workload replay_ckpt --out bench/out/replay_ckpt
 	$(GO) run ./cmd/rootbench --workload replay_nov30 --out bench/out/replay_nov30
+	$(GO) run ./cmd/rootbench --workload campaign_grid --out bench/out/campaign_grid
 	@echo "compare against another checkout's run of the same target (bounds from BENCHMARK.json):"
 	@echo "  $(GO) run ./cmd/rootbench -compare <parent>/bench/out/replay_ckpt/results.json bench/out/replay_ckpt/results.json"
 	@echo "  $(GO) run ./cmd/rootbench -compare <parent>/bench/out/replay_nov30/results.json bench/out/replay_nov30/results.json"
+	@echo "  $(GO) run ./cmd/rootbench -compare <parent>/bench/out/campaign_grid/results.json bench/out/campaign_grid/results.json"
 
 reproduce:
 	$(GO) run ./cmd/rootevent -out out -save out/dataset.bin

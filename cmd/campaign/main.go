@@ -1,5 +1,5 @@
 // Command campaign sweeps a declarative grid of attack/defense/fault
-// scenarios, each in an isolated child process, and aggregates the
+// scenarios through isolated scenario worker processes and aggregates the
 // outcomes into one machine-readable report.
 //
 // Usage:
@@ -17,10 +17,15 @@
 // The spec (see internal/campaign) declares per-axis value lists —
 // schedules, intensities, duration scales, target sets, defense policies,
 // fault plans, seeds — that are crossed into a deterministic scenario
-// grid. Each scenario runs in its own child process (this binary
-// re-invoked with -exec-scenario) under a hard deadline, heartbeat-based
-// stall detection, and bounded seeded-backoff retries; progress is
-// recorded in a crash-safe ledger under -dir, so after a crash or SIGKILL
+// grid. Scenarios run in worker processes — this binary re-invoked as
+// `campaign -exec-scenario -`, one per -parallel slot, each reading one
+// scenario.json path per stdin line, writing outcome.json next to it and
+// answering "<id> done" (internal/campaign.Serve) — under a hard
+// per-attempt deadline, heartbeat-based stall detection, and bounded
+// seeded-backoff retries; a failed attempt costs its worker, which is
+// replaced. `campaign -exec-scenario FILE` runs a single scenario file the
+// same way. Progress is recorded in a crash-safe ledger under -dir, so
+// after a crash or SIGKILL
 //
 //	campaign -spec FILE -dir DIR -resume
 //
@@ -30,24 +35,24 @@
 // stall, exit:N, ...) instead of aborting the sweep: the campaign exits 0
 // with a degraded report as long as the grid reached a terminal state.
 //
-// Exit status follows the core.Exit* contract; the scenario children use
-// it too, which is how the parent classifies their failures.
+// Exit status follows the core.Exit* contract; the scenario workers use
+// it too, which is how the runner classifies their failures.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/analysis"
-	"github.com/rootevent/anycastddos/internal/atomicio"
 	"github.com/rootevent/anycastddos/internal/campaign"
 	"github.com/rootevent/anycastddos/internal/core"
 )
@@ -55,32 +60,36 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("campaign: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout))
 }
 
-func run() int {
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		return diffMain(os.Args[2:])
+// run is the whole command: stdin and stdout matter only to worker mode
+// (scenario paths in, heartbeats and done reports out) and to diff's
+// rendering.
+func run(args []string, stdin io.Reader, stdout io.Writer) int {
+	if len(args) > 0 && args[0] == "diff" {
+		return diffMain(args[1:], stdout)
 	}
 
-	specPath := flag.String("spec", "", "campaign spec JSON (required)")
-	dir := flag.String("dir", "", "campaign directory: ledger, per-scenario state, report (required)")
-	resume := flag.Bool("resume", false, "resume the campaign recorded in -dir's ledger")
-	parallel := flag.Int("parallel", 2, "scenarios run concurrently")
-	timeout := flag.Duration("timeout", 10*time.Minute, "hard per-scenario-attempt deadline")
-	stallTimeout := flag.Duration("stall-timeout", 30*time.Second, "kill an attempt silent for this long")
-	retries := flag.Int("retries", 3, "attempts before a scenario is quarantined")
-	seed := flag.Int64("seed", 1, "retry-backoff jitter seed")
-	progress := flag.Bool("progress", false, "log per-scenario lifecycle events")
-	execScenario := flag.String("exec-scenario", "", "internal: run one scenario from this file (child mode)")
-	flag.Parse()
+	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+	specPath := fs.String("spec", "", "campaign spec JSON (required)")
+	dir := fs.String("dir", "", "campaign directory: ledger, per-scenario state, report (required)")
+	resume := fs.Bool("resume", false, "resume the campaign recorded in -dir's ledger")
+	parallel := fs.Int("parallel", 2, "scenarios run concurrently, one worker process each")
+	timeout := fs.Duration("timeout", 10*time.Minute, "hard per-scenario-attempt deadline")
+	stallTimeout := fs.Duration("stall-timeout", 30*time.Second, "kill an attempt silent for this long")
+	retries := fs.Int("retries", 3, "attempts before a scenario is quarantined")
+	seed := fs.Int64("seed", 1, "retry-backoff jitter seed")
+	progress := fs.Bool("progress", false, "log per-scenario lifecycle events")
+	execScenario := fs.String("exec-scenario", "", "internal: worker mode — run the scenario in this file, or with - every scenario file named on a line of stdin")
+	_ = fs.Parse(args) // ExitOnError: Parse exits rather than return an error
 
 	if *execScenario != "" {
-		return childMain(*execScenario)
+		return workerMain(*execScenario, stdin, stdout)
 	}
 	if *specPath == "" || *dir == "" {
 		log.Print("need -spec FILE and -dir DIR")
-		flag.Usage()
+		fs.Usage()
 		return core.ExitUsage
 	}
 	data, err := os.ReadFile(*specPath)
@@ -139,7 +148,7 @@ func run() int {
 
 // diffMain is the diff subcommand: compare two campaign.json reports and
 // exit 0 on equivalence, 1 on difference.
-func diffMain(args []string) int {
+func diffMain(args []string, stdout io.Writer) int {
 	if len(args) != 2 {
 		log.Print("usage: campaign diff OLD.json NEW.json")
 		return core.ExitUsage
@@ -155,76 +164,35 @@ func diffMain(args []string) int {
 		return core.ExitUsage
 	}
 	d := campaign.DiffReports(oldRep, newRep)
-	fmt.Print(d.Render())
+	fmt.Fprint(stdout, d.Render())
 	if d.Empty() {
 		return core.ExitOK
 	}
 	return core.ExitFailure
 }
 
-// childMain is scenario-child mode: run one grid point and leave its
-// outcome next to the scenario file. Stdout lines double as liveness
-// heartbeats for the parent's stall detector, and the exit status follows
-// the core.Exit* contract so the parent can classify failures.
-func childMain(scenPath string) int {
-	log.SetPrefix("scenario: ")
-	data, err := os.ReadFile(scenPath)
-	if err != nil {
-		log.Print(err)
-		return core.ExitFailure
+// workerMain is scenario-worker mode: serve the scenario file at path, or
+// with "-" every scenario file named on a line of in, each leaving its
+// outcome next to its scenario file. Lines on out double as liveness
+// heartbeats for the runner's stall detector, and the exit status follows
+// the core.Exit* contract so the runner can classify failures.
+func workerMain(path string, in io.Reader, out io.Writer) int {
+	if path != campaign.ServeStdin {
+		in = strings.NewReader(path + "\n")
 	}
-	var sc campaign.Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
-		log.Printf("parse scenario: %v", err)
-		return core.ExitFailure
-	}
-	cfg, opts, err := sc.EngineConfig()
-	if err != nil {
-		log.Print(err)
-		return core.ExitFailure
-	}
-	// First heartbeat before any work: topology construction can take a
-	// while in silence, and silence is what the parent kills for.
-	fmt.Printf("%s starting (%d VPs, %d minutes)\n", sc.ID, sc.VPs, sc.Minutes)
-	opts = append(opts, core.WithProgress(func(p core.Progress) {
+	return campaign.Serve(in, out, runScenario)
+}
+
+// runScenario is the worker's campaign.ScenarioFunc: the scenario's
+// simulation, with its scripted chaos checked on every progress event —
+// not only the ones that become heartbeats — so it fires at its minute.
+func runScenario(sc *campaign.Scenario, beat campaign.Beat) (*analysis.Outcome, error) {
+	return sc.Execute(func(p core.Progress) {
 		if sc.Chaos != nil && p.Stage == core.StageRun && p.Done >= sc.Chaos.Minute {
 			applyChaos(sc.Chaos)
 		}
-		// One line per simulated minute / measured VP: the parent treats any
-		// output as a heartbeat.
-		fmt.Printf("%s %s %d/%d\n", sc.ID, p.Stage, p.Done, p.Total)
-	}))
-
-	ev, err := core.NewEvaluator(cfg, opts...)
-	if err != nil {
-		log.Print(err)
-		return core.ExitCode(err)
-	}
-	if err := ev.Run(); err != nil {
-		log.Print(err)
-		return core.ExitCode(err)
-	}
-	d, err := ev.Measure()
-	if err != nil {
-		log.Print(err)
-		return core.ExitCode(err)
-	}
-	out, err := analysis.New(ev, d).Outcome(analysis.DefaultOutcomeConfig(sc.Seed))
-	if err != nil {
-		log.Print(err)
-		return core.ExitCode(err)
-	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		log.Printf("encode outcome: %v", err)
-		return core.ExitFailure
-	}
-	if err := atomicio.WriteFileBytes(filepath.Join(filepath.Dir(scenPath), campaign.OutcomeFileName), body); err != nil {
-		log.Print(err)
-		return core.ExitFailure
-	}
-	fmt.Printf("%s done\n", sc.ID)
-	return core.ExitOK
+		beat(p.Stage, p.Done, p.Total)
+	})
 }
 
 // applyChaos fires a scripted failure — the campaign-smoke hook proving

@@ -21,9 +21,10 @@
 //
 // The evaluator is parallel by default and deterministic regardless: for a
 // given seed, every worker count produces byte-identical datasets, RSSAC
-// reports, and route series. During core.Evaluator.Run the 13 letters
-// shard across a worker pool, with a per-minute barrier replaying the
-// cross-letter shared-fabric contributions in letter order; during Measure
+// reports, and route series. During core.Evaluator.Run the letters whose
+// announcements moved re-route across a worker pool, with a per-minute
+// barrier replaying the cross-letter shared-fabric contributions in letter
+// order; during Measure
 // the vantage-point population shards into contiguous ranges writing
 // disjoint dataset segments. Control the pool with
 // core.WithWorkers(n) (0 = GOMAXPROCS) or `-workers` on cmd/rootevent,

@@ -74,6 +74,12 @@ func (a *Analyzer) UserImpact(cfg UserImpactConfig) (*UserImpactResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	stubs := ev.Graph.StubASNs()
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Domains-1))
+	// One name per domain rank, formatted once: the query loop below draws
+	// ranks, and the resolvers' caches key on the name.
+	qnames := make([]string, cfg.Domains)
+	for i := range qnames {
+		qnames[i] = fmt.Sprintf("site%d.example", i)
+	}
 
 	type resolverState struct {
 		r  *resolver.Resolver
@@ -109,8 +115,7 @@ func (a *Analyzer) UserImpact(cfg UserImpactConfig) (*UserImpactResult, error) {
 			st := &states[i]
 			for q := 0; q < cfg.QueriesPerBin; q++ {
 				minute := b*10 + rng.Intn(10)
-				qname := fmt.Sprintf("site%d.example", zipf.Uint64())
-				out := st.r.Resolve(qname, minute, st.up)
+				out := st.r.Resolve(qnames[zipf.Uint64()], minute, st.up)
 				total++
 				perBinQueries[b]++
 				perBinLatency[b] += out.LatencyMs

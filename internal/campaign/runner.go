@@ -1,10 +1,11 @@
 package campaign
 
-// The campaign runner: executes each scenario of the expanded grid in an
-// isolated child process under a hard deadline, heartbeat-based stall
-// detection, and bounded seeded-backoff retries. One panicking, hanging,
-// or OOM-killed scenario can never take down the campaign: its failure is
-// classified (panic/timeout/stall/exit code), retried, and finally
+// The campaign runner: executes each scenario of the expanded grid in a
+// scenario worker process (worker.go) under a hard deadline, heartbeat-based
+// stall detection, and bounded seeded-backoff retries. One panicking,
+// hanging, or OOM-killed scenario can never take down the campaign: it
+// costs the worker it ran in, its failure is classified
+// (panic/timeout/stall/exit code), retried on a fresh worker, and finally
 // quarantined into the report. All wall-clock use here is supervisor
 // liveness timing — none of it feeds the simulation or the report, which
 // stay deterministic.
@@ -15,13 +16,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/analysis"
@@ -44,8 +45,8 @@ const (
 	ClassCanceled = "canceled"
 	// ClassSignal marks a child killed by a signal the runner did not send.
 	ClassSignal = "signal"
-	// ClassBadOutcome marks a child that exited cleanly without leaving a
-	// parseable outcome file.
+	// ClassBadOutcome marks a child that reported a scenario done (or exited
+	// cleanly) without leaving a parseable outcome file for it.
 	ClassBadOutcome = "bad-outcome"
 )
 
@@ -66,14 +67,17 @@ type RunnerConfig struct {
 	// Dir is the campaign directory: the ledger, one subdirectory per
 	// scenario, and the final report all live under it. Required.
 	Dir string
-	// Bin is the scenario child binary; BaseArgs are prepended to the
-	// scenario.json path to form its argument list. The child contract:
-	// read the scenario file, write OutcomeFileName next to it atomically,
-	// emit output lines as liveness heartbeats, and exit with the
-	// core.Exit* codes. Required.
+	// Bin is the scenario worker binary, started once per Parallel slot
+	// as `Bin BaseArgs... -` and restarted after any failed attempt. The
+	// worker contract (Serve implements it): read one scenario.json path
+	// per stdin line; for each, write OutcomeFileName next to it
+	// atomically, then print "<id> done"; emit output lines as liveness
+	// heartbeats meanwhile; exit 0 at stdin EOF and with a core.Exit* code
+	// on the first scenario that fails. Required.
 	Bin      string
 	BaseArgs []string
-	// Parallel is how many scenarios run concurrently (default 2).
+	// Parallel is how many scenarios run concurrently, each in its own
+	// worker (default 2).
 	Parallel int
 	// Timeout is the hard per-attempt deadline (default 10m).
 	Timeout time.Duration
@@ -143,6 +147,9 @@ func Run(ctx context.Context, spec *Spec, rc RunnerConfig) (*Report, error) {
 	if rc.Dir == "" || rc.Bin == "" {
 		return nil, fmt.Errorf("campaign: runner needs Dir and Bin")
 	}
+	if strings.ContainsAny(rc.Dir, "\r\n") {
+		return nil, fmt.Errorf("campaign: Dir %q contains a line break; scenario paths travel to workers one per line", rc.Dir)
+	}
 	rc.fillDefaults()
 	spec.fillDefaults()
 	if err := spec.Validate(); err != nil {
@@ -204,8 +211,9 @@ func Run(ctx context.Context, spec *Spec, rc RunnerConfig) (*Report, error) {
 	return BuildReport(spec, scenarios, r.snapshotState())
 }
 
-// runPool drains pending through cfg.Parallel workers, stopping the whole
-// pool at the first infrastructure error.
+// runPool drains pending through cfg.Parallel slots, each with its own
+// scenario worker process, stopping the whole pool at the first
+// infrastructure error. No worker outlives the call.
 func (r *runner) runPool(ctx context.Context, pending []*Scenario) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -217,8 +225,10 @@ func (r *runner) runPool(ctx context.Context, pending []*Scenario) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sl slot
+			defer sl.retire()
 			for sc := range queue {
-				if err := r.runScenario(runCtx, sc); err != nil {
+				if err := r.runScenario(runCtx, &sl, sc); err != nil {
 					errOnce.Do(func() { firstErr = err; cancel() })
 					return
 				}
@@ -243,7 +253,7 @@ feed:
 
 // runScenario drives one scenario to a terminal state: done in the ledger,
 // quarantined in the ledger, or an infrastructure error.
-func (r *runner) runScenario(ctx context.Context, sc *Scenario) error {
+func (r *runner) runScenario(ctx context.Context, sl *slot, sc *Scenario) error {
 	r.mu.Lock()
 	fails := r.st.Fails[sc.ID]
 	r.mu.Unlock()
@@ -260,7 +270,7 @@ func (r *runner) runScenario(ctx context.Context, sc *Scenario) error {
 		if err := r.led.Append(Record{Type: RecStart, Scenario: sc.ID, Attempt: fails}); err != nil {
 			return err
 		}
-		outcome, class, detail, err := r.execAttempt(ctx, sc, fails)
+		outcome, class, detail, err := r.execAttempt(ctx, sl, sc, fails)
 		if err != nil {
 			return err
 		}
@@ -303,10 +313,34 @@ func (r *runner) runScenario(ctx context.Context, sc *Scenario) error {
 	}
 }
 
-// execAttempt runs one child process for sc. It returns the canonical
-// outcome JSON on success (class ""), or a failure class and detail; err
-// is reserved for infrastructure failures that must abort the campaign.
-func (r *runner) execAttempt(ctx context.Context, sc *Scenario, attempt int) (json.RawMessage, string, string, error) {
+// slot is one of the pool's Parallel lanes: it owns at most one live
+// scenario worker, started on first use and after every failed attempt.
+type slot struct {
+	w *worker
+}
+
+// retire asks the slot's idle worker, if it has one, to exit.
+func (sl *slot) retire() {
+	if sl.w != nil {
+		sl.w.stop()
+		sl.w = nil
+	}
+}
+
+// discard kills the slot's worker, if it has one, whatever it is doing.
+func (sl *slot) discard() {
+	if sl.w != nil {
+		sl.w.kill()
+		sl.w = nil
+	}
+}
+
+// execAttempt runs sc once on the slot's worker. It returns the canonical
+// outcome JSON on success (class ""), or a failure class and detail — and
+// then the worker is gone, whatever it was doing, so the next attempt
+// starts clean; err is reserved for infrastructure failures that must
+// abort the campaign.
+func (r *runner) execAttempt(ctx context.Context, sl *slot, sc *Scenario, attempt int) (json.RawMessage, string, string, error) {
 	dir := filepath.Join(r.cfg.Dir, "scenarios", sc.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, "", "", fmt.Errorf("campaign: scenario dir: %w", err)
@@ -320,73 +354,85 @@ func (r *runner) execAttempt(ctx context.Context, sc *Scenario, attempt int) (js
 	if err := atomicio.WriteFileBytes(scenPath, append(data, '\n')); err != nil {
 		return nil, "", "", err
 	}
-	// Drop any stale outcome so a child that dies before writing cannot be
+	// Drop any stale outcome so a worker that dies before writing cannot be
 	// mistaken for a success by this attempt's readback.
 	if err := os.Remove(outPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, "", "", fmt.Errorf("campaign: clear stale outcome: %w", err)
 	}
 
-	args := append(append([]string(nil), r.cfg.BaseArgs...), scenPath)
-	cmd := exec.Command(r.cfg.Bin, args...)
-	var tail outputTail
-	cmd.Stdout = &tail
-	cmd.Stderr = &tail
-	start := nowNanos()
-	tail.lastBeat.Store(start)
-	if err := cmd.Start(); err != nil {
-		return nil, "", "", fmt.Errorf("campaign: start scenario child: %w", err)
+	if sl.w != nil {
+		select {
+		case <-sl.w.exited: // died idle (killed from outside, OOM): not this attempt's failure
+			sl.discard()
+		default:
+		}
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	if sl.w == nil {
+		if sl.w, err = r.startWorker(); err != nil {
+			return nil, "", "", err
+		}
+	}
+	w := sl.w
+	start := nowNanos()
+	w.out.begin(start)
+	// A failed write means the worker is going or gone; its exit status,
+	// picked up below, is the classification.
+	_, _ = io.WriteString(w.stdin, scenPath+"\n")
 
-	killClass := ""
-	killDetail := ""
-	kill := func(class, detail string) {
-		killClass, killDetail = class, detail
-		_ = cmd.Process.Kill()
+	// fail charges this attempt with the loss of its worker.
+	fail := func(class, detail string) (json.RawMessage, string, string, error) {
+		sl.discard()
+		return nil, class, detail + w.out.suffix(), nil
+	}
+	// reported handles the worker's "<id> done".
+	reported := func(id string) (json.RawMessage, string, string, error) {
+		if id != sc.ID {
+			return fail(ClassBadOutcome, fmt.Sprintf("worker reported %q done while running %s", id, sc.ID))
+		}
+		outcome, perr := readOutcome(outPath)
+		if perr != nil {
+			return fail(ClassBadOutcome, perr.Error())
+		}
+		return outcome, "", "", nil
 	}
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
-	var werr error
-wait:
 	for {
 		select {
-		case werr = <-done:
-			break wait
+		case id := <-w.out.done:
+			return reported(id)
+		case <-w.exited:
+			// All of a reaped worker's output has been delivered: a report
+			// it made just before dying still counts, and is already here.
+			select {
+			case id := <-w.out.done:
+				sl.discard()
+				return reported(id)
+			default:
+			}
+			var ee *exec.ExitError
+			switch {
+			case errors.As(w.waitErr, &ee):
+				return fail(classForExit(ee.ExitCode()), w.waitErr.Error())
+			case w.waitErr != nil:
+				sl.discard()
+				return nil, "", "", fmt.Errorf("campaign: wait for scenario worker: %w", w.waitErr)
+			default:
+				return fail(ClassBadOutcome, fmt.Sprintf("worker exited 0 without reporting %s done", sc.ID))
+			}
 		case <-ctx.Done():
-			kill(ClassCanceled, "campaign canceled")
-			<-done
+			sl.discard()
 			return nil, "", "", fmt.Errorf("campaign: canceled while running %s: %w", sc.ID, ctx.Err())
 		case <-ticker.C:
 			now := nowNanos()
-			if age := time.Duration(now - tail.lastBeat.Load()); age >= r.cfg.StallTimeout {
-				kill(ClassStall, fmt.Sprintf("no output for %v at attempt %d", age.Round(time.Millisecond), attempt))
-				werr = <-done
-				break wait
+			if age := time.Duration(now - w.out.lastBeat.Load()); age >= r.cfg.StallTimeout {
+				return fail(ClassStall, fmt.Sprintf("no output for %v at attempt %d", age.Round(time.Millisecond), attempt))
 			}
 			if run := time.Duration(now - start); run >= r.cfg.Timeout {
-				kill(ClassTimeout, fmt.Sprintf("exceeded the %v scenario deadline", r.cfg.Timeout))
-				werr = <-done
-				break wait
+				return fail(ClassTimeout, fmt.Sprintf("exceeded the %v scenario deadline", r.cfg.Timeout))
 			}
 		}
 	}
-
-	if killClass != "" {
-		return nil, killClass, killDetail + tail.suffix(), nil
-	}
-	if werr != nil {
-		var ee *exec.ExitError
-		if errors.As(werr, &ee) {
-			return nil, classForExit(ee.ExitCode()), werr.Error() + tail.suffix(), nil
-		}
-		return nil, "", "", fmt.Errorf("campaign: wait for scenario child: %w", werr)
-	}
-	outcome, perr := readOutcome(outPath)
-	if perr != nil {
-		return nil, ClassBadOutcome, perr.Error() + tail.suffix(), nil
-	}
-	return outcome, "", "", nil
 }
 
 // readOutcome loads and canonicalizes the child's outcome file: it must
@@ -395,7 +441,7 @@ wait:
 func readOutcome(path string) (json.RawMessage, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: child exited 0 without a readable outcome: %w", err)
+		return nil, fmt.Errorf("campaign: worker reported done without a readable outcome: %w", err)
 	}
 	var out analysis.Outcome
 	if err := json.Unmarshal(data, &out); err != nil {
@@ -453,40 +499,6 @@ func (r *runner) snapshotState() *State {
 		cp.InFlight[k] = v
 	}
 	return cp
-}
-
-// outputTail collects the child's output: every write is a liveness
-// heartbeat, and a bounded tail is kept for failure detail.
-type outputTail struct {
-	lastBeat atomic.Int64
-
-	mu  sync.Mutex
-	buf []byte
-}
-
-// tailBytes bounds how much child output is kept for failure detail.
-const tailBytes = 2048
-
-func (t *outputTail) Write(p []byte) (int, error) {
-	t.lastBeat.Store(nowNanos())
-	t.mu.Lock()
-	t.buf = append(t.buf, p...)
-	if len(t.buf) > tailBytes {
-		t.buf = append(t.buf[:0], t.buf[len(t.buf)-tailBytes:]...)
-	}
-	t.mu.Unlock()
-	return len(p), nil
-}
-
-// suffix renders the kept tail for embedding in a failure detail.
-func (t *outputTail) suffix() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := strings.TrimSpace(string(t.buf))
-	if s == "" {
-		return ""
-	}
-	return "; child output tail: " + s
 }
 
 // backoffDelay is the capped exponential retry delay with seeded jitter in

@@ -1,15 +1,17 @@
 package campaign
 
-// Runner tests re-invoke the test binary as the scenario child (TestMain
-// dispatch): the fake child obeys the real child contract — read
-// scenario.json, heartbeat on stdout, write outcome.json, exit with the
-// core.Exit* codes — but fabricates a cheap deterministic outcome instead
-// of running the engine, so process isolation, classification, retries,
-// quarantine, and resume are all exercised quickly and for real.
+// Runner tests re-invoke the test binary as the scenario worker (TestMain
+// dispatch): the fake worker is the real Serve loop — scenario paths on
+// stdin, heartbeats and "<id> done" on stdout, outcome.json next to the
+// scenario, core.Exit* codes — around a ScenarioFunc that fabricates a
+// cheap deterministic outcome instead of running the engine, so process
+// isolation, classification, retries, quarantine, and resume are all
+// exercised quickly and for real.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,45 +21,62 @@ import (
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/analysis"
-	"github.com/rootevent/anycastddos/internal/atomicio"
 )
 
 const childFlag = "-campaign-child"
 
-// Env hooks steering the fake child, keyed by scenario ID.
+// Env hooks steering the fake worker, keyed by scenario ID.
 const (
 	envFlaky = "CAMPAIGN_TEST_FLAKY_ID" // fail (exit 1) on the first two attempts
-	envSlow  = "CAMPAIGN_TEST_SLOW_ID"  // heartbeat forever, never finish
+	envSlow  = "CAMPAIGN_TEST_SLOW_ID"  // heartbeat forever, never finish ("*": every scenario)
 	envBomb  = "CAMPAIGN_TEST_FAIL_ALL" // fail every scenario immediately
+	envOnce  = "CAMPAIGN_TEST_ONCE"     // "<id>=<panic|stall|exit|linger>": misbehave on that scenario's first attempt only
+	envDir   = "CAMPAIGN_TEST_DIR"      // the campaign directory (the fake keeps per-scenario markers there)
 )
 
+// pidFileName is where the fake worker leaves its process id in the
+// scenario directory, every attempt: which process ran what is how the
+// tests see workers persist and get replaced.
+const pidFileName = "worker-pid"
+
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == childFlag {
-		childMain(os.Args[2])
+	if len(os.Args) > 2 && os.Args[1] == childFlag && os.Args[2] == ServeStdin {
+		os.Exit(Serve(os.Stdin, os.Stdout, fakeScenario))
+	}
+	if len(os.Args) > 1 && os.Args[1] == liarFlag {
+		liarMain()
 		return
 	}
 	os.Exit(m.Run())
 }
 
-// childMain is the fake scenario child.
-func childMain(scenPath string) {
-	data, err := os.ReadFile(scenPath)
-	if err != nil {
-		fmt.Println("read scenario:", err)
-		os.Exit(1)
-	}
-	var sc Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
-		fmt.Println("parse scenario:", err)
-		os.Exit(1)
-	}
-	// First heartbeat before any work: startup time (e.g. a race-built
-	// binary) must not read as a stall.
-	fmt.Println(sc.ID, "starting")
-	dir := filepath.Dir(scenPath)
+// fakeScenario is the fake worker's ScenarioFunc.
+func fakeScenario(sc *Scenario, beat Beat) (*analysis.Outcome, error) {
 	if os.Getenv(envBomb) != "" {
-		fmt.Println("scripted global failure")
-		os.Exit(1)
+		return nil, errors.New("scripted global failure")
+	}
+	dir := filepath.Join(os.Getenv(envDir), "scenarios", sc.ID)
+	os.WriteFile(filepath.Join(dir, pidFileName), []byte(strconv.Itoa(os.Getpid())), 0o644)
+	if id, kind, _ := strings.Cut(os.Getenv(envOnce), "="); id == sc.ID {
+		marker := filepath.Join(dir, "once-fired")
+		if _, err := os.Stat(marker); err != nil {
+			os.WriteFile(marker, nil, 0o644)
+			switch kind {
+			case "panic":
+				panic("scripted one-time panic")
+			case "stall":
+				for {
+					time.Sleep(time.Hour)
+				}
+			case "exit":
+				os.Exit(7)
+			case "linger": // alive and beating until someone kills it
+				for i := 1; ; i++ {
+					beat("linger", i*beatEvery, 0)
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		}
 	}
 	if os.Getenv(envFlaky) == sc.ID {
 		marker := filepath.Join(dir, "flaky-attempts")
@@ -67,45 +86,30 @@ func childMain(scenPath string) {
 		}
 		if n < 2 {
 			os.WriteFile(marker, []byte(strconv.Itoa(n+1)), 0o644)
-			fmt.Println("flaky failure", n)
-			os.Exit(1)
+			return nil, fmt.Errorf("flaky failure %d", n)
 		}
 	}
-	if os.Getenv(envSlow) == sc.ID {
-		for {
-			fmt.Println("still working")
+	if slow := os.Getenv(envSlow); slow == sc.ID || slow == "*" {
+		for i := 1; ; i++ {
+			beat("slow", i*beatEvery, 0)
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	if sc.Chaos != nil {
 		switch sc.Chaos.Kind {
 		case "panic":
-			fmt.Println("about to misbehave")
 			panic("scripted panic")
 		case "stall":
-			fmt.Println("last heartbeat")
 			// Not select{}: the runtime's deadlock detector would turn an
 			// idle child into exit 2 and misclassify the stall as a panic.
 			for {
 				time.Sleep(time.Hour)
 			}
 		case "exit":
-			fmt.Println("scripted exit")
 			os.Exit(sc.Chaos.Code)
 		}
 	}
-	out := fakeOutcome(sc.Seed)
-	body, err := json.Marshal(out)
-	if err != nil {
-		fmt.Println("encode outcome:", err)
-		os.Exit(1)
-	}
-	if err := atomicio.WriteFileBytes(filepath.Join(dir, OutcomeFileName), body); err != nil {
-		fmt.Println("write outcome:", err)
-		os.Exit(1)
-	}
-	fmt.Println("done")
-	os.Exit(0)
+	return fakeOutcome(sc.Seed), nil
 }
 
 // fakeOutcome fabricates a deterministic outcome from the scenario seed.
@@ -145,8 +149,10 @@ func testSpec(t *testing.T, n int, chaos []ChaosSpec) *Spec {
 
 func testRunnerConfig(t *testing.T) RunnerConfig {
 	t.Helper()
+	dir := t.TempDir()
+	t.Setenv(envDir, dir)
 	return RunnerConfig{
-		Dir:          t.TempDir(),
+		Dir:          dir,
 		Bin:          os.Args[0],
 		BaseArgs:     []string{childFlag},
 		Parallel:     2,

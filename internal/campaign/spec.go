@@ -1,14 +1,15 @@
 // Package campaign sweeps a declarative grid of (attack, defense, fault)
-// scenarios across isolated child processes and aggregates their outcome
-// metrics into one machine-readable report.
+// scenarios through isolated scenario worker processes and aggregates their
+// outcome metrics into one machine-readable report.
 //
 // The paper answers "how well does anycast absorb a DDoS?" for one event;
 // the interesting operational question is how the answer moves across the
 // space of attack intensities, defense policies, and infrastructure
 // faults. A Spec describes that space as axes; Expand turns it into a
 // deterministic, ordered scenario list; the Runner executes each scenario
-// in its own child process under a hard deadline, heartbeat-based stall
-// detection, and bounded retries, recording progress in a crash-safe
+// in a long-lived worker process (one per parallel slot, replaced after any
+// failed attempt) under a hard deadline, heartbeat-based stall detection,
+// and bounded retries, recording progress in a crash-safe
 // append-only Ledger so a killed campaign resumes without re-running
 // completed scenarios; and the Report degrades gracefully — scenarios that
 // keep failing are quarantined with a failure class instead of aborting
@@ -108,7 +109,7 @@ type ChaosSpec struct {
 }
 
 // Scenario is one fully-resolved grid point. It is self-contained: the
-// child process rebuilds the engine configuration from it alone.
+// worker process rebuilds the engine configuration from it alone.
 type Scenario struct {
 	// ID is the stable scenario identifier: grid index, the human-salient
 	// axes, and a short digest of every parameter.
@@ -328,7 +329,7 @@ func (sc *Scenario) makeID() string {
 
 // EngineConfig resolves the scenario into the engine configuration and
 // options (schedule, defense policy, fault plan, workers). The caller —
-// the scenario child process — appends its own progress/heartbeat options.
+// Execute, in the scenario worker — appends its own progress option.
 func (sc *Scenario) EngineConfig() (core.Config, []core.Option, error) {
 	cfg := core.DefaultConfig(sc.Seed)
 	cfg.VPs = sc.VPs

@@ -16,12 +16,14 @@ import (
 //
 // Within each simulated minute the 13 letters are independent except for
 // one coupling: the shared-fabric cityExcess totals (and the failed-legit
-// sum that drives retry load). Letters therefore run concurrently on a
-// worker pool, each producing an ordered list of cross-letter
-// contributions instead of writing shared state; a per-minute barrier then
-// replays those contributions in letter order, one float addition at a
-// time — the exact operation sequence of the sequential loop — so the
-// result is byte-identical for every worker count.
+// sum that drives retry load). A letter's step therefore produces an
+// ordered list of cross-letter contributions instead of writing shared
+// state, and a per-minute barrier replays those contributions in letter
+// order, one float addition at a time. What runs concurrently on the worker
+// pool is the expensive, topology-sized part of a minute — recomputing the
+// routing of the letters whose announcements moved — which touches only
+// that letter's state, so the result is byte-identical for every worker
+// count.
 
 // cityAdd is one site's contribution to a city's excess load for a minute.
 type cityAdd struct {
@@ -35,6 +37,7 @@ type letterTick struct {
 	cityAdds   []cityAdd
 	failed     []float64 // per-served-site failed legit QPS, in site order
 	recomputed bool      // routing changed; letterState.pending holds the diff
+	reroute    bool      // announcements moved this minute; the next epoch is still to compute
 	err        error
 }
 
@@ -73,12 +76,11 @@ func (ev *Evaluator) applyFaultOverlay(ls *letterState, minute int) bool {
 		ls.effActive = make([]bool, len(ls.active))
 	}
 	changed := false
-	lb := ls.letter.Letter
 	for oi := range ls.active {
 		up := ls.active[oi]
 		if up {
 			site := ls.states[oi].site
-			if ev.flt.SiteForcedDown(lb, site, ls.uplinkOrd[oi], ls.siteUplinks[site], minute) {
+			if ls.flt.SiteForcedDown(site, ls.uplinkOrd[oi], ls.siteUplinks[site], minute) {
 				up = false
 			}
 		}
@@ -157,6 +159,7 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 
 	events := ev.sched.Events
 	ticks := make([]letterTick, len(states))
+	reroute := make([]*letterState, 0, len(states))
 
 	// Pre-event retry load is zero; during events, legitimate queries
 	// that fail at attacked letters are retried at the others (§3.2.2).
@@ -166,20 +169,39 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 		}
 		evIdx := ev.sched.Active(minute)
 
-		// Pass 1: per-letter site states, sharded over the worker pool.
-		// guard turns a panicking letter into an error surfaced at the
-		// barrier below.
-		ev.forEachLetter(workers, states, func(ls *letterState) {
+		// Pass 1: per-letter site states and announcement state machines,
+		// letter by letter on this goroutine. The deployment is the same 13
+		// letters at every topology scale, so this is tens of microseconds
+		// a minute — less than waking a second goroutine costs. guard turns
+		// a panicking letter into an error surfaced at the barrier below.
+		reroute = reroute[:0]
+		for _, ls := range states {
 			tick := &ticks[ls.index]
 			tick.err = ev.guard(ls, minute, func() error {
 				return ev.stepLetter(ls, minute, evIdx, events, tick)
 			})
+			if tick.reroute {
+				reroute = append(reroute, ls)
+			}
 			if hb := ev.opts.heartbeat; hb != nil {
-				// Liveness signal for the supervisor's watchdog, emitted
-				// from the worker goroutine so a wedged letter step is
-				// visible as a missing beat.
+				// Liveness signal for the supervisor's watchdog, emitted as
+				// each letter's step completes so a wedged one is visible
+				// as a missing beat.
 				hb(ls.letter.Letter, minute)
 			}
+		}
+		// Letters whose announcements moved recompute their routing — the
+		// one part of a minute that grows with the topology — sharded over
+		// the worker pool. The new epoch sees intent and faults as of the
+		// minute it takes effect.
+		ev.forEachLetter(workers, reroute, func(ls *letterState) {
+			tick := &ticks[ls.index]
+			tick.err = ev.guard(ls, minute, func() error {
+				ev.applyFaultOverlay(ls, minute+1)
+				ev.computeEpoch(ls, minute+1)
+				return nil
+			})
+			tick.recomputed = true
 		})
 
 		// Barrier: merge cross-letter state in letter order, replaying the
@@ -207,14 +229,14 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 		// Pass 2: retry load at un-attacked letters and RSSAC records —
 		// cheap per-letter arithmetic, kept on the coordinating goroutine.
 		unattacked := 0
-		for _, lb := range letters {
-			if evIdx >= 0 && !ev.sched.Targeted(lb) {
+		for _, ls := range states {
+			if evIdx >= 0 && !ls.targeted {
 				unattacked++
 			}
 		}
 		for i, lb := range letters {
 			ls := states[i]
-			if evIdx >= 0 && !ev.sched.Targeted(lb) && unattacked > 0 {
+			if evIdx >= 0 && !ls.targeted && unattacked > 0 {
 				ls.retryServed[minute] = failedLegitQPS / float64(unattacked)
 			}
 			// Responses: legit (and retries) answered 1:1; attack
@@ -238,7 +260,7 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 				rec.AttackQueryBytes = events[evIdx].QueryBytes
 				rec.AttackResponseBytes = events[evIdx].ResponseBytes
 			}
-			if ev.flt != nil && ev.flt.MonitorGapAt(lb, minute) {
+			if ls.flt.MonitorGapAt(minute) {
 				// The letter's RSSAC-002 measurement is down: the minute
 				// goes missing from the daily report (the paper's §2.4
 				// data holes) instead of being recorded as zeros.
@@ -288,8 +310,10 @@ func (ev *Evaluator) forEachLetter(workers int, states []*letterState, fn func(*
 		}
 		return
 	}
+	// The calling goroutine takes shard 0 itself instead of sleeping through
+	// the fan-out: one goroutine fewer to start and to wake.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -298,40 +322,118 @@ func (ev *Evaluator) forEachLetter(workers int, states []*letterState, fn func(*
 			}
 		}(w)
 	}
+	for i := 0; i < len(states); i += workers {
+		fn(states[i])
+	}
 	wg.Wait()
 }
 
-// stepLetter advances one letter through one minute: site service quality,
-// announcement state machines, and (when routing changed) the next epoch.
-// Cross-letter contributions are appended to tick instead of written to
-// shared state; everything else it touches is owned by this letter.
+// stepLetter advances one letter through one minute: site service quality
+// and announcement state machines; tick.reroute reports that they moved and
+// the next epoch must be computed. Cross-letter contributions are appended
+// to tick instead of written to shared state; everything else it touches is
+// owned by this letter.
 func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []attack.Event, tick *letterTick) error {
-	tick.cityAdds = tick.cityAdds[:0]
-	tick.failed = tick.failed[:0]
 	tick.recomputed = false
+	tick.reroute = false
 
-	lb := ls.letter.Letter
 	// A fault window opening or closing at this minute changes the
 	// effective announcements: recompute routing before serving traffic.
 	if ev.applyFaultOverlay(ls, minute) {
 		ev.computeEpoch(ls, minute)
 		tick.recomputed = true
 	}
-	ep := ls.epochAt(minute)
-	attacked := evIdx >= 0 && ev.sched.Targeted(lb)
+	attacked := evIdx >= 0 && ls.targeted
 	var attackQPS float64
 	if attacked {
 		attackQPS = events[evIdx].PerLetterQPS
 	}
-	if ls.util == nil {
-		ls.util = make([]float64, len(ls.letter.Sites))
+	// A site's minute is a function of the epoch in force, the attack rate
+	// and the fault factors. Most minutes none of them moved — before the
+	// event, and between flaps during it — and the previous minute's
+	// answers are this minute's.
+	if !ev.noSiteReplay && ls.sitesMinute == minute-1 && ls.sitesEpochs == len(ls.epochs) &&
+		ls.sitesAttackQPS == attackQPS && ls.flt.ServiceSteadyAt(minute) {
+		ls.replaySites(minute)
+	} else {
+		if err := ev.serveSites(ls, minute, attackQPS, tick); err != nil {
+			return err
+		}
+		ls.sitesEpochs, ls.sitesAttackQPS = len(ls.epochs), attackQPS
 	}
+	ls.sitesMinute = minute
+	utilization := ls.util
+
+	// Step announcement state machines.
+	changed := false
+	act := ls.effective()
+	for oi := range ls.states {
+		os := &ls.states[oi]
+		u := utilization[os.site]
+		if os.flap && minute > 0 {
+			// Session failures also follow shared-fabric congestion in
+			// the site's city (previous minute's totals — fully merged at
+			// the last barrier, so letter processing order cannot matter).
+			if ci := ls.siteCity[os.site]; ci >= 0 {
+				if cu := ev.cityExcess[ci][minute-1] / flapExcessQPS; cu > u {
+					u = cu
+				}
+			}
+		}
+		if !act[oi] {
+			u = 0
+		}
+		if os.router.Step(minute, u) {
+			changed = true
+		}
+		ls.active[oi] = os.router.Announced()
+	}
+	// H-Root primary/backup: activate the backup while the primary is
+	// down (fault-forced primary outages count as down).
+	if ls.letter.PrimaryBackup && len(ls.letter.Sites) >= 2 {
+		primaryUp := false
+		for oi, o := range ls.origins {
+			if o.Site == 0 && ls.active[oi] &&
+				!ls.flt.SiteForcedDown(0, ls.uplinkOrd[oi], ls.siteUplinks[0], minute) {
+				primaryUp = true
+			}
+		}
+		for oi, o := range ls.origins {
+			if o.Site != 0 {
+				want := !primaryUp
+				if ls.active[oi] != want {
+					if want {
+						ls.states[oi].router.ForceAnnounce()
+					} else {
+						ls.states[oi].router.ForceWithdraw(minute)
+					}
+					ls.active[oi] = want
+					changed = true
+				}
+			}
+		}
+	}
+	// Router state moved: the caller computes the epoch that takes effect
+	// next minute.
+	tick.reroute = changed
+	return nil
+}
+
+// serveSites evaluates every site of a letter for a minute: service quality
+// into the letter's per-site series, per-site utilization into ls.util, and
+// the cross-letter contributions into tick.
+func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, tick *letterTick) error {
+	tick.cityAdds = tick.cityAdds[:0]
+	tick.failed = tick.failed[:0]
+	lb := ls.letter.Letter
+	ep := ls.epochAt(minute)
 	utilization := ls.util
 	for i := range utilization {
 		utilization[i] = 0
 	}
+	ls.fillAnnounced()
 	for si, site := range ls.letter.Sites {
-		if !ev.siteAnnounced(ls, si) {
+		if !ls.announced[si] {
 			ls.hasRoute[si][minute] = false
 			ls.loss[si][minute] = 1
 			continue
@@ -344,7 +446,7 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 		if ev.flt != nil {
 			// CapacityDegrade: part of the site's serving capacity is
 			// gone (the compiled factor never reaches zero).
-			capQPS *= ev.flt.CapacityFactor(lb, si, minute)
+			capQPS *= ls.flt.CapacityFactor(si, minute)
 		}
 		load := netsim.Load{
 			LegitQPS:  ep.LegitFrac[si] * ls.letter.NormalQPS,
@@ -358,7 +460,7 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 		if ev.flt != nil {
 			// PacketLossBurst: extra path loss toward the site, composed
 			// with the queue model's own loss as independent processes.
-			if xl := ev.flt.ExtraLossFrac(lb, si, minute); xl > 0 {
+			if xl := ls.flt.ExtraLossFrac(si, minute); xl > 0 {
 				st.LossFrac = 1 - (1-st.LossFrac)*(1-xl)
 				st.ServedQPS = st.OfferedQPS * (1 - st.LossFrac)
 			}
@@ -382,66 +484,25 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 
 		// Shared-infrastructure stress for collateral damage.
 		if excess := st.OfferedQPS - served; excess > 0 {
-			if ci, ok := ev.cityIdx[site.City.Code]; ok {
-				tick.cityAdds = append(tick.cityAdds, cityAdd{city: ci, qps: excess})
+			if ci := ls.siteCity[si]; ci >= 0 {
+				tick.cityAdds = append(tick.cityAdds, cityAdd{city: int(ci), qps: excess})
 			}
 		}
-	}
-	// Step announcement state machines.
-	changed := false
-	act := ls.effective()
-	for oi := range ls.states {
-		os := &ls.states[oi]
-		u := utilization[os.site]
-		if os.flap && minute > 0 {
-			// Session failures also follow shared-fabric congestion in
-			// the site's city (previous minute's totals — fully merged at
-			// the last barrier, so letter processing order cannot matter).
-			if ci, ok := ev.cityIdx[ls.letter.Sites[os.site].City.Code]; ok {
-				if cu := ev.cityExcess[ci][minute-1] / flapExcessQPS; cu > u {
-					u = cu
-				}
-			}
-		}
-		if !act[oi] {
-			u = 0
-		}
-		if os.router.Step(minute, u) {
-			changed = true
-		}
-		ls.active[oi] = os.router.Announced()
-	}
-	// H-Root primary/backup: activate the backup while the primary is
-	// down (fault-forced primary outages count as down).
-	if ls.letter.PrimaryBackup && len(ls.letter.Sites) >= 2 {
-		primaryUp := false
-		for oi, o := range ls.origins {
-			if o.Site == 0 && ls.active[oi] &&
-				(ev.flt == nil || !ev.flt.SiteForcedDown(lb, 0, ls.uplinkOrd[oi], ls.siteUplinks[0], minute)) {
-				primaryUp = true
-			}
-		}
-		for oi, o := range ls.origins {
-			if o.Site != 0 {
-				want := !primaryUp
-				if ls.active[oi] != want {
-					if want {
-						ls.states[oi].router.ForceAnnounce()
-					} else {
-						ls.states[oi].router.ForceWithdraw(minute)
-					}
-					ls.active[oi] = want
-					changed = true
-				}
-			}
-		}
-	}
-	if changed {
-		// Router state moved; refresh the overlay so the new epoch sees
-		// intent and faults as of the minute the epoch takes effect.
-		ev.applyFaultOverlay(ls, minute+1)
-		ev.computeEpoch(ls, minute+1)
-		tick.recomputed = true
 	}
 	return nil
+}
+
+// replaySites is serveSites for a minute whose inputs equal the previous
+// minute's: the per-site series repeat, and ls.util and the letter's tick
+// already hold what serveSites would compute again.
+//
+//repolint:hot
+func (ls *letterState) replaySites(minute int) {
+	for si := range ls.hasRoute {
+		ls.hasRoute[si][minute] = ls.hasRoute[si][minute-1]
+		ls.loss[si][minute] = ls.loss[si][minute-1]
+		ls.delay[si][minute] = ls.delay[si][minute-1]
+	}
+	ls.legitServed[minute] = ls.legitServed[minute-1]
+	ls.attackServed[minute] = ls.attackServed[minute-1]
 }

@@ -185,14 +185,27 @@ type letterState struct {
 	// has no fault plan, so fault-free runs take the exact pre-fault
 	// code paths). Routing and service computations read effective().
 	effActive []bool
+	// flt is this letter's slice of the compiled fault plan, fetched once
+	// so the minute loop asks it by site and minute alone. Nil when the run
+	// has no plan or the plan has nothing for this letter; its lookups
+	// answer "no fault" on nil.
+	flt *faults.Letter
 	// uplinkOrd[oi] is the origin's site-local uplink ordinal and
 	// siteUplinks[site] the site's uplink count — the coordinates
-	// faults.Compiled.SiteForcedDown addresses link flaps by.
+	// faults.Letter.SiteForcedDown addresses link flaps by.
 	uplinkOrd   []int
 	siteUplinks []int
-	// util is per-minute scratch (one slot per site), reused across
-	// minutes to keep the hot loop allocation-free.
-	util []float64
+	// util and announced are per-minute scratch (one slot per site),
+	// reused across minutes to keep the hot loop allocation-free.
+	util      []float64
+	announced []bool
+	// sitesMinute is the latest minute whose site pass ran in this process
+	// (noSitePass before the first: a resumed run replays nothing it did
+	// not compute), sitesEpochs and sitesAttackQPS the epoch count and attack
+	// rate that pass was computed under — see stepLetter.
+	sitesMinute    int
+	sitesEpochs    int
+	sitesAttackQPS float64
 	// pending is the routing diff produced by the latest computeEpoch,
 	// waiting to be handed to the BGP collector at the minute barrier.
 	pending []bgpsim.Change
@@ -208,6 +221,10 @@ type letterState struct {
 	retryServed  []float64
 	responses    []float64
 }
+
+// noSitePass is letterState.sitesMinute before any site pass: the minute
+// before no minute, not even minute 0.
+const noSitePass = -2
 
 // routeEntry is one memoized routing result: the table plus the per-site
 // traffic shares derived from it. Entries are immutable once stored.
@@ -291,7 +308,8 @@ type Evaluator struct {
 	NLSites  []string // city codes (anonymized in the paper)
 	NLSeries []*stats.Series
 
-	// rttMatrix caches city-to-city baseline RTTs.
+	// rttMatrix is the city-to-city baseline RTT table (baseRTT): shared
+	// by every evaluator of the process, never written.
 	rttMatrix [][]float64
 	// vpCity[id] is each vantage point's city index (-1 unknown), and
 	// asnCity[asn] each AS's, so per-probe RTT lookups index rttMatrix
@@ -300,6 +318,9 @@ type Evaluator struct {
 	asnCity []int32
 	// evActive[m] caches sched.Active(m) for every simulated minute.
 	evActive []int32
+	// noSiteReplay makes every minute evaluate its sites from scratch; only
+	// the test that proves the replay an equivalence sets it.
+	noSiteReplay bool
 	// txt caches CHAOS identity strings per letter/site/server.
 	txt map[byte][][]string
 
@@ -401,6 +422,9 @@ func NewEvaluator(cfg Config, opts ...Option) (*Evaluator, error) {
 		}
 		if !flt.Empty() {
 			ev.flt = flt
+			for lb, ls := range ev.letters {
+				ls.flt = flt.Letter(lb)
+			}
 		}
 	}
 	return ev, nil
@@ -421,13 +445,7 @@ func (ev *Evaluator) buildCaches() error {
 	for i, c := range cities {
 		ev.cityIdx[c.Code] = i
 	}
-	ev.rttMatrix = make([][]float64, len(cities))
-	for i := range cities {
-		ev.rttMatrix[i] = make([]float64, len(cities))
-		for j := range cities {
-			ev.rttMatrix[i][j] = geo.DefaultRTTModel.RTTMs(cities[i], cities[j])
-		}
-	}
+	ev.rttMatrix = baseRTT()
 	ev.txt = make(map[byte][][]string)
 	for _, l := range ev.Deployment.Letters {
 		perSite := make([][]string, len(l.Sites))
@@ -471,6 +489,22 @@ func (ev *Evaluator) buildCaches() error {
 	}
 	return nil
 }
+
+// baseRTT is geo.DefaultRTTModel's RTT between every pair of geo.Cities(),
+// indexed in that order. It is a constant of the program — a haversine per
+// pair — so a process that builds many evaluators (a campaign's scenario
+// worker) computes it once.
+var baseRTT = sync.OnceValue(func() [][]float64 {
+	cities := geo.Cities()
+	m := make([][]float64, len(cities))
+	for i := range cities {
+		m[i] = make([]float64, len(cities))
+		for j := range cities {
+			m[i][j] = geo.DefaultRTTModel.RTTMs(cities[i], cities[j])
+		}
+	}
+	return m
+})
 
 // cityIndexOf resolves a city code to its dense index, -1 when unknown.
 func cityIndexOf(idx map[string]int, code string) int32 {
@@ -557,6 +591,8 @@ func (ev *Evaluator) buildLetterStates() {
 		ls.retryServed = make([]float64, ev.Cfg.Minutes)
 		ls.responses = make([]float64, ev.Cfg.Minutes)
 		ls.util = make([]float64, nSites)
+		ls.announced = make([]bool, nSites)
+		ls.sitesMinute = noSitePass
 		ls.targeted = ev.sched.Targeted(l.Letter)
 		ls.comp = bgpsim.NewComputer(ev.Graph)
 		ls.tableCache = make(map[string]*routeEntry)
@@ -721,7 +757,7 @@ func (ev *Evaluator) buildNLSeries() {
 			var sum float64
 			n := 0
 			for m := 0; m < ev.Cfg.Minutes; m++ {
-				if ev.sched.Active(m) < 0 {
+				if ev.evActive[m] < 0 {
 					continue
 				}
 				if ls.hasRoute[si][m] {
@@ -780,16 +816,21 @@ func (ev *Evaluator) buildNLSeries() {
 	}
 }
 
-// siteAnnounced reports whether any of a site's uplinks is announced
-// (fault overlay included).
-func (ev *Evaluator) siteAnnounced(ls *letterState, site int) bool {
+// fillAnnounced sets ls.announced[site] to whether any of the site's
+// uplinks is announced (fault overlay included), for every site in one
+// pass over the origins.
+//
+//repolint:hot
+func (ls *letterState) fillAnnounced() {
+	for si := range ls.announced {
+		ls.announced[si] = false
+	}
 	act := ls.effective()
-	for oi, o := range ls.origins {
-		if o.Site == site && act[oi] {
-			return true
+	for oi := range ls.origins {
+		if act[oi] {
+			ls.announced[ls.origins[oi].Site] = true
 		}
 	}
-	return false
 }
 
 // Collateral-damage calibration: the excess rate (q/s) in a city at which

@@ -40,8 +40,8 @@ type options struct {
 	// the minute stride between them.
 	checkpointDir   string
 	checkpointEvery int
-	// heartbeat receives one call per letter per simulated minute, from
-	// the engine's worker goroutines (see WithHeartbeat).
+	// heartbeat receives one call per letter per simulated minute (see
+	// WithHeartbeat).
 	heartbeat HeartbeatFunc
 }
 
@@ -63,7 +63,7 @@ func (o *options) resolveWorkers() int {
 type Option func(*options)
 
 // WithWorkers sets the number of worker goroutines used by Run (letters
-// simulated concurrently within each minute) and Measure (VP shards).
+// re-routed concurrently within a minute) and Measure (VP shards).
 // n <= 0 selects GOMAXPROCS. Output is byte-identical for every worker
 // count at a given seed.
 func WithWorkers(n int) Option {
@@ -128,10 +128,9 @@ func WithCheckpoint(dir string, everyN int) Option {
 }
 
 // HeartbeatFunc receives liveness reports from the engine: one call per
-// letter per simulated minute, made from the letter's worker goroutine as
-// its minute step completes. Implementations must be safe for concurrent
-// use and should be cheap (an atomic store); the run supervisor's watchdog
-// is the intended consumer.
+// letter per simulated minute, made as the letter's minute step completes.
+// Implementations should be cheap (an atomic store); the run supervisor's
+// watchdog is the intended consumer.
 type HeartbeatFunc func(letter byte, minute int)
 
 // WithHeartbeat registers a per-letter liveness callback, used by the run

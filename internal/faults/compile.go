@@ -13,23 +13,72 @@ type Shape struct {
 	Sites   map[byte]int // letter -> number of sites
 }
 
-// letterFaults holds a letter's events bucketed by kind, with Site
-// already normalized into [0, nSites) (or AnySite).
-type letterFaults struct {
-	outages   []Event
-	flaps     []Event
-	degrades  []Event
-	bursts    []Event
-	gaps      []Event
-	probeLoss []Event
+// kindEvents is one letter's events of one kind, in plan order, plus the
+// minutes of the horizon at which any of them is in effect: most minutes of
+// most letters are quiet, and a lookup there must cost one load.
+type kindEvents struct {
+	events []Event
+	// live[m] reports whether some event is active at minute m; minutes
+	// outside [0, len(live)) fall through to the event scan.
+	live []bool
+}
+
+// quiet reports that no event of the kind is active at a minute.
+//
+//repolint:hot
+func (k *kindEvents) quiet(minute int) bool {
+	return len(k.events) == 0 || (uint(minute) < uint(len(k.live)) && !k.live[minute])
+}
+
+// add appends an event and marks its window inside the horizon.
+func (k *kindEvents) add(e Event, minutes int) {
+	if k.live == nil {
+		k.live = make([]bool, minutes)
+	}
+	k.events = append(k.events, e)
+	for m := e.Start; m < e.End() && m < minutes; m++ {
+		k.live[m] = true
+	}
+}
+
+// Letter is one letter's compiled faults, bucketed by kind with Site
+// already normalized into [0, nSites) (or AnySite). The engine fetches it
+// once per letter (Compiled.Letter) and asks it per site and minute; a nil
+// *Letter is a letter without faults, and every lookup on it answers "no
+// fault".
+type Letter struct {
+	outages   kindEvents
+	flaps     kindEvents
+	degrades  kindEvents
+	bursts    kindEvents
+	gaps      kindEvents
+	probeLoss kindEvents
+	// serviceEdge[m] reports that a CapacityDegrade or PacketLossBurst
+	// window opens or closes at minute m of the horizon.
+	serviceEdge []bool
+}
+
+// markServiceEdges records the minutes of the horizon at which e's window
+// opens and closes.
+func (lf *Letter) markServiceEdges(e Event, minutes int) {
+	if lf.serviceEdge == nil {
+		lf.serviceEdge = make([]bool, minutes)
+	}
+	for _, m := range [2]int{e.Start, e.End()} {
+		if m < minutes {
+			lf.serviceEdge[m] = true
+		}
+	}
 }
 
 // Compiled is a plan resolved against a shape. All lookup methods are
 // read-only and safe for concurrent use from letter workers — events are
 // pure data, so a faulted run stays byte-identical at any worker count.
 type Compiled struct {
-	plan     *Plan
-	byLetter map[byte]*letterFaults
+	plan *Plan
+	// letters is indexed by letter byte; nLetters counts its non-nil slots.
+	letters  [256]*Letter
+	nLetters int
 	churns   []Event // VPChurn is global to the measurement population
 }
 
@@ -46,7 +95,7 @@ func Compile(p *Plan, sh Shape) (*Compiled, error) {
 	if sh.Minutes < 1 {
 		return nil, fmt.Errorf("%w: shape minutes %d", ErrBadPlan, sh.Minutes)
 	}
-	c := &Compiled{plan: p, byLetter: make(map[byte]*letterFaults)}
+	c := &Compiled{plan: p}
 	if p == nil {
 		return c, nil
 	}
@@ -64,10 +113,11 @@ func Compile(p *Plan, sh Shape) (*Compiled, error) {
 			targets = []byte{e.Letter}
 		}
 		for _, l := range targets {
-			lf := c.byLetter[l]
+			lf := c.letters[l]
 			if lf == nil {
-				lf = &letterFaults{}
-				c.byLetter[l] = lf
+				lf = &Letter{}
+				c.letters[l] = lf
+				c.nLetters++
 			}
 			ev := e
 			if ev.Site != AnySite {
@@ -77,17 +127,19 @@ func Compile(p *Plan, sh Shape) (*Compiled, error) {
 			}
 			switch ev.Kind {
 			case SiteOutage:
-				lf.outages = append(lf.outages, ev)
+				lf.outages.add(ev, sh.Minutes)
 			case LinkFlap:
-				lf.flaps = append(lf.flaps, ev)
+				lf.flaps.add(ev, sh.Minutes)
 			case CapacityDegrade:
-				lf.degrades = append(lf.degrades, ev)
+				lf.degrades.add(ev, sh.Minutes)
+				lf.markServiceEdges(ev, sh.Minutes)
 			case PacketLossBurst:
-				lf.bursts = append(lf.bursts, ev)
+				lf.bursts.add(ev, sh.Minutes)
+				lf.markServiceEdges(ev, sh.Minutes)
 			case MonitorGap:
-				lf.gaps = append(lf.gaps, ev)
+				lf.gaps.add(ev, sh.Minutes)
 			case HealthProbeLoss:
-				lf.probeLoss = append(lf.probeLoss, ev)
+				lf.probeLoss.add(ev, sh.Minutes)
 			}
 		}
 	}
@@ -98,7 +150,10 @@ func Compile(p *Plan, sh Shape) (*Compiled, error) {
 func (c *Compiled) Plan() *Plan { return c.plan }
 
 // Empty reports whether the compiled plan has no events at all.
-func (c *Compiled) Empty() bool { return len(c.byLetter) == 0 && len(c.churns) == 0 }
+func (c *Compiled) Empty() bool { return c.nLetters == 0 && len(c.churns) == 0 }
+
+// Letter returns one letter's faults, nil when the plan has none for it.
+func (c *Compiled) Letter(letter byte) *Letter { return c.letters[letter] }
 
 func matches(e Event, site int) bool { return e.Site == AnySite || e.Site == site }
 
@@ -107,16 +162,27 @@ func matches(e Event, site int) bool { return e.Site == AnySite || e.Site == sit
 // site, a LinkFlap downs the single uplink its event seed selects.
 // uplink is the site-local uplink ordinal in [0, nUplinks).
 func (c *Compiled) SiteForcedDown(letter byte, site, uplink, nUplinks, minute int) bool {
-	lf := c.byLetter[letter]
+	return c.letters[letter].SiteForcedDown(site, uplink, nUplinks, minute)
+}
+
+// SiteForcedDown is Compiled.SiteForcedDown for this letter.
+//
+//repolint:hot
+func (lf *Letter) SiteForcedDown(site, uplink, nUplinks, minute int) bool {
 	if lf == nil {
 		return false
 	}
-	for _, e := range lf.outages {
-		if e.ActiveAt(minute) && matches(e, site) {
-			return true
+	if !lf.outages.quiet(minute) {
+		for _, e := range lf.outages.events {
+			if e.ActiveAt(minute) && matches(e, site) {
+				return true
+			}
 		}
 	}
-	for _, e := range lf.flaps {
+	if lf.flaps.quiet(minute) {
+		return false
+	}
+	for _, e := range lf.flaps.events {
 		if !e.ActiveAt(minute) || !matches(e, site) {
 			continue
 		}
@@ -132,12 +198,18 @@ func (c *Compiled) SiteForcedDown(letter byte, site, uplink, nUplinks, minute in
 // multiplicatively, clamped so the site never reaches exactly zero
 // (SiteOutage is the kind that takes a site fully out).
 func (c *Compiled) CapacityFactor(letter byte, site, minute int) float64 {
-	lf := c.byLetter[letter]
-	if lf == nil {
+	return c.letters[letter].CapacityFactor(site, minute)
+}
+
+// CapacityFactor is Compiled.CapacityFactor for this letter.
+//
+//repolint:hot
+func (lf *Letter) CapacityFactor(site, minute int) float64 {
+	if lf == nil || lf.degrades.quiet(minute) {
 		return 1
 	}
 	f := 1.0
-	for _, e := range lf.degrades {
+	for _, e := range lf.degrades.events {
 		if e.ActiveAt(minute) && matches(e, site) {
 			f *= 1 - e.Severity
 		}
@@ -152,12 +224,18 @@ func (c *Compiled) CapacityFactor(letter byte, site, minute int) float64 {
 // letter's site at a minute; overlapping PacketLossBurst events compose
 // as independent loss processes.
 func (c *Compiled) ExtraLossFrac(letter byte, site, minute int) float64 {
-	lf := c.byLetter[letter]
-	if lf == nil {
+	return c.letters[letter].ExtraLossFrac(site, minute)
+}
+
+// ExtraLossFrac is Compiled.ExtraLossFrac for this letter.
+//
+//repolint:hot
+func (lf *Letter) ExtraLossFrac(site, minute int) float64 {
+	if lf == nil || lf.bursts.quiet(minute) {
 		return 0
 	}
 	keep := 1.0
-	for _, e := range lf.bursts {
+	for _, e := range lf.bursts.events {
 		if e.ActiveAt(minute) && matches(e, site) {
 			keep *= 1 - e.Severity
 		}
@@ -165,14 +243,33 @@ func (c *Compiled) ExtraLossFrac(letter byte, site, minute int) float64 {
 	return 1 - keep
 }
 
+// ServiceSteadyAt reports that no CapacityDegrade or PacketLossBurst window
+// of the letter opens or closes at a minute, so every site's
+// CapacityFactor and ExtraLossFrac there equal the previous minute's.
+// Minutes outside the compiled horizon are never steady.
+//
+//repolint:hot
+func (lf *Letter) ServiceSteadyAt(minute int) bool {
+	if lf == nil || lf.serviceEdge == nil {
+		return true
+	}
+	return uint(minute) < uint(len(lf.serviceEdge)) && !lf.serviceEdge[minute]
+}
+
 // MonitorGapAt reports whether the letter's RSSAC-002 measurement is
 // down at a minute.
 func (c *Compiled) MonitorGapAt(letter byte, minute int) bool {
-	lf := c.byLetter[letter]
-	if lf == nil {
+	return c.letters[letter].MonitorGapAt(minute)
+}
+
+// MonitorGapAt is Compiled.MonitorGapAt for this letter.
+//
+//repolint:hot
+func (lf *Letter) MonitorGapAt(minute int) bool {
+	if lf == nil || lf.gaps.quiet(minute) {
 		return false
 	}
-	for _, e := range lf.gaps {
+	for _, e := range lf.gaps.events {
 		if e.ActiveAt(minute) {
 			return true
 		}
@@ -186,11 +283,11 @@ func (c *Compiled) MonitorGapAt(letter byte, minute int) bool {
 // attempt either always or never sees the drop — replays of the same
 // probe schedule observe the same losses at any worker count.
 func (c *Compiled) ProbeDropped(letter byte, site, minute int, attempt uint64) bool {
-	lf := c.byLetter[letter]
-	if lf == nil {
+	lf := c.letters[letter]
+	if lf == nil || lf.probeLoss.quiet(minute) {
 		return false
 	}
-	for _, e := range lf.probeLoss {
+	for _, e := range lf.probeLoss.events {
 		if !e.ActiveAt(minute) || !matches(e, site) {
 			continue
 		}

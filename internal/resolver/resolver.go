@@ -115,16 +115,25 @@ const AttemptTimeoutMs = 1000
 // Resolver is one recursive resolver instance. Not safe for concurrent
 // use; simulations shard resolvers per goroutine.
 type Resolver struct {
-	cfg   Config
-	srtt  map[byte]float64
+	cfg Config
+	// srtt and perLetter are indexed by slot[letter]: server selection
+	// compares and updates them on every uncached query. Configured letters
+	// get slots 1..n; every other byte shares slot 0, which is never
+	// written.
+	slot  [256]uint16
+	srtt  []float64
 	cache map[string]int // qname -> expiry minute
 	rng   *rand.Rand
 	rrIdx int
+	// ord is order's result buffer, reused by every query; swapOrd swaps two
+	// of its elements (built once, for rng.Shuffle).
+	ord     []byte
+	swapOrd func(i, j int)
 
 	// Stats.
 	queries, cacheHits, served, failed uint64
 	flips                              uint64
-	perLetter                          map[byte]uint64
+	perLetter                          []uint64
 }
 
 // New creates a resolver.
@@ -139,38 +148,46 @@ func New(cfg Config) (*Resolver, error) {
 		return nil, errors.New("resolver: SRTTDecay must be in (0,1]")
 	}
 	r := &Resolver{
-		cfg:       cfg,
-		srtt:      make(map[byte]float64, len(cfg.Letters)),
-		cache:     make(map[string]int),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		perLetter: make(map[byte]uint64, len(cfg.Letters)),
+		cfg:   cfg,
+		cache: make(map[string]int),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		ord:   make([]byte, len(cfg.Letters)),
 	}
+	r.swapOrd = func(i, j int) { r.ord[i], r.ord[j] = r.ord[j], r.ord[i] }
+	r.srtt = append(r.srtt, 0)
 	for _, l := range cfg.Letters {
-		// Optimistic initial estimates force early exploration.
-		r.srtt[l] = 50
+		if r.slot[l] == 0 {
+			r.slot[l] = uint16(len(r.srtt))
+			// Optimistic initial estimates force early exploration.
+			r.srtt = append(r.srtt, 50)
+		}
 	}
+	r.perLetter = make([]uint64, len(r.srtt))
 	return r, nil
 }
 
-// order returns the letters to try, best first, for this query.
+// order returns the letters to try, best first, for this query. The
+// result aliases r.ord and is valid until the next call.
+//
+//repolint:hot
 func (r *Resolver) order() []byte {
-	letters := append([]byte(nil), r.cfg.Letters...)
+	letters := r.ord
 	switch r.cfg.Strategy {
 	case RoundRobin:
-		n := len(letters)
-		start := r.rrIdx % n
+		start := r.rrIdx % len(letters)
 		r.rrIdx++
-		rotated := make([]byte, 0, n)
-		rotated = append(rotated, letters[start:]...)
-		rotated = append(rotated, letters[:start]...)
-		return rotated
+		n := copy(letters, r.cfg.Letters[start:])
+		copy(letters[n:], r.cfg.Letters[:start])
+		return letters
 	case Uniform:
-		r.rng.Shuffle(len(letters), func(i, j int) { letters[i], letters[j] = letters[j], letters[i] })
+		copy(letters, r.cfg.Letters)
+		r.rng.Shuffle(len(letters), r.swapOrd)
 		return letters
 	default: // PreferFastest
+		copy(letters, r.cfg.Letters)
 		// Insertion sort by SRTT (13 letters; cheap and allocation-free).
 		for i := 1; i < len(letters); i++ {
-			for j := i; j > 0 && r.srtt[letters[j]] < r.srtt[letters[j-1]]; j-- {
+			for j := i; j > 0 && r.srtt[r.slot[letters[j]]] < r.srtt[r.slot[letters[j-1]]]; j-- {
 				letters[j], letters[j-1] = letters[j-1], letters[j]
 			}
 		}
@@ -202,7 +219,7 @@ func (r *Resolver) Resolve(qname string, minute int, up Upstream) Result {
 			res.Letter = letter
 			res.Flipped = letter != first
 			r.observe(letter, rtt, false)
-			r.perLetter[letter]++
+			r.perLetter[r.slot[letter]]++
 			if res.Flipped {
 				r.flips++
 			}
@@ -219,16 +236,16 @@ func (r *Resolver) Resolve(qname string, minute int, up Upstream) Result {
 
 // observe updates the SRTT estimate for a letter.
 func (r *Resolver) observe(letter byte, rttMs float64, timeout bool) {
-	cur := r.srtt[letter]
+	est := &r.srtt[r.slot[letter]]
 	if timeout {
-		r.srtt[letter] = cur + r.cfg.TimeoutPenaltyMs
+		*est += r.cfg.TimeoutPenaltyMs
 		return
 	}
-	r.srtt[letter] = cur*(1-r.cfg.SRTTDecay) + rttMs*r.cfg.SRTTDecay
+	*est = *est*(1-r.cfg.SRTTDecay) + rttMs*r.cfg.SRTTDecay
 }
 
 // SRTT returns the current smoothed RTT estimate for a letter.
-func (r *Resolver) SRTT(letter byte) float64 { return r.srtt[letter] }
+func (r *Resolver) SRTT(letter byte) float64 { return r.srtt[r.slot[letter]] }
 
 // Stats reports cumulative counters.
 func (r *Resolver) Stats() (queries, cacheHits, served, failed, flips uint64) {
@@ -236,18 +253,17 @@ func (r *Resolver) Stats() (queries, cacheHits, served, failed, flips uint64) {
 }
 
 // LetterShare returns the fraction of upstream-served queries answered by
-// each letter.
+// each letter; letters that never answered are absent.
 func (r *Resolver) LetterShare() map[byte]float64 {
 	var total uint64
 	for _, n := range r.perLetter {
 		total += n
 	}
-	out := make(map[byte]float64, len(r.perLetter))
-	if total == 0 {
-		return out
-	}
-	for l, n := range r.perLetter {
-		out[l] = float64(n) / float64(total)
+	out := make(map[byte]float64)
+	for _, l := range r.cfg.Letters {
+		if n := r.perLetter[r.slot[l]]; n > 0 {
+			out[l] = float64(n) / float64(total)
+		}
 	}
 	return out
 }
