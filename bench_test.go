@@ -531,7 +531,8 @@ func BenchmarkProbeOutcome(b *testing.B) {
 // size (1000 VPs × 1440 minutes): probe fan-out, identity cleaning and
 // dataset recording over one completed simulation, at one worker and at
 // two. Measure only reads the evaluator, so every iteration repeats the
-// same 4.37 M probes.
+// same ≈ 4.2 M probes; ns/probe is the whole campaign's time — walk kernel,
+// cleaning, recording and Seal — per probe.
 func BenchmarkMeasure(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -544,6 +545,21 @@ func BenchmarkMeasure(b *testing.B) {
 			if err := ev.Run(); err != nil {
 				b.Fatal(err)
 			}
+			// The campaign's probes: every VP with current firmware walks
+			// every letter from its phase to the horizon.
+			sc, probes := atlas.DefaultScheduleConfig(), 0
+			for _, vp := range ev.Population.VPs {
+				if vp.Firmware < atlas.MinFirmware {
+					continue
+				}
+				for _, l := range sc.Letters {
+					interval := sc.IntervalMin
+					if l == 'A' {
+						interval = sc.AIntervalMin
+					}
+					probes += (cfg.Minutes - vp.Phase%interval + interval - 1) / interval
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -551,6 +567,7 @@ func BenchmarkMeasure(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probes), "ns/probe")
 		})
 	}
 }

@@ -356,25 +356,38 @@ func TestClampRTT(t *testing.T) {
 // TestRTTOverflowRecorded is the regression test for the silent-saturation
 // fix: an out-of-range RTT must be stored as the RTTOverflowMs sentinel AND
 // surface in RTTOverflowCount, instead of masquerading as a plausible
-// measurement.
+// measurement — once per probe, however many cells the probe lands in.
 func TestRTTOverflowRecorded(t *testing.T) {
-	d := NewDataset([]byte("K"), []byte("K"), 1, 0, 10, 1, 4)
+	d := NewDataset([]byte("EK"), []byte("K"), 1, 0, 10, 1, 4)
 	d.record(0, 'K', 0, 2, 1, OK, 123456)
-	if got := d.RTTOverflowCount(); got != 2 {
-		t.Errorf("RTTOverflowCount = %d, want 2 (raw cell + binned cell)", got)
+	if got := d.RTTOverflowCount(); got != 1 {
+		t.Errorf("RTTOverflowCount = %d, want 1 (one probe, though it fills a raw and a binned cell)", got)
 	}
+	// So slow a success is a Timeout by the time it is recorded: the binned
+	// cell carries no RTT, the raw cell the sentinel.
 	obs, ok := d.At('K', 0, 0)
-	if !ok || obs.RTTms != RTTOverflowMs {
-		t.Errorf("binned RTT = %d (ok=%v), want sentinel %d", obs.RTTms, ok, uint16(RTTOverflowMs))
+	if !ok || obs.Status != Timeout || obs.RTTms != 0 {
+		t.Errorf("binned cell = %+v (ok=%v), want a Timeout without RTT", obs, ok)
 	}
 	raw, ok := d.RawAt('K', 0, 0)
-	if !ok || raw.RTTms != RTTOverflowMs {
-		t.Errorf("raw RTT = %d (ok=%v), want sentinel %d", raw.RTTms, ok, uint16(RTTOverflowMs))
+	if !ok || raw.Status != Timeout || raw.RTTms != RTTOverflowMs {
+		t.Errorf("raw cell = %+v (ok=%v), want a Timeout with sentinel %d", raw, ok, uint16(RTTOverflowMs))
 	}
 	// A normal in-range probe must not bump the counter.
 	d.record(0, 'K', 1, 2, 1, OK, 30)
+	if got := d.RTTOverflowCount(); got != 1 {
+		t.Errorf("RTTOverflowCount after in-range probe = %d, want 1", got)
+	}
+	// A saturating probe counts the same without raw retention, and not at
+	// all when its minute lies outside the dataset.
+	d.record(0, 'E', 4, 2, 1, OK, 70000)
 	if got := d.RTTOverflowCount(); got != 2 {
-		t.Errorf("RTTOverflowCount after in-range probe = %d, want 2", got)
+		t.Errorf("RTTOverflowCount after a saturated probe of a letter without raw retention = %d, want 2", got)
+	}
+	d.record(0, 'E', -3, 2, 1, OK, 70000)
+	d.record(0, 'K', 10, 2, 1, OK, 70000)
+	if got := d.RTTOverflowCount(); got != 2 {
+		t.Errorf("RTTOverflowCount after probes outside the dataset = %d, want 2", got)
 	}
 }
 

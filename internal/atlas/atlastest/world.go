@@ -18,6 +18,31 @@ func (f *funcWorld) ProbeOutcome(vp *atlas.VP, letter byte, minute int) atlas.Ou
 	return f.fn(vp, letter, minute)
 }
 
+// PerProbeOnly hides every method of a world but ProbeOutcome, so a campaign
+// over it probes one minute at a time even when w is an atlas.WalkWorld.
+func PerProbeOnly(w atlas.World) atlas.World { return &funcWorld{fn: w.ProbeOutcome} }
+
+// walkingWorld answers walks from a per-probe world.
+type walkingWorld struct{ atlas.World }
+
+// Walking gives a per-probe world a walk method of its own — written against
+// the exported Walk API the way a real walk world is, not through the
+// campaign's per-probe adapter — so tests can offer one world both ways.
+func Walking(w atlas.World) atlas.WalkWorld { return walkingWorld{w} }
+
+func (ww walkingWorld) ProbeWalk(vp *atlas.VP, letter byte, first, interval int, w *atlas.Walk) {
+	// Consecutive probes mostly repeat an identity; register a string again
+	// only when it changes.
+	last, lastID := "", uint32(0)
+	for i := range w.Probes {
+		out := ww.ProbeOutcome(vp, letter, first+i*interval)
+		if out.ChaosTXT != last {
+			last, lastID = out.ChaosTXT, w.AddIdentities([]string{out.ChaosTXT})
+		}
+		w.Probes[i].Set(out.Status, out.Site, out.Server, out.RTTms, lastID)
+	}
+}
+
 // ScriptedWorld scripts a deterministic mixture of outcomes: clean successes
 // across several sites/servers, RCODE errors, timeouts, over-threshold
 // successes (cleaned into timeouts), RTTs past the uint16 ceiling, malformed

@@ -22,6 +22,10 @@ import (
 // datasetMagic identifies the format and version.
 var datasetMagic = [8]byte{'A', 'T', 'L', 'D', 'S', '0', '0', '1'}
 
+// cellSlabBytes bounds how many bytes of cells Save and LoadDataset move per
+// write or read.
+const cellSlabBytes = 64 << 10
+
 // ErrBadDatasetFile marks a corrupt or foreign file.
 var ErrBadDatasetFile = errors.New("atlas: not a dataset file")
 
@@ -71,33 +75,41 @@ func (d *Dataset) Save(w io.Writer) error {
 			return err
 		}
 	}
+	// Cells are packed into a slab and written a slab at a time: a write per
+	// 5- or 6-byte cell is millions of calls per archive.
+	slab := make([]byte, 0, cellSlabBytes)
+	flush := func() error {
+		_, err := bw.Write(slab)
+		slab = slab[:0]
+		return err
+	}
 	// Binned cells: site int16, status uint8, rtt uint16.
-	var cell [5]byte
 	for li := range d.Letters {
 		st, si, rt := d.binStatus[li], d.binSite[li], d.binRTT[li]
 		for j := range st {
-			binary.LittleEndian.PutUint16(cell[0:], uint16(si[j]))
-			cell[2] = byte(st[j])
-			binary.LittleEndian.PutUint16(cell[3:], rt[j])
-			if _, err := bw.Write(cell[:]); err != nil {
-				return err
+			if len(slab)+5 > cellSlabBytes {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
+			slab = append(slab, byte(si[j]), byte(uint16(si[j])>>8), byte(st[j]), byte(rt[j]), byte(rt[j]>>8))
 		}
 	}
 	// Raw cells: site int16, server int8, status uint8, rtt uint16.
-	var rawCell [6]byte
 	for _, l := range rawLetters {
 		rc := d.raw[l]
 		for j := range rc.status {
-			site, server := rc.at(d.ssTable, j)
-			binary.LittleEndian.PutUint16(rawCell[0:], uint16(site))
-			rawCell[2] = byte(server)
-			rawCell[3] = byte(rc.status[j])
-			binary.LittleEndian.PutUint16(rawCell[4:], rc.rtt[j])
-			if _, err := bw.Write(rawCell[:]); err != nil {
-				return err
+			if len(slab)+6 > cellSlabBytes {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
+			site, server := rc.at(d.ssTable, j)
+			slab = append(slab, byte(site), byte(uint16(site)>>8), byte(server), byte(rc.status[j]), byte(rc.rtt[j]), byte(rc.rtt[j]>>8))
 		}
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -165,29 +177,40 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 			d.ExcludedReason[vp] = string(reason)
 		}
 	}
-	var cell [5]byte
+	slab := make([]byte, cellSlabBytes)
 	for li := range letters {
 		st, si, rt := d.binStatus[li], d.binSite[li], d.binRTT[li]
-		for j := range st {
-			if _, err := io.ReadFull(br, cell[:]); err != nil {
+		for lo := 0; lo < len(st); lo += cellSlabBytes / 5 {
+			hi := min(lo+cellSlabBytes/5, len(st))
+			chunk := slab[:(hi-lo)*5]
+			if _, err := io.ReadFull(br, chunk); err != nil {
 				return nil, fmt.Errorf("atlas: dataset binned cells: %w", err)
 			}
-			si[j] = int16(binary.LittleEndian.Uint16(cell[0:]))
-			st[j] = Status(cell[2])
-			rt[j] = binary.LittleEndian.Uint16(cell[3:])
+			for j := lo; j < hi; j, chunk = j+1, chunk[5:] {
+				si[j] = int16(binary.LittleEndian.Uint16(chunk))
+				st[j] = Status(chunk[2])
+				rt[j] = binary.LittleEndian.Uint16(chunk[3:])
+			}
 		}
 	}
-	var rawCell [6]byte
 	for _, l := range rawLetters {
 		rc := d.raw[l]
-		for j := range rc.status {
-			if _, err := io.ReadFull(br, rawCell[:]); err != nil {
+		if rc == nil {
+			// A raw letter the file does not list among its letters.
+			return nil, ErrBadDatasetFile
+		}
+		for lo := 0; lo < len(rc.status); lo += cellSlabBytes / 6 {
+			hi := min(lo+cellSlabBytes/6, len(rc.status))
+			chunk := slab[:(hi-lo)*6]
+			if _, err := io.ReadFull(br, chunk); err != nil {
 				return nil, fmt.Errorf("atlas: dataset raw cells: %w", err)
 			}
-			rc.site[j] = int16(binary.LittleEndian.Uint16(rawCell[0:]))
-			rc.server[j] = int8(rawCell[2])
-			rc.status[j] = Status(rawCell[3])
-			rc.rtt[j] = binary.LittleEndian.Uint16(rawCell[4:])
+			for j := lo; j < hi; j, chunk = j+1, chunk[6:] {
+				rc.site[j] = int16(binary.LittleEndian.Uint16(chunk))
+				rc.server[j] = int8(chunk[2])
+				rc.status[j] = Status(chunk[3])
+				rc.rtt[j] = binary.LittleEndian.Uint16(chunk[4:])
+			}
 		}
 	}
 	d.Seal()

@@ -130,6 +130,13 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := LoadDataset(bytes.NewReader(full[:len(full)/2])); err == nil {
 		t.Error("truncated stream accepted")
 	}
+	// A raw letter the file does not list among its letters is corruption,
+	// not a nil column to read cells into.
+	foreign := append([]byte{}, full...)
+	foreign[8+8*4+len(d.Letters)] = 'Q'
+	if _, err := LoadDataset(bytes.NewReader(foreign)); !errors.Is(err, ErrBadDatasetFile) {
+		t.Errorf("foreign raw letter err = %v, want ErrBadDatasetFile", err)
+	}
 	// Implausible header is rejected rather than allocating wildly.
 	evil := append([]byte{}, datasetMagic[:]...)
 	for i := 0; i < 8; i++ {

@@ -2,7 +2,7 @@ package atlas
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sync/atomic"
 
 	"github.com/rootevent/anycastddos/internal/stats"
@@ -43,10 +43,11 @@ const NoSite = -1
 // RTTOverflowMs is the sentinel stored when a probe RTT meets or exceeds the
 // uint16 millisecond ceiling. A stored value of RTTOverflowMs therefore means
 // "at least 65.5 s", not an exact measurement; Dataset.RTTOverflowCount
-// reports how many probes hit the ceiling so an implausible saturation no
-// longer masquerades as a real RTT. In practice the probe layer converts any
-// success slower than AtlasTimeoutMs into a Timeout first, so overflows only
-// appear when a World hands back pathological raw RTTs.
+// reports how many recorded probes hit the ceiling (one count per probe) so
+// an implausible saturation no longer masquerades as a real RTT. In practice
+// the probe layer converts any success slower than AtlasTimeoutMs into a
+// Timeout first, so overflows only appear — in raw cells — when a World hands
+// back pathological raw RTTs.
 const RTTOverflowMs = 65535
 
 // BinObs is the resolved observation of one VP for one letter in one
@@ -196,9 +197,11 @@ func (d *Dataset) HasRaw(letter byte) bool {
 	return ok
 }
 
-// rowWriter folds one VP's probes of one letter into the dataset. Building
-// it resolves everything a walk's probes share — the letter's columns and
-// the VP's row in each — so record pays no map lookup per probe.
+// rowWriter folds one VP's walk of one letter into the dataset, once.
+// Building it resolves everything the walk's probes share — the letter's
+// columns, the VP's row in each, and the bins of the first probe — so fold
+// pays no map lookup and no division per probe: a walk's minutes are evenly
+// spaced, and the cursors step from one probe's bins to the next by addition.
 type rowWriter struct {
 	d *Dataset
 	// Binned row, length Bins.
@@ -211,11 +214,42 @@ type rowWriter struct {
 	rawSite   []int16
 	rawServer []int8
 	rawRTT    []uint16
+	// bin and raw locate the walk's first probe.
+	bin, raw binCursor
 }
 
-// rowWriter returns the writer for (vp, letter); ok is false when the
+// binCursor tracks which fixed-width bin an evenly stepped minute falls in:
+// idx is the bin (negative before the dataset starts) and rem the minutes
+// into it; each step adds stepIdx bins and stepRem minutes, carrying once.
+type binCursor struct {
+	idx, rem         int
+	stepIdx, stepRem int
+	width            int
+}
+
+// newBinCursor places a cursor at off minutes from the dataset start, to be
+// advanced by interval minutes per step.
+func newBinCursor(off, interval, width int) binCursor {
+	c := binCursor{idx: off / width, rem: off % width, stepIdx: interval / width, stepRem: interval % width, width: width}
+	if c.rem < 0 { // floor, not truncate: minutes before the start fall in bins < 0
+		c.idx--
+		c.rem += width
+	}
+	return c
+}
+
+func (c *binCursor) step() {
+	c.idx += c.stepIdx
+	if c.rem += c.stepRem; c.rem >= c.width {
+		c.rem -= c.width
+		c.idx++
+	}
+}
+
+// rowWriter returns the writer for the walk of (vp, letter) that starts at
+// minute first and probes every interval (> 0) minutes; ok is false when the
 // dataset does not track the letter. Must not be called after Seal.
-func (d *Dataset) rowWriter(vp VPID, letter byte) (w rowWriter, ok bool) {
+func (d *Dataset) rowWriter(vp VPID, letter byte, first, interval int) (w rowWriter, ok bool) {
 	li, ok := d.letterIdx[letter]
 	if !ok {
 		return rowWriter{}, false
@@ -226,6 +260,7 @@ func (d *Dataset) rowWriter(vp VPID, letter byte) (w rowWriter, ok bool) {
 		status: d.binStatus[li][lo : lo+d.Bins],
 		site:   d.binSite[li][lo : lo+d.Bins],
 		rtt:    d.binRTT[li][lo : lo+d.Bins],
+		bin:    newBinCursor(first-d.StartMinute, interval, d.BinMinutes),
 	}
 	if rc, ok := d.raw[letter]; ok {
 		lo := int(vp) * d.RawBins
@@ -233,56 +268,90 @@ func (d *Dataset) rowWriter(vp VPID, letter byte) (w rowWriter, ok bool) {
 		w.rawSite = rc.site[lo : lo+d.RawBins]
 		w.rawServer = rc.server[lo : lo+d.RawBins]
 		w.rawRTT = rc.rtt[lo : lo+d.RawBins]
+		w.raw = newBinCursor(first-d.StartMinute, interval, d.RawBinMinutes)
 	}
 	return w, true
 }
 
-// record folds one probe into the binned row (and the raw row when
-// retained), applying the site>error>timeout precedence within each bin.
-// Probes stream straight into the columns as they happen; no per-row struct
-// is ever materialized. Minutes outside the dataset are dropped.
+// fold cleans and records the walk's probes, in probe order, and reports
+// whether any of them is evidence of a hijacked vantage point (§2.4.1).
+//
+// Cleaning: a success slower than the Atlas timeout is a Timeout; a success
+// whose identity string does not validate for the letter is kept without a
+// site mapping, and at an implausibly short RTT is hijack evidence.
+// Recording: the probe lands in the raw row (when retained; one probe per
+// raw bin, last write wins) and in the binned row under the
+// site>error>timeout precedence, successive successful RTTs in a bin
+// averaged. Probes stream straight into the columns; no per-row struct is
+// ever materialized, and probes at minutes outside the dataset are dropped
+// after cleaning.
 //
 //repolint:hot
-func (w *rowWriter) record(minute int, site int, server int, status Status, rttMs float64) {
-	d := w.d
-	off := minute - d.StartMinute
-	if off < 0 {
-		return
-	}
-	if len(w.rawStatus) > 0 {
-		if rb := off / d.RawBinMinutes; rb < len(w.rawStatus) {
-			// One probe per raw bin; last write wins.
+func (w *rowWriter) fold(walk *Walk, letter byte) (hijackEvidence bool) {
+	walk.beginCleaning()
+	bin, raw := w.bin, w.raw
+	for i := range walk.Probes {
+		p := &walk.Probes[i]
+		status, site := p.Status, int16(p.Site)
+		if status == OK {
+			if p.RTTms >= AtlasTimeoutMs {
+				status = Timeout
+			} else if p.Identity != 0 && !walk.matches(letter, p.Identity) {
+				if p.RTTms < HijackRTTThresholdMs {
+					hijackEvidence = true
+				}
+				// A malformed identity that is not obviously a hijack is
+				// kept but carries no site mapping.
+				site = NoSite
+			}
+		}
+
+		b := bin.idx
+		bin.step()
+		inBin := uint(b) < uint(len(w.status))
+		rb, inRaw := 0, false
+		if len(w.rawStatus) > 0 {
+			rb = raw.idx
+			raw.step()
+			inRaw = uint(rb) < uint(len(w.rawStatus))
+		}
+		if !inBin && !inRaw {
+			continue
+		}
+		// Clamped — and, if it saturates, counted — once per recorded probe,
+		// however many cells the probe lands in and whatever its status.
+		rtt := w.d.clampRTT(p.RTTms)
+		if inRaw {
 			w.rawStatus[rb] = status
-			w.rawSite[rb] = int16(site)
-			w.rawServer[rb] = int8(server)
-			w.rawRTT[rb] = d.clampRTT(rttMs)
+			w.rawSite[rb] = site
+			w.rawServer[rb] = int8(p.Server)
+			w.rawRTT[rb] = rtt
+		}
+		if !inBin {
+			continue
+		}
+		switch status {
+		case OK:
+			if w.status[b] == OK {
+				w.rtt[b] = uint16((uint32(w.rtt[b]) + uint32(rtt)) / 2)
+			} else {
+				w.status[b] = OK
+				w.rtt[b] = rtt
+			}
+			w.site[b] = site
+		case RCodeErr:
+			if w.status[b] != OK {
+				w.status[b] = RCodeErr
+				w.site[b] = NoSite
+			}
+		case Timeout:
+			if w.status[b] == NoData {
+				w.status[b] = Timeout
+				w.site[b] = NoSite
+			}
 		}
 	}
-	b := off / d.BinMinutes
-	if b >= len(w.status) {
-		return
-	}
-	switch status {
-	case OK:
-		if w.status[b] == OK {
-			// Average successive successful RTTs in the bin.
-			w.rtt[b] = uint16((uint32(w.rtt[b]) + uint32(d.clampRTT(rttMs))) / 2)
-		} else {
-			w.status[b] = OK
-			w.rtt[b] = d.clampRTT(rttMs)
-		}
-		w.site[b] = int16(site)
-	case RCodeErr:
-		if w.status[b] != OK {
-			w.status[b] = RCodeErr
-			w.site[b] = NoSite
-		}
-	case Timeout:
-		if w.status[b] == NoData {
-			w.status[b] = Timeout
-			w.site[b] = NoSite
-		}
-	}
+	return hijackEvidence
 }
 
 // clampRTT squeezes a millisecond RTT into the stored uint16 range. Values
@@ -300,8 +369,11 @@ func (d *Dataset) clampRTT(ms float64) uint16 {
 	return uint16(ms)
 }
 
-// RTTOverflowCount reports how many recorded probes saturated the uint16
-// RTT range (and therefore carry the RTTOverflowMs sentinel).
+// RTTOverflowCount reports how many recorded probes had an RTT at or past
+// the uint16 ceiling. Each such probe counts once, whether its letter
+// retains raw probes or not and whatever its status: the probe layer turns
+// so slow a success into a Timeout, whose raw cell carries the RTTOverflowMs
+// sentinel and whose binned cell carries no RTT at all.
 func (d *Dataset) RTTOverflowCount() uint64 { return d.rttOverflow.Load() }
 
 // Seal canonicalises the raw-letter (site, server) pairs into a dense
@@ -316,44 +388,51 @@ func (d *Dataset) Seal() {
 		return
 	}
 	d.sealed = true
-	idx := make(map[SiteServer]int)
-	var pairs []SiteServer
+	var unsealed []*rawColumns
+	minSite, maxSite := math.MaxInt16, math.MinInt16
 	for _, l := range d.Letters {
 		rc := d.raw[l]
 		if rc == nil || rc.ids != nil {
 			continue
 		}
-		for j := range rc.site {
-			p := SiteServer{Site: rc.site[j], Server: rc.server[j]}
-			if _, ok := idx[p]; !ok {
-				idx[p] = 0
-				pairs = append(pairs, p)
-			}
+		unsealed = append(unsealed, rc)
+		for _, site := range rc.site {
+			minSite, maxSite = min(minSite, int(site)), max(maxSite, int(site))
 		}
 	}
-	if len(pairs) > 1<<16 {
-		// More distinct identities than uint16 IDs can address; keep the
-		// wide columns. Never hit in practice (sites × servers is small).
-		return
+	if maxSite < minSite {
+		minSite, maxSite = 0, -1 // no raw cells: an empty table
 	}
-	slices.SortFunc(pairs, func(a, b SiteServer) int {
-		if a.Site != b.Site {
-			return int(a.Site) - int(b.Site)
+	// table is indexed by (site, server) in ascending order of both — one
+	// row of 256 servers per site of [minSite, maxSite] — and first marks
+	// the pairs that occur, then holds their IDs.
+	key := func(site int16, server int8) int {
+		return (int(site)-minSite)<<8 | (int(server) + 128)
+	}
+	table := make([]uint16, (maxSite-minSite+1)<<8)
+	for _, rc := range unsealed {
+		for j, site := range rc.site {
+			table[key(site, rc.server[j])] = 1
 		}
-		return int(a.Server) - int(b.Server)
-	})
-	for i, p := range pairs {
-		idx[p] = i
+	}
+	var pairs []SiteServer
+	for k, present := range table {
+		if present == 0 {
+			continue
+		}
+		if len(pairs) == 1<<16 {
+			// More distinct identities than uint16 IDs can address; keep the
+			// wide columns. Never hit in practice (sites × servers is small).
+			return
+		}
+		table[k] = uint16(len(pairs))
+		pairs = append(pairs, SiteServer{Site: int16(k>>8 + minSite), Server: int8(k&0xff - 128)})
 	}
 	d.ssTable = pairs
-	for _, l := range d.Letters {
-		rc := d.raw[l]
-		if rc == nil || rc.ids != nil {
-			continue
-		}
+	for _, rc := range unsealed {
 		ids := make([]uint16, len(rc.site))
-		for j := range rc.site {
-			ids[j] = uint16(idx[SiteServer{Site: rc.site[j], Server: rc.server[j]}])
+		for j, site := range rc.site {
+			ids[j] = table[key(site, rc.server[j])]
 		}
 		rc.ids = ids
 		rc.site, rc.server = nil, nil

@@ -177,3 +177,52 @@ func TestRowsCursorMatchesAt(t *testing.T) {
 		t.Error("RawRows('E') should fail without raw retention")
 	}
 }
+
+// TestArchiveMovesCellsInChunks holds the chunked Save and LoadDataset to
+// the row store's cell-at-a-time codec on an archive many chunks long: the
+// same bytes out, the same dataset back, and a stream cut anywhere — inside
+// the last chunk, on a chunk boundary, in the header — an error, not a panic
+// or a short dataset.
+func TestArchiveMovesCellsInChunks(t *testing.T) {
+	p := extPopulation(t, extTestGraph(t), 700)
+	cfg := atlas.ScheduleConfig{
+		Letters: []byte("AEK"), RawLetters: []byte("K"),
+		Minutes: 480, BinMinutes: 10, IntervalMin: 4, AIntervalMin: 30,
+	}
+	var want bytes.Buffer
+	if err := atlastest.RunCampaign(p, atlastest.ScriptedWorld(), cfg).Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	full := want.Bytes()
+	if len(full) < 10<<16 {
+		t.Fatalf("archive is %d bytes: too short to span many chunks", len(full))
+	}
+	var got bytes.Buffer
+	if err := atlas.Run(p, atlastest.ScriptedWorld(), cfg).Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), full) {
+		t.Fatal("Save bytes differ from the row store's")
+	}
+	loaded, err := atlas.LoadDataset(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Reset()
+	if err := loaded.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), full) {
+		t.Fatal("a loaded archive saves to different bytes")
+	}
+
+	cuts := []int{8, 30, len(full) / 3, len(full) / 2, len(full) - 1<<16 - 1, len(full) - 1<<16, len(full) - 7, len(full) - 6, len(full) - 5, len(full) - 1}
+	for cut := 50_021; cut < len(full); cut += 50_021 {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		if d, err := atlas.LoadDataset(bytes.NewReader(full[:cut])); err == nil {
+			t.Errorf("archive cut at %d of %d bytes loaded (%d VPs)", cut, len(full), d.NumVPs)
+		}
+	}
+}

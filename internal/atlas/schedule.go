@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"github.com/rootevent/anycastddos/internal/chaos"
 )
 
 // Outcome is the world's answer to one probe: what the VP's query
@@ -27,7 +25,8 @@ type Outcome struct {
 
 // World resolves probes. The core evaluator implements this against the
 // full event simulation; tests implement it directly; the live prober
-// implements it over UDP sockets.
+// implements it over UDP sockets. A World that can answer a VP's whole walk
+// of a letter at once also implements WalkWorld, and the campaign uses that.
 type World interface {
 	ProbeOutcome(vp *VP, letter byte, minute int) Outcome
 }
@@ -110,6 +109,10 @@ func RunContext(ctx context.Context, p *Population, w World, cfg ScheduleConfig)
 		done       atomic.Int64
 		progressMu sync.Mutex
 	)
+	walker, ok := w.(WalkWorld)
+	if !ok {
+		walker = perProbe{w}
+	}
 	per := (len(p.VPs) + workers - 1) / workers
 	for shard := 0; shard < workers; shard++ {
 		lo := shard * per
@@ -123,11 +126,12 @@ func RunContext(ctx context.Context, p *Population, w World, cfg ScheduleConfig)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			var walk Walk // the shard's outcome buffer, reused by every walk
 			for i := lo; i < hi; i++ {
 				if ctx.Err() != nil {
 					return
 				}
-				runVP(&p.VPs[i], w, cfg, d)
+				runVP(&p.VPs[i], walker, cfg, d, &walk)
 				if cfg.Progress != nil {
 					n := int(done.Add(1))
 					progressMu.Lock()
@@ -147,35 +151,12 @@ func RunContext(ctx context.Context, p *Population, w World, cfg ScheduleConfig)
 	return d, nil
 }
 
-// identityMemo remembers the chaos.Matches verdict of the first few distinct
-// identity strings one (VP, letter) walk meets. A VP sees a handful of
-// (site, server) identities per letter, so nearly every probe is answered
-// by a string comparison; a string the memo has no room for is validated
-// afresh, which keeps every verdict exactly chaos.Matches's for any World.
-type identityMemo struct {
-	txt [8]string
-	ok  [8]bool
-	n   int
-}
-
-func (m *identityMemo) matches(letter byte, txt string) bool {
-	for i := 0; i < m.n; i++ {
-		if m.txt[i] == txt {
-			return m.ok[i]
-		}
-	}
-	ok := chaos.Matches(letter, txt)
-	if m.n < len(m.txt) {
-		m.txt[m.n], m.ok[m.n] = txt, ok
-		m.n++
-	}
-	return ok
-}
-
-// runVP executes one vantage point's whole campaign.
+// runVP executes one vantage point's whole campaign: for each letter it has
+// the world answer the VP's walk into the shard's buffer and then cleans and
+// records the buffer's probes in one loop (rowWriter.fold).
 //
 //repolint:hot
-func runVP(vp *VP, w World, cfg ScheduleConfig, d *Dataset) {
+func runVP(vp *VP, w WalkWorld, cfg ScheduleConfig, d *Dataset, walk *Walk) {
 	if vp.Firmware < MinFirmware {
 		d.Exclude(vp.ID, "firmware")
 		return
@@ -183,30 +164,23 @@ func runVP(vp *VP, w World, cfg ScheduleConfig, d *Dataset) {
 	hijackEvidence := false
 	end := cfg.StartMinute + cfg.Minutes
 	for _, letter := range cfg.Letters {
-		row, ok := d.rowWriter(vp.ID, letter)
-		if !ok {
-			continue
-		}
 		interval := cfg.IntervalMin
 		if letter == 'A' && cfg.AIntervalMin > 0 {
 			interval = cfg.AIntervalMin
 		}
-		var seen identityMemo
-		for minute := cfg.StartMinute + vp.Phase%interval; minute < end; minute += interval {
-			out := w.ProbeOutcome(vp, letter, minute)
-			status := out.Status
-			if status == OK && out.RTTms >= AtlasTimeoutMs {
-				status = Timeout
-			}
-			if status == OK && out.ChaosTXT != "" && !seen.matches(letter, out.ChaosTXT) {
-				if out.RTTms < HijackRTTThresholdMs {
-					hijackEvidence = true
-				}
-				// A malformed identity that is not obviously a
-				// hijack is kept but carries no site mapping.
-				out.Site = NoSite
-			}
-			row.record(minute, out.Site, out.Server, status, out.RTTms)
+		first := cfg.StartMinute + vp.Phase%interval
+		row, ok := d.rowWriter(vp.ID, letter, first, interval)
+		if !ok {
+			continue
+		}
+		n := 0
+		if first < end {
+			n = (end - first + interval - 1) / interval
+		}
+		walk.Reset(n)
+		w.ProbeWalk(vp, letter, first, interval, walk)
+		if row.fold(walk, letter) {
+			hijackEvidence = true
 		}
 	}
 	if hijackEvidence {

@@ -267,7 +267,7 @@ func (ls *letterState) buildEpochIndex(minutes int) {
 	ls.epochIdx = idx
 }
 
-// Evaluator runs the full reproduction and implements atlas.World.
+// Evaluator runs the full reproduction and implements atlas.WalkWorld.
 type Evaluator struct {
 	Cfg        Config
 	Graph      *topo.Graph
@@ -706,28 +706,37 @@ func (ls *letterState) effective() []bool {
 // letter has no epochs yet or the minute is negative (misuse paths that
 // previously indexed out of bounds).
 func (ls *letterState) epochAt(minute int) *epoch {
+	if i := ls.epochIndexAt(minute); i >= 0 {
+		return &ls.epochs[i]
+	}
+	return nil
+}
+
+// epochIndexAt is epochAt as an index into ls.epochs, -1 for none: the last
+// epoch with Start <= minute, or the first when even that starts later.
+func (ls *letterState) epochIndexAt(minute int) int {
 	if minute < 0 || len(ls.epochs) == 0 {
-		return nil
+		return -1
 	}
 	if ls.epochIdx != nil {
 		// Post-run fast path: the minute -> epoch index built by Run makes
-		// every probe lookup a single load instead of a binary search.
+		// the lookup a single load instead of a binary search.
 		if minute >= len(ls.epochIdx) {
 			minute = len(ls.epochIdx) - 1
 		}
-		return &ls.epochs[ls.epochIdx[minute]]
+		return int(ls.epochIdx[minute])
 	}
 	// During Run the epoch in force is almost always the newest one.
-	if last := &ls.epochs[len(ls.epochs)-1]; last.Start <= minute {
+	if last := len(ls.epochs) - 1; ls.epochs[last].Start <= minute {
 		return last
 	}
 	// Epochs are appended in time order; binary search the last with
 	// Start <= minute.
 	i := sort.Search(len(ls.epochs), func(i int) bool { return ls.epochs[i].Start > minute })
 	if i == 0 {
-		return &ls.epochs[0]
+		return 0
 	}
-	return &ls.epochs[i-1]
+	return i - 1
 }
 
 // Run executes the minute loop. It must be called exactly once before
@@ -876,102 +885,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// coin returns a deterministic uniform [0,1) draw for a probe key.
-//
-//repolint:hot
-func (ev *Evaluator) coin(vp atlas.VPID, letter byte, minute int, salt uint64) float64 {
-	key := uint64(ev.Cfg.Seed)*0x9E3779B97F4A7C15 ^
-		uint64(vp)<<40 ^ uint64(letter)<<32 ^ uint64(uint32(minute)) ^ salt<<56
-	return float64(mix64(key)>>11) / float64(1<<53)
-}
-
-// ProbeOutcome implements atlas.World against the simulated event. This is
-// the measurement hot path — called VPs x letters x minutes times — so
-// every lookup is a dense-array index (letter table, epoch index, site city,
-// VP city) and the per-server view is computed scalar-wise; a probe
-// allocates nothing.
-//
-//repolint:hot
-func (ev *Evaluator) ProbeOutcome(vp *atlas.VP, letter byte, minute int) atlas.Outcome {
-	if minute < 0 {
-		// A negative minute used to index service arrays out of bounds;
-		// treat it as the misuse it is rather than panicking mid-campaign.
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-	if minute >= ev.Cfg.Minutes {
-		minute = ev.Cfg.Minutes - 1
-	}
-	// A churned vantage point is disconnected from the measurement
-	// platform entirely: no probe is recorded for any letter, leaving a
-	// NoData gap in the dataset (atlas recording skips NoData).
-	if ev.flt != nil && ev.flt.VPDown(int32(vp.ID), minute) {
-		return atlas.Outcome{Status: atlas.NoData}
-	}
-	if vp.Hijacked {
-		// A third-party resolver intercepts the query: instant bogus
-		// identity at an implausibly short RTT (§2.4.1).
-		return atlas.Outcome{Status: atlas.OK, Site: 0, RTTms: 2 + 3*ev.coin(vp.ID, letter, minute, 1), ChaosTXT: "dnsmasq-2.76"}
-	}
-	ls := ev.letterTab[letter]
-	if ls == nil {
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-	ep := ls.epochAt(minute)
-	if ep == nil {
-		// Run has not produced an epoch for this letter (zero-epoch
-		// misuse path that previously panicked on epochs[0]).
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-	site := ep.Table.SiteOf(vp.ASN)
-	if site < 0 {
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-	s := ls.letter.Sites[site]
-	if !ls.hasRoute[site][minute] {
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-
-	loss := float64(ls.loss[site][minute])
-	delay := float64(ls.delay[site][minute])
-
-	// Collateral damage applies to letters that are not directly under
-	// attack but share a stressed city (§3.6, Figure 14). Root sites
-	// have their own uplinks, so shared-facility stress costs them a
-	// bounded fraction of queries — unlike the rack-sharing .nl nodes.
-	if !ls.targeted {
-		if ci := ls.siteCity[site]; ci >= 0 {
-			cl := collateralLoss(ev.cityExcess[ci][minute], collateralFullQPS)
-			if cl > 0.45 {
-				cl = 0.45
-			}
-			loss = 1 - (1-loss)*(1-cl)
-		}
-	}
-
-	// Server selection behind the load balancer.
-	st := netsim.State{LossFrac: loss, ExtraDelayMs: delay}
-	evIdx := int(ev.evActive[minute])
-	server := 1 + int(mix64(uint64(vp.ID)<<20^uint64(uint32(minute/4))^uint64(letter))%uint64(s.NumServers))
-	server, responds, srvLoss, srvDelay := netsim.ProbeServer(s, st, ev.Cfg.Netsim, evIdx+1, server)
-	if !responds {
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-	if ev.coin(vp.ID, letter, minute, 2) < srvLoss {
-		return atlas.Outcome{Status: atlas.Timeout}
-	}
-
-	// RTT: geography plus queueing, with mild multiplicative jitter.
-	base := ev.cityRTTIdx(ev.vpCity[vp.ID], ls.siteCity[site])
-	rtt := (base + srvDelay) * (0.92 + 0.16*ev.coin(vp.ID, letter, minute, 3))
-	return atlas.Outcome{
-		Status:   atlas.OK,
-		Site:     site,
-		Server:   server,
-		RTTms:    rtt,
-		ChaosTXT: ls.txt[site][server],
-	}
-}
-
 func (ev *Evaluator) cityRTT(a, b string) float64 {
 	ia, ok1 := ev.cityIdx[a]
 	ib, ok2 := ev.cityIdx[b]
@@ -982,9 +895,7 @@ func (ev *Evaluator) cityRTT(a, b string) float64 {
 }
 
 // cityRTTIdx is cityRTT over pre-resolved city indices (-1 = unknown), the
-// probe-hot-path form.
-//
-//repolint:hot
+// walk kernel's form.
 func (ev *Evaluator) cityRTTIdx(a, b int32) float64 {
 	if a < 0 || b < 0 {
 		return 150

@@ -314,6 +314,26 @@ func (c *Compiled) VPDown(vp int32, minute int) bool {
 	return false
 }
 
+// Window is a half-open span of minutes, [Start, End).
+type Window struct{ Start, End int }
+
+// Contains reports whether the minute lies inside the window.
+func (w Window) Contains(minute int) bool { return minute >= w.Start && minute < w.End }
+
+// AppendVPDownWindows appends to dst the window of every churn event the
+// vantage point is a member of, in plan order, and returns the extended
+// slice: VPDown(vp, m) is true exactly when one of them contains m. A caller
+// answering many minutes for one VP draws the per-(event, VP) coins once
+// here and compares minutes after that.
+func (c *Compiled) AppendVPDownWindows(dst []Window, vp int32) []Window {
+	for _, e := range c.churns {
+		if hashCoin(e.Seed, uint64(uint32(vp))) < e.Severity {
+			dst = append(dst, Window{Start: e.Start, End: e.End()})
+		}
+	}
+	return dst
+}
+
 // hashCoin maps (seed, x) to a uniform float64 in [0, 1) via splitmix64.
 func hashCoin(seed, x uint64) float64 {
 	z := seed + x*0x9E3779B97F4A7C15

@@ -241,6 +241,41 @@ func TestVPChurnStableMembership(t *testing.T) {
 	}
 }
 
+// TestVPDownWindowsMatchVPDown pins the per-VP form of churn membership to
+// the per-probe one: for every vantage point and minute of random heavy
+// plans, some window AppendVPDownWindows returns contains the minute exactly
+// when VPDown says the VP is disconnected.
+func TestVPDownWindowsMatchVPDown(t *testing.T) {
+	for _, seed := range []int64{1, 3, 7, 23} {
+		sh := Shape{Minutes: 2880, Sites: testShape().Sites} // RandomPlan's horizon
+		c, err := Compile(RandomPlan(seed, HeavyProfile()), sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.churns) == 0 {
+			t.Fatalf("seed %d: heavy plan without churn", seed)
+		}
+		var buf [2]Window
+		members := 0
+		for vp := int32(0); vp < 300; vp++ {
+			wins := c.AppendVPDownWindows(buf[:0], vp)
+			members += len(wins)
+			for m := -5; m < sh.Minutes+50; m++ {
+				down := false
+				for _, w := range wins {
+					down = down || w.Contains(m)
+				}
+				if want := c.VPDown(vp, m); down != want {
+					t.Fatalf("seed %d vp %d minute %d: windows %v say down=%v, VPDown %v", seed, vp, m, wins, down, want)
+				}
+			}
+		}
+		if members == 0 {
+			t.Errorf("seed %d: no vantage point is a member of any churn event", seed)
+		}
+	}
+}
+
 func TestMonitorGapAt(t *testing.T) {
 	p := &Plan{Events: []Event{
 		{Kind: MonitorGap, Start: 20, Duration: 15, Letter: 'K', Site: AnySite},
