@@ -66,8 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := dnswire.Decode(buf[:n])
-	if err != nil {
+	var resp dnswire.Message
+	if err := dnswire.DecodeInto(buf[:n], &resp); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Priming response: %d NS records in %d wire bytes\n", len(resp.Answers), n)

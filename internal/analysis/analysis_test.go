@@ -40,7 +40,7 @@ func getShared(t *testing.T) (*core.Evaluator, *atlas.Dataset) {
 
 func TestTable2(t *testing.T) {
 	ev, d := getShared(t)
-	rows := Table2(ev, d)
+	rows := New(ev, d).Table2()
 	if len(rows) != 13 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -75,7 +75,7 @@ func TestTable2(t *testing.T) {
 func TestTable3(t *testing.T) {
 	ev, _ := getShared(t)
 	for evIdx := 0; evIdx < 2; evIdx++ {
-		res, err := Table3(ev, evIdx)
+		res, err := New(ev, nil).Table3(evIdx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,14 +119,14 @@ func TestTable3(t *testing.T) {
 			t.Errorf("A responses %v > queries %v", aRow.DeltaRespMqs, aRow.DeltaQueryMqs)
 		}
 	}
-	if _, err := Table3(ev, 5); err == nil {
+	if _, err := New(ev, nil).Table3(5); err == nil {
 		t.Error("bad event index should error")
 	}
 }
 
 func TestFigure3(t *testing.T) {
 	ev, d := getShared(t)
-	series, err := Figure3(ev, d)
+	series, err := New(ev, d).Figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFigure3(t *testing.T) {
 
 func TestFigure4(t *testing.T) {
 	ev, d := getShared(t)
-	series, err := Figure4(ev, d)
+	series, err := New(ev, d).Figure4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestFigure4(t *testing.T) {
 func TestFigure5And6(t *testing.T) {
 	ev, d := getShared(t)
 	for _, lb := range []byte{'E', 'K'} {
-		rows, err := Figure5(ev, d, lb)
+		rows, err := New(ev, d).Figure5(lb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestFigure5And6(t *testing.T) {
 				t.Errorf("%s min/max norm %v/%v around median", r.Site, r.MinNorm, r.MaxNorm)
 			}
 		}
-		minis, err := Figure6(ev, d, lb)
+		minis, err := New(ev, d).Figure6(lb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestFigure5And6(t *testing.T) {
 	}
 	// Some big K site must show critical bins or swings during events
 	// (LHR's flaps) — check any site has critical moments.
-	minis, _ := Figure6(ev, d, 'K')
+	minis, _ := New(ev, d).Figure6('K')
 	anyCritical := false
 	for _, m := range minis {
 		if m.MedianVPs >= StableVPThreshold && len(m.CriticalBins) > 0 {
@@ -212,17 +212,17 @@ func TestFigure5And6(t *testing.T) {
 	if !anyCritical {
 		t.Error("no stable K site shows critical reachability moments")
 	}
-	if _, err := Figure5(ev, d, 'Z'); err == nil {
+	if _, err := New(ev, d).Figure5('Z'); err == nil {
 		t.Error("unknown letter should error")
 	}
-	if _, err := Figure6(ev, d, 'Z'); err == nil {
+	if _, err := New(ev, d).Figure6('Z'); err == nil {
 		t.Error("unknown letter should error")
 	}
 }
 
 func TestFigure7(t *testing.T) {
 	ev, d := getShared(t)
-	series, err := Figure7(ev, d, 'K', []string{"AMS", "NRT", "LHR", "FRA"})
+	series, err := New(ev, d).Figure7('K', []string{"AMS", "NRT", "LHR", "FRA"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestFigure7(t *testing.T) {
 	if ams.Values[evBin] <= ams.Values[20] {
 		t.Errorf("K-AMS RTT flat during event: %v -> %v", ams.Values[20], ams.Values[evBin])
 	}
-	if _, err := Figure7(ev, d, 'K', []string{"XXX"}); err == nil {
+	if _, err := New(ev, d).Figure7('K', []string{"XXX"}); err == nil {
 		t.Error("unknown site should error")
 	}
 }
 
 func TestFigure8(t *testing.T) {
 	ev, d := getShared(t)
-	flips, err := Figure8(ev, d)
+	flips, err := New(ev, d).Figure8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestFigure8(t *testing.T) {
 
 func TestFigure9(t *testing.T) {
 	ev, _ := getShared(t)
-	series := Figure9(ev)
+	series := New(ev, nil).Figure9()
 	if len(series) != 13 {
 		t.Fatalf("letters = %d", len(series))
 	}
@@ -283,7 +283,7 @@ func TestFigure9(t *testing.T) {
 
 func TestFigure10(t *testing.T) {
 	ev, d := getShared(t)
-	flows, err := Figure10(ev, d, 'K', []string{"LHR", "FRA"}, 0)
+	flows, err := New(ev, d).Figure10('K', []string{"LHR", "FRA"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,17 +303,17 @@ func TestFigure10(t *testing.T) {
 			t.Errorf("%s: dest fractions sum %v", f.FromSite, sum)
 		}
 	}
-	if _, err := Figure10(ev, d, 'K', []string{"XXX"}, 0); err == nil {
+	if _, err := New(ev, d).Figure10('K', []string{"XXX"}, 0); err == nil {
 		t.Error("unknown site should error")
 	}
-	if _, err := Figure10(ev, d, 'K', []string{"LHR"}, 7); err == nil {
+	if _, err := New(ev, d).Figure10('K', []string{"LHR"}, 7); err == nil {
 		t.Error("bad event should error")
 	}
 }
 
 func TestFigure11(t *testing.T) {
 	ev, d := getShared(t)
-	rows, err := Figure11(ev, d, 'K', "LHR", "FRA", "AMS", 300)
+	rows, err := New(ev, d).Figure11('K', "LHR", "FRA", "AMS", 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,14 +332,14 @@ func TestFigure11(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Figure11(ev, d, 'E', "AMS", "FRA", "LHR", 10); err == nil {
+	if _, err := New(ev, d).Figure11('E', "AMS", "FRA", "LHR", 10); err == nil {
 		t.Error("letter without raw data should error")
 	}
 }
 
 func TestClassifyRaster(t *testing.T) {
 	ev, d := getShared(t)
-	rows, err := Figure11(ev, d, 'K', "LHR", "FRA", "AMS", 300)
+	rows, err := New(ev, d).Figure11('K', "LHR", "FRA", "AMS", 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestClassifyRaster(t *testing.T) {
 func TestFigureServers(t *testing.T) {
 	ev, d := getShared(t)
 	for _, code := range []string{"FRA", "NRT"} {
-		series, err := FigureServers(ev, d, 'K', code)
+		series, err := New(ev, d).FigureServers('K', code)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,10 +393,10 @@ func TestFigureServers(t *testing.T) {
 			t.Errorf("K-%s: no per-server successes", code)
 		}
 	}
-	if _, err := FigureServers(ev, d, 'E', "AMS"); err == nil {
+	if _, err := New(ev, d).FigureServers('E', "AMS"); err == nil {
 		t.Error("no-raw letter should error")
 	}
-	if _, err := FigureServers(ev, d, 'K', "XXX"); err == nil {
+	if _, err := New(ev, d).FigureServers('K', "XXX"); err == nil {
 		t.Error("unknown site should error")
 	}
 }
@@ -404,7 +404,7 @@ func TestFigureServers(t *testing.T) {
 func TestFigure14And15(t *testing.T) {
 	ev, d := getShared(t)
 	// D-Root: not attacked; any reported dips are collateral.
-	sites, err := Figure14(ev, d, 'D', 0.10)
+	sites, err := New(ev, d).Figure14('D', 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestFigure14And15(t *testing.T) {
 			t.Errorf("%s dip %v below cutoff", s.Site, s.DipFrac)
 		}
 	}
-	nl := Figure15(ev)
+	nl := New(ev, nil).Figure15()
 	if len(nl) == 0 {
 		t.Fatal("no .nl series")
 	}
@@ -433,7 +433,7 @@ func TestFigure14And15(t *testing.T) {
 
 func TestSiteCorrelation(t *testing.T) {
 	ev, d := getShared(t)
-	res, err := SiteCorrelation(ev, d)
+	res, err := New(ev, d).SiteCorrelation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestSiteCorrelation(t *testing.T) {
 
 func TestLetterFlips(t *testing.T) {
 	ev, _ := getShared(t)
-	res, err := LetterFlips(ev, 'L')
+	res, err := New(ev, nil).LetterFlips('L')
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestLetterFlips(t *testing.T) {
 	if res.Event2Ratio <= 1 {
 		t.Errorf("L event-2 ratio = %v, want > 1 (paper: 1.66x)", res.Event2Ratio)
 	}
-	if _, err := LetterFlips(ev, 'Z'); err == nil {
+	if _, err := New(ev, nil).LetterFlips('Z'); err == nil {
 		t.Error("unknown letter should error")
 	}
 }

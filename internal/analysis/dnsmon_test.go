@@ -8,7 +8,7 @@ import (
 
 func TestDNSMONTable(t *testing.T) {
 	ev, d := getShared(t)
-	rows, err := DNSMON(ev, d)
+	rows, err := New(ev, d).DNSMON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestDNSMONTable(t *testing.T) {
 
 func TestDetectEventsRecoversWindows(t *testing.T) {
 	ev, d := getShared(t)
-	windows, err := DetectEvents(ev, d, 0.25, 3)
+	windows, err := New(ev, d).DetectEvents(0.25, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDetectEventsParamValidation(t *testing.T) {
 		drop float64
 		min  int
 	}{{0, 3}, {1, 3}, {0.5, 0}} {
-		if _, err := DetectEvents(ev, d, tt.drop, tt.min); err == nil {
+		if _, err := New(ev, d).DetectEvents(tt.drop, tt.min); err == nil {
 			t.Errorf("drop=%v min=%d accepted", tt.drop, tt.min)
 		}
 	}

@@ -19,19 +19,6 @@
 // (Figure9, Figure15, Table3, LetterFlips, UserImpact) read the evaluator
 // directly.
 //
-// # Migration from the free functions
-//
-// Before the Analyzer, every computation was a free function threading the
-// same (ev, d) pair: Figure3(ev, d), Table2(ev, d), SiteCorrelation(ev, d),
-// and so on. Those functions survive in deprecated.go as thin wrappers over
-// the Analyzer methods — same names, same arguments, same results — and
-// will be removed one release after the redesign. To migrate, build the
-// Analyzer once and drop the leading (ev, d) arguments from each call:
-//
-//	analysis.Figure10(ev, d, 'K', codes, 1)  ->  a.Figure10('K', codes, 1)
-//	analysis.Table3(ev, 0)                   ->  a.Table3(0)
-//	analysis.UserImpact(ev, cfg)             ->  a.UserImpact(cfg)
-//
 // PolicyAblation and MatchesKnownEvents remain free functions: the former
 // runs whole simulations from a config (there is no single ev/d pair), and
 // the latter scores already-computed windows against a schedule.

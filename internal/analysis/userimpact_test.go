@@ -12,7 +12,7 @@ func TestUserImpactEndUsersShielded(t *testing.T) {
 	cfg := DefaultUserImpactConfig(3)
 	cfg.Resolvers = 60
 	cfg.QueriesPerBin = 6
-	res, err := UserImpact(ev, cfg)
+	res, err := New(ev, nil).UserImpact(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestUserImpactConfigValidation(t *testing.T) {
 		{Resolvers: 1, QueriesPerBin: 1, Domains: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := UserImpact(ev, cfg); err == nil {
+		if _, err := New(ev, nil).UserImpact(cfg); err == nil {
 			t.Errorf("config %d should fail", i)
 		}
 	}
@@ -76,7 +76,7 @@ func TestUserImpactStrategies(t *testing.T) {
 		cfg.Resolvers = 20
 		cfg.QueriesPerBin = 3
 		cfg.Strategy = strat
-		res, err := UserImpact(ev, cfg)
+		res, err := New(ev, nil).UserImpact(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

@@ -7,7 +7,7 @@ import (
 func TestValidateCatchments(t *testing.T) {
 	ev, d := getShared(t)
 	// A quiet bin well before event 1.
-	res, err := ValidateCatchments(ev, d, 'K', 20)
+	res, err := New(ev, d).ValidateCatchments('K', 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func TestValidateCatchments(t *testing.T) {
 	if hijacked > 0 && res.HijackedCaught == 0 {
 		t.Error("no hijacked VPs caught by cleaning")
 	}
-	if _, err := ValidateCatchments(ev, d, 'Z', 20); err == nil {
+	if _, err := New(ev, d).ValidateCatchments('Z', 20); err == nil {
 		t.Error("unknown letter accepted")
 	}
-	if _, err := ValidateCatchments(ev, d, 'K', -1); err == nil {
+	if _, err := New(ev, d).ValidateCatchments('K', -1); err == nil {
 		t.Error("bad bin accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestValidationEmptyResult(t *testing.T) {
 
 func TestCatchmentOptimality(t *testing.T) {
 	ev, d := getShared(t)
-	res, err := CatchmentOptimality(ev, d, 'K', 200)
+	res, err := New(ev, d).CatchmentOptimality('K', 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCatchmentOptimality(t *testing.T) {
 	if res.WorstInflation < res.P90Inflation {
 		t.Errorf("worst %v below p90 %v", res.WorstInflation, res.P90Inflation)
 	}
-	if _, err := CatchmentOptimality(ev, d, 'Z', 200); err == nil {
+	if _, err := New(ev, d).CatchmentOptimality('Z', 200); err == nil {
 		t.Error("unknown letter accepted")
 	}
 }

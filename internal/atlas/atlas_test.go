@@ -108,21 +108,21 @@ func TestRunBinsAndPrecedence(t *testing.T) {
 		Minutes: 40, BinMinutes: 10, IntervalMin: 4, AIntervalMin: 30,
 	}
 	d := Run(p, w, cfg)
-	obs, ok := d.At('K', 0, 0)
+	obs, ok := binAt(d, 'K', 0, 0)
 	if !ok || obs.Status != OK || obs.Site != 1 || obs.RTTms != 30 {
 		t.Errorf("bin 0 = %+v, %v; want OK site 1", obs, ok)
 	}
 	// Bin 1 covers minutes 10-19: probes at 12 (err), 16 (ok).
-	obs1, _ := d.At('K', 0, 1)
+	obs1, _ := binAt(d, 'K', 0, 1)
 	if obs1.Status != OK {
 		t.Errorf("bin 1 = %+v, want OK (12->err, 16->timeout? check schedule)", obs1)
 	}
 	// Raw probes retained.
-	raw, ok := d.RawAt('K', 0, 0)
+	raw, ok := rawAt(d, 'K', 0, 0)
 	if !ok || raw.Status != OK || raw.Server != 2 {
 		t.Errorf("raw 0 = %+v, %v", raw, ok)
 	}
-	raw1, _ := d.RawAt('K', 0, 1)
+	raw1, _ := rawAt(d, 'K', 0, 1)
 	if raw1.Status != Timeout {
 		t.Errorf("raw 1 = %+v, want timeout", raw1)
 	}
@@ -163,16 +163,16 @@ func TestRunCleansFirmwareAndHijacks(t *testing.T) {
 		t.Error("VP11 should be kept (slow interception evades the heuristic, as in the paper)")
 	}
 	// But VP11's observations carry no site mapping.
-	obs, ok := d.At('K', 11, 0)
+	obs, ok := binAt(d, 'K', 11, 0)
 	if !ok || obs.Site != NoSite {
 		t.Errorf("VP11 bin = %+v, want no site", obs)
 	}
 	if got := d.NumExcluded(); got != 2 {
 		t.Errorf("NumExcluded = %d, want 2", got)
 	}
-	// Excluded VPs are invisible through At.
-	if _, ok := d.At('K', 3, 0); ok {
-		t.Error("excluded VP visible through At")
+	// Excluded VPs are invisible through the cursors.
+	if _, ok := binAt(d, 'K', 3, 0); ok {
+		t.Error("excluded VP visible through Rows")
 	}
 }
 
@@ -219,7 +219,7 @@ func TestTimeoutEnforcedAtProbeLayer(t *testing.T) {
 	}}
 	cfg := ScheduleConfig{Letters: []byte("K"), Minutes: 10, BinMinutes: 10, IntervalMin: 4}
 	d := Run(p, w, cfg)
-	obs, _ := d.At('K', 0, 0)
+	obs, _ := binAt(d, 'K', 0, 0)
 	if obs.Status != Timeout {
 		t.Errorf("slow reply status = %v, want Timeout", obs.Status)
 	}
@@ -295,16 +295,24 @@ func TestSeriesAccessors(t *testing.T) {
 
 func TestDatasetBounds(t *testing.T) {
 	d := NewDataset([]byte("K"), []byte("K"), 3, 0, 10, 6, 4)
-	if _, ok := d.At('K', 0, -1); ok {
+	rows, err := d.Rows('K')
+	if err != nil || !rows.Next() || len(rows.Status()) != d.Bins || len(rows.Site()) != d.Bins || len(rows.RTT()) != d.Bins {
+		t.Fatalf("binned row is not %d bins long (err %v)", d.Bins, err)
+	}
+	raw, err := d.RawRows('K')
+	if err != nil || !raw.Next() || len(raw.Status()) != d.RawBins || len(raw.RTT()) != d.RawBins {
+		t.Fatalf("raw row is not %d raw bins long (err %v)", d.RawBins, err)
+	}
+	if _, ok := binAt(d, 'K', 0, -1); ok {
 		t.Error("negative bin accepted")
 	}
-	if _, ok := d.At('K', 0, 6); ok {
+	if _, ok := binAt(d, 'K', 0, 6); ok {
 		t.Error("overflow bin accepted")
 	}
-	if _, ok := d.RawAt('K', 0, 15); ok {
+	if _, ok := rawAt(d, 'K', 0, 15); ok {
 		t.Error("overflow raw bin accepted")
 	}
-	if _, ok := d.RawAt('E', 0, 0); ok {
+	if _, ok := rawAt(d, 'E', 0, 0); ok {
 		t.Error("raw access for unretained letter accepted")
 	}
 	if d.HasLetter('E') || !d.HasLetter('K') {
@@ -313,17 +321,83 @@ func TestDatasetBounds(t *testing.T) {
 	if d.HasRaw('E') || !d.HasRaw('K') {
 		t.Error("HasRaw wrong")
 	}
-	count := 0
-	d.EachVP(func(vp VPID) { count++ })
-	if count != 3 {
-		t.Errorf("EachVP visited %d", count)
+	if n := visibleVPs(t, d); n != 3 {
+		t.Errorf("cursor visited %d VPs", n)
 	}
 	d.Exclude(1, "test")
-	count = 0
-	d.EachVP(func(vp VPID) { count++ })
-	if count != 2 {
-		t.Errorf("EachVP after exclude visited %d", count)
+	if n := visibleVPs(t, d); n != 2 {
+		t.Errorf("cursor after exclude visited %d VPs", n)
 	}
+	if _, ok := binAt(d, 'K', 1, 0); ok {
+		t.Error("excluded VP visible through Rows")
+	}
+	if _, ok := rawAt(d, 'K', 1, 0); ok {
+		t.Error("excluded VP visible through RawRows")
+	}
+}
+
+// cell is one dataset cell as the tests read it through the cursors;
+// Server is 0 for binned cells.
+type cell struct {
+	Site   int16
+	Server int8
+	Status Status
+	RTTms  uint16
+}
+
+// binAt reads the binned cell (letter, vp, bin) through the Rows cursor. ok
+// is false when the letter is untracked, the cursor never visits vp (it is
+// excluded), or bin lies outside the VP's row.
+func binAt(d *Dataset, letter byte, vp VPID, bin int) (cell, bool) {
+	rows, err := d.Rows(letter)
+	if err != nil {
+		return cell{}, false
+	}
+	for rows.Next() {
+		if rows.VP() == vp && bin >= 0 && bin < len(rows.Status()) {
+			return cell{Site: rows.Site()[bin], Status: rows.Status()[bin], RTTms: rows.RTT()[bin]}, true
+		}
+	}
+	return cell{}, false
+}
+
+// rawAt is binAt over the RawRows cursor.
+func rawAt(d *Dataset, letter byte, vp VPID, rb int) (cell, bool) {
+	rows, err := d.RawRows(letter)
+	if err != nil {
+		return cell{}, false
+	}
+	for rows.Next() {
+		if rows.VP() == vp && rb >= 0 && rb < len(rows.Status()) {
+			return cell{Site: rows.Site(rb), Server: rows.Server(rb), Status: rows.Status()[rb], RTTms: rows.RTT()[rb]}, true
+		}
+	}
+	return cell{}, false
+}
+
+// visibleVPs counts the VPs the binned and raw cursors of letter K visit,
+// failing if the two disagree.
+func visibleVPs(t *testing.T, d *Dataset) int {
+	t.Helper()
+	rows, err := d.Rows('K')
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := d.RawRows('K')
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		if !raw.Next() || raw.VP() != rows.VP() {
+			t.Fatalf("RawRows and Rows disagree at VP %d", rows.VP())
+		}
+		n++
+	}
+	if raw.Next() {
+		t.Fatalf("RawRows visits VP %d past the end of Rows", raw.VP())
+	}
+	return n
 }
 
 func TestStatusString(t *testing.T) {
@@ -365,11 +439,11 @@ func TestRTTOverflowRecorded(t *testing.T) {
 	}
 	// So slow a success is a Timeout by the time it is recorded: the binned
 	// cell carries no RTT, the raw cell the sentinel.
-	obs, ok := d.At('K', 0, 0)
+	obs, ok := binAt(d, 'K', 0, 0)
 	if !ok || obs.Status != Timeout || obs.RTTms != 0 {
 		t.Errorf("binned cell = %+v (ok=%v), want a Timeout without RTT", obs, ok)
 	}
-	raw, ok := d.RawAt('K', 0, 0)
+	raw, ok := rawAt(d, 'K', 0, 0)
 	if !ok || raw.Status != Timeout || raw.RTTms != RTTOverflowMs {
 		t.Errorf("raw cell = %+v (ok=%v), want a Timeout with sentinel %d", raw, ok, uint16(RTTOverflowMs))
 	}

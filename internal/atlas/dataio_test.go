@@ -64,33 +64,53 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	if !got.Excluded[2] || got.ExcludedReason[2] != "firmware" {
 		t.Error("exclusion lost")
 	}
-	// Every binned cell identical.
+	// Every binned cell identical, over the same non-excluded VPs.
 	for _, letter := range d.Letters {
-		for vp := 0; vp < d.NumVPs; vp++ {
-			if d.Excluded[vp] {
-				continue
+		a, err := d.Rows(letter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.Rows(letter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a.Next() {
+			if !b.Next() || a.VP() != b.VP() {
+				t.Fatalf("letter %c: loaded dataset diverges at VP %d", letter, a.VP())
 			}
-			for b := 0; b < d.Bins; b++ {
-				a, _ := d.At(letter, VPID(vp), b)
-				bb, _ := got.At(letter, VPID(vp), b)
-				if a != bb {
-					t.Fatalf("cell %c/%d/%d: %+v vs %+v", letter, vp, b, a, bb)
+			for bin := range a.Status() {
+				if a.Status()[bin] != b.Status()[bin] || a.Site()[bin] != b.Site()[bin] || a.RTT()[bin] != b.RTT()[bin] {
+					t.Fatalf("cell %c/%d/%d: %v/%d/%d vs %v/%d/%d", letter, a.VP(), bin,
+						a.Status()[bin], a.Site()[bin], a.RTT()[bin], b.Status()[bin], b.Site()[bin], b.RTT()[bin])
 				}
 			}
 		}
+		if b.Next() {
+			t.Fatalf("letter %c: loaded dataset has extra VP %d", letter, b.VP())
+		}
 	}
 	// Raw cells for K.
-	for vp := 0; vp < d.NumVPs; vp++ {
-		if d.Excluded[vp] {
-			continue
+	a, err := d.RawRows('K')
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := got.RawRows('K')
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a.Next() {
+		if !b.Next() || a.VP() != b.VP() {
+			t.Fatalf("raw: loaded dataset diverges at VP %d", a.VP())
 		}
-		for rb := 0; rb < d.RawBins; rb++ {
-			a, okA := d.RawAt('K', VPID(vp), rb)
-			b, okB := got.RawAt('K', VPID(vp), rb)
-			if okA != okB || a != b {
-				t.Fatalf("raw cell %d/%d: %+v vs %+v", vp, rb, a, b)
+		for rb := range a.Status() {
+			if a.Status()[rb] != b.Status()[rb] || a.Site(rb) != b.Site(rb) || a.Server(rb) != b.Server(rb) || a.RTT()[rb] != b.RTT()[rb] {
+				t.Fatalf("raw cell %d/%d: %v/%d/%d/%d vs %v/%d/%d/%d", a.VP(), rb,
+					a.Status()[rb], a.Site(rb), a.Server(rb), a.RTT()[rb], b.Status()[rb], b.Site(rb), b.Server(rb), b.RTT()[rb])
 			}
 		}
+	}
+	if b.Next() {
+		t.Fatalf("raw: loaded dataset has extra VP %d", b.VP())
 	}
 	// Derived series agree.
 	s1, err := d.SuccessSeries('K')

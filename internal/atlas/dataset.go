@@ -50,23 +50,6 @@ const NoSite = -1
 // back pathological raw RTTs.
 const RTTOverflowMs = 65535
 
-// BinObs is the resolved observation of one VP for one letter in one
-// ten-minute bin.
-type BinObs struct {
-	Site   int16 // index into the letter's site list, or NoSite
-	Status Status
-	RTTms  uint16 // mean RTT of successful probes in the bin; 0 if none
-}
-
-// RawObs is a single probe result, kept only for letters configured for
-// raw retention (needed by the per-server and per-VP-raster analyses).
-type RawObs struct {
-	Site   int16
-	Server int8 // 1-based server index, 0 unknown
-	Status Status
-	RTTms  uint16
-}
-
 // SiteServer is one interned (site, server) identity pair from the raw
 // columns. Seal assigns dense IDs by ascending (Site, Server) order, so the
 // table is a pure function of the recorded cells — independent of worker
@@ -460,51 +443,6 @@ func (d *Dataset) NumExcluded() int {
 		}
 	}
 	return n
-}
-
-// At returns the binned observation for (letter, vp, bin). The second
-// return is false for excluded VPs or unknown letters.
-//
-// Deprecated: At assembles a BinObs struct per call; scanning code should
-// use the allocation-free Rows cursor instead. Kept one release for
-// migration; repolint's deprecatedatlas rule flags new non-test uses
-// outside internal/atlas.
-func (d *Dataset) At(letter byte, vp VPID, bin int) (BinObs, bool) {
-	li, ok := d.letterIdx[letter]
-	if !ok || d.Excluded[vp] || bin < 0 || bin >= d.Bins {
-		return BinObs{Site: NoSite}, false
-	}
-	i := int(vp)*d.Bins + bin
-	return BinObs{Site: d.binSite[li][i], Status: d.binStatus[li][i], RTTms: d.binRTT[li][i]}, true
-}
-
-// RawAt returns the raw observation for (letter, vp, rawBin).
-//
-// Deprecated: RawAt assembles a RawObs struct per call; scanning code
-// should use the allocation-free RawRows cursor instead. Kept one release
-// for migration; repolint's deprecatedatlas rule flags new non-test uses
-// outside internal/atlas.
-func (d *Dataset) RawAt(letter byte, vp VPID, rawBin int) (RawObs, bool) {
-	rc, ok := d.raw[letter]
-	if !ok || d.Excluded[vp] || rawBin < 0 || rawBin >= d.RawBins {
-		return RawObs{Site: NoSite}, false
-	}
-	i := int(vp)*d.RawBins + rawBin
-	site, server := rc.at(d.ssTable, i)
-	return RawObs{Site: site, Server: server, Status: rc.status[i], RTTms: rc.rtt[i]}, true
-}
-
-// EachVP calls fn for every non-excluded VP ID.
-//
-// Deprecated: use the Rows/RawRows cursors, which pair the VP walk with
-// direct column views. Kept one release for migration; repolint's
-// deprecatedatlas rule flags new non-test uses outside internal/atlas.
-func (d *Dataset) EachVP(fn func(vp VPID)) {
-	for i := 0; i < d.NumVPs; i++ {
-		if !d.Excluded[i] {
-			fn(VPID(i))
-		}
-	}
 }
 
 // SuccessSeries returns, for one letter, the number of VPs with a

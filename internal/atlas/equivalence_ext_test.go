@@ -2,6 +2,7 @@ package atlas_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -100,10 +101,10 @@ func TestColumnarMatchesRowStore(t *testing.T) {
 	}
 }
 
-// TestRowsCursorMatchesAt checks that the cursor views agree cell-for-cell
-// with the (deprecated) At/RawAt accessors and enumerate exactly the
-// non-excluded VPs.
-func TestRowsCursorMatchesAt(t *testing.T) {
+// TestRowsCursorMatchesRowStore checks the cursor views cell-for-cell
+// against the seed's row store, read back out of its own ATLDS001 stream,
+// and that they enumerate exactly the VPs the row store did not exclude.
+func TestRowsCursorMatchesRowStore(t *testing.T) {
 	g := extTestGraph(t)
 	p := extPopulation(t, g, 40)
 	for i := range p.VPs {
@@ -116,7 +117,18 @@ func TestRowsCursorMatchesAt(t *testing.T) {
 		Minutes: 80, BinMinutes: 10, IntervalMin: 4,
 	}
 	d := atlas.Run(p, atlastest.ScriptedWorld(), cfg)
+	ref := atlastest.RunCampaign(p, atlastest.ScriptedWorld(), cfg)
+	binned, raw := rowStoreCells(t, ref)
 
+	var want []atlas.VPID
+	for vp := 0; vp < d.NumVPs; vp++ {
+		if !ref.Excluded(atlas.VPID(vp)) {
+			want = append(want, atlas.VPID(vp))
+		}
+	}
+	if len(want) == d.NumVPs {
+		t.Fatal("fixture defect: expected firmware-excluded VPs")
+	}
 	for _, l := range cfg.Letters {
 		rows, err := d.Rows(l)
 		if err != nil {
@@ -126,49 +138,44 @@ func TestRowsCursorMatchesAt(t *testing.T) {
 		for rows.Next() {
 			vp := rows.VP()
 			seen = append(seen, vp)
+			if len(rows.Status()) != d.Bins {
+				t.Fatalf("row (%c, %d) has %d bins, want %d", l, vp, len(rows.Status()), d.Bins)
+			}
 			for b := 0; b < d.Bins; b++ {
-				obs, ok := d.At(l, vp, b)
-				if !ok {
-					t.Fatalf("At(%c, %d, %d) not ok for cursor-visible VP", l, vp, b)
-				}
-				if rows.Status()[b] != obs.Status || rows.Site()[b] != obs.Site || rows.RTT()[b] != obs.RTTms {
-					t.Fatalf("cursor cell (%c, %d, %d) = %v/%d/%d, At = %+v",
-						l, vp, b, rows.Status()[b], rows.Site()[b], rows.RTT()[b], obs)
+				got := rowCell{Site: rows.Site()[b], Status: rows.Status()[b], RTTms: rows.RTT()[b]}
+				if exp := binned[l][int(vp)*d.Bins+b]; got != exp {
+					t.Fatalf("cursor cell (%c, %d, %d) = %+v, row store %+v", l, vp, b, got, exp)
 				}
 			}
 		}
-		var want []atlas.VPID
-		d.EachVP(func(vp atlas.VPID) { want = append(want, vp) })
-		if len(seen) != len(want) {
-			t.Fatalf("cursor saw %d VPs, EachVP saw %d", len(seen), len(want))
-		}
-		for i := range seen {
-			if seen[i] != want[i] {
-				t.Fatalf("cursor VP order diverges at %d: %d vs %d", i, seen[i], want[i])
-			}
+		if fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Fatalf("letter %c: cursor visited %v, row store kept %v", l, seen, want)
 		}
 	}
 
-	raw, err := d.RawRows('K')
+	rr, err := d.RawRows('K')
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d.SiteServers()) == 0 {
 		t.Fatal("campaign dataset should be sealed with a non-empty intern table")
 	}
-	for raw.Next() {
-		vp := raw.VP()
+	var seen []atlas.VPID
+	for rr.Next() {
+		vp := rr.VP()
+		seen = append(seen, vp)
+		if len(rr.Status()) != d.RawBins {
+			t.Fatalf("raw row %d has %d bins, want %d", vp, len(rr.Status()), d.RawBins)
+		}
 		for rb := 0; rb < d.RawBins; rb++ {
-			obs, ok := d.RawAt('K', vp, rb)
-			if !ok {
-				t.Fatalf("RawAt('K', %d, %d) not ok", vp, rb)
-			}
-			if raw.Status()[rb] != obs.Status || raw.Site(rb) != obs.Site ||
-				raw.Server(rb) != obs.Server || raw.RTT()[rb] != obs.RTTms {
-				t.Fatalf("raw cursor cell (%d, %d) = %v/%d/%d/%d, RawAt = %+v",
-					vp, rb, raw.Status()[rb], raw.Site(rb), raw.Server(rb), raw.RTT()[rb], obs)
+			got := rowCell{Site: rr.Site(rb), Server: rr.Server(rb), Status: rr.Status()[rb], RTTms: rr.RTT()[rb]}
+			if exp := raw['K'][int(vp)*d.RawBins+rb]; got != exp {
+				t.Fatalf("raw cursor cell (%d, %d) = %+v, row store %+v", vp, rb, got, exp)
 			}
 		}
+	}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("raw cursor visited %v, row store kept %v", seen, want)
 	}
 	if _, err := d.Rows('Z'); err == nil {
 		t.Error("Rows('Z') should fail for an untracked letter")
@@ -176,6 +183,59 @@ func TestRowsCursorMatchesAt(t *testing.T) {
 	if _, err := d.RawRows('E'); err == nil {
 		t.Error("RawRows('E') should fail without raw retention")
 	}
+}
+
+// rowCell is one cell of the row store; Server is 0 for binned cells.
+type rowCell struct {
+	Site   int16
+	Server int8
+	Status atlas.Status
+	RTTms  uint16
+}
+
+// rowStoreCells decodes the binned and raw cells, per letter in VP-major
+// order, from the row store's ATLDS001 stream: magic, eight u32 shape
+// fields, letters, raw letters, per-VP exclusion records, then 5-byte
+// binned cells and 6-byte raw cells.
+func rowStoreCells(t *testing.T, ref *atlastest.RowDataset) (binned, raw map[byte][]rowCell) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ref.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()[8:]
+	u32 := func() int {
+		v := int(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+		return v
+	}
+	_, _, bins, _, rawBins, numVPs, nLetters, nRaw := u32(), u32(), u32(), u32(), u32(), u32(), u32(), u32()
+	letters, rawLetters := b[:nLetters], b[nLetters:nLetters+nRaw]
+	b = b[nLetters+nRaw:]
+	for vp := 0; vp < numVPs; vp++ {
+		b = b[2+int(b[1]):]
+	}
+	binned, raw = make(map[byte][]rowCell), make(map[byte][]rowCell)
+	for _, l := range letters {
+		cells := make([]rowCell, numVPs*bins)
+		for i := range cells {
+			cells[i] = rowCell{Site: int16(binary.LittleEndian.Uint16(b)), Status: atlas.Status(b[2]), RTTms: binary.LittleEndian.Uint16(b[3:])}
+			b = b[5:]
+		}
+		binned[l] = cells
+	}
+	for _, l := range rawLetters {
+		cells := make([]rowCell, numVPs*rawBins)
+		for i := range cells {
+			cells[i] = rowCell{Site: int16(binary.LittleEndian.Uint16(b)), Server: int8(b[2]), Status: atlas.Status(b[3]), RTTms: binary.LittleEndian.Uint16(b[4:])}
+			b = b[6:]
+		}
+		raw[l] = cells
+	}
+	if len(b) != 0 {
+		t.Fatalf("%d bytes left over after the row store's cells", len(b))
+	}
+	return binned, raw
 }
 
 // TestArchiveMovesCellsInChunks holds the chunked Save and LoadDataset to

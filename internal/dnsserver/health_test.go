@@ -1,11 +1,14 @@
 package dnsserver
 
 import (
+	"errors"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/dnswire"
+	"github.com/rootevent/anycastddos/internal/udpbatch"
 )
 
 func TestStatsHelpers(t *testing.T) {
@@ -83,6 +86,89 @@ func TestSnapshotCountsIgnored(t *testing.T) {
 	}
 }
 
+var errSendRefused = errors.New("send refused")
+
+// refusingWriter is a batchWriter whose kernel refuses the reply addressed
+// to port refuse, stopping at it the way both WriteBatch implementations
+// stop at their first failing message.
+type refusingWriter struct {
+	refuse uint16
+	sent   []uint16
+}
+
+func (w *refusingWriter) WriteBatch(ms []udpbatch.Message) (int, error) {
+	for i := range ms {
+		if ms[i].Addr.Port() == w.refuse {
+			return i, errSendRefused
+		}
+		w.sent = append(w.sent, ms[i].Addr.Port())
+	}
+	return len(ms), nil
+}
+
+// TestSendBatchSkipsUnsendableReply fails message k of n for every k: the
+// other n-1 replies still go out in order, and the refused one is counted
+// as ignored so answered + ignored accounts for every reply.
+func TestSendBatchSkipsUnsendableReply(t *testing.T) {
+	const n = 6
+	tx := make([]udpbatch.Message, n)
+	for i := range tx {
+		tx[i].Addr = netip.AddrPortFrom(netip.MustParseAddr("10.0.0.1"), uint16(i))
+	}
+	for k := 0; k < n; k++ {
+		s := new(Server)
+		w := &refusingWriter{refuse: uint16(k)}
+		s.sendBatch(w, tx)
+		if len(w.sent) != n-1 {
+			t.Fatalf("k=%d: sent %v, want the other %d replies", k, w.sent, n-1)
+		}
+		for i, port := range w.sent {
+			want := uint16(i)
+			if i >= k {
+				want++
+			}
+			if port != want {
+				t.Fatalf("k=%d: sent %v, want every port but %d in order", k, w.sent, k)
+			}
+		}
+		st := s.Snapshot()
+		if st.Answered != n-1 || st.Ignored != 1 {
+			t.Fatalf("k=%d: answered %d ignored %d, want %d and 1", k, st.Answered, st.Ignored, n-1)
+		}
+	}
+}
+
+// TestTCPPeerGoneBeforeReply closes the client side right after its query
+// is read, so the server's reply write fails: the query must still resolve
+// (as ignored), leaving no phantom backlog for the site manager to read as
+// queue depth.
+func TestTCPPeerGoneBeforeReply(t *testing.T) {
+	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	srv, cli := net.Pipe()
+	s.wg.Add(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.handleTCPConn(srv)
+	}()
+	pkt := mustPack(t, dnswire.NewQuery(31, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS))
+	// net.Pipe is unbuffered: WriteTCP returns only once the server has
+	// read the whole query, so the reply is written to a closed peer.
+	if err := dnswire.WriteTCP(cli, pkt); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler did not return after its peer closed")
+	}
+	st := s.Snapshot()
+	if st.Received != 1 || st.Ignored != 1 || st.Answered != 0 || st.Backlog() != 0 {
+		t.Fatalf("unsendable reply booked as %+v, want one received, one ignored, no backlog", st)
+	}
+}
+
 func TestDrainTCPKeepsUDPServing(t *testing.T) {
 	s := startTCPServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
 
@@ -133,7 +219,7 @@ func TestDrainTCPKeepsUDPServing(t *testing.T) {
 	for {
 		again, err := net.Dial("tcp", s.Addr().String())
 		if err == nil {
-			resp, qerr := dnswire.ExchangeTCP(again, dnswire.NewQuery(9, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS))
+			resp, qerr := exchangeTCP(again, dnswire.NewQuery(9, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS))
 			again.Close()
 			if qerr == nil && len(resp.Answers) == 1 {
 				return

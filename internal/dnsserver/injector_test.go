@@ -2,20 +2,18 @@ package dnsserver
 
 import (
 	"bytes"
-	"net"
 	"net/netip"
 	"testing"
 
 	"github.com/rootevent/anycastddos/internal/dnswire"
 )
 
-// TestInjectorMatchesLegacy checks the in-process lane returns the same
-// wire replies as the legacy reference path and books the same stats a
-// reader worker would.
+// TestInjectorMatchesLegacy checks the in-process lane returns the
+// oracle's wire replies and books the same stats a reader worker would.
 func TestInjectorMatchesLegacy(t *testing.T) {
 	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
 	in := s.NewInjector()
-	src := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 9), Port: 5353}
+	o := &oracle{identity: s.Identity()}
 	srcAP := netip.MustParseAddrPort("10.0.0.9:5353")
 
 	queries := []*dnswire.Message{
@@ -25,26 +23,20 @@ func TestInjectorMatchesLegacy(t *testing.T) {
 	for _, m := range queries {
 		name := m.Questions[0].Name
 		pkt := mustPack(t, m)
-		legacyResp, ok := s.handle(pkt, src)
+		want, ok := o.reply(pkt, srcAP)
 		if !ok {
-			t.Fatalf("%s: legacy path refused", name)
-		}
-		want, err := legacyResp.Encode(nil)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: oracle refused", name)
 		}
 		got, sent := in.Inject(pkt, srcAP)
 		if !sent {
 			t.Fatalf("%s: injector refused", name)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: reply bytes differ\nlegacy %x\ninject %x", name, want, got)
+			t.Fatalf("%s: reply bytes differ\noracle %x\ninject %x", name, want, got)
 		}
 	}
 
 	received, answered, _, _ := s.Stats()
-	// Only the injections book stats: handle is the parse/answer core, the
-	// serve loop (or an Injector) owns the counters.
 	if received != 2 || answered != 2 {
 		t.Fatalf("stats received=%d answered=%d, want 2 and 2", received, answered)
 	}

@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/rootevent/anycastddos/internal/chaos"
 	"github.com/rootevent/anycastddos/internal/dnswire"
 )
 
@@ -20,11 +18,13 @@ import (
 // request whose ID bytes are re-stamped per probe, one reply buffer, and
 // one decode scratch Message — so a wide sweep costs W sockets total and
 // the per-probe hot path allocates nothing until a reply actually parses.
+// Its prober is a lane-local copy of the sweep's: the same knobs and retry
+// loop, but its own seeded stream, so lanes draw IDs and jitter without
+// contending on the shared prober's mutex.
 type fanoutWorker struct {
 	p    *Prober
 	conn *net.UDPConn
-	rng  *rand.Rand // worker-local: ID draws and backoff jitter off the shared mutex
-	pkt  []byte     // packed hostname.bind query; ID stamped in place
+	pkt  []byte // packed hostname.bind query; ID stamped in place
 	buf  [4096]byte
 	q    dnswire.Message
 }
@@ -34,63 +34,33 @@ func newFanoutWorker(p *Prober, seed int64) (*fanoutWorker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: fanout socket: %w", err)
 	}
-	pkt, err := dnswire.NewQuery(0, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS).Pack()
+	pkt, err := probeQuery(0)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return &fanoutWorker{p: p, conn: conn, rng: rand.New(rand.NewSource(seed)), pkt: pkt}, nil
+	lane := &Prober{
+		Timeout:    p.Timeout,
+		Retries:    p.Retries,
+		Backoff:    p.Backoff,
+		MaxBackoff: p.MaxBackoff,
+		rng:        rand.New(rand.NewSource(seed)),
+	}
+	return &fanoutWorker{p: lane, conn: conn, pkt: pkt}, nil
 }
 
-// probe runs the full retry loop for one target over the worker's reused
-// socket, mirroring Prober.ProbeContext minus the TCP fallback (a catchment
-// sweep only tallies sites, and a slipped TC reply carries no identity).
+// probe runs the shared retry loop for one target over the worker's reused
+// socket — ProbeContext minus the TCP fallback (a catchment sweep only
+// tallies sites, and a slipped TC reply carries no identity).
 func (w *fanoutWorker) probe(ctx context.Context, addr netip.AddrPort, letter byte) (ProbeResult, error) {
-	var lastErr error
-	for attempt := 0; attempt <= w.p.Retries; attempt++ {
-		if attempt > 0 {
-			if err := w.p.sleep(ctx, w.backoffDelay(attempt-1)); err != nil {
-				return ProbeResult{}, err
-			}
-		}
-		res, err := w.probeOnce(ctx, addr, letter)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrTimeout) {
-			break
-		}
-	}
-	return ProbeResult{}, lastErr
-}
-
-// backoffDelay is Prober.backoffDelay with the jitter drawn from the
-// worker-local stream, so parallel lanes never contend on the prober mutex.
-func (w *fanoutWorker) backoffDelay(retry int) time.Duration {
-	base := w.p.Backoff
-	if base <= 0 {
-		return 0
-	}
-	max := w.p.MaxBackoff
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < retry && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return time.Duration(float64(d) * (0.5 + 0.5*w.rng.Float64()))
+	return w.p.retry(ctx, func() (ProbeResult, error) { return w.probeOnce(ctx, addr, letter) })
 }
 
 func (w *fanoutWorker) probeOnce(ctx context.Context, addr netip.AddrPort, letter byte) (ProbeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return ProbeResult{}, fmt.Errorf("dnsserver: probe canceled: %w", err)
 	}
-	id := uint16(w.rng.Intn(1 << 16))
+	id := w.p.queryID()
 	w.pkt[0], w.pkt[1] = byte(id>>8), byte(id)
 	start := time.Now()
 	if _, err := w.conn.WriteToUDPAddrPort(w.pkt, addr); err != nil {
@@ -112,26 +82,10 @@ func (w *fanoutWorker) probeOnce(ctx context.Context, addr netip.AddrPort, lette
 		if from.Addr().Unmap() != addr.Addr().Unmap() || from.Port() != addr.Port() {
 			continue
 		}
-		if derr := dnswire.DecodeInto(w.buf[:n], &w.q); derr != nil || !w.q.Header.Response || w.q.Header.ID != id {
+		if !isReply(w.buf[:n], &w.q, id) {
 			continue // not our reply; keep reading until deadline
 		}
-		res := ProbeResult{RTT: rtt, RCode: w.q.Header.RCode, Truncated: w.q.Header.Truncated}
-		for _, rr := range w.q.Answers {
-			if rr.Type != dnswire.TypeTXT {
-				continue
-			}
-			strs, terr := rr.TXT()
-			if terr != nil || len(strs) == 0 {
-				return res, ErrBadReply
-			}
-			res.RawTXT = strs[0]
-			if ident, perr := chaos.Parse(letter, strs[0]); perr == nil {
-				res.Identity = ident
-				res.Matched = true
-			}
-			break
-		}
-		return res, nil
+		return parseReply(&w.q, letter, rtt)
 	}
 }
 

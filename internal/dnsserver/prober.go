@@ -15,7 +15,10 @@ import (
 
 // Prober issues measurement queries the way an Atlas VP does: one UDP CHAOS
 // TXT query per probe, a per-attempt deadline, capped exponential backoff
-// between retries, and identity parsing of the reply.
+// between retries, and identity parsing of the reply. UDP probes, TCP
+// probes and the lanes of a parallel sweep differ only in transport; they
+// share one retry loop (retry), one backoff (backoffDelay) and one reply
+// parser (parseReply).
 type Prober struct {
 	// Timeout per probe attempt (Atlas uses 5 s). A context deadline
 	// shorter than this wins.
@@ -85,20 +88,38 @@ func (p *Prober) Probe(addr *net.UDPAddr, letter byte) (ProbeResult, error) {
 // ctx.Err(). Each attempt still gets its own Timeout deadline, so a hung
 // server cannot stall a probe past min(Timeout, context deadline).
 func (p *Prober) ProbeContext(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
+	res, err := p.retry(ctx, func() (ProbeResult, error) { return p.probeUDP(ctx, addr, letter) })
+	if err == nil && res.Truncated && p.FallbackTCP {
+		if tcpRes, tcpErr := p.ProbeTCPContext(ctx, addr, letter); tcpErr == nil {
+			return tcpRes, nil
+		}
+	}
+	return res, err
+}
+
+// ProbeTCP performs the identity query over DNS-over-TCP.
+func (p *Prober) ProbeTCP(addr *net.UDPAddr, letter byte) (ProbeResult, error) {
+	return p.ProbeTCPContext(context.Background(), addr, letter)
+}
+
+// ProbeTCPContext is ProbeTCP under a context, retried like ProbeContext.
+func (p *Prober) ProbeTCPContext(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
+	return p.retry(ctx, func() (ProbeResult, error) { return p.probeTCP(ctx, addr, letter) })
+}
+
+// retry is the one retry loop behind every probe path: it runs attempt
+// until it succeeds, fails with anything but a timeout, or exhausts
+// Retries, sleeping a jittered backoff between attempts.
+func (p *Prober) retry(ctx context.Context, attempt func() (ProbeResult, error)) (ProbeResult, error) {
 	var lastErr error
-	for attempt := 0; attempt <= p.Retries; attempt++ {
-		if attempt > 0 {
-			if err := p.sleep(ctx, p.backoffDelay(attempt-1)); err != nil {
+	for n := 0; n <= p.Retries; n++ {
+		if n > 0 {
+			if err := p.sleep(ctx, p.backoffDelay(n-1)); err != nil {
 				return ProbeResult{}, err
 			}
 		}
-		res, err := p.probeOnce(ctx, addr, letter)
+		res, err := attempt()
 		if err == nil {
-			if res.Truncated && p.FallbackTCP {
-				if tcpRes, tcpErr := p.ProbeTCPContext(ctx, addr, letter); tcpErr == nil {
-					return tcpRes, nil
-				}
-			}
 			return res, nil
 		}
 		lastErr = err
@@ -132,6 +153,13 @@ func (p *Prober) backoffDelay(retry int) time.Duration {
 	jitter := 0.5 + 0.5*p.rng.Float64()
 	p.mu.Unlock()
 	return time.Duration(float64(d) * jitter)
+}
+
+// queryID draws the next query ID from the prober's seeded stream.
+func (p *Prober) queryID() uint16 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return uint16(p.rng.Intn(1 << 16))
 }
 
 // sleep waits for d, or returns early (wrapping ctx.Err) on cancellation.
@@ -180,13 +208,91 @@ func finishErr(ctx context.Context, err error) error {
 	return err
 }
 
-// ProbeTCP performs the identity query over DNS-over-TCP.
-func (p *Prober) ProbeTCP(addr *net.UDPAddr, letter byte) (ProbeResult, error) {
-	return p.ProbeTCPContext(context.Background(), addr, letter)
+// probeQuery packs the hostname.bind CHAOS TXT query every probe sends.
+func probeQuery(id uint16) ([]byte, error) {
+	return dnswire.NewQuery(id, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS).Pack()
 }
 
-// ProbeTCPContext is ProbeTCP under a context.
-func (p *Prober) ProbeTCPContext(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
+// messages recycles decode scratch across probes and TCP connections. Each
+// decodes into one Message for its whole life, so a fresh Message per probe
+// would allocate its scratch again every time.
+var messages = sync.Pool{New: func() any { return new(dnswire.Message) }}
+
+// isReply decodes pkt into m and reports whether it is the response to
+// query id.
+func isReply(pkt []byte, m *dnswire.Message, id uint16) bool {
+	return dnswire.DecodeInto(pkt, m) == nil && m.Header.Response && m.Header.ID == id
+}
+
+// parseReply is the one reply parser behind every probe path: the first
+// TXT answer is the identity string, parsed against the probed letter's
+// naming pattern.
+func parseReply(m *dnswire.Message, letter byte, rtt time.Duration) (ProbeResult, error) {
+	res := ProbeResult{RTT: rtt, RCode: m.Header.RCode, Truncated: m.Header.Truncated}
+	for _, rr := range m.Answers {
+		if rr.Type != dnswire.TypeTXT {
+			continue
+		}
+		strs, err := rr.TXT()
+		if err != nil || len(strs) == 0 {
+			return res, ErrBadReply
+		}
+		res.RawTXT = strs[0]
+		if ident, perr := chaos.Parse(letter, strs[0]); perr == nil {
+			res.Identity = ident
+			res.Matched = true
+		}
+		break
+	}
+	return res, nil
+}
+
+// probeUDP is one UDP attempt over a connected per-probe socket, so an
+// ICMP port-unreachable ends the attempt at the next read instead of
+// running to the deadline.
+func (p *Prober) probeUDP(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
+	if err := ctx.Err(); err != nil {
+		return ProbeResult{}, fmt.Errorf("dnsserver: probe canceled: %w", err)
+	}
+	conn, err := net.DialUDP("udp", nil, addr)
+	if err != nil {
+		return ProbeResult{}, fmt.Errorf("dnsserver: dial: %w", err)
+	}
+	defer conn.Close()
+	// Cancellation must wake a read blocked inside the attempt window.
+	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(aLongTimeAgo) })
+	defer stop()
+
+	id := p.queryID()
+	pkt, err := probeQuery(id)
+	if err != nil {
+		return ProbeResult{}, err
+	}
+	start := time.Now()
+	if _, err := conn.Write(pkt); err != nil {
+		return ProbeResult{}, fmt.Errorf("dnsserver: send: %w", err)
+	}
+	if err := conn.SetReadDeadline(p.attemptDeadline(ctx, start)); err != nil {
+		return ProbeResult{}, err
+	}
+	buf := make([]byte, 4096)
+	m := messages.Get().(*dnswire.Message)
+	defer messages.Put(m)
+	for {
+		n, err := conn.Read(buf)
+		if err != nil {
+			return ProbeResult{}, finishErr(ctx, err)
+		}
+		rtt := time.Since(start)
+		if !isReply(buf[:n], m, id) {
+			continue // not our reply; keep reading until deadline
+		}
+		return parseReply(m, letter, rtt)
+	}
+}
+
+// probeTCP is one attempt over a fresh DNS-over-TCP connection.
+func (p *Prober) probeTCP(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
 	d := net.Dialer{Timeout: p.Timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr.String())
 	if err != nil {
@@ -202,93 +308,28 @@ func (p *Prober) ProbeTCPContext(ctx context.Context, addr *net.UDPAddr, letter 
 	}
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(aLongTimeAgo) })
 	defer stop()
-	p.mu.Lock()
-	id := uint16(p.rng.Intn(1 << 16))
-	p.mu.Unlock()
-	resp, err := dnswire.ExchangeTCP(conn, dnswire.NewQuery(id, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS))
+
+	id := p.queryID()
+	pkt, err := probeQuery(id)
+	if err != nil {
+		return ProbeResult{}, err
+	}
+	if err := dnswire.WriteTCP(conn, pkt); err != nil {
+		return ProbeResult{}, finishErr(ctx, err)
+	}
+	raw, err := dnswire.ReadTCP(conn, nil)
 	if err != nil {
 		return ProbeResult{}, finishErr(ctx, err)
 	}
-	res := ProbeResult{RTT: time.Since(start), RCode: resp.Header.RCode, ViaTCP: true}
-	for _, rr := range resp.Answers {
-		if rr.Type != dnswire.TypeTXT {
-			continue
-		}
-		strs, terr := rr.TXT()
-		if terr != nil || len(strs) == 0 {
-			return res, ErrBadReply
-		}
-		res.RawTXT = strs[0]
-		if ident, perr := chaos.Parse(letter, strs[0]); perr == nil {
-			res.Identity = ident
-			res.Matched = true
-		}
-		break
+	rtt := time.Since(start)
+	m := messages.Get().(*dnswire.Message)
+	defer messages.Put(m)
+	if !isReply(raw, m, id) {
+		return ProbeResult{}, ErrBadReply
 	}
-	return res, nil
-}
-
-func (p *Prober) probeOnce(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
-	if err := ctx.Err(); err != nil {
-		return ProbeResult{}, fmt.Errorf("dnsserver: probe canceled: %w", err)
-	}
-	conn, err := net.DialUDP("udp", nil, addr)
-	if err != nil {
-		return ProbeResult{}, fmt.Errorf("dnsserver: dial: %w", err)
-	}
-	defer conn.Close()
-	// Cancellation must wake a read blocked inside the attempt window.
-	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(aLongTimeAgo) })
-	defer stop()
-
-	p.mu.Lock()
-	id := uint16(p.rng.Intn(1 << 16))
-	p.mu.Unlock()
-
-	q := dnswire.NewQuery(id, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS)
-	pkt, err := q.Pack()
-	if err != nil {
-		return ProbeResult{}, err
-	}
-	start := time.Now()
-	if _, err := conn.Write(pkt); err != nil {
-		return ProbeResult{}, fmt.Errorf("dnsserver: send: %w", err)
-	}
-	if err := conn.SetReadDeadline(p.attemptDeadline(ctx, start)); err != nil {
-		return ProbeResult{}, err
-	}
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			return ProbeResult{}, finishErr(ctx, err)
-		}
-		rtt := time.Since(start)
-		resp, err := dnswire.Decode(buf[:n])
-		if err != nil || !resp.Header.Response {
-			continue // not our reply; keep reading until deadline
-		}
-		if resp.Header.ID != id {
-			continue
-		}
-		res := ProbeResult{RTT: rtt, RCode: resp.Header.RCode, Truncated: resp.Header.Truncated}
-		for _, rr := range resp.Answers {
-			if rr.Type != dnswire.TypeTXT {
-				continue
-			}
-			strs, err := rr.TXT()
-			if err != nil || len(strs) == 0 {
-				return res, ErrBadReply
-			}
-			res.RawTXT = strs[0]
-			if ident, perr := chaos.Parse(letter, strs[0]); perr == nil {
-				res.Identity = ident
-				res.Matched = true
-			}
-			return res, nil
-		}
-		return res, nil
-	}
+	res, err := parseReply(m, letter, rtt)
+	res.ViaTCP = true
+	return res, err
 }
 
 // MapCatchment probes every address in addrs once and tallies the sites

@@ -13,10 +13,11 @@
 // decode into per-worker scratch (dnswire.DecodeInto), answer by splicing
 // precomputed response tails (dnswire.AppendResponse), and send batched
 // replies — zero heap allocations per packet once warm, with all counters
-// atomic and RRL sharded so no lock sits on the per-packet path. The
-// responses are byte-identical to the legacy Decode/NewResponse/Encode
-// path, which remains in service for TCP (equivalence_test.go holds the
-// two paths together).
+// atomic and RRL sharded so no lock sits on the per-packet path. The TCP
+// side answers through the same reply function, minus RRL, with the same
+// per-connection scratch reuse. Every reply is byte-identical to the
+// reference built from dnswire's allocating Decode/NewResponse/Encode
+// (equivalence_test.go holds both transports to it).
 package dnsserver
 
 import (
@@ -96,7 +97,8 @@ type Server struct {
 
 	// ignored counts requests that produced no response for protocol
 	// reasons (malformed, response-bit set, multi-question, encode
-	// failure) so Stats snapshots can account for every received packet.
+	// failure) or whose reply the kernel refused to send, so Stats
+	// snapshots can account for every received packet.
 	ignored atomic.Uint64
 
 	// draining flips while the TCP side is gracefully shedding
@@ -108,7 +110,7 @@ type Server struct {
 	injectors atomic.Int64
 
 	// Precomputed response tails (sections after the question), carved
-	// from the legacy encoder's output at startup; see buildTails.
+	// from the allocating encoder's output at startup; see buildTails.
 	identityTail, primingTail, nxdomainTail []byte
 }
 
@@ -183,7 +185,8 @@ func workerSeed(seed int64, i int) int64 {
 }
 
 // buildTails precomputes the serving responses by encoding them once
-// through the legacy path and slicing off everything after the question.
+// through the allocating encoder and slicing off everything after the
+// question.
 // Each tail is position-independent by construction: record owner names are
 // either the root (one literal zero byte) or compressed pointers to the
 // question name, which AppendResponse always places at offset HeaderLen.
@@ -364,50 +367,55 @@ func (w *worker) run() {
 			w.tx[outN].Addr = w.rx[i].Addr
 			outN++
 		}
-		if outN > 0 {
-			sent, _ := w.bc.WriteBatch(w.tx[:outN])
-			s.answered.Add(uint64(sent))
-		}
+		s.sendBatch(w.bc, w.tx[:outN])
 	}
 }
 
-// respond parses one request and encodes the response into out, applying
-// RRL. It is the UDP fast path: scratch-reusing decode, verdict, and a
-// tail-splicing encode, with zero heap allocations once warm.
+// batchWriter is the send half of udpbatch.Conn.
+type batchWriter interface {
+	WriteBatch(ms []udpbatch.Message) (int, error)
+}
+
+// sendBatch hands tx to the kernel. WriteBatch stops at the first message
+// the kernel refuses, so sendBatch counts that reply as ignored and resumes
+// past it: every reply ends up counted once, as answered or ignored, and
+// Stats.Backlog cannot leak upward on a send error.
+func (s *Server) sendBatch(bw batchWriter, tx []udpbatch.Message) {
+	for len(tx) > 0 {
+		sent, err := bw.WriteBatch(tx)
+		s.answered.Add(uint64(sent))
+		if err == nil {
+			return
+		}
+		s.ignored.Add(1)
+		tx = tx[sent+1:]
+	}
+}
+
+// respond is the UDP per-packet step: decode, RRL verdict, and the reply
+// (or its truncated slip) encoded into out, with zero heap allocations once
+// warm.
 //
 //repolint:hot
 func (s *Server) respond(pkt []byte, src netip.AddrPort, q *dnswire.Message, out *udpbatch.Message) bool {
-	if err := dnswire.DecodeInto(pkt, q); err != nil || q.Header.Response || len(q.Questions) != 1 {
-		s.ignored.Add(1)
+	if !s.decodeQuery(pkt, q) {
 		return false
 	}
+	verdict := rrl.Send
 	if s.limiter != nil {
-		switch s.limiter.Check(rrlKey(src), time.Since(s.start).Milliseconds()) {
-		case rrl.Drop:
-			s.droppedRRL.Add(1)
-			return false
-		case rrl.Slip:
-			return s.encodeInto(out, q, dnswire.RCodeNoError, false, true, nil, 0, 0)
-		}
+		verdict = s.limiter.Check(rrlKey(src), time.Since(s.start).Milliseconds())
 	}
-	question := &q.Questions[0]
-	switch {
-	case question.Class == dnswire.ClassCHAOS && question.Type == dnswire.TypeTXT &&
-		(question.Name == "hostname.bind" || question.Name == "id.server"):
-		return s.encodeInto(out, q, dnswire.RCodeNoError, true, false, s.identityTail, 1, 0)
-	case question.Class == dnswire.ClassINET && question.Name == "" && question.Type == dnswire.TypeNS:
-		return s.encodeInto(out, q, dnswire.RCodeNoError, true, false, s.primingTail, 13, 0)
-	case question.Class == dnswire.ClassINET:
-		return s.encodeInto(out, q, dnswire.RCodeNXDomain, false, false, s.nxdomainTail, 0, 1)
+	var buf []byte
+	var err error
+	switch verdict {
+	case rrl.Drop:
+		s.droppedRRL.Add(1)
+		return false
+	case rrl.Slip:
+		buf, err = dnswire.AppendResponse(out.Buf[:0], q, dnswire.RCodeNoError, false, true, nil, 0, 0, 0)
+	default:
+		buf, err = s.reply(q, out.Buf)
 	}
-	return s.encodeInto(out, q, dnswire.RCodeRefused, false, false, nil, 0, 0)
-}
-
-// encodeInto writes one response into out's buffer.
-//
-//repolint:hot
-func (s *Server) encodeInto(out *udpbatch.Message, q *dnswire.Message, rcode dnswire.RCode, aa, tc bool, tail []byte, an, ns int) bool {
-	buf, err := dnswire.AppendResponse(out.Buf[:0], q, rcode, aa, tc, tail, an, ns, 0)
 	if err != nil {
 		s.ignored.Add(1)
 		return false
@@ -416,8 +424,59 @@ func (s *Server) encodeInto(out *udpbatch.Message, q *dnswire.Message, rcode dns
 	return true
 }
 
-// rrlKey derives the 32-bit RRL key from a source address, matching the
-// legacy path's IPv4 treatment (non-IPv4 sources share key 0).
+// tcpReply is the TCP per-message step: respond without the loss coin or
+// RRL (a completed handshake proves the source), returning the reply
+// encoded over out's storage.
+//
+//repolint:hot
+func (s *Server) tcpReply(pkt []byte, q *dnswire.Message, out []byte) ([]byte, bool) {
+	if !s.decodeQuery(pkt, q) {
+		return nil, false
+	}
+	buf, err := s.reply(q, out)
+	if err != nil {
+		s.ignored.Add(1)
+		return nil, false
+	}
+	return buf, true
+}
+
+// decodeQuery decodes pkt into q's scratch and reports whether it is a
+// single-question query; anything else is counted as ignored.
+//
+//repolint:hot
+func (s *Server) decodeQuery(pkt []byte, q *dnswire.Message) bool {
+	if err := dnswire.DecodeInto(pkt, q); err != nil || q.Header.Response || len(q.Questions) != 1 {
+		s.ignored.Add(1)
+		return false
+	}
+	return true
+}
+
+// reply answers an accepted query — the one answer path behind both
+// transports. It splices the precomputed tail for the query's verdict over
+// out's storage: identity TXT for CHAOS hostname.bind/id.server, the
+// priming NS set for the root NS query, a referral-shaped NXDOMAIN with
+// the root SOA for every other IN query (we host no TLDs), REFUSED for the
+// rest. It fails only for a question name the encoder rejects.
+//
+//repolint:hot
+func (s *Server) reply(q *dnswire.Message, out []byte) ([]byte, error) {
+	question := &q.Questions[0]
+	switch {
+	case question.Class == dnswire.ClassCHAOS && question.Type == dnswire.TypeTXT &&
+		(question.Name == "hostname.bind" || question.Name == "id.server"):
+		return dnswire.AppendResponse(out[:0], q, dnswire.RCodeNoError, true, false, s.identityTail, 1, 0, 0)
+	case question.Class == dnswire.ClassINET && question.Name == "" && question.Type == dnswire.TypeNS:
+		return dnswire.AppendResponse(out[:0], q, dnswire.RCodeNoError, true, false, s.primingTail, 13, 0, 0)
+	case question.Class == dnswire.ClassINET:
+		return dnswire.AppendResponse(out[:0], q, dnswire.RCodeNXDomain, false, false, s.nxdomainTail, 0, 1, 0)
+	}
+	return dnswire.AppendResponse(out[:0], q, dnswire.RCodeRefused, false, false, nil, 0, 0, 0)
+}
+
+// rrlKey derives the 32-bit RRL key from a source address (non-IPv4
+// sources share key 0).
 //
 //repolint:hot
 func rrlKey(src netip.AddrPort) uint32 {
@@ -427,83 +486,6 @@ func rrlKey(src netip.AddrPort) uint32 {
 		return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 	}
 	return 0
-}
-
-// handle parses one request and produces a response — the legacy
-// one-Message-per-packet path, kept as the reference implementation the
-// fast path is tested against (equivalence_test.go) and benchmarked
-// against (BenchmarkFloodPath).
-func (s *Server) handle(pkt []byte, src *net.UDPAddr) (*dnswire.Message, bool) {
-	q, err := dnswire.Decode(pkt)
-	if err != nil || q.Header.Response || len(q.Questions) != 1 {
-		s.ignored.Add(1)
-		return nil, false
-	}
-	if s.limiter != nil {
-		ip4 := src.IP.To4()
-		var key uint32
-		if ip4 != nil {
-			key = uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])
-		}
-		switch s.limiter.Check(key, time.Since(s.start).Milliseconds()) {
-		case rrl.Drop:
-			s.droppedRRL.Add(1)
-			return nil, false
-		case rrl.Slip:
-			resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-			resp.Header.Truncated = true
-			return resp, true
-		}
-	}
-	return s.answer(q)
-}
-
-// answer builds the response for an accepted query. Shared by the TCP path
-// and the legacy reference path; the UDP fast path splices the same bytes
-// from precomputed tails.
-func (s *Server) answer(q *dnswire.Message) (*dnswire.Message, bool) {
-	question := q.Questions[0]
-	switch {
-	case question.Class == dnswire.ClassCHAOS && question.Type == dnswire.TypeTXT &&
-		(question.Name == "hostname.bind" || question.Name == "id.server"):
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.Header.Authoritative = true
-		txt, err := dnswire.MakeTXT(question.Name, dnswire.ClassCHAOS, 0, s.identity)
-		if err != nil {
-			return nil, false
-		}
-		resp.Answers = append(resp.Answers, txt)
-		return resp, true
-
-	case question.Class == dnswire.ClassINET && question.Name == "" && question.Type == dnswire.TypeNS:
-		// Root NS query: the priming response.
-		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
-		resp.Header.Authoritative = true
-		for _, l := range chaos.Letters() {
-			ns, err := dnswire.MakeNS("", 3600000, fmt.Sprintf("%c.root-servers.net", l+('a'-'A')))
-			if err != nil {
-				return nil, false
-			}
-			resp.Answers = append(resp.Answers, ns)
-		}
-		return resp, true
-
-	case question.Class == dnswire.ClassINET:
-		// Everything else gets root-style treatment: a referral-shaped
-		// NXDOMAIN with the root SOA in authority (we host no TLDs).
-		resp := dnswire.NewResponse(q, dnswire.RCodeNXDomain)
-		soa, err := dnswire.MakeSOA("", 86400, dnswire.SOAData{
-			MName: "a.root-servers.net", RName: "nstld.verisign-grs.com",
-			Serial: 2015113001, Refresh: 1800, Retry: 900, Expire: 604800, Minimum: 86400,
-		})
-		if err != nil {
-			return nil, false
-		}
-		resp.Authority = append(resp.Authority, soa)
-		return resp, true
-	}
-	resp := dnswire.NewResponse(q, dnswire.RCodeRefused)
-	return resp, true
 }
 
 // ErrClosed is returned for operations on a closed server.

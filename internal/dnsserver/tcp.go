@@ -71,6 +71,9 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 		delete(s.tcpConns, conn)
 		s.mu.Unlock()
 	}()
+	// Per-connection scratch, reused for every query on the connection.
+	q := messages.Get().(*dnswire.Message)
+	defer messages.Put(q)
 	var buf []byte
 	out := make([]byte, 0, 1024)
 	for {
@@ -94,23 +97,13 @@ func (s *Server) handleTCPConn(conn net.Conn) {
 		buf = raw[:0]
 		s.received.Add(1)
 
-		q, err := dnswire.Decode(raw)
-		if err != nil || q.Header.Response || len(q.Questions) != 1 {
-			s.ignored.Add(1)
-			return
-		}
-		resp, ok := s.answer(q)
+		reply, ok := s.tcpReply(raw, q, out)
 		if !ok {
-			s.ignored.Add(1)
 			return
 		}
-		out = out[:0]
-		out, err = resp.Encode(out)
-		if err != nil {
-			s.ignored.Add(1)
-			return
-		}
+		out = reply
 		if err := dnswire.WriteTCP(conn, out); err != nil {
+			s.ignored.Add(1) // the peer is gone; the reply still resolves its query
 			return
 		}
 		s.answered.Add(1)

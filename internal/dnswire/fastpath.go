@@ -28,8 +28,12 @@ type decodeScratch struct {
 	buf   [MaxName]byte
 }
 
+// newDecodeScratch leaves the name cache unsized: it grows to what the
+// Message actually meets, up to maxInternedNames, so a one-shot decode (a
+// probe's reply, a TCP connection's first query) costs about what Decode
+// does rather than ~30x that for a cache sized to the cap.
 func newDecodeScratch() *decodeScratch {
-	return &decodeScratch{names: make(map[string]string, maxInternedNames)}
+	return &decodeScratch{names: make(map[string]string)}
 }
 
 // intern returns a string equal to b, reusing a cached copy when one

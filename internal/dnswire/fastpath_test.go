@@ -305,6 +305,37 @@ func TestFastPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFreshDecodeIntoCostsNoMoreThanDecode guards the one-shot case — a
+// probe decoding its reply, a TCP connection its first query — where
+// DecodeInto runs on a fresh Message: it may allocate its scratch, but no
+// more often than Decode allocates its Message.
+func TestFreshDecodeIntoCostsNoMoreThanDecode(t *testing.T) {
+	resp := NewResponse(NewQuery(9, "hostname.bind", TypeTXT, ClassCHAOS), RCodeNoError)
+	txt, err := MakeTXT("hostname.bind", ClassCHAOS, 0, "ns1.ams.k.ripe.net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Answers = append(resp.Answers, txt)
+	pkt, err := resp.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := testing.AllocsPerRun(200, func() {
+		if _, err := Decode(pkt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fresh := testing.AllocsPerRun(200, func() {
+		var m Message
+		if err := DecodeInto(pkt, &m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if fresh > legacy {
+		t.Fatalf("DecodeInto into a fresh Message allocates %.1f/op, Decode %.1f/op", fresh, legacy)
+	}
+}
+
 // TestInternCacheBounded floods the name cache with unique names and checks
 // the wholesale-clear bound holds.
 func TestInternCacheBounded(t *testing.T) {

@@ -50,20 +50,3 @@ func ReadTCP(r io.Reader, buf []byte) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// ExchangeTCP writes a query and reads one response over an established
-// stream (helper for clients).
-func ExchangeTCP(rw io.ReadWriter, query *Message) (*Message, error) {
-	pkt, err := query.Pack()
-	if err != nil {
-		return nil, err
-	}
-	if err := WriteTCP(rw, pkt); err != nil {
-		return nil, err
-	}
-	raw, err := ReadTCP(rw, nil)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(raw)
-}

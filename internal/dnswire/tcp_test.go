@@ -64,42 +64,6 @@ func TestReadTCPReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestExchangeTCP(t *testing.T) {
-	// Simulate a server on the other end of a pipe.
-	type rw struct {
-		io.Reader
-		io.Writer
-	}
-	cr, sw := io.Pipe()
-	sr, cw := io.Pipe()
-	client := rw{cr, cw}
-	server := rw{sr, sw}
-
-	go func() {
-		raw, err := ReadTCP(server, nil)
-		if err != nil {
-			return
-		}
-		q, err := Decode(raw)
-		if err != nil {
-			return
-		}
-		resp := NewResponse(q, RCodeNoError)
-		rr, _ := MakeTXT("hostname.bind", ClassCHAOS, 0, "ns1.ams.k.ripe.net")
-		resp.Answers = append(resp.Answers, rr)
-		pkt, _ := resp.Pack()
-		WriteTCP(server, pkt)
-	}()
-
-	resp, err := ExchangeTCP(client, NewQuery(5, "hostname.bind", TypeTXT, ClassCHAOS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.ID != 5 || len(resp.Answers) != 1 {
-		t.Errorf("resp = %+v", resp)
-	}
-}
-
 // Property: WriteTCP/ReadTCP round-trips arbitrary payloads up to 64 KiB.
 func TestTCPFrameProperty(t *testing.T) {
 	f := func(payload []byte) bool {

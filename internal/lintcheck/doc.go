@@ -56,8 +56,6 @@
 //   - mutexcopy:    no sync primitive (or type containing one) by value.
 //   - atomicwrite:  in command-line harnesses, whole-file writes must go
 //     through internal/atomicio (temp + fsync + rename).
-//   - deprecatedatlas: the per-cell row accessors on atlas.Dataset are
-//     deprecated outside internal/atlas; new scans use the columnar cursors.
 //   - syncclose:    in the crash-safety packages (Config.SyncCloseBan:
 //     internal/atomicio, internal/campaign, internal/checkpoint), a
 //     discarded Close/Sync error on a writable file — or on one of the

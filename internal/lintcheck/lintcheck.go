@@ -46,10 +46,6 @@ type Config struct {
 	// forbidden (the atomicwrite rule): harness output must survive the
 	// kill/resume soak's SIGKILLs without tearing.
 	AtomicWriteBan []string
-	// DeprecatedAtlasAllow exempts prefixes from the deprecatedatlas rule.
-	// internal/atlas itself keeps the old accessors alive (and exercises
-	// them against the cursors in its equivalence tests).
-	DeprecatedAtlasAllow []string
 	// TransitiveRoots lists the engine/simulation entry-point prefixes. The
 	// transitive determinism analyzer walks the call graph from every
 	// function declared under these prefixes and diagnoses any chain that
@@ -82,9 +78,6 @@ func DefaultConfig() Config {
 		// The command harnesses are what the kill/resume soak SIGKILLs;
 		// their output files must be atomic or a crash tears out/.
 		AtomicWriteBan: []string{"cmd/"},
-		// The deprecated row accessors live (and are tested) in the atlas
-		// package; everywhere else new code must use the cursors.
-		DeprecatedAtlasAllow: []string{"internal/atlas"},
 		// The packages whose functions anchor every reproduction claim:
 		// the parallel engine, the routing and queue models, the
 		// measurement store, and the campaign grid expansion. Anything
@@ -223,7 +216,6 @@ func Analyzers() []*Analyzer {
 		PanicPolicyAnalyzer(),
 		APIHygieneAnalyzer(),
 		AtomicWriteAnalyzer(),
-		DeprecatedAtlasAnalyzer(),
 		SyncCloseAnalyzer(),
 		GoroLeakAnalyzer(),
 		ExitCodeAnalyzer(),
@@ -254,7 +246,6 @@ func RuleDocs() []RuleDoc {
 		{"ctxfirst", "context.Context must be the first parameter", "apihygiene"},
 		{"mutexcopy", "no sync primitive (or type containing one) passed or returned by value", "apihygiene"},
 		{"atomicwrite", "whole-file writes in cmd/ harnesses go through internal/atomicio, not bare os.Create/os.WriteFile", "atomicwrite"},
-		{"deprecatedatlas", "no new uses of the deprecated atlas.Dataset row accessors; scan through the columnar cursors", "deprecatedatlas"},
 		{"syncclose", "no discarded Close/Sync error on writable files or durability types in the crash-safety packages", "syncclose"},
 		{"goroleak", "no goroutine launched without a visible join path (context, channel, or WaitGroup)", "goroleak"},
 		{"exitcode", "cmd/ exits through the core.Exit* contract: no bare numeric os.Exit, no log.Fatal", "exitcode"},

@@ -83,15 +83,6 @@ func TestFixtureDiagnostics(t *testing.T) {
 			},
 		},
 		{
-			name:    "deprecatedatlas",
-			pattern: "./" + base + "deprecatedatlas",
-			want: []key{
-				{"deprecatedatlas", base + "deprecatedatlas/bad.go", 11},
-				{"deprecatedatlas", base + "deprecatedatlas/bad.go", 14},
-				{"deprecatedatlas", base + "deprecatedatlas/bad.go", 17},
-			},
-		},
-		{
 			name:    "allow comments suppress",
 			pattern: "./" + base + "allowed",
 			want:    nil,
@@ -286,11 +277,5 @@ func TestDefaultConfigScopes(t *testing.T) {
 	}
 	if exempt("internal/checkpoint/io.go", cfg.AtomicWriteBan) {
 		t.Error("AtomicWriteBan must not cover internal/ (atomicio itself lives there)")
-	}
-	if !exempt("internal/atlas/dataset.go", cfg.DeprecatedAtlasAllow) {
-		t.Error("DeprecatedAtlasAllow should cover internal/atlas (the accessors live there)")
-	}
-	if exempt("internal/analysis/figures.go", cfg.DeprecatedAtlasAllow) {
-		t.Error("DeprecatedAtlasAllow must not cover internal/analysis (scans must use cursors)")
 	}
 }

@@ -229,8 +229,8 @@ func TestDiffBaseline(t *testing.T) {
 // an analyzer that actually runs.
 func TestRuleDocs(t *testing.T) {
 	docs := RuleDocs()
-	if len(docs) != 16 {
-		t.Fatalf("RuleDocs() returned %d rules, want 16", len(docs))
+	if len(docs) != 15 {
+		t.Fatalf("RuleDocs() returned %d rules, want 15", len(docs))
 	}
 	owners := make(map[string]bool)
 	for _, a := range Analyzers() {
