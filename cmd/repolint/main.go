@@ -12,16 +12,12 @@
 //	-json            emit diagnostics as a JSON array instead of text
 //	-rules           list every rule with its one-line doc and exit
 //	-allows          list every //repolint:allow suppression and exit
-//	-baseline FILE   diff findings against a committed baseline: findings
-//	                 not in the baseline fail, and so do baseline entries
-//	                 that no longer fire (the stale guard)
-//	-write-baseline  regenerate the -baseline file from current findings
 //	-out FILE        also write the full findings JSON to FILE (atomically)
 //
 // Patterns default to ./... and are resolved against the enclosing module
 // root, so the tool behaves the same from any subdirectory. Exit status
 // follows the core.Exit* contract: core.ExitOK when clean (or after
-// -rules/-allows/-write-baseline), core.ExitFailure when diagnostics were
+// -rules/-allows), core.ExitFailure when diagnostics were
 // reported, core.ExitUsage on load or usage errors.
 package main
 
@@ -42,8 +38,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of file:line:col text")
 	rules := flag.Bool("rules", false, "list every rule with its one-line doc and exit")
 	allows := flag.Bool("allows", false, "list every //repolint:allow suppression and exit")
-	baselinePath := flag.String("baseline", "", "diff findings against this baseline file (fresh and stale both fail)")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from current findings and exit")
 	outPath := flag.String("out", "", "also write the full findings JSON to this file (atomically)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: repolint [flags] [patterns...]\n\nRules:\n")
@@ -55,9 +49,6 @@ func main() {
 	if *rules {
 		printRules(os.Stdout)
 		os.Exit(core.ExitOK)
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fatal(fmt.Errorf("-write-baseline requires -baseline FILE"))
 	}
 
 	wd, err := os.Getwd()
@@ -89,51 +80,23 @@ func main() {
 	if *outPath != "" {
 		writeFindings(root, *outPath, diags)
 	}
-	if *writeBaseline {
-		data, err := lintcheck.MarshalBaseline(diags)
-		if err != nil {
-			fatal(err)
-		}
-		abs := absAgainst(root, *baselinePath)
-		if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
-			fatal(err)
-		}
-		if err := atomicio.WriteFileBytes(abs, data); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "repolint: baseline %s written with %d finding(s)\n", *baselinePath, len(diags))
-		os.Exit(core.ExitOK)
-	}
-
-	fresh, stale := diags, []lintcheck.Diagnostic(nil)
-	if *baselinePath != "" {
-		baseline, err := lintcheck.LoadBaselineFile(absAgainst(root, *baselinePath))
-		if err != nil {
-			fatal(err)
-		}
-		fresh, stale = lintcheck.DiffBaseline(diags, baseline)
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if fresh == nil {
-			fresh = []lintcheck.Diagnostic{}
+		if diags == nil {
+			diags = []lintcheck.Diagnostic{}
 		}
-		if err := enc.Encode(fresh); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			fatal(err)
 		}
 	} else {
-		for _, d := range fresh {
+		for _, d := range diags {
 			fmt.Println(d)
 		}
 	}
-	for _, d := range stale {
-		fmt.Fprintf(os.Stderr, "repolint: stale baseline entry (finding no longer fires; run `make lint-baseline`): %s\n", d)
-	}
-	if len(fresh) > 0 || len(stale) > 0 {
+	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "repolint: %d violation(s), %d stale baseline entr(ies)\n", len(fresh), len(stale))
+			fmt.Fprintf(os.Stderr, "repolint: %d violation(s)\n", len(diags))
 		}
 		os.Exit(core.ExitFailure)
 	}
@@ -145,8 +108,8 @@ func printRules(w interface{ Write([]byte) (int, error) }) {
 	}
 }
 
-// writeFindings writes the complete findings array — before any baseline
-// subtraction — as indented JSON, atomically, creating parent directories.
+// writeFindings writes the complete findings array as indented JSON,
+// atomically, creating parent directories.
 func writeFindings(root, path string, diags []lintcheck.Diagnostic) {
 	if diags == nil {
 		diags = []lintcheck.Diagnostic{}

@@ -8,14 +8,14 @@
 // chaos, dnswire, dnsserver), and the orchestration plus per-figure
 // analyses (core, analysis, report).
 //
-// The benchmarks in this package form the reproduction harness: one
-// benchmark per table and figure of the paper's evaluation. Run them with
-//
-//	go test -bench=. -benchmem
-//
-// and regenerate the full artifact set with
+// Regenerate every table and figure of the paper's evaluation with
 //
 //	go run ./cmd/rootevent -out out
+//
+// and measure what the pipeline costs with cmd/rootbench, the repository's
+// benchmark (bench/README.md):
+//
+//	make bench-e2e
 //
 // # Performance & parallelism
 //

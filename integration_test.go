@@ -2,11 +2,13 @@ package anycastddos
 
 // End-to-end integration tests: one full (small-scale) reproduction run
 // through topology, routing, traffic, measurement, and every analysis —
-// asserting the paper's headline shapes in a single place. These share the
-// benchWorld simulation with the benchmark harness.
+// asserting the paper's headline shapes in a single place. The tests that
+// need the full run share one sharedWorld simulation, built once.
 
 import (
 	"bytes"
+	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/rootevent/anycastddos/internal/analysis"
@@ -17,11 +19,43 @@ import (
 	"github.com/rootevent/anycastddos/internal/topo"
 )
 
+var (
+	sharedOnce sync.Once
+	sharedEval *core.Evaluator
+	sharedData *atlas.Dataset
+	sharedErr  error
+)
+
+// sharedWorld builds, once per test binary, the simulation the full-run
+// tests read: the default-size topology (the catchment structure the
+// headline shapes depend on) with a reduced VP population (probing cost).
+func sharedWorld(t testing.TB) (*core.Evaluator, *atlas.Dataset) {
+	t.Helper()
+	sharedOnce.Do(func() {
+		cfg := core.DefaultConfig(1)
+		cfg.VPs = 800
+		var ev *core.Evaluator
+		ev, sharedErr = core.NewEvaluator(cfg)
+		if sharedErr != nil {
+			return
+		}
+		if sharedErr = ev.Run(); sharedErr != nil {
+			return
+		}
+		sharedEval = ev
+		sharedData, sharedErr = ev.Measure()
+	})
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
+	}
+	return sharedEval, sharedData
+}
+
 func TestEndToEndHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
 	}
-	ev, d := benchWorld(t)
+	ev, d := sharedWorld(t)
 
 	t.Run("Table2", func(t *testing.T) {
 		rows := analysis.New(ev, d).Table2()
@@ -177,6 +211,42 @@ func TestEndToEndHeadlines(t *testing.T) {
 			t.Error("event windows drifted from the paper's schedule")
 		}
 	})
+}
+
+// TestFigure4AllocationCeiling holds the reduction the columnar dataset
+// store bought for Figure 4. The pre-columnar row store cost 41 065
+// mallocs and 71 856 738 B per Figure4 call on this world; the ceiling is
+// that baseline divided by five: 41 065 / 5 = 8 213 mallocs and
+// 71 856 738 / 5 = 14 371 347 B for the first call on a fresh Analyzer,
+// which computes every letter's median-RTT series. A second call reads
+// the Analyzer's per-letter memo and pays only for the copies it returns,
+// so it must cost under a fifth of the first call's bytes as well.
+func TestFigure4AllocationCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline run")
+	}
+	const maxMallocs, maxBytes = 41_065 / 5, 71_856_738 / 5
+	ev, d := sharedWorld(t)
+	an := analysis.New(ev, d)
+	figure4 := func() (mallocs, allocated uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := an.Figure4(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	coldMallocs, coldBytes := figure4()
+	if coldMallocs > maxMallocs || coldBytes > maxBytes {
+		t.Errorf("Figure4 cost %d mallocs, %d B; ceiling %d mallocs, %d B", coldMallocs, coldBytes, maxMallocs, maxBytes)
+	}
+	warmMallocs, warmBytes := figure4()
+	if warmBytes*5 > coldBytes {
+		t.Errorf("repeated Figure4 cost %d B, first call %d B: the per-letter median-RTT memo is not reused", warmBytes, coldBytes)
+	}
+	t.Logf("first call %d mallocs, %d B; repeat %d mallocs, %d B", coldMallocs, coldBytes, warmMallocs, warmBytes)
 }
 
 func TestDeterministicReproduction(t *testing.T) {

@@ -303,7 +303,7 @@ func (r *runner) runScenario(ctx context.Context, sl *slot, sc *Scenario) error 
 			r.logf("%s: quarantined after %d attempts (%s)", sc.ID, fails, class)
 			return nil
 		}
-		backoff := backoffDelay(r.cfg.BackoffBase, r.cfg.BackoffCap, fails-1, rng)
+		backoff := core.BackoffDelay(r.cfg.BackoffBase, r.cfg.BackoffCap, fails-1, rng)
 		r.logf("%s: attempt %d failed (%s), retrying in %v", sc.ID, fails-1, class, backoff)
 		select {
 		case <-time.After(backoff):
@@ -499,19 +499,6 @@ func (r *runner) snapshotState() *State {
 		cp.InFlight[k] = v
 	}
 	return cp
-}
-
-// backoffDelay is the capped exponential retry delay with seeded jitter in
-// [0.5, 1.0] of the nominal value.
-func backoffDelay(base, cap0 time.Duration, attempt int, rng *rand.Rand) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < cap0; i++ {
-		d *= 2
-	}
-	if d > cap0 {
-		d = cap0
-	}
-	return time.Duration(float64(d) * (0.5 + 0.5*rng.Float64()))
 }
 
 // fnvHash is the scenario-ID hash that keys per-scenario retry jitter.

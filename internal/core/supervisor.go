@@ -159,7 +159,7 @@ func Supervise(ctx context.Context, cfg Config, scfg SupervisorConfig, opts ...O
 			report.Err = res.err.Error()
 			return nil, report, fmt.Errorf("%w after %d attempts: %w", ErrRestartBudget, report.Attempts, res.err)
 		}
-		backoff := backoffDelay(scfg.BackoffBase, scfg.BackoffCap, attempt, rng)
+		backoff := BackoffDelay(scfg.BackoffBase, scfg.BackoffCap, attempt, rng)
 		report.Restarts = append(report.Restarts, Restart{
 			Attempt:          attempt,
 			Cause:            causeOf(res.err, stalled.detected),
@@ -275,9 +275,10 @@ func watchdogTick(stall time.Duration) time.Duration {
 	return tick
 }
 
-// backoffDelay is the capped exponential restart delay with seeded jitter
-// in [0.5, 1.0] of the nominal value.
-func backoffDelay(base, cap0 time.Duration, attempt int, rng *rand.Rand) time.Duration {
+// BackoffDelay is the capped exponential restart delay with seeded jitter
+// in [0.5, 1.0] of the nominal value. The campaign runner spaces its
+// scenario retries with it too.
+func BackoffDelay(base, cap0 time.Duration, attempt int, rng *rand.Rand) time.Duration {
 	d := base
 	for i := 0; i < attempt && d < cap0; i++ {
 		d *= 2

@@ -36,7 +36,7 @@ func TestRestartableClassification(t *testing.T) {
 func TestBackoffDelay(t *testing.T) {
 	base, cap0 := 100*time.Millisecond, 800*time.Millisecond
 	for attempt := 0; attempt < 8; attempt++ {
-		d := backoffDelay(base, cap0, attempt, rand.New(rand.NewSource(1)))
+		d := BackoffDelay(base, cap0, attempt, rand.New(rand.NewSource(1)))
 		if d > cap0 {
 			t.Errorf("attempt %d: backoff %v exceeds cap %v", attempt, d, cap0)
 		}
@@ -47,7 +47,7 @@ func TestBackoffDelay(t *testing.T) {
 	// Same seed, same schedule.
 	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 	for attempt := 0; attempt < 5; attempt++ {
-		if backoffDelay(base, cap0, attempt, a) != backoffDelay(base, cap0, attempt, b) {
+		if BackoffDelay(base, cap0, attempt, a) != BackoffDelay(base, cap0, attempt, b) {
 			t.Fatal("seeded backoff schedule is not reproducible")
 		}
 	}

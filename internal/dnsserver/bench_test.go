@@ -23,8 +23,9 @@ func floodQuery(b *testing.B) []byte {
 
 // BenchmarkFloodPath measures the per-packet cost of the UDP serving path
 // (DecodeInto + RRL + tail splice) on the flood workload. This is the
-// per-core number: 1 Mq/s per core corresponds to 1000 ns/op. make
-// bench-gate holds fast at 0 allocs/op and <= 1000 ns/op.
+// per-core number: 1 Mq/s per core corresponds to 1000 ns/op.
+// TestRespondZeroAllocs holds the same path at 0 allocs/op; rootbench's
+// flood_hot workload tracks its cost end to end.
 func BenchmarkFloodPath(b *testing.B) {
 	s, err := Start(Config{Letter: 'K', Site: "AMS", Server: 1})
 	if err != nil {
@@ -40,8 +41,8 @@ func BenchmarkFloodPath(b *testing.B) {
 		if !s.respond(pkt, srcAP, &q, &out) {
 			b.Fatal("fast path refused the flood query")
 		}
-		// Warm scratch and caches: the CI gate runs BENCHTIME=1x, where the
-		// one timed packet would otherwise pay for a cold path.
+		// Warm scratch and caches: at -benchtime=1x the one timed packet
+		// would otherwise pay for a cold path.
 		for i := 0; i < 1000; i++ {
 			s.respond(pkt, srcAP, &q, &out)
 		}
@@ -57,8 +58,8 @@ func BenchmarkFloodPath(b *testing.B) {
 
 // BenchmarkServerEcho measures end-to-end throughput over a real loopback
 // socket: a pipelined client keeps a window of queries in flight against a
-// server with 1, 2, and 4 reader workers. The qps metric is what lands in
-// BENCH_9.json and the EXPERIMENTS.md table.
+// server with 1, 2, and 4 reader workers. The qps metric is what the
+// EXPERIMENTS.md table reports.
 func BenchmarkServerEcho(b *testing.B) {
 	pkt, err := dnswire.NewQuery(7, "www.336901.com", dnswire.TypeA, dnswire.ClassINET).Pack()
 	if err != nil {
@@ -91,7 +92,7 @@ func BenchmarkServerEcho(b *testing.B) {
 					}
 				}
 			}
-			echo(16) // warm worker scratch before timing (CI runs BENCHTIME=1x)
+			echo(16) // warm worker scratch before timing (matters at -benchtime=1x)
 
 			const window = 16
 			b.ResetTimer()
@@ -109,8 +110,7 @@ func BenchmarkServerEcho(b *testing.B) {
 	}
 }
 
-// reportQPS emits queries-per-second as a custom metric; benchjson lands it
-// in BENCH_9.json under metrics.qps.
+// reportQPS emits queries-per-second as a custom metric.
 func reportQPS(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "qps")

@@ -70,16 +70,14 @@
 //     without running the deferred cleanup the atomic-output discipline
 //     relies on.
 //   - hotalloc:     functions annotated `//repolint:hot` (the bgpsim/netsim/
-//     core per-probe paths the bench gate protects) must stay structurally
-//     allocation-free: no append, make, new, map/slice literals, or
-//     closures.
+//     core per-probe paths the AllocsPerRun tests protect) must stay
+//     structurally allocation-free: no append, make, new, map/slice
+//     literals, or closures.
 //
-// # Baseline workflow
+// # No findings baseline
 //
-// Pre-existing diagnostics live in lint/baseline.json (canonical JSON,
-// regenerated byte-identically by `make lint-baseline`). `make lint` runs
-// repolint with -baseline: a finding not in the baseline fails the build,
-// and a baseline entry whose finding no longer fires fails it too (the
-// stale-baseline guard) — so the baseline only ever shrinks through
-// deliberate regeneration alongside the fix.
+// `make lint` fails on any finding, and TestRepolintSelfClean asserts the
+// whole module reports none. A new rule lands clean: the change that adds
+// it fixes every site it flags, or marks a deliberate one with a justified
+// `//repolint:allow <rule> -- reason` on the line or the line above.
 package lintcheck

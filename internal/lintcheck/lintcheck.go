@@ -293,6 +293,26 @@ func RunAnalyzers(pkgs []*LoadedPackage, analyzers []*Analyzer, cfg Config) []Di
 	return out
 }
 
+// sortDiagnostics orders diags by file, line, column, then rule — the
+// suite's canonical output order.
+func sortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		if diags[i].File != diags[j].File {
+			return diags[i].File < diags[j].File
+		}
+		if diags[i].Line != diags[j].Line {
+			return diags[i].Line < diags[j].Line
+		}
+		if diags[i].Col != diags[j].Col {
+			return diags[i].Col < diags[j].Col
+		}
+		if diags[i].Rule != diags[j].Rule {
+			return diags[i].Rule < diags[j].Rule
+		}
+		return diags[i].Message < diags[j].Message
+	})
+}
+
 // --- shared type-query helpers used by the analyzers ---
 
 // calleeFunc resolves a call expression to the package-level function or

@@ -1,9 +1,6 @@
 package lintcheck
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -133,96 +130,6 @@ func TestTransitiveFixture(t *testing.T) {
 		{"globalrand", dir + "/bad.go", 43},
 		{"wallclock", dir + "/clockutil/clockutil.go", 9},
 	})
-}
-
-// TestMarshalBaselineCanonical pins the canonical form: input order does not
-// matter, output is sorted, two-space indented, newline-terminated, and
-// byte-identical across regenerations.
-func TestMarshalBaselineCanonical(t *testing.T) {
-	a := Diagnostic{Rule: "wallclock", File: "a.go", Line: 3, Col: 2, Message: "m1"}
-	b := Diagnostic{Rule: "panic", File: "a.go", Line: 9, Col: 1, Message: "m2"}
-	first, err := MarshalBaseline([]Diagnostic{b, a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := MarshalBaseline([]Diagnostic{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Errorf("baseline not canonical across input orders:\n%s\n---\n%s", first, second)
-	}
-	if !bytes.HasSuffix(first, []byte("\n")) {
-		t.Error("baseline missing trailing newline")
-	}
-	if idx := bytes.Index(first, []byte(`"rule": "wallclock"`)); idx < 0 ||
-		idx > bytes.Index(first, []byte(`"rule": "panic"`)) {
-		t.Errorf("baseline not sorted in diagnostic order:\n%s", first)
-	}
-
-	empty, err := MarshalBaseline(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(empty) != "[]\n" {
-		t.Errorf("empty baseline = %q, want %q", empty, "[]\n")
-	}
-}
-
-// TestLoadBaselineFile covers the round trip and the missing-file case.
-func TestLoadBaselineFile(t *testing.T) {
-	want := []Diagnostic{
-		{Rule: "wallclock", File: "a.go", Line: 3, Col: 2, Message: "m"},
-	}
-	data, err := MarshalBaseline(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBaselineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != want[0] {
-		t.Errorf("round trip = %+v, want %+v", got, want)
-	}
-
-	missing, err := LoadBaselineFile(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil || missing != nil {
-		t.Errorf("missing baseline = (%v, %v), want empty", missing, err)
-	}
-}
-
-// TestDiffBaseline pins the multiset semantics: covered findings vanish,
-// uncovered findings are fresh, unmatched entries are stale, and duplicate
-// findings need duplicate entries.
-func TestDiffBaseline(t *testing.T) {
-	d1 := Diagnostic{Rule: "exitcode", File: "cmd/a/main.go", Line: 5, Col: 2, Message: "m"}
-	d2 := Diagnostic{Rule: "exitcode", File: "cmd/b/main.go", Line: 8, Col: 2, Message: "m"}
-
-	fresh, stale := DiffBaseline([]Diagnostic{d1, d2}, []Diagnostic{d1, d2})
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Errorf("exact cover: fresh=%v stale=%v", fresh, stale)
-	}
-
-	fresh, stale = DiffBaseline([]Diagnostic{d1, d2}, []Diagnostic{d1})
-	if len(fresh) != 1 || fresh[0] != d2 || len(stale) != 0 {
-		t.Errorf("uncovered finding: fresh=%v stale=%v", fresh, stale)
-	}
-
-	fresh, stale = DiffBaseline([]Diagnostic{d1}, []Diagnostic{d1, d2})
-	if len(fresh) != 0 || len(stale) != 1 || stale[0] != d2 {
-		t.Errorf("fixed finding: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// Two identical findings against one entry: the second is fresh.
-	fresh, stale = DiffBaseline([]Diagnostic{d1, d1}, []Diagnostic{d1})
-	if len(fresh) != 1 || len(stale) != 0 {
-		t.Errorf("multiset: fresh=%v stale=%v", fresh, stale)
-	}
 }
 
 // TestRuleDocs pins the -rules listing: sorted, unique, every name owned by

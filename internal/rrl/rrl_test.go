@@ -166,8 +166,8 @@ func TestActionString(t *testing.T) {
 }
 
 // The Check benches time only Check: limiter construction and the first
-// bucket insert stay outside the timer, so a quick BENCHTIME=1x run reports
-// the steady-state allocations make bench-gate compares against.
+// bucket insert stay outside the timer, so a quick -benchtime=1x run reports
+// the steady-state allocations.
 func BenchmarkCheckHotPrefix(b *testing.B) {
 	l := MustNew(DefaultConfig())
 	l.Check(0x0A000001, 0)
