@@ -65,14 +65,14 @@ type Route struct {
 	Site    int      // chosen site, or NoSite
 	PathLen uint8    // AS-path length from the origin
 	Class   RelClass // how the route was learned
-	NextHop topo.ASN // neighbor the route was learned from (self for origins)
 	// ViaDefault marks traffic that reaches the prefix with no BGP route
 	// of its own: the AS simply defaults packets to a transit provider.
 	// This is how single-homed networks behind an ISP holding only a
 	// NO_EXPORT route still reach the service in practice.
 	ViaDefault bool
-	origin     int  // index of the announcing uplink in the origins slice
-	noExport   bool // route must not be re-advertised
+	NoExport   bool     // route must not be re-advertised
+	NextHop    topo.ASN // neighbor the route was learned from (self for origins)
+	Uplink     int32    // index of the announcing entry in the origins slice
 }
 
 // Valid reports whether the route reaches any site.
@@ -110,35 +110,24 @@ func mix64(x uint64) uint64 {
 // heavily meshed IX sites like K-AMS.
 //
 //repolint:hot
-func tieRank(asn topo.ASN, origin int) uint64 {
-	return mix64(uint64(asn)<<20 ^ uint64(uint32(origin))*0x9E3779B9)
+func tieRank(asn topo.ASN, uplink int32) uint64 {
+	return mix64(uint64(asn)<<20 ^ uint64(uint32(uplink))*0x9E3779B9)
 }
 
-// better reports whether candidate a beats incumbent b at the given AS
-// under BGP policy preferences with deterministic per-AS tie-breaking.
+// tieBreak reports whether route a beats an equally-preferred route b
+// (same class, same path length) at the given AS. Two routes announced
+// through one uplink keep the incumbent b.
 //
 //repolint:hot
-func better(asn topo.ASN, a, b Route) bool {
-	if !b.Valid() {
-		return a.Valid()
-	}
-	if !a.Valid() {
+func tieBreak(asn topo.ASN, a, b *Route) bool {
+	if a.Uplink == b.Uplink {
 		return false
 	}
-	if a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	if a.PathLen != b.PathLen {
-		return a.PathLen < b.PathLen
-	}
-	if a.origin == b.origin {
-		return false
-	}
-	ra, rb := tieRank(asn, a.origin), tieRank(asn, b.origin)
+	ra, rb := tieRank(asn, a.Uplink), tieRank(asn, b.Uplink)
 	if ra != rb {
 		return ra < rb
 	}
-	return a.origin < b.origin
+	return a.Uplink < b.Uplink
 }
 
 // Table holds every AS's best route for one anycast prefix.
@@ -178,153 +167,14 @@ func (t *Table) CatchmentSizesInto(sizes []int) []int {
 // returns the resulting routing table. active reports whether each origins
 // entry is currently announced; nil means all are active.
 //
-// This is the reference implementation: a from-scratch full sweep with
-// per-call state. Engines recomputing routes per epoch should hold a
-// Computer, whose incremental fixpoint produces byte-identical tables
-// while allocating nothing beyond the result.
+// The table is forwarding-consistent: every AS's NextHop holds the route
+// it advertised, so Trace and the selections agree.
 //
-// The computation is a synchronous path-vector iteration: each round, every
-// AS selects its best route among its own origins and its neighbors'
-// previous-round routes, under valley-free export rules (self/customer
-// routes go everywhere; peer/provider routes only to customers; NO_EXPORT
-// routes are never re-advertised). Iterating to a fixpoint — which
-// Gao-Rexford preferences guarantee — yields a *forwarding-consistent*
-// table: every AS's NextHop actually holds the route it advertised, so
-// traces and selections always agree.
+// It is NewComputer(g).Compute(origins, active). Callers routing one graph
+// more than once should hold the Computer: building its view of the graph
+// is the part of this call that does not depend on the announcements.
 func Compute(g *topo.Graph, origins []Origin, active []bool) *Table {
-	n := g.N()
-	cur := make([]Route, n)
-	next := make([]Route, n)
-	for i := range cur {
-		cur[i] = Route{Site: NoSite}
-		next[i] = Route{Site: NoSite}
-	}
-
-	// Per-AS origin seeds and the NO_EXPORT routes local origins spray to
-	// their direct customers/peers (both constant across rounds).
-	seeds := make(map[topo.ASN][]Route)
-	localAdverts := make(map[topo.ASN][]Route)
-	for i, o := range origins {
-		if active != nil && !active[i] {
-			continue
-		}
-		seeds[o.Host] = append(seeds[o.Host], Route{
-			Site: o.Site, PathLen: 0, Class: FromSelf, NextHop: o.Host, origin: i, noExport: o.Local,
-		})
-		if o.Local {
-			// Local-site announcements (NOPEER + NO_EXPORT) reach only
-			// the host ISP's customers: the node serves the host's own
-			// cone. Advertising to peers or providers would let the
-			// tiny site win route ties across the region and siphon
-			// traffic it cannot serve.
-			host := g.AS(o.Host)
-			for _, c := range host.Customers {
-				localAdverts[c] = append(localAdverts[c], Route{
-					Site: o.Site, PathLen: 1, Class: FromProvider, NextHop: o.Host, origin: i, noExport: true,
-				})
-			}
-		}
-	}
-
-	const maxRounds = 128
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for asn := 0; asn < n; asn++ {
-			a := topo.ASN(asn)
-			best := Route{Site: NoSite}
-			consider := func(r Route) {
-				if better(a, r, best) {
-					best = r
-				}
-			}
-			for _, r := range seeds[a] {
-				consider(r)
-			}
-			for _, r := range localAdverts[a] {
-				consider(r)
-			}
-			node := g.AS(a)
-			// Valley-free export rules, from the receiver's perspective:
-			// a customer or peer advertises only its self/customer
-			// routes; a provider advertises its full (non-NO_EXPORT)
-			// table downward.
-			for _, c := range node.Customers {
-				r := cur[c]
-				if !r.Valid() || r.noExport || r.Class > FromCustomer {
-					continue
-				}
-				consider(Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromCustomer, NextHop: c, origin: r.origin})
-			}
-			for _, p := range node.Peers {
-				r := cur[p]
-				if !r.Valid() || r.noExport || r.Class > FromCustomer {
-					continue
-				}
-				consider(Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromPeer, NextHop: p, origin: r.origin})
-			}
-			for _, p := range node.Providers {
-				r := cur[p]
-				if !r.Valid() || r.noExport {
-					continue
-				}
-				consider(Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromProvider, NextHop: p, origin: r.origin})
-			}
-			next[asn] = best
-			if best != cur[asn] {
-				changed = true
-			}
-		}
-		cur, next = next, cur
-		if !changed {
-			break
-		}
-	}
-	resolveDefaultsInto(g, cur, make([]uint8, len(cur)))
-	return &Table{Routes: cur}
-}
-
-// resolveDefaultsInto fills in forwarding for ASes without a BGP route:
-// edge networks run default routes toward a transit provider, so their
-// packets climb the hierarchy until they hit an AS that does hold a route
-// (or a default-free tier-1 without one, where they die). The provider
-// choice is the same per-AS deterministic hash as route tie-breaking.
-// state is per-AS visit scratch and must arrive zeroed.
-func resolveDefaultsInto(g *topo.Graph, routes []Route, state []uint8) {
-	const unresolved, resolving, done = 0, 1, 2
-	var fill func(asn topo.ASN) Route
-	fill = func(asn topo.ASN) Route {
-		if state[asn] == done || routes[asn].Valid() {
-			state[asn] = done
-			return routes[asn]
-		}
-		if state[asn] == resolving {
-			return Route{Site: NoSite} // defensive; provider edges are acyclic
-		}
-		state[asn] = resolving
-		var best Route = Route{Site: NoSite}
-		var bestHop topo.ASN
-		bestRank := ^uint64(0)
-		for _, p := range g.AS(asn).Providers {
-			if r := fill(p); r.Valid() {
-				if rank := mix64(uint64(asn)<<20 ^ uint64(p)); rank < bestRank {
-					bestRank = rank
-					best = r
-					bestHop = p
-				}
-			}
-		}
-		if best.Valid() {
-			routes[asn] = Route{
-				Site: best.Site, PathLen: nextLen(best.PathLen), Class: FromProvider,
-				NextHop: bestHop, ViaDefault: true, origin: best.origin, noExport: true,
-			}
-		}
-		state[asn] = done
-		return routes[asn]
-	}
-	for asn := range routes {
-		fill(topo.ASN(asn))
-	}
+	return NewComputer(g).Compute(origins, active)
 }
 
 // Change records one AS whose best site changed between two tables.

@@ -4,311 +4,252 @@ import (
 	"github.com/rootevent/anycastddos/internal/topo"
 )
 
-// Computer computes routing tables for one graph with reusable scratch
-// state, so the per-epoch cost of a routing engine tracks the size of the
-// routing *change*, not the size of the Internet.
+// Computer is an immutable view of one graph that solves its routing
+// tables. It holds no state between Compute calls, so one Computer may be
+// shared by any number of goroutines routing different origin sets over
+// the same graph; the graph must not be mutated while it is in use.
 //
-// Three mechanisms stack on top of the reference Compute:
+// Compute settles the route classes one after another instead of iterating
+// a path-vector fixpoint: customers first, each AS's self/customer route
+// (which depends only on the customers below it); then peer routes, from
+// peers' final self/customer routes; then, providers first, provider routes
+// and defaults, from providers' final routes. Gao-Rexford class preference
+// makes the stable solution unique, so the passes reach it exactly. Within
+// a class candidates are seen in a fixed order — own origins, adverts, then
+// neighbors in adjacency-list order — and the incumbent survives an exact
+// tie, so NextHop and Uplink are deterministic too (DESIGN.md §12).
 //
-//   - Dense scratch: ASNs are dense indices 0..N-1, so the per-AS seed and
-//     NO_EXPORT-advert lists live in slice-indexed buffers owned by the
-//     Computer instead of per-call maps. Repeated Compute calls on the
-//     same graph allocate nothing beyond the returned Table.
-//   - Frontier fixpoint: each synchronous round re-evaluates only ASes
-//     whose inputs (own announcements or a neighbor's route) changed in
-//     the previous round, in ascending-ASN order. An AS with unchanged
-//     inputs would recompute the identical best route, so skipping it is
-//     exact: the fixpoint is byte-identical to the full sweep's.
-//   - Warm start: the fixpoint is seeded from the previous call's
-//     converged state, with only the ASes whose announcements changed
-//     since that call on the initial frontier. Route selection is a
-//     strict preference order (Gao-Rexford class, path length, per-AS tie
-//     rank), so the stable solution is unique and the warm-started
-//     iteration converges to the same table a cold start produces.
-//
-// A Computer is bound to its graph, which must not be mutated, and is not
-// safe for concurrent use; give each goroutine its own instance.
+// The provider→customer relation must be acyclic, as topo.Generate
+// guarantees. On a graph with a provider cycle Compute still returns a
+// deterministic table, but not necessarily a stable routing state.
 type Computer struct {
-	g *topo.Graph
 	n int
-
-	// cur holds the converged pre-default fixpoint between calls (the warm
-	// start state); next is the in-round evaluation buffer.
-	cur, next []Route
-
-	// Announcement scratch, double-buffered so each call can diff its
-	// announcements against the previous call's. seeds/localAdverts are
-	// dense by ASN; touched lists which entries are non-empty.
-	seeds, prevSeeds     [][]Route
-	adverts, prevAdverts [][]Route
-	touched, prevTouched []topo.ASN
-
-	// Frontier state: dirty marks ASes to evaluate this round, nextDirty
-	// collects the ASes whose inputs the current round invalidated.
-	dirty, nextDirty []bool
-	dirtyCount       int
-
-	// defState is resolveDefaults' visit-state scratch.
-	defState []uint8
-
-	// warm reports whether cur holds a previous fixpoint to start from.
-	warm bool
+	// down lists the ASes that have providers, every provider before its
+	// customers; up lists the ASes that have customers, every customer
+	// before its providers; peered lists the ASes that have peers.
+	down, up, peered []topo.ASN
+	// cust, peer and prov are the graph's adjacency lists in CSR form.
+	cust, peer, prov csr
 }
 
-// NewComputer returns a Computer for the given graph.
+// csr is one adjacency relation in compressed sparse row form: AS a's
+// neighbors are adj[off[a]:off[a+1]], in the graph's list order.
+type csr struct {
+	off []int32
+	adj []topo.ASN
+}
+
+// push appends the next AS's neighbors.
+func (c *csr) push(nb []topo.ASN) {
+	c.adj = append(c.adj, nb...)
+	c.off = append(c.off, int32(len(c.adj)))
+}
+
+// of returns a's neighbors.
+//
+//repolint:hot
+func (c *csr) of(a topo.ASN) []topo.ASN { return c.adj[c.off[a]:c.off[a+1]] }
+
+// NewComputer builds the routing view of g.
 func NewComputer(g *topo.Graph) *Computer {
 	n := g.N()
-	c := &Computer{
-		g:           g,
-		n:           n,
-		cur:         make([]Route, n),
-		next:        make([]Route, n),
-		seeds:       make([][]Route, n),
-		prevSeeds:   make([][]Route, n),
-		adverts:     make([][]Route, n),
-		prevAdverts: make([][]Route, n),
-		dirty:       make([]bool, n),
-		nextDirty:   make([]bool, n),
-		defState:    make([]uint8, n),
+	var nCust, nPeer, nProv int
+	for i := range g.ASes {
+		a := &g.ASes[i]
+		nCust, nPeer, nProv = nCust+len(a.Customers), nPeer+len(a.Peers), nProv+len(a.Providers)
+	}
+	c := &Computer{n: n}
+	c.cust = csr{off: make([]int32, 1, n+1), adj: make([]topo.ASN, 0, nCust)}
+	c.peer = csr{off: make([]int32, 1, n+1), adj: make([]topo.ASN, 0, nPeer)}
+	c.prov = csr{off: make([]int32, 1, n+1), adj: make([]topo.ASN, 0, nProv)}
+	for i := range g.ASes {
+		a := &g.ASes[i]
+		c.cust.push(a.Customers)
+		c.peer.push(a.Peers)
+		c.prov.push(a.Providers)
+		if len(a.Peers) > 0 {
+			c.peered = append(c.peered, topo.ASN(i))
+		}
+	}
+	order := c.providerOrder()
+	c.down = make([]topo.ASN, 0, n)
+	for _, a := range order {
+		if len(c.prov.of(a)) > 0 {
+			c.down = append(c.down, a)
+		}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		if a := order[i]; len(c.cust.of(a)) > 0 {
+			c.up = append(c.up, a)
+		}
 	}
 	return c
 }
 
-// Reset drops the warm-start state; the next Compute runs a cold, full
-// fixpoint (still without allocating).
-func (c *Computer) Reset() { c.warm = false }
-
-// Compute returns the routing table for the given announcements, exactly as
-// the package-level Compute would, reusing the Computer's scratch and
-// warm-starting from the previous call's fixpoint. active reports whether
-// each origins entry is currently announced; nil means all are active.
-func (c *Computer) Compute(origins []Origin, active []bool) *Table {
-	c.buildAnnouncements(origins, active)
-
-	if !c.warm {
-		// Cold start: every AS is on the initial frontier and the state is
-		// all-NoSite, which makes round 0 the reference full sweep.
-		for i := range c.cur {
-			c.cur[i] = Route{Site: NoSite}
+// providerOrder returns every ASN with each provider before its customers,
+// by Kahn's algorithm. The passes need only some such order, not a
+// particular one. ASes it cannot order (those on or below a provider
+// cycle) follow in ascending ASN.
+func (c *Computer) providerOrder() []topo.ASN {
+	order := make([]topo.ASN, 0, c.n)
+	pending := make([]int, c.n) // providers not yet ordered
+	for a := range pending {
+		if pending[a] = len(c.prov.of(topo.ASN(a))); pending[a] == 0 {
+			order = append(order, topo.ASN(a))
 		}
-		c.dirtyCount = 0
-		for asn := 0; asn < c.n; asn++ {
-			c.markDirty(topo.ASN(asn))
+	}
+	for next := 0; next < len(order); next++ {
+		for _, cn := range c.cust.of(order[next]) {
+			if pending[cn]--; pending[cn] == 0 {
+				order = append(order, cn)
+			}
 		}
-		c.warm = true
-	} else {
-		// Warm start: only ASes whose own announcements changed since the
-		// previous call seed the frontier; everything else re-enters the
-		// iteration when (and only when) a neighbor's route changes.
-		c.seedFrontierFromDiff()
 	}
-
-	c.iterate()
-
-	out := make([]Route, c.n)
-	copy(out, c.cur)
-	for i := range c.defState {
-		c.defState[i] = 0
+	for a := range pending {
+		if pending[a] > 0 {
+			order = append(order, topo.ASN(a))
+		}
 	}
-	resolveDefaultsInto(c.g, out, c.defState)
-	return &Table{Routes: out}
+	return order
 }
 
-// buildAnnouncements fills the dense per-AS seed and NO_EXPORT-advert lists
-// for this call, preserving the previous call's lists for diffing. Entry
-// construction order matches the reference Compute exactly (origins in
-// index order, then each local origin's customers in adjacency order):
-// route selection keeps the incumbent on exact ties, so consideration
-// order is part of the result.
-func (c *Computer) buildAnnouncements(origins []Origin, active []bool) {
-	c.seeds, c.prevSeeds = c.prevSeeds, c.seeds
-	c.adverts, c.prevAdverts = c.prevAdverts, c.adverts
-	c.touched, c.prevTouched = c.prevTouched, c.touched
+// Compute returns the routing table for the given announcements. active
+// reports whether each origins entry is currently announced; nil means all
+// are active. The returned table is the only allocation.
+func (c *Computer) Compute(origins []Origin, active []bool) *Table {
+	t := make([]Route, c.n)
+	c.solve(t, origins, active)
+	return &Table{Routes: t}
+}
 
-	for _, a := range c.touched {
-		c.seeds[a] = c.seeds[a][:0]
-		c.adverts[a] = c.adverts[a][:0]
-	}
-	c.touched = c.touched[:0]
-
-	touch := func(a topo.ASN) {
-		if len(c.seeds[a]) == 0 && len(c.adverts[a]) == 0 {
-			c.touched = append(c.touched, a)
-		}
+// solve fills t, which must have one entry per AS, with the routing table.
+//
+//repolint:hot
+func (c *Computer) solve(t []Route, origins []Origin, active []bool) {
+	for i := range t {
+		t[i] = Route{Site: NoSite}
 	}
 	for i, o := range origins {
-		if active != nil && !active[i] {
+		if o.Site == NoSite || active != nil && !active[i] {
 			continue
 		}
-		touch(o.Host)
-		c.seeds[o.Host] = append(c.seeds[o.Host], Route{
-			Site: o.Site, PathLen: 0, Class: FromSelf, NextHop: o.Host, origin: i, noExport: o.Local,
-		})
-		if o.Local {
-			host := c.g.AS(o.Host)
-			for _, cust := range host.Customers {
-				touch(cust)
-				c.adverts[cust] = append(c.adverts[cust], Route{
-					Site: o.Site, PathLen: 1, Class: FromProvider, NextHop: o.Host, origin: i, noExport: true,
-				})
-			}
+		seed := Route{Site: o.Site, Class: FromSelf, NextHop: o.Host, Uplink: int32(i), NoExport: o.Local}
+		if wins(o.Host, &seed, &t[o.Host]) {
+			t[o.Host] = seed
 		}
 	}
-}
 
-// seedFrontierFromDiff marks every AS whose seed or advert list differs
-// from the previous call's as dirty.
-func (c *Computer) seedFrontierFromDiff() {
-	c.dirtyCount = 0
-	for _, a := range c.touched {
-		if !routesEqual(c.seeds[a], c.prevSeeds[a]) || !routesEqual(c.adverts[a], c.prevAdverts[a]) {
-			c.markDirty(a)
+	// Pass 1: customer routes, customers first.
+	for _, a := range c.up {
+		best := t[a]
+		if best.Site != NoSite { // a hosts an origin, which no customer route beats
+			continue
 		}
-	}
-	for _, a := range c.prevTouched {
-		if !routesEqual(c.seeds[a], c.prevSeeds[a]) || !routesEqual(c.adverts[a], c.prevAdverts[a]) {
-			c.markDirty(a)
-		}
-	}
-}
-
-// routesEqual reports element-wise equality of two route lists.
-//
-//repolint:hot
-func routesEqual(a, b []Route) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// markDirty adds an AS to the pending frontier (idempotent).
-//
-//repolint:hot
-func (c *Computer) markDirty(a topo.ASN) {
-	if !c.dirty[a] {
-		c.dirty[a] = true
-		c.dirtyCount++
-	}
-}
-
-// iterate runs the synchronous path-vector fixpoint over the dirty
-// frontier. Each round evaluates the frontier in ascending-ASN order
-// against the previous round's state (two-phase: evaluate, then commit),
-// which reproduces the reference full sweep's simultaneous-update
-// semantics; a committed change re-enqueues every neighbor that reads the
-// changed route.
-//
-//repolint:hot
-func (c *Computer) iterate() {
-	const maxRounds = 128
-	for round := 0; round < maxRounds && c.dirtyCount > 0; round++ {
-		// Phase 1: evaluate the frontier against the pre-round state.
-		remaining := c.dirtyCount
-		for asn := 0; asn < c.n && remaining > 0; asn++ {
-			if !c.dirty[asn] {
+		for _, cn := range c.cust.of(a) {
+			r := &t[cn]
+			if r.Site == NoSite || r.NoExport || r.Class > FromCustomer {
 				continue
 			}
-			remaining--
-			c.next[asn] = c.evaluate(topo.ASN(asn))
-		}
-		// Phase 2: commit changes and build the next frontier.
-		nextCount := 0
-		for asn := 0; asn < c.n; asn++ {
-			if !c.dirty[asn] {
-				continue
-			}
-			c.dirty[asn] = false
-			if c.next[asn] == c.cur[asn] {
-				continue
-			}
-			c.cur[asn] = c.next[asn]
-			node := c.g.AS(topo.ASN(asn))
-			for _, nb := range node.Providers {
-				if !c.nextDirty[nb] {
-					c.nextDirty[nb] = true
-					nextCount++
-				}
-			}
-			for _, nb := range node.Peers {
-				if !c.nextDirty[nb] {
-					c.nextDirty[nb] = true
-					nextCount++
-				}
-			}
-			for _, nb := range node.Customers {
-				if !c.nextDirty[nb] {
-					c.nextDirty[nb] = true
-					nextCount++
-				}
+			cand := Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromCustomer, NextHop: cn, Uplink: r.Uplink}
+			if wins(a, &cand, &best) {
+				best = cand
 			}
 		}
-		c.dirty, c.nextDirty = c.nextDirty, c.dirty
-		c.dirtyCount = nextCount
+		t[a] = best
 	}
-	// A frontier still pending after maxRounds means the graph did not
-	// converge (impossible under Gao-Rexford preferences); drop it so the
-	// next call starts from a consistent, if truncated, state — the same
-	// cutoff behaviour as the reference Compute.
-	if c.dirtyCount > 0 {
-		for asn := range c.dirty {
-			c.dirty[asn] = false
+
+	// Pass 2: peer routes for ASes without a self/customer route.
+	for _, a := range c.peered {
+		if t[a].Site != NoSite {
+			continue
 		}
-		c.dirtyCount = 0
+		best := Route{Site: NoSite}
+		for _, p := range c.peer.of(a) {
+			r := &t[p]
+			if r.Site == NoSite || r.NoExport || r.Class > FromCustomer {
+				continue
+			}
+			cand := Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromPeer, NextHop: p, Uplink: r.Uplink}
+			if wins(a, &cand, &best) {
+				best = cand
+			}
+		}
+		t[a] = best
+	}
+
+	// Local sites' NO_EXPORT adverts reach the host's customers only: the
+	// node serves the host's own cone. Advertising to peers or providers
+	// would let the tiny site win route ties across the region and siphon
+	// traffic it cannot serve.
+	for i, o := range origins {
+		if !o.Local || o.Site == NoSite || active != nil && !active[i] {
+			continue
+		}
+		ad := Route{Site: o.Site, PathLen: 1, Class: FromProvider, NextHop: o.Host, Uplink: int32(i), NoExport: true}
+		for _, cn := range c.cust.of(o.Host) {
+			if r := &t[cn]; (r.Site == NoSite || r.Class == FromProvider) && wins(cn, &ad, r) {
+				*r = ad
+			}
+		}
+	}
+
+	// Pass 3: provider routes and defaults, providers first.
+	for _, a := range c.down {
+		best := t[a]
+		if best.Site != NoSite && best.Class < FromProvider {
+			continue
+		}
+		provs := c.prov.of(a)
+		for _, p := range provs {
+			r := &t[p]
+			if r.Site == NoSite || r.NoExport {
+				continue
+			}
+			cand := Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromProvider, NextHop: p, Uplink: r.Uplink}
+			if wins(a, &cand, &best) {
+				best = cand
+			}
+		}
+		if best.Site == NoSite {
+			best = defaultRoute(a, provs, t)
+		}
+		t[a] = best
 	}
 }
 
-// evaluate selects an AS's best route from its own announcements and its
-// neighbors' current routes, in the reference Compute's exact
-// consideration order.
+// wins reports whether cand beats the incumbent best at AS a, for a cand
+// of best's class or against no incumbent: shorter paths win, tieBreak
+// settles equal ones. It is small enough to inline, which keeps the
+// common no-tie comparison off a call in every pass.
 //
 //repolint:hot
-func (c *Computer) evaluate(a topo.ASN) Route {
+func wins(a topo.ASN, cand, best *Route) bool {
+	return best.Site == NoSite || cand.PathLen < best.PathLen ||
+		cand.PathLen == best.PathLen && tieBreak(a, cand, best)
+}
+
+// defaultRoute is the forwarding of an AS without a BGP route: edge
+// networks run default routes toward a transit provider, so their packets
+// climb the hierarchy until they hit an AS that does hold a route (or a
+// default-free tier-1 without one, where they die). Any provider with a
+// route qualifies, NO_EXPORT and default routes included; the choice among
+// them is a per-AS deterministic hash, like route tie-breaking.
+//
+//repolint:hot
+func defaultRoute(a topo.ASN, provs []topo.ASN, t []Route) Route {
 	best := Route{Site: NoSite}
-	for _, r := range c.seeds[a] {
-		if better(a, r, best) {
-			best = r
-		}
-	}
-	for _, r := range c.adverts[a] {
-		if better(a, r, best) {
-			best = r
-		}
-	}
-	node := c.g.AS(a)
-	for _, cn := range node.Customers {
-		r := c.cur[cn]
-		if !r.Valid() || r.noExport || r.Class > FromCustomer {
+	bestRank := ^uint64(0)
+	for _, p := range provs {
+		r := &t[p]
+		if r.Site == NoSite {
 			continue
 		}
-		cand := Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromCustomer, NextHop: cn, origin: r.origin}
-		if better(a, cand, best) {
-			best = cand
-		}
-	}
-	for _, p := range node.Peers {
-		r := c.cur[p]
-		if !r.Valid() || r.noExport || r.Class > FromCustomer {
-			continue
-		}
-		cand := Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromPeer, NextHop: p, origin: r.origin}
-		if better(a, cand, best) {
-			best = cand
-		}
-	}
-	for _, p := range node.Providers {
-		r := c.cur[p]
-		if !r.Valid() || r.noExport {
-			continue
-		}
-		cand := Route{Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromProvider, NextHop: p, origin: r.origin}
-		if better(a, cand, best) {
-			best = cand
+		if rank := mix64(uint64(a)<<20 ^ uint64(p)); rank < bestRank {
+			bestRank = rank
+			best = Route{
+				Site: r.Site, PathLen: nextLen(r.PathLen), Class: FromProvider,
+				NextHop: p, ViaDefault: true, Uplink: r.Uplink, NoExport: true,
+			}
 		}
 	}
 	return best

@@ -4,9 +4,9 @@ package bgpsim
 // and the routing simulation. Where Compute and Computer answer "what table
 // do these announcements produce?", a Fabric holds the *current* announce
 // state of a fixed origin set and lets a controller flip individual origins
-// at runtime — each flip incrementally recomputes the table (warm-started,
-// so the cost tracks the size of the routing change) and bumps a version
-// counter observers can poll cheaply.
+// at runtime — each flip re-solves the table on the fabric's Computer (one
+// three-pass solve over the whole graph, whatever the size of the routing
+// change) and bumps a version counter observers can poll cheaply.
 
 import (
 	"fmt"

@@ -98,8 +98,8 @@ type Router struct {
 // Epoch records one routing regime as the effective announcement vector it
 // was computed from. Tables are not serialized: route computation is a
 // pure function of the vector, so the resuming engine replays the vectors
-// through its (memoized, warm-started) computer and lands on bit-identical
-// tables and cache state.
+// through its memoized three-pass solver and lands on bit-identical tables
+// and memo entries.
 type Epoch struct {
 	Start  int32
 	Active []bool

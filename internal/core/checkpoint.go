@@ -300,8 +300,8 @@ func (ev *Evaluator) restoreSnapshot(snap *checkpoint.Snapshot) error {
 		}
 		// Replay the epoch history through the live route computation:
 		// tables are a pure function of the announcement vector, so the
-		// replayed tables — and the memo cache and incremental computer
-		// state behind them — are bit-identical to the killed run's.
+		// replayed tables — and the memo entries holding them — are
+		// bit-identical to the killed run's.
 		ls.epochs = ls.epochs[:0]
 		for j := range cl.Epochs {
 			act := cl.Epochs[j].Active

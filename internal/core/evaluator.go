@@ -162,10 +162,6 @@ type letterState struct {
 	index int
 	// targeted caches sched.Targeted(letter) for the probe hot path.
 	targeted bool
-	// comp is this letter's incremental route computer. Each letterState is
-	// owned by exactly one engine worker per minute, so the scratch inside
-	// is never shared across goroutines.
-	comp *bgpsim.Computer
 	// tableCache memoizes computed route tables by effective announcement
 	// vector (packed to a bitset key). Compute is a pure function of
 	// (graph, origins, active), so a flap cycle returning to a
@@ -321,6 +317,13 @@ type Evaluator struct {
 	// noSiteReplay makes every minute evaluate its sites from scratch; only
 	// the test that proves the replay an equivalence sets it.
 	noSiteReplay bool
+	// routes solves every letter's routing tables. It is immutable, so the
+	// engine workers routing different letters share it.
+	routes *bgpsim.Computer
+	// routeOracle, when set, solves every routing epoch with it instead,
+	// bypassing routes and the table memo; only the tests that hold the
+	// engine to the reference routing computation set it.
+	routeOracle func(*topo.Graph, []bgpsim.Origin, []bool) *bgpsim.Table
 	// txt caches CHAOS identity strings per letter/site/server.
 	txt map[byte][][]string
 
@@ -397,6 +400,7 @@ func NewEvaluator(cfg Config, opts ...Option) (*Evaluator, error) {
 		opts:       o,
 		sched:      sched,
 		Graph:      g,
+		routes:     bgpsim.NewComputer(g),
 		Deployment: dep,
 		Population: pop,
 		Collector:  col,
@@ -594,7 +598,6 @@ func (ev *Evaluator) buildLetterStates() {
 		ls.announced = make([]bool, nSites)
 		ls.sitesMinute = noSitePass
 		ls.targeted = ev.sched.Targeted(l.Letter)
-		ls.comp = bgpsim.NewComputer(ev.Graph)
 		ls.tableCache = make(map[string]*routeEntry)
 		ls.txt = ev.txt[l.Letter]
 		ls.siteCity = make([]int32, nSites)
@@ -617,9 +620,8 @@ func (ev *Evaluator) buildLetterStates() {
 // Routing is memoized: the table (and the traffic shares derived from it)
 // is a pure function of the effective announcement vector, so a flap cycle
 // that returns to a previously-seen vector reuses the stored result. Cache
-// misses go through the letter's incremental Computer, which warm-starts
-// from the last-computed fixpoint; both paths produce tables byte-identical
-// to a from-scratch bgpsim.Compute, so the epoch sequence — and the BGP
+// misses are solved from scratch by the evaluator's shared Computer, so a
+// hit and a miss yield the same table and the epoch sequence — and the BGP
 // diff stream derived from it — is unchanged by the caching.
 func (ev *Evaluator) computeEpoch(ls *letterState, minute int) {
 	act := ls.effective()
@@ -641,23 +643,20 @@ func (ev *Evaluator) computeEpoch(ls *letterState, minute int) {
 }
 
 // routeEntryFor resolves the routing result for an effective announcement
-// vector — memoized table cache with incremental warm-started computation,
-// or the reference full sweep under the WithRoutingCache(false) ablation.
-// Shared by computeEpoch and by checkpoint restore's epoch replay, so a
-// resumed run rebuilds the identical cache contents and computer state.
+// vector: a memo hit, or a solve on the evaluator's Computer that is then
+// memoized. Shared by computeEpoch and by checkpoint restore's epoch replay,
+// so a resumed run rebuilds the identical memo contents.
 func (ev *Evaluator) routeEntryFor(ls *letterState, act []bool) *routeEntry {
-	if ev.opts.routingCache {
-		ls.keyBuf = packActiveKey(ls.keyBuf[:0], act)
-		if hit, ok := ls.tableCache[string(ls.keyBuf)]; ok {
-			return hit
-		}
-		ent := ev.newRouteEntry(ls, ls.comp.Compute(ls.origins, act))
-		ls.tableCache[string(ls.keyBuf)] = ent
-		return ent
+	if ev.routeOracle != nil {
+		return ev.newRouteEntry(ls, ev.routeOracle(ev.Graph, ls.origins, act))
 	}
-	// Ablation path (WithRoutingCache(false)): the reference full-sweep
-	// computation, exactly as the pre-incremental engine ran it.
-	return ev.newRouteEntry(ls, bgpsim.Compute(ev.Graph, ls.origins, act))
+	ls.keyBuf = packActiveKey(ls.keyBuf[:0], act)
+	if hit, ok := ls.tableCache[string(ls.keyBuf)]; ok {
+		return hit
+	}
+	ent := ev.newRouteEntry(ls, ev.routes.Compute(ls.origins, act))
+	ls.tableCache[string(ls.keyBuf)] = ent
+	return ent
 }
 
 // newRouteEntry derives the per-site traffic shares from a routing table.

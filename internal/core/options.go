@@ -30,12 +30,11 @@ type ProgressFunc func(Progress)
 
 // options collects the functional-option state of an Evaluator.
 type options struct {
-	workers      int // 0 = auto (GOMAXPROCS), otherwise an explicit count
-	ctx          context.Context
-	progress     ProgressFunc
-	schedule     *attack.Schedule
-	faults       *faults.Plan
-	routingCache bool
+	workers  int // 0 = auto (GOMAXPROCS), otherwise an explicit count
+	ctx      context.Context
+	progress ProgressFunc
+	schedule *attack.Schedule
+	faults   *faults.Plan
 	// checkpointDir enables periodic checkpoints; checkpointEvery is
 	// the minute stride between them.
 	checkpointDir   string
@@ -46,7 +45,7 @@ type options struct {
 }
 
 func defaultOptions() options {
-	return options{ctx: context.Background(), routingCache: true}
+	return options{ctx: context.Background()}
 }
 
 // resolveWorkers maps the configured worker count to a concrete one.
@@ -95,16 +94,6 @@ func WithProgress(fn ProgressFunc) Option {
 // WithSchedule selects the attack scenario, overriding Config.Schedule.
 func WithSchedule(s *attack.Schedule) Option {
 	return func(o *options) { o.schedule = s }
-}
-
-// WithRoutingCache toggles the memoized, incremental routing-epoch path
-// (on by default). Routing tables are a pure function of the effective
-// announcement vector, so caching and warm-started incremental fixpoints
-// produce byte-identical output either way; disabling the cache forces the
-// reference from-scratch bgpsim.Compute on every epoch. This is the
-// ablation knob the equivalence tests and benchmarks compare against.
-func WithRoutingCache(enabled bool) Option {
-	return func(o *options) { o.routingCache = enabled }
 }
 
 // WithCheckpoint makes the engine's state durable under dir every everyN

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"errors"
 	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/rootevent/anycastddos/internal/attack"
+	"github.com/rootevent/anycastddos/internal/bgpsim/bgpsimtest"
 	"github.com/rootevent/anycastddos/internal/faults"
 	"github.com/rootevent/anycastddos/internal/topo"
 )
@@ -37,36 +36,30 @@ type runFingerprint struct {
 
 func fingerprint(t *testing.T, seed int64, workers int, extra ...Option) runFingerprint {
 	t.Helper()
+	return runFingerprintOf(t, seed, workers, false, extra...)
+}
+
+// oracleFingerprint is fingerprint with every routing epoch solved by the
+// reference bgpsimtest.Compute and the table memo off.
+func oracleFingerprint(t *testing.T, seed int64, workers int, extra ...Option) runFingerprint {
+	t.Helper()
+	return runFingerprintOf(t, seed, workers, true, extra...)
+}
+
+func runFingerprintOf(t *testing.T, seed int64, workers int, oracle bool, extra ...Option) runFingerprint {
+	t.Helper()
 	opts := append([]Option{WithWorkers(workers)}, extra...)
 	ev, err := NewEvaluator(tinyConfig(seed), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if oracle {
+		ev.routeOracle = bgpsimtest.Compute
+	}
 	if err := ev.Run(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ev.Measure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := d.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fp := runFingerprint{
-		datasetHash: sha256.Sum256(buf.Bytes()),
-		updates:     ev.Collector.Updates(),
-		rssacK:      ev.RSSACReports('K'),
-	}
-	s, err := ev.SiteRouteSeries('K', 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp.routesK0 = s.Values
-	for _, nls := range ev.NLSeries {
-		fp.nl = append(fp.nl, nls.Values)
-	}
-	return fp
+	return fingerprintEv(t, ev)
 }
 
 // TestParallelEngineEquivalence is the golden-equivalence matrix of the
@@ -132,12 +125,12 @@ func TestParallelEngineEquivalenceWithFaults(t *testing.T) {
 			t.Errorf("workers %d: faulted .nl series differs", workers)
 		}
 	}
-	// The memoized incremental routing path must be invisible under fault
-	// injection too: disabling the cache (the reference from-scratch
-	// Compute on every epoch) reproduces the faulted run bit-for-bit at
-	// every worker count.
+	// The memoized three-pass routing path must be invisible under fault
+	// injection too: the reference routing computation on every epoch,
+	// memo off, reproduces the faulted run bit-for-bit at every worker
+	// count.
 	for _, workers := range []int{1, 4} {
-		got := fingerprint(t, 1, workers, withFaults, WithRoutingCache(false))
+		got := oracleFingerprint(t, 1, workers, withFaults)
 		if got.datasetHash != base.datasetHash {
 			t.Errorf("workers %d: faulted cache-off dataset differs", workers)
 		}
@@ -156,16 +149,16 @@ func TestParallelEngineEquivalenceWithFaults(t *testing.T) {
 }
 
 // TestRoutingCacheEquivalence is the byte-identity proof for the routing
-// fast path: the memoized, warm-started incremental computation (the
-// default) must reproduce the reference full-sweep run — dataset, BGP
-// update stream, RSSAC reports, route and collateral series — bit-for-bit,
-// at every worker count.
+// fast path: the memoized three-pass solver must reproduce a run whose
+// every epoch the reference bgpsimtest.Compute solved with the memo off —
+// dataset, BGP update stream, RSSAC reports, route and collateral series —
+// bit-for-bit, at every worker count.
 func TestRoutingCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple full engine runs")
 	}
 	for _, seed := range []int64{1, 42} {
-		ref := fingerprint(t, seed, 1, WithRoutingCache(false))
+		ref := oracleFingerprint(t, seed, 1)
 		for _, workers := range []int{1, 4} {
 			got := fingerprint(t, seed, workers)
 			if got.datasetHash != ref.datasetHash {

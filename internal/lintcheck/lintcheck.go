@@ -71,9 +71,9 @@ func DefaultConfig() Config {
 		// tick-driven and clock-free (proved by the deterministic FSM tests).
 		WallClockAllow: []string{"internal/dnsserver", "internal/sitemgr", "cmd/", "examples/"},
 		PanicAllow:     []string{"internal/stats"},
-		// bgpsim holds the route Computer's reusable scratch buffers; a
-		// map-range there could write iteration order into pooled state
-		// that outlives the function the maprange rule analyzes.
+		// bgpsim's route solver breaks exact ties by adjacency-list order;
+		// a map-range there could write iteration order into a table that
+		// outlives the function the maprange rule analyzes.
 		MapIterBan: []string{"internal/bgpsim"},
 		// The command harnesses are what the kill/resume soak SIGKILLs;
 		// their output files must be atomic or a crash tears out/.
