@@ -22,6 +22,12 @@
 // Snapshot; resume is deterministic, so any prefix is a valid checkpoint and
 // damage costs recomputation, never correctness.
 //
+// Within a record every per-minute series is a change mask (format version
+// 3): its first value, a bit per later minute that is set where the value
+// changed, and the changed values. Outside an event the series barely move,
+// so a quiet minute costs a bit per series. Records stay self-contained: a
+// record decodes without its predecessor's values.
+//
 // Encode and Decode frame the same record body as a standalone blob (magic,
 // version, body, SHA-256 trailer). Decoding never panics on hostile input:
 // torn, bit-flipped or version-skewed data wraps ErrCorrupt or ErrVersion.
@@ -33,14 +39,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // Version is the format version of the record body and the log. Bump it
 // whenever the body layout changes; old checkpoints then fail with
 // ErrVersion instead of decoding into garbage. (Version 1, full snapshot
-// files plus a manifest, is not read: its directories hold no log.)
-const Version = 2
+// files plus a manifest, is not read: its directories hold no log. A
+// version 2 log, which stored every minute of every series, fails with
+// ErrVersion.)
+const Version = 3
 
 // magic identifies a standalone encoded snapshot; fixed across versions.
 const magic = "RDNSCKPT"
@@ -139,14 +148,15 @@ func Encode(s *Snapshot) []byte {
 }
 
 // body appends the snapshot's fields: a log record's whole payload, and
-// what Encode frames.
+// what Encode frames. Every per-minute series is a change-mask series
+// (f64Series and its siblings); the head's vectors are written in full.
 func (e *encoder) body(s *Snapshot) {
 	e.uvarint(uint64(s.From))
 	e.uvarint(uint64(s.Minute))
 	e.bytes(s.ConfigDigest[:])
 	e.uvarint(uint64(len(s.CityExcess)))
 	for _, row := range s.CityExcess {
-		e.f64s(row)
+		e.f64Series(row)
 	}
 	e.uvarint(uint64(len(s.Updates)))
 	for _, u := range s.Updates {
@@ -176,46 +186,48 @@ func (e *encoder) body(s *Snapshot) {
 		}
 		e.uvarint(uint64(len(l.Loss)))
 		for si := range l.Loss {
-			e.f32s(l.Loss[si])
-			e.f32s(l.Delay[si])
-			e.bools(l.HasRoute[si])
+			e.f32Series(l.Loss[si])
+			e.f32Series(l.Delay[si])
+			e.boolSeries(l.HasRoute[si])
 		}
-		e.f64s(l.LegitServed)
-		e.f64s(l.AttackServed)
-		e.f64s(l.RetryServed)
-		e.f64s(l.Responses)
+		e.f64Series(l.LegitServed)
+		e.f64Series(l.AttackServed)
+		e.f64Series(l.RetryServed)
+		e.f64Series(l.Responses)
 	}
 }
 
-// sizeBound is an upper bound on len(Encode(s)) — the encoding with every
-// count at a varint's full width — so Encode allocates its multi-megabyte
-// buffer once instead of regrowing it. A field Encode gains and this misses
-// costs a reallocation, never correctness.
+// sizeBound is len(Encode(s)), exactly: every count at its varint width
+// and every series at its change count, so Encode allocates its buffer once
+// instead of regrowing it. A field Encode gains and this misses costs a
+// reallocation, never correctness.
 func sizeBound(s *Snapshot) int {
-	const count = binary.MaxVarintLen64
-	vec := func(n, elemBytes int) int { return count + n*elemBytes }
-	n := len(magic) + 4 + 2*count + len(s.ConfigDigest) + sha256.Size
-	n += count
+	vec := func(n, elemBytes int) int { return uvarintLen(n) + n*elemBytes }
+	n := len(magic) + 4 + uvarintLen(s.From) + uvarintLen(s.Minute) + len(s.ConfigDigest) + sha256.Size
+	n += uvarintLen(len(s.CityExcess))
 	for _, row := range s.CityExcess {
-		n += vec(len(row), 8)
+		n += f64SeriesSize(row)
 	}
 	n += vec(len(s.Updates), 1+4*4)
-	n += count
+	n += uvarintLen(len(s.Letters))
 	for i := range s.Letters {
 		l := &s.Letters[i]
 		n += 1 + vec(len(l.Routers), 1+2*4) + vec(len(l.Active), 1) + 1 + vec(len(l.EffActive), 1)
-		n += count
+		n += uvarintLen(len(l.Epochs))
 		for _, ep := range l.Epochs {
 			n += 4 + vec(len(ep.Active), 1)
 		}
-		n += count
+		n += uvarintLen(len(l.Loss))
 		for si := range l.Loss {
-			n += vec(len(l.Loss[si]), 4) + vec(len(l.Delay[si]), 4) + vec(len(l.HasRoute[si]), 1)
+			n += f32SeriesSize(l.Loss[si]) + f32SeriesSize(l.Delay[si]) + seriesSize(len(l.HasRoute[si]), 1, 0)
 		}
-		n += vec(len(l.LegitServed), 8) + vec(len(l.AttackServed), 8) + vec(len(l.RetryServed), 8) + vec(len(l.Responses), 8)
+		n += f64SeriesSize(l.LegitServed) + f64SeriesSize(l.AttackServed) + f64SeriesSize(l.RetryServed) + f64SeriesSize(l.Responses)
 	}
 	return n
 }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
 
 // Decode parses and validates a serialized snapshot. It returns an error
 // wrapping ErrCorrupt for torn/truncated/bit-flipped input and ErrVersion
@@ -234,16 +246,16 @@ func Decode(data []byte) (*Snapshot, error) {
 	if sum := sha256.Sum256(body); string(sum[:]) != string(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch (torn write?)", ErrCorrupt)
 	}
-	return decodeBody(body[len(magic)+4:], nil)
+	return decodeBody(&decoder{data: body[len(magic)+4:]}, nil)
 }
 
-// decodeBody parses what encoder.body wrote, already checksum-verified by
-// the caller. With acc nil it returns a new snapshot. With acc — the fold of
-// a log's earlier records — it appends to acc instead: the body must
-// continue acc (same run and shape, From == acc.Minute); its series, updates
-// and epochs extend acc's, its head replaces acc's. On error discard acc.
-func decodeBody(body []byte, acc *Snapshot) (*Snapshot, error) {
-	d := decoder{data: body}
+// decodeBody parses what encoder.body wrote into d, already
+// checksum-verified by the caller. With acc nil it returns a new snapshot.
+// With acc — the fold of a log's earlier records — it appends to acc
+// instead: the body must continue acc (same run and shape, From ==
+// acc.Minute); its series, updates and epochs extend acc's, its head
+// replaces acc's. On error discard acc.
+func decodeBody(d *decoder, acc *Snapshot) (*Snapshot, error) {
 	s, fresh := acc, acc == nil
 	if fresh {
 		s = &Snapshot{}
@@ -260,14 +272,14 @@ func decodeBody(body []byte, acc *Snapshot) (*Snapshot, error) {
 		d.fail("record [%d, %d) does not continue minute %d of this run", from, minute, s.Minute)
 	}
 	s.Minute = minute
-	s.CityExcess = shaped(&d, s.CityExcess, fresh, 8)
+	s.CityExcess = shaped(d, s.CityExcess, fresh, 8)
 	for i := range s.CityExcess {
-		s.CityExcess[i] = d.f64s(s.CityExcess[i])
+		s.CityExcess[i] = d.f64Series(s.CityExcess[i])
 	}
 	for n := d.count(14); n > 0 && d.err == nil; n-- {
 		s.Updates = append(s.Updates, Update{Minute: d.i32(), Letter: d.byte(), Peer: d.i32(), From: d.i32(), To: d.i32()})
 	}
-	s.Letters = shaped(&d, s.Letters, fresh, 16)
+	s.Letters = shaped(d, s.Letters, fresh, 16)
 	for i := range s.Letters {
 		l := &s.Letters[i]
 		if lb := d.byte(); fresh {
@@ -285,22 +297,22 @@ func decodeBody(body []byte, acc *Snapshot) (*Snapshot, error) {
 		for n := d.count(5); n > 0 && d.err == nil; n-- {
 			l.Epochs = append(l.Epochs, Epoch{Start: d.i32(), Active: d.bools(nil)})
 		}
-		l.Loss = shaped(&d, l.Loss, fresh, 3)
+		l.Loss = shaped(d, l.Loss, fresh, 3)
 		if fresh {
 			l.Delay, l.HasRoute = make([][]float32, len(l.Loss)), make([][]bool, len(l.Loss))
 		}
 		for si := range l.Loss {
-			l.Loss[si] = d.f32s(l.Loss[si])
-			l.Delay[si] = d.f32s(l.Delay[si])
-			l.HasRoute[si] = d.bools(l.HasRoute[si])
+			l.Loss[si] = d.f32Series(l.Loss[si])
+			l.Delay[si] = d.f32Series(l.Delay[si])
+			l.HasRoute[si] = d.boolSeries(l.HasRoute[si])
 		}
-		l.LegitServed = d.f64s(l.LegitServed)
-		l.AttackServed = d.f64s(l.AttackServed)
-		l.RetryServed = d.f64s(l.RetryServed)
-		l.Responses = d.f64s(l.Responses)
+		l.LegitServed = d.f64Series(l.LegitServed)
+		l.AttackServed = d.f64Series(l.AttackServed)
+		l.RetryServed = d.f64Series(l.RetryServed)
+		l.Responses = d.f64Series(l.Responses)
 	}
-	if d.err == nil && d.off != len(body) {
-		d.fail("%d trailing bytes after body", len(body)-d.off)
+	if d.err == nil && d.off != len(d.data) {
+		d.fail("%d trailing bytes after body", len(d.data)-d.off)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -328,12 +340,9 @@ type encoder struct{ buf []byte }
 func (e *encoder) bytes(b []byte)   { e.buf = append(e.buf, b...) }
 func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
 func (e *encoder) u32(v uint32)     { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) i32(v int32)      { e.u32(uint32(v)) }
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-func (e *encoder) f32(v float32) { e.u32(math.Float32bits(v)) }
 
 func (e *encoder) bool(v bool) {
 	if v {
@@ -343,17 +352,113 @@ func (e *encoder) bool(v bool) {
 	}
 }
 
-// encodeVec writes a length-prefixed vector through the element encoder.
-func encodeVec[T any](e *encoder, v []T, elem func(T)) {
+// bools writes a fixed-width vector: its length, then a byte per element.
+func (e *encoder) bools(v []bool) {
 	e.uvarint(uint64(len(v)))
 	for _, x := range v {
-		elem(x)
+		e.bool(x)
 	}
 }
 
-func (e *encoder) bools(v []bool)   { encodeVec(e, v, e.bool) }
-func (e *encoder) f64s(v []float64) { encodeVec(e, v, e.f64) }
-func (e *encoder) f32s(v []float32) { encodeVec(e, v, e.f32) }
+// A change-mask series stores v[0:n] as n (uvarint), v[0] at its fixed
+// width, an (n-1)-bit mask whose bit i is set when v[i+1] differs from v[i],
+// and then, in order, the value of every set bit. Floats compare by bit
+// pattern, so -0 after +0 is a change and a NaN's payload survives; a bool
+// change is a flip and carries no value. An empty series is its count
+// alone. Bits fill each mask byte from its least significant end.
+
+// maskBytes is the length of an n-cell series' change mask, n >= 1.
+func maskBytes(n int) int { return (n + 6) / 8 }
+
+// mask appends an n-cell series' change mask, every bit clear, and returns
+// its offset for changed to set bits in. It grows and clears rather than
+// appending a make: the race detector's build allocates for the latter.
+func (e *encoder) mask(n int) int {
+	off := len(e.buf)
+	e.buf = slices.Grow(e.buf, maskBytes(n))[:off+maskBytes(n)]
+	clear(e.buf[off:])
+	return off
+}
+
+// changed sets bit i of the mask at off: cell i+1 differs from cell i.
+func (e *encoder) changed(off, i int) { e.buf[off+(i>>3)] |= 1 << (i & 7) }
+
+func (e *encoder) f64Series(v []float64) {
+	e.uvarint(uint64(len(v)))
+	if len(v) == 0 {
+		return
+	}
+	prev := math.Float64bits(v[0])
+	e.u64(prev)
+	m := e.mask(len(v))
+	for i, x := range v[1:] {
+		if b := math.Float64bits(x); b != prev {
+			e.changed(m, i)
+			e.u64(b)
+			prev = b
+		}
+	}
+}
+
+func (e *encoder) f32Series(v []float32) {
+	e.uvarint(uint64(len(v)))
+	if len(v) == 0 {
+		return
+	}
+	prev := math.Float32bits(v[0])
+	e.u32(prev)
+	m := e.mask(len(v))
+	for i, x := range v[1:] {
+		if b := math.Float32bits(x); b != prev {
+			e.changed(m, i)
+			e.u32(b)
+			prev = b
+		}
+	}
+}
+
+func (e *encoder) boolSeries(v []bool) {
+	e.uvarint(uint64(len(v)))
+	if len(v) == 0 {
+		return
+	}
+	e.bool(v[0])
+	m := e.mask(len(v))
+	for i, x := range v[1:] {
+		if x != v[i] {
+			e.changed(m, i)
+		}
+	}
+}
+
+// seriesSize is the encoded length of an n-cell series whose first value
+// takes width bytes and whose changed values take values bytes in all.
+func seriesSize(n, width, values int) int {
+	if n == 0 {
+		return 1
+	}
+	return uvarintLen(n) + width + maskBytes(n) + values
+}
+
+func f64SeriesSize(v []float64) int {
+	changes := 0
+	for i := 1; i < len(v); i++ {
+		if math.Float64bits(v[i]) != math.Float64bits(v[i-1]) {
+			changes++
+		}
+	}
+	return seriesSize(len(v), 8, 8*changes)
+}
+
+func f32SeriesSize(v []float32) int {
+	changes := 0
+	for i := 1; i < len(v); i++ {
+		if math.Float32bits(v[i]) != math.Float32bits(v[i-1]) {
+			changes++
+		}
+	}
+	return seriesSize(len(v), 4, 4*changes)
+}
 
 // decoder reads the body with sticky errors and allocation caps: every
 // count is validated against the bytes remaining, so a corrupted length
@@ -362,6 +467,12 @@ type decoder struct {
 	data []byte
 	off  int
 	err  error
+	// reserve, when budget covers it, is the length a fresh series is
+	// sized for: a fold's first record sizes every series for the whole
+	// fold, so the records after it never regrow one. budget is the cells
+	// the fold's bytes can hold at a mask bit each, so a hostile span
+	// cannot size series past what the input could really fill.
+	reserve, budget int
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -410,6 +521,12 @@ func (d *decoder) u32() uint32 {
 	return binary.LittleEndian.Uint32(b[:])
 }
 
+func (d *decoder) u64() uint64 {
+	var b [8]byte
+	d.read(b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
 func (d *decoder) i32() int32 { return int32(d.u32()) }
 
 func (d *decoder) uvarint() uint64 {
@@ -439,34 +556,135 @@ func (d *decoder) count(minElemBytes int) int {
 	return int(v)
 }
 
-// decodeVec appends a length-prefixed vector of width-byte elements to dst,
-// bounds-checked once; an empty vector leaves dst (nil included) as is.
-func decodeVec[T any](d *decoder, dst []T, width int, elem func([]byte) T) []T {
-	n := d.count(width)
-	b := d.take(n * width)
-	if b == nil {
-		return dst
-	}
-	dst = slices.Grow(dst, n)
-	for ; len(b) > 0; b = b[width:] {
-		dst = append(dst, elem(b))
+// bools appends a fixed-width vector to dst; an empty one leaves dst (nil
+// included) as is.
+func (d *decoder) bools(dst []bool) []bool {
+	b := d.take(d.count(1))
+	dst = slices.Grow(dst, len(b))
+	for _, x := range b {
+		if x > 1 {
+			d.fail("invalid bool")
+		}
+		dst = append(dst, x == 1)
 	}
 	return dst
 }
 
-func (d *decoder) f64s(dst []float64) []float64 {
-	return decodeVec(d, dst, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
+// seriesHead reads a series' count, capped at 8 cells per remaining byte
+// (a cell costs at least its mask bit), and with n > 0 its first value's
+// width bytes and its mask, whose padding bits must be clear. ok is false
+// for an empty series or once decoding failed.
+func (d *decoder) seriesHead(width int) (n int, first uint64, mask []byte, ok bool) {
+	v := d.uvarint()
+	if d.err == nil && v > 8*uint64(d.remaining()) {
+		d.fail("series of %d cells exceeds remaining data", v)
+	}
+	if d.err != nil || v == 0 {
+		return 0, 0, nil, false
+	}
+	n = int(v)
+	b := d.take(width + maskBytes(n))
+	if b == nil {
+		return 0, 0, nil, false
+	}
+	switch width {
+	case 8:
+		first = binary.LittleEndian.Uint64(b)
+	case 4:
+		first = uint64(binary.LittleEndian.Uint32(b))
+	default:
+		first = uint64(b[0])
+	}
+	mask = b[width:]
+	if pad := (n - 1) & 7; pad != 0 && mask[len(mask)-1]>>pad != 0 {
+		d.fail("series mask padding bits set")
+		return 0, 0, nil, false
+	}
+	return n, first, mask, true
 }
 
-func (d *decoder) f32s(dst []float32) []float32 {
-	return decodeVec(d, dst, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
+// changedValue reads the value a set mask bit announces, which must differ
+// from the one it replaces: the encoding is canonical.
+func (d *decoder) changedValue(width int, prev uint64) uint64 {
+	var v uint64
+	if width == 4 {
+		v = uint64(d.u32())
+	} else {
+		v = d.u64()
+	}
+	if v == prev && d.err == nil {
+		d.fail("series change to an identical value")
+	}
+	return v
 }
 
-func (d *decoder) bools(dst []bool) []bool {
-	return decodeVec(d, dst, 1, func(b []byte) bool {
-		if b[0] > 1 {
-			d.fail("invalid bool")
+// grow extends dst by n cells: by d.reserve at once for a fresh series the
+// budget still covers, by exactly n otherwise.
+func grow[T any](d *decoder, dst []T, n int) []T {
+	if cap(dst) == 0 && d.reserve > n && d.budget >= d.reserve {
+		d.budget -= d.reserve
+		return slices.Grow(dst, d.reserve)[:n]
+	}
+	return slices.Grow(dst, n)[:len(dst)+n]
+}
+
+// f64Series appends a change-mask series to dst.
+func (d *decoder) f64Series(dst []float64) []float64 {
+	n, cur, mask, ok := d.seriesHead(8)
+	if !ok {
+		return dst
+	}
+	base := len(dst)
+	dst = grow(d, dst, n)
+	out := dst[base:]
+	out[0] = math.Float64frombits(cur)
+	for i := 1; i < n; i++ {
+		if mask[(i-1)>>3]&(1<<((i-1)&7)) != 0 {
+			cur = d.changedValue(8, cur)
 		}
-		return b[0] == 1
-	})
+		out[i] = math.Float64frombits(cur)
+	}
+	return dst
+}
+
+// f32Series appends a change-mask series to dst.
+func (d *decoder) f32Series(dst []float32) []float32 {
+	n, cur, mask, ok := d.seriesHead(4)
+	if !ok {
+		return dst
+	}
+	base := len(dst)
+	dst = grow(d, dst, n)
+	out := dst[base:]
+	out[0] = math.Float32frombits(uint32(cur))
+	for i := 1; i < n; i++ {
+		if mask[(i-1)>>3]&(1<<((i-1)&7)) != 0 {
+			cur = d.changedValue(4, cur)
+		}
+		out[i] = math.Float32frombits(uint32(cur))
+	}
+	return dst
+}
+
+// boolSeries appends a change-mask series to dst: a set bit is a flip.
+func (d *decoder) boolSeries(dst []bool) []bool {
+	n, first, mask, ok := d.seriesHead(1)
+	if !ok {
+		return dst
+	}
+	if first > 1 {
+		d.fail("invalid bool")
+	}
+	base := len(dst)
+	dst = grow(d, dst, n)
+	out := dst[base:]
+	cur := first == 1
+	out[0] = cur
+	for i := 1; i < n; i++ {
+		if mask[(i-1)>>3]&(1<<((i-1)&7)) != 0 {
+			cur = !cur
+		}
+		out[i] = cur
+	}
+	return dst
 }

@@ -5,8 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -128,6 +132,38 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestEncodeWorstCase prices series that never rest: in sampleRecord every
+// float changes every minute. A float cell then costs its value plus one mask
+// bit, one bit more than writing every value plainly; a bool cell costs one
+// mask bit whatever it does, where plainly it costs a byte.
+func TestEncodeWorstCase(t *testing.T) {
+	s := sampleRecord(0, 400)
+	float := func(n, width, got int) {
+		if want := uvarintLen(n) + width*n + maskBytes(n); got != want {
+			t.Errorf("%d-cell series of %d-byte values changing every cell: %d bytes, want %d", n, width, got, want)
+		}
+	}
+	for _, row := range s.CityExcess {
+		float(len(row), 8, f64SeriesSize(row))
+	}
+	for _, l := range s.Letters {
+		for si := range l.Loss {
+			float(len(l.Loss[si]), 4, f32SeriesSize(l.Loss[si]))
+			float(len(l.Delay[si]), 4, f32SeriesSize(l.Delay[si]))
+			n := len(l.HasRoute[si])
+			if got, want := seriesSize(n, 1, 0), uvarintLen(n)+1+maskBytes(n); got != want {
+				t.Errorf("%d-cell bool series: %d bytes, want %d", n, got, want)
+			}
+		}
+		for _, v := range [][]float64{l.LegitServed, l.AttackServed, l.RetryServed, l.Responses} {
+			float(len(v), 8, f64SeriesSize(v))
+		}
+	}
+	if data := Encode(s); len(data) != sizeBound(s) {
+		t.Errorf("worst-case record is %d bytes, sized at %d", len(data), sizeBound(s))
+	}
+}
+
 func TestDecodeEmptySnapshot(t *testing.T) {
 	s := &Snapshot{Minute: 0}
 	got, err := Decode(Encode(s))
@@ -164,6 +200,158 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oneCity frames by hand a standalone snapshot of [0, 3) whose only series
+// is one city's row, written by series, so the change-mask layout itself
+// can be malformed.
+func oneCity(series func(e *encoder)) []byte {
+	e := &encoder{}
+	e.bytes([]byte(magic))
+	e.u32(Version)
+	e.uvarint(0)
+	e.uvarint(3)
+	e.bytes(make([]byte, 32))
+	e.uvarint(1)
+	series(e)
+	e.uvarint(0) // updates
+	e.uvarint(0) // letters
+	sum := sha256.Sum256(e.buf)
+	return append(e.buf, sum[:]...)
+}
+
+// TestDecodeChangeMaskEdgeCases covers the change-mask series against
+// hostile and edge-case input: non-canonical masks fail, bit patterns
+// survive exactly, and a count the remaining bytes cannot hold fails
+// before it allocates.
+func TestDecodeChangeMaskEdgeCases(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	quietNaN, payloadNaN := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000abc)
+	f64 := func(v float64) uint64 { return math.Float64bits(v) }
+	cases := []struct {
+		name string
+		data []byte
+		err  error     // nil: must decode and re-encode to the same bytes
+		row  []float64 // on success, the city row, compared by bit pattern
+		why  string    // on failure, part of the error message
+	}{
+		{"quiet row", oneCity(func(e *encoder) {
+			e.uvarint(3)
+			e.u64(f64(1.5))
+			e.byte(0)
+		}), nil, []float64{1.5, 1.5, 1.5}, ""},
+		{"mask padding bit set", oneCity(func(e *encoder) {
+			e.uvarint(3)
+			e.u64(f64(1.5))
+			e.byte(1 << 2) // bits 0 and 1 cover cells 1 and 2
+		}), ErrCorrupt, nil, "mask padding"},
+		{"change to a bit-identical value", oneCity(func(e *encoder) {
+			e.uvarint(2)
+			e.u64(f64(1.5))
+			e.byte(1)
+			e.u64(f64(1.5))
+		}), ErrCorrupt, nil, "identical value"},
+		{"change to a bit-identical NaN", oneCity(func(e *encoder) {
+			e.uvarint(2)
+			e.u64(f64(quietNaN))
+			e.byte(1)
+			e.u64(f64(quietNaN))
+		}), ErrCorrupt, nil, "identical value"},
+		{"-0 after +0 and NaN payloads", Encode(&Snapshot{Minute: 6, CityExcess: [][]float64{
+			{0, negZero, negZero, quietNaN, quietNaN, payloadNaN},
+		}}), nil, []float64{0, negZero, negZero, quietNaN, quietNaN, payloadNaN}, ""},
+		{"count above 8 cells per remaining byte", oneCity(func(e *encoder) {
+			e.uvarint(8*11 + 1) // 11 bytes follow: the first value, a mask byte, two counts
+			e.u64(f64(1.5))
+			e.byte(0)
+		}), ErrCorrupt, nil, "exceeds remaining data"},
+		{"count of 2^40 cells", oneCity(func(e *encoder) {
+			e.uvarint(1 << 40)
+			e.u64(f64(1.5))
+		}), ErrCorrupt, nil, "exceeds remaining data"},
+		{"mask truncated", oneCity(func(e *encoder) {
+			e.uvarint(8*10 + 1) // passes the count cap, needs 10 mask bytes
+			e.u64(f64(1.5))
+			e.byte(0)
+		}), ErrCorrupt, nil, "truncated"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got *Snapshot
+			var err error
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err = Decode(tc.data)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("Decode of %d bytes allocated %d bytes", len(tc.data), alloc)
+			}
+			if tc.err != nil {
+				if !errors.Is(err, tc.err) || !strings.Contains(err.Error(), tc.why) {
+					t.Fatalf("err = %v, want %v for %q", err, tc.err, tc.why)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re := Encode(got); !bytes.Equal(re, tc.data) {
+				t.Errorf("re-encoding is %d bytes, input %d: not canonical", len(re), len(tc.data))
+			}
+			row := got.CityExcess[0]
+			if len(row) != len(tc.row) {
+				t.Fatalf("row of %d cells, want %d", len(row), len(tc.row))
+			}
+			for i := range row {
+				if f64(row[i]) != f64(tc.row[i]) {
+					t.Errorf("cell %d = %#x, want %#x", i, f64(row[i]), f64(tc.row[i]))
+				}
+			}
+		})
+	}
+	// Float32 series keep their bit patterns too: -0 after +0 and a NaN
+	// payload change are changes, and come back exactly.
+	s := sampleSnapshot(4)
+	loss := []float32{0, float32(negZero), math.Float32frombits(0x7fc00001), math.Float32frombits(0x7f800abc)}
+	s.Letters[0].Loss[0] = loss
+	got, err := Decode(Encode(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got.Letters[0].Loss[0] {
+		if math.Float32bits(v) != math.Float32bits(loss[i]) {
+			t.Errorf("loss cell %d = %#x, want %#x", i, math.Float32bits(v), math.Float32bits(loss[i]))
+		}
+	}
+	if n, want := f32SeriesSize(loss), seriesSize(4, 4, 3*4); n != want {
+		t.Errorf("loss series sized %d bytes, want %d: every cell after the first is a change", n, want)
+	}
+}
+
+// stepped makes every per-minute series of s piecewise constant: each cell
+// takes the value of the first cell of its width-minute block, so most mask
+// bits are clear.
+func stepped(s *Snapshot, width int) *Snapshot {
+	step := func(n int, set func(i, j int)) {
+		for i := 0; i < n; i++ {
+			set(i, i-i%width)
+		}
+	}
+	f64s := func(v []float64) { step(len(v), func(i, j int) { v[i] = v[j] }) }
+	for _, row := range s.CityExcess {
+		f64s(row)
+	}
+	for li := range s.Letters {
+		l := &s.Letters[li]
+		for si := range l.Loss {
+			loss, delay, route := l.Loss[si], l.Delay[si], l.HasRoute[si]
+			step(len(loss), func(i, j int) { loss[i], delay[i], route[i] = loss[j], delay[j], route[j] })
+		}
+		for _, v := range [][]float64{l.LegitServed, l.AttackServed, l.RetryServed, l.Responses} {
+			f64s(v)
+		}
+	}
+	return s
 }
 
 func flipBit(data []byte, i int) []byte {
@@ -280,6 +468,59 @@ func TestLogFoldsRecords(t *testing.T) {
 	// Minute 0 replaces the log, whatever it held.
 	writeLog(t, dir, 5)
 	loadMinute(t, dir, 5)
+}
+
+// The fold sizes every series once, for the whole log, instead of
+// regrowing it record by record; and a span the log's bytes cannot back —
+// here a last record claiming minute 2^40 — sizes nothing past them.
+func TestFoldSizesSeriesOnce(t *testing.T) {
+	dir := t.TempDir()
+	var minutes []int
+	for m := 5; m <= 600; m += 5 {
+		minutes = append(minutes, m)
+	}
+	writeLog(t, dir, minutes...)
+	got, err := LoadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want64, want32, wantBool := cap(slices.Grow([]float64(nil), 600)), cap(slices.Grow([]float32(nil), 600)), cap(slices.Grow([]bool(nil), 600))
+	for _, row := range got.CityExcess {
+		if cap(row) != want64 {
+			t.Errorf("city row has capacity %d, want %d", cap(row), want64)
+		}
+	}
+	for _, l := range got.Letters {
+		for si := range l.Loss {
+			if cap(l.Loss[si]) != want32 || cap(l.Delay[si]) != want32 || cap(l.HasRoute[si]) != wantBool {
+				t.Errorf("letter %c site %d: capacities %d, %d, %d, want %d, %d, %d", l.Letter, si,
+					cap(l.Loss[si]), cap(l.Delay[si]), cap(l.HasRoute[si]), want32, want32, wantBool)
+			}
+		}
+		if cap(l.LegitServed) != want64 {
+			t.Errorf("letter %c traffic has capacity %d, want %d", l.Letter, cap(l.LegitServed), want64)
+		}
+	}
+
+	l, err := OpenLog(dir, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := sampleRecord(600, 605)
+	huge.Minute = 1 << 40
+	if err := errors.Join(l.Append(huge), l.Close()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err = LoadLatest(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil || got.Minute != 1<<40 {
+		t.Fatalf("LoadLatest = %v, %v", got, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("folding a %d-record log allocated %d bytes", len(minutes)+1, alloc)
+	}
 }
 
 func TestLoadLatestAllCorrupt(t *testing.T) {

@@ -115,13 +115,27 @@ func LoadLatest(dir string) (*Snapshot, error) {
 }
 
 // fold decodes contiguous record bodies into one snapshot, each appending
-// to the fold of those before. ledger has verified every checksum, so a
-// body that still does not decode, or belongs to another run or shape, ends
-// the prefix like a torn one: fold again without it.
+// to the fold of those before. The first record sizes every series for the
+// whole fold, [0, the last record's Minute), so none is regrown. ledger has
+// verified every checksum, so a body that still does not decode, or belongs
+// to another run or shape, ends the prefix like a torn one: fold again
+// without it.
 func fold(bodies [][]byte) *Snapshot {
+	if len(bodies) == 0 {
+		return nil
+	}
+	_, last, _ := span(bodies[len(bodies)-1])
+	budget := 0
+	for _, body := range bodies {
+		budget += 8 * len(body)
+	}
 	var acc *Snapshot
 	for k, body := range bodies {
-		s, err := decodeBody(body, acc)
+		d := &decoder{data: body}
+		if k == 0 {
+			d.reserve, d.budget = last, budget
+		}
+		s, err := decodeBody(d, acc)
 		if err != nil {
 			return fold(bodies[:k])
 		}

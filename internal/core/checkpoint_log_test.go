@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/rootevent/anycastddos/internal/attack"
 	"github.com/rootevent/anycastddos/internal/checkpoint"
 )
 
@@ -83,6 +85,7 @@ func TestCheckpointLogCorruption(t *testing.T) {
 		{"header only", good[:logHeaderLen], 0, nil},
 		{"foreign magic", append([]byte("NOTACKPT"), good[8:]...), 0, nil},
 		{"format version 1", append(append([]byte(nil), good[:8]...), append([]byte{1}, good[9:]...)...), 0, checkpoint.ErrVersion},
+		{"format version 2", append(append([]byte(nil), good[:8]...), append([]byte{2}, good[9:]...)...), 0, checkpoint.ErrVersion},
 		{"bit flip in the header magic", flip(3), 0, nil},
 		{"bit flip in the first record", flip(recs[0].start + 4 + 100), 0, nil},
 		{"bit flip in a middle record's length", flip(recs[2].start + 1), 20, nil},
@@ -330,5 +333,54 @@ func TestCheckpointLogSizeIsStateNotHistory(t *testing.T) {
 	size := func(minute int) int { r := recs[minute/10-1]; return r.end - r.start }
 	if early, late := size(100), size(700); late > early+extra {
 		t.Errorf("record at minute 700 is %d bytes, the one at minute 100 %d (+%d allowed for its own epochs and updates)", late, early, extra)
+	}
+}
+
+// TestCheckpointQuietStretchCostsMaskBits pins the change-mask cost model
+// on the fault-free stretch before the first event, where no series moves:
+// a record is its head plus, per series, a count, a first value and a mask
+// bit per further minute. The same 60 minutes as one record (every=60) and
+// as the first of six (every=10) may therefore differ by mask bytes alone,
+// and the two logs fold to the same state.
+func TestCheckpointQuietStretchCostsMaskBits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine runs")
+	}
+	cfg := tinyConfig(5)
+	cfg.Minutes = 61 // the last checkpoint lands at minute 60, before the first event
+	schedule := attack.Nov2015Schedule()
+	if first := schedule.Events[0].StartMinute; first < cfg.Minutes {
+		t.Fatalf("the first event starts at minute %d, inside the %d-minute stretch", first, cfg.Minutes)
+	}
+	logs := map[int][]byte{}
+	snaps := map[int]*checkpoint.Snapshot{}
+	for _, every := range []int{10, 60} {
+		dir := t.TempDir()
+		ev, err := NewEvaluator(cfg, WithWorkers(2), WithSchedule(schedule), WithCheckpoint(dir, every))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ev.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if logs[every] = readLog(t, dir); len(logRecords(t, logs[every])) != 60/every {
+			t.Fatalf("every=%d: %d records, want %d", every, len(logRecords(t, logs[every])), 60/every)
+		}
+		if snaps[every], err = checkpoint.LoadLatest(dir); err != nil || snaps[every].Minute != 60 {
+			t.Fatalf("every=%d: LoadLatest = %v, %v, want minute 60", every, snaps[every], err)
+		}
+	}
+	if !bytes.Equal(checkpoint.Encode(snaps[10]), checkpoint.Encode(snaps[60])) {
+		t.Fatal("the every=10 and every=60 logs fold to different states")
+	}
+	series := len(snaps[60].CityExcess)
+	for i := range snaps[60].Letters {
+		series += 3*len(snaps[60].Letters[i].Loss) + 4 // loss, delay, route per site; four traffic series
+	}
+	maskBytes := func(minutes int) int { return (minutes - 1 + 7) / 8 }
+	size := func(every int) int { r := logRecords(t, logs[every])[0]; return r.end - r.start }
+	if got, want := size(60)-size(10), series*(maskBytes(60)-maskBytes(10)); got != want {
+		t.Errorf("[0, 60) is %d bytes more than [0, 10); %d series at %d more mask bytes each make %d",
+			got, series, maskBytes(60)-maskBytes(10), want)
 	}
 }

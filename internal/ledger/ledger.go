@@ -56,8 +56,9 @@ type Validate func(payload []byte) bool
 // Ledger is an open, append-positioned record log. Append is safe for
 // concurrent use.
 type Ledger struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	f   *os.File
+	buf []byte // Append's frame, reused under mu
 }
 
 // Open opens (creating if absent) the ledger at path, recovers the
@@ -265,7 +266,8 @@ func (l *Ledger) writeHeader(format Format) error {
 
 // Append writes and fsyncs one payload. The write is a single contiguous
 // buffer, so a crash mid-append tears at most this record — exactly what
-// recovery truncates away.
+// recovery truncates away. The frame is built in a buffer the ledger keeps,
+// so a steady stream of appends allocates nothing.
 func (l *Ledger) Append(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("ledger: empty record payload")
@@ -273,15 +275,14 @@ func (l *Ledger) Append(payload []byte) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("ledger: record of %d bytes exceeds the %d cap", len(payload), maxRecordBytes)
 	}
-	buf := make([]byte, 0, 4+len(payload)+sha256.Size)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
 	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(buf); err != nil {
+	l.buf = binary.LittleEndian.AppendUint32(l.buf[:0], uint32(len(payload)))
+	l.buf = append(l.buf, payload...)
+	l.buf = append(l.buf, sum[:]...)
+	if _, err := l.f.Write(l.buf); err != nil {
 		return fmt.Errorf("ledger: append: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {

@@ -227,6 +227,47 @@ func TestAppendRejectsEmpty(t *testing.T) {
 	}
 }
 
+// Append frames into a buffer the ledger reuses: once it has grown to the
+// largest record, appending allocates nothing, and every record still reads
+// back intact.
+func TestAppendAllocatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.bin")
+	l, _, err := Open(path, testFormat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, small := bytes.Repeat([]byte("x"), 4096), []byte(`{"s":1}`)
+	if err := l.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	var appendErr error
+	allocs := testing.AllocsPerRun(20, func() {
+		appendErr = errors.Join(appendErr, l.Append(small), l.Append(big))
+	})
+	if appendErr != nil {
+		t.Fatal(appendErr)
+	}
+	if allocs != 0 {
+		t.Errorf("Append allocates %v times per pair of records, want 0", allocs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(path, testFormat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun runs the function once more as a warm-up.
+	if want := 1 + 2*21; len(got) != want {
+		t.Fatalf("read %d records, want %d", len(got), want)
+	}
+	for i, p := range got {
+		if want := [][]byte{big, small}[i%2]; !bytes.Equal(p, want) {
+			t.Fatalf("record %d reads back as %d bytes, want %d", i, len(p), len(want))
+		}
+	}
+}
+
 // Create replaces whatever is at the path — an earlier ledger, a foreign
 // file, nothing — with an empty ledger ready for appends.
 func TestCreateReplaces(t *testing.T) {
