@@ -71,7 +71,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 		return diffMain(args[1:], stdout)
 	}
 
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "campaign spec JSON (required)")
 	dir := fs.String("dir", "", "campaign directory: ledger, per-scenario state, report (required)")
 	resume := fs.Bool("resume", false, "resume the campaign recorded in -dir's ledger")
@@ -82,7 +82,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 	seed := fs.Int64("seed", 1, "retry-backoff jitter seed")
 	progress := fs.Bool("progress", false, "log per-scenario lifecycle events")
 	execScenario := fs.String("exec-scenario", "", "internal: worker mode — run the scenario in this file, or with - every scenario file named on a line of stdin")
-	_ = fs.Parse(args) // ExitOnError: Parse exits rather than return an error
+	if err := fs.Parse(args); err != nil {
+		return core.UsageExit(err)
+	}
 
 	if *execScenario != "" {
 		return workerMain(*execScenario, stdin, stdout)

@@ -59,10 +59,16 @@ func scenarioFiles(t *testing.T, specJSON string) ([]string, []campaign.Scenario
 
 func TestRunnerModeNeedsSpecAndDir(t *testing.T) {
 	quietLog(t)
-	for _, args := range [][]string{nil, {"-spec", "grid.json"}, {"-dir", t.TempDir()}} {
+	for _, args := range [][]string{
+		nil, {"-spec", "grid.json"}, {"-dir", t.TempDir()},
+		{"-no-such-flag"}, {"-spec", "grid.json", "-dir", t.TempDir(), "-parallel", "abc"},
+	} {
 		if code := run(args, strings.NewReader(""), io.Discard); code != core.ExitUsage {
 			t.Errorf("run(%q) = %d, want ExitUsage (%d)", args, code, core.ExitUsage)
 		}
+	}
+	if code := run([]string{"-h"}, strings.NewReader(""), io.Discard); code != core.ExitOK {
+		t.Errorf("run(-h) = %d, want ExitOK", code)
 	}
 	// An unreadable spec is a failure of the run, an unparsable one a usage error.
 	if code := run([]string{"-spec", filepath.Join(t.TempDir(), "absent.json"), "-dir", t.TempDir()}, nil, io.Discard); code != core.ExitFailure {

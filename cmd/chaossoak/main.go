@@ -76,19 +76,22 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("chaossoak: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	mode := flag.String("mode", "soak", "soak (fault-plan survival) or killresume (SIGKILL + checkpoint resume)")
-	seeds := flag.Int("seeds", 8, "soak: number of fault-plan seeds")
-	profileName := flag.String("profile", "heavy", "soak: fault profile: light, heavy, or monitor")
-	workers := flag.Int("workers", 4, "engine worker goroutines")
-	minutes := flag.Int("minutes", 1440, "simulated minutes per run")
-	equiv := flag.Int("equiv", 2, "soak: seeds to replay sequentially for worker-equivalence")
-	kills := flag.Int("kills", 3, "killresume: SIGKILL cycles before the final resume")
-	seed := flag.Int64("seed", 7, "killresume: seed for the run and the kill schedule")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("chaossoak", flag.ContinueOnError)
+	mode := fs.String("mode", "soak", "soak (fault-plan survival) or killresume (SIGKILL + checkpoint resume)")
+	seeds := fs.Int("seeds", 8, "soak: number of fault-plan seeds")
+	profileName := fs.String("profile", "heavy", "soak: fault profile: light, heavy, or monitor")
+	workers := fs.Int("workers", 4, "engine worker goroutines")
+	minutes := fs.Int("minutes", 1440, "simulated minutes per run")
+	equiv := fs.Int("equiv", 2, "soak: seeds to replay sequentially for worker-equivalence")
+	kills := fs.Int("kills", 3, "killresume: SIGKILL cycles before the final resume")
+	seed := fs.Int64("seed", 7, "killresume: seed for the run and the kill schedule")
+	if err := fs.Parse(args); err != nil {
+		return core.UsageExit(err)
+	}
 
 	// Interrupts cancel the in-flight engine run or child process instead
 	// of leaving it orphaned.

@@ -5,11 +5,16 @@
 // Usage:
 //
 //	dsreport -data out/dataset.bin [-letter K]
+//
+// Exit status follows the core.Exit* contract: core.ExitUsage for a
+// rejected flag or an unreadable or malformed -data archive, core.ExitFailure
+// when the report itself fails.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -22,41 +27,53 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dsreport: ")
-	if err := run(); err != nil {
-		log.Print(err)
-		os.Exit(core.ExitFailure)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run() error {
-	dataPath := flag.String("data", "out/dataset.bin", "archived dataset file")
-	letter := flag.String("letter", "", "optional letter for per-site detail")
-	width := flag.Int("width", 96, "sparkline width")
-	flag.Parse()
+func run(args []string, w io.Writer) int {
+	fs := flag.NewFlagSet("dsreport", flag.ContinueOnError)
+	dataPath := fs.String("data", "out/dataset.bin", "archived dataset file")
+	letter := fs.String("letter", "", "optional letter for per-site detail")
+	width := fs.Int("width", 96, "sparkline width")
+	if err := fs.Parse(args); err != nil {
+		return core.UsageExit(err)
+	}
 
-	f, err := os.Open(*dataPath)
+	d, err := load(*dataPath)
 	if err != nil {
-		return err
+		log.Print(err)
+		return core.ExitUsage
+	}
+	if err := writeReport(w, d, *letter, *width); err != nil {
+		log.Print(err)
+		return core.ExitFailure
+	}
+	return core.ExitOK
+}
+
+func load(path string) (*atlas.Dataset, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
 	defer f.Close()
-	d, err := atlas.LoadDataset(f)
-	if err != nil {
-		return err
-	}
+	return atlas.LoadDataset(f)
+}
 
-	fmt.Printf("Dataset: %d VPs (%d excluded), letters %s, %d bins of %d min (raw: %d bins of %d min for ",
+func writeReport(w io.Writer, d *atlas.Dataset, letter string, width int) error {
+	fmt.Fprintf(w, "Dataset: %d VPs (%d excluded), letters %s, %d bins of %d min (raw: %d bins of %d min for ",
 		d.NumVPs, d.NumExcluded(), string(d.Letters), d.Bins, d.BinMinutes, d.RawBins, d.RawBinMinutes)
 	rawAny := false
 	for _, l := range d.Letters {
 		if d.HasRaw(l) {
-			fmt.Printf("%c", l)
+			fmt.Fprintf(w, "%c", l)
 			rawAny = true
 		}
 	}
 	if !rawAny {
-		fmt.Print("none")
+		fmt.Fprint(w, "none")
 	}
-	fmt.Println(")")
+	fmt.Fprintln(w, ")")
 
 	reasons := map[string]int{}
 	for vp, excluded := range d.Excluded {
@@ -65,9 +82,9 @@ func run() error {
 		}
 	}
 	for reason, n := range reasons {
-		fmt.Printf("  excluded %d VPs: %s\n", n, reason)
+		fmt.Fprintf(w, "  excluded %d VPs: %s\n", n, reason)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	success := map[byte]*stats.Series{}
 	rtt := map[byte]*stats.Series{}
@@ -83,27 +100,27 @@ func run() error {
 		}
 		rtt[l] = r
 	}
-	if err := report.WriteLetterSeries(os.Stdout, "VPs with successful queries per bin", success, *width); err != nil {
+	if err := report.WriteLetterSeries(w, "VPs with successful queries per bin", success, width); err != nil {
 		return err
 	}
-	fmt.Println()
-	if err := report.WriteLetterSeries(os.Stdout, "Median RTT (ms) of successful queries", rtt, *width); err != nil {
+	fmt.Fprintln(w)
+	if err := report.WriteLetterSeries(w, "Median RTT (ms) of successful queries", rtt, width); err != nil {
 		return err
 	}
 
-	if *letter != "" {
-		lb := (*letter)[0]
+	if letter != "" {
+		lb := letter[0]
 		if !d.HasLetter(lb) {
 			return fmt.Errorf("letter %c not in dataset", lb)
 		}
-		fmt.Printf("\nPer-site catchments for %c (sites with any VPs):\n", lb)
+		fmt.Fprintf(w, "\nPer-site catchments for %c (sites with any VPs):\n", lb)
 		series, err := d.SiteSeriesAll(lb, 0)
 		if err != nil {
 			return err
 		}
 		for site, s := range series {
 			if med := s.Median(); med > 0 {
-				fmt.Printf("  site %3d (median %4.0f)  %s\n", site, med, report.Sparkline(s, *width))
+				fmt.Fprintf(w, "  site %3d (median %4.0f)  %s\n", site, med, report.Sparkline(s, width))
 			}
 		}
 	}

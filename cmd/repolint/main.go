@@ -35,16 +35,19 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array instead of file:line:col text")
-	rules := flag.Bool("rules", false, "list every rule with its one-line doc and exit")
-	allows := flag.Bool("allows", false, "list every //repolint:allow suppression and exit")
-	outPath := flag.String("out", "", "also write the full findings JSON to this file (atomically)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: repolint [flags] [patterns...]\n\nRules:\n")
-		printRules(flag.CommandLine.Output())
-		flag.PrintDefaults()
+	fs := flag.NewFlagSet("repolint", flag.ContinueOnError)
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of file:line:col text")
+	rules := fs.Bool("rules", false, "list every rule with its one-line doc and exit")
+	allows := fs.Bool("allows", false, "list every //repolint:allow suppression and exit")
+	outPath := fs.String("out", "", "also write the full findings JSON to this file (atomically)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: repolint [flags] [patterns...]\n\nRules:\n")
+		printRules(fs.Output())
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(os.Args[1:]); err != nil {
+		os.Exit(core.UsageExit(err))
+	}
 
 	if *rules {
 		printRules(os.Stdout)
@@ -59,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err := lintcheck.Load(root, flag.Args()...)
+	pkgs, err := lintcheck.Load(root, fs.Args()...)
 	if err != nil {
 		fatal(err)
 	}

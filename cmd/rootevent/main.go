@@ -23,7 +23,8 @@
 //
 // Exit status (the core.Exit* contract, stable for parent supervisors such
 // as the campaign runner): 0 clean success, 1 generic failure, 2 panic,
-// 3 restart-budget exhaustion under -supervise, 4 context cancellation.
+// 3 restart-budget exhaustion under -supervise, 4 context cancellation,
+// 64 a rejected command line (0 for -h).
 package main
 
 import (
@@ -59,16 +60,29 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rootevent: ")
-	if err := run(os.Args[1:]); err != nil {
+	err := run(os.Args[1:])
+	if err != nil && !errors.Is(err, errFlags) {
 		log.Print(err)
-		os.Exit(core.ExitCode(err))
 	}
+	os.Exit(exitCode(err))
+}
+
+// errFlags marks a command line the flag package rejected (and already
+// reported on stderr), or a -h request.
+var errFlags = errors.New("rootevent: command line rejected")
+
+// exitCode maps run's error onto the core.Exit* contract.
+func exitCode(err error) int {
+	if errors.Is(err, errFlags) {
+		return core.UsageExit(err)
+	}
+	return core.ExitCode(err)
 }
 
 // run is the whole command. Every failure comes back as an error so that the
 // deferred profile writers run before main exits through core.ExitCode.
 func run(args []string) (err error) {
-	fs := flag.NewFlagSet("rootevent", flag.ExitOnError)
+	fs := flag.NewFlagSet("rootevent", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed (runs are bit-reproducible per seed)")
 	vps := fs.Int("vps", 4000, "Atlas vantage-point population size")
 	small := fs.Bool("small", false, "small topology and population for a quick run")
@@ -87,7 +101,9 @@ func run(args []string) (err error) {
 	resume := fs.Bool("resume", false, "resume from the newest good snapshot in -checkpoint (falls back to a fresh run)")
 	supervise := fs.Bool("supervise", false, "run under the crash supervisor: watchdog plus bounded restarts from -checkpoint")
 	hashFile := fs.String("hashfile", "", "write the hex SHA-256 of the cleaned dataset to this file")
-	_ = fs.Parse(args) // ExitOnError: Parse exits rather than return an error
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
 
 	if *cpuProfile != "" {
 		// The profile streams for the lifetime of the run; a temp+rename

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/rootevent/anycastddos/internal/core"
 )
 
 func quietLog(t *testing.T) {
@@ -80,4 +82,24 @@ func TestFailedRunFlushesProfile(t *testing.T) {
 	}
 	checkProfile(t, prof)
 	checkProfile(t, heap)
+}
+
+// TestRejectedFlagsExitUsage: a command line the flag package rejects
+// exits ExitUsage, not the ExitPanic a parent supervisor would retry, and
+// -h exits ExitOK; neither starts a run.
+func TestRejectedFlagsExitUsage(t *testing.T) {
+	quietLog(t)
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-no-such-flag"}, core.ExitUsage},
+		{[]string{"-vps=abc"}, core.ExitUsage},
+		{[]string{"-small", "-minutes", "1e3"}, core.ExitUsage},
+		{[]string{"-h"}, core.ExitOK},
+	} {
+		if code := exitCode(run(append(tc.args, "-out", t.TempDir()))); code != tc.want {
+			t.Errorf("run(%q) exits %d, want %d", tc.args, code, tc.want)
+		}
+	}
 }

@@ -32,24 +32,27 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sitemgr: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	letter := flag.String("letter", "K", "root letter to serve")
-	sitesFlag := flag.String("sites", "AMS,LHR,NRT", "comma-separated IATA site names")
-	minAnnounced := flag.Int("min-announced", 1, "never let announced sites drop below this floor")
-	seed := flag.Int64("seed", 7, "seed for topology, probes, and server coins")
-	journal := flag.String("journal", "", "decision journal path (crash-safe resume); empty disables")
-	state := flag.String("state", "", "atomic state.json path rewritten every tick; empty disables")
-	interval := flag.Duration("interval", 250*time.Millisecond, "assessment tick period")
-	ticks := flag.Int("ticks", 0, "stop after this many ticks (0 = run until interrupted)")
-	samples := flag.Int("samples", 8, "number of sampled ASNs published in the state file")
-	faultProfile := flag.String("faultprofile", "", "inject control-plane faults: healthmon (or light, heavy, monitor)")
-	faultSeed := flag.Int64("faultseed", 1, "seed for the injected fault plan")
-	rps := flag.Int("rrl-rps", 0, "per-server RRL responses/second (0 disables RRL)")
-	fast := flag.Bool("fast", false, "aggressive FSM tuning and short probe timeouts (soaks and demos)")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("sitemgr", flag.ContinueOnError)
+	letter := fs.String("letter", "K", "root letter to serve")
+	sitesFlag := fs.String("sites", "AMS,LHR,NRT", "comma-separated IATA site names")
+	minAnnounced := fs.Int("min-announced", 1, "never let announced sites drop below this floor")
+	seed := fs.Int64("seed", 7, "seed for topology, probes, and server coins")
+	journal := fs.String("journal", "", "decision journal path (crash-safe resume); empty disables")
+	state := fs.String("state", "", "atomic state.json path rewritten every tick; empty disables")
+	interval := fs.Duration("interval", 250*time.Millisecond, "assessment tick period")
+	ticks := fs.Int("ticks", 0, "stop after this many ticks (0 = run until interrupted)")
+	samples := fs.Int("samples", 8, "number of sampled ASNs published in the state file")
+	faultProfile := fs.String("faultprofile", "", "inject control-plane faults: healthmon (or light, heavy, monitor)")
+	faultSeed := fs.Int64("faultseed", 1, "seed for the injected fault plan")
+	rps := fs.Int("rrl-rps", 0, "per-server RRL responses/second (0 disables RRL)")
+	fast := fs.Bool("fast", false, "aggressive FSM tuning and short probe timeouts (soaks and demos)")
+	if err := fs.Parse(args); err != nil {
+		return core.UsageExit(err)
+	}
 
 	var sites []string
 	for _, s := range strings.Split(*sitesFlag, ",") {

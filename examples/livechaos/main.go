@@ -1,8 +1,10 @@
 // Livechaos exercises the real-socket half of the library: it starts UDP
-// DNS servers for two anycast sites of "K-Root" on loopback, floods one of
-// them to trip response-rate limiting, and then runs CHAOS catchment
-// mapping with the prober — all over genuine DNS packets produced and
-// parsed by internal/dnswire.
+// DNS servers for three anycast sites of "K-Root" on loopback, maps their
+// catchment with CHAOS hostname.bind probes the way a RIPE Atlas VP does —
+// including a degraded site that drops and delays queries — and then
+// floods one site to trip response-rate limiting, all over genuine DNS
+// packets produced and parsed by internal/dnswire. Every printed line is
+// fixed apart from its RTT and count values.
 //
 //	go run ./examples/livechaos
 package main
@@ -11,11 +13,21 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/dnsserver"
 	"github.com/rootevent/anycastddos/internal/dnswire"
+	"github.com/rootevent/anycastddos/internal/report"
 	"github.com/rootevent/anycastddos/internal/rrl"
+)
+
+// The degraded absorber: a third site that loses and delays queries, probed
+// probesPerSite times alongside the two healthy ones.
+const (
+	probesPerSite = 40
+	degradedLoss  = 0.6
+	degradedDelay = 150 * time.Millisecond
 )
 
 func main() {
@@ -35,7 +47,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer lhr.Close()
-	log.Printf("sites up: %s at %s, %s at %s", ams.Identity(), ams.Addr(), lhr.Identity(), lhr.Addr())
+	nrt, err := dnsserver.Start(dnsserver.Config{Letter: 'K', Site: "NRT", Server: 3, RRL: &rrlCfg,
+		LossProb: degradedLoss, Delay: degradedDelay, Seed: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer nrt.Close()
+	log.Printf("sites up: %s, %s, %s (degraded)", ams.Identity(), lhr.Identity(), nrt.Identity())
 
 	// 1. CHAOS catchment mapping, exactly like an Atlas VP.
 	prober := dnsserver.NewProber(1)
@@ -45,6 +63,40 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nCatchment map from hostname.bind parsing: %v\n", sites)
+
+	// Probe every site in turn: the degraded one answers fewer probes at
+	// higher RTT.
+	prober.Timeout = 500 * time.Millisecond
+	rows := [][]string{}
+	timeouts := 0
+	for _, site := range []struct {
+		srv  *dnsserver.Server
+		name string
+		loss float64
+	}{{ams, "K-AMS", 0}, {lhr, "K-LHR", 0}, {nrt, "K-NRT", degradedLoss}} {
+		replies := 0
+		var rttSum time.Duration
+		for i := 0; i < probesPerSite; i++ {
+			res, err := prober.Probe(site.srv.Addr(), 'K')
+			if err != nil {
+				timeouts++
+				continue
+			}
+			if res.Matched {
+				replies++
+				rttSum += res.RTT
+			}
+		}
+		mean := rttSum / time.Duration(max(replies, 1))
+		rows = append(rows, []string{site.name, fmt.Sprint(replies),
+			fmt.Sprintf("%d ms", mean.Milliseconds()), fmt.Sprintf("%.0f%%", site.loss*100)})
+	}
+	fmt.Printf("\nPer-site probing (%d probes/site, %d timeouts):\n\n", probesPerSite, timeouts)
+	if err := report.WriteTable(os.Stdout, []string{"site", "replies", "mean RTT", "injected loss"}, rows); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nThe degraded absorber answers fewer probes at higher RTT — the")
+	fmt.Println("signature the paper reads off K-AMS and K-NRT (Figures 6 and 7).")
 
 	// 2. A root priming query over real packets.
 	conn, err := net.DialUDP("udp", nil, ams.Addr())
@@ -70,7 +122,7 @@ func main() {
 	if err := dnswire.DecodeInto(buf[:n], &resp); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Priming response: %d NS records in %d wire bytes\n", len(resp.Answers), n)
+	fmt.Printf("\nPriming response: %d NS records in %d wire bytes\n", len(resp.Answers), n)
 
 	// 3. Flood K-LHR with a fixed-name query storm from one source and
 	// watch RRL suppress the responses (the §2.3 defense).

@@ -247,8 +247,9 @@ func TestFigure8(t *testing.T) {
 	}
 	k := flips['K']
 	var inEvent, outEvent float64
+	nov := attack.Nov2015Schedule()
 	for b, v := range k.Values {
-		if attack.Active(b*10) >= 0 {
+		if nov.Active(b*10) >= 0 {
 			inEvent += v
 		} else {
 			outEvent += v

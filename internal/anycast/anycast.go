@@ -165,15 +165,6 @@ func (d *Deployment) Letter(b byte) (*Letter, bool) {
 	return nil, false
 }
 
-// TotalSites returns the number of sites across all letters.
-func (d *Deployment) TotalSites() int {
-	n := 0
-	for _, l := range d.Letters {
-		n += len(l.Sites)
-	}
-	return n
-}
-
 // siteSpec is the compact form used by the builder tables below.
 type siteSpec struct {
 	code         string

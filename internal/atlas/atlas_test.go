@@ -28,7 +28,12 @@ func TestNewPopulation(t *testing.T) {
 	if p.N() != 2000 {
 		t.Fatalf("N = %d", p.N())
 	}
-	eu := len(p.InRegion(geo.Europe))
+	eu := 0
+	for _, vp := range p.VPs {
+		if vp.City.Region == geo.Europe {
+			eu++
+		}
+	}
 	frac := float64(eu) / 2000
 	if frac < 0.5 || frac > 0.75 {
 		t.Errorf("Europe fraction = %.2f, want ~0.62 (Atlas bias)", frac)

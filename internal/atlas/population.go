@@ -73,12 +73,6 @@ var AtlasRegionWeights = map[geo.Region]float64{
 	geo.Africa:       0.02,
 }
 
-// DefaultPopulationConfig sizes the platform like RIPE Atlas in late 2015
-// (~9000 active VPs) with the paper's impurity rates.
-func DefaultPopulationConfig(seed int64) PopulationConfig {
-	return PopulationConfig{N: 9000, Seed: seed, OldFirmwareFrac: 0.03, HijackedFrac: 0.008}
-}
-
 // NewPopulation places VPs on stub ASes of the graph with the configured
 // regional bias. Generation is deterministic per config.
 func NewPopulation(g *topo.Graph, cfg PopulationConfig) (*Population, error) {
@@ -143,14 +137,3 @@ func NewPopulation(g *topo.Graph, cfg PopulationConfig) (*Population, error) {
 
 // N returns the population size.
 func (p *Population) N() int { return len(p.VPs) }
-
-// InRegion returns the IDs of VPs in a region.
-func (p *Population) InRegion(r geo.Region) []VPID {
-	var out []VPID
-	for i := range p.VPs {
-		if p.VPs[i].City.Region == r {
-			out = append(out, p.VPs[i].ID)
-		}
-	}
-	return out
-}

@@ -121,19 +121,11 @@ func June2016Schedule() *Schedule {
 	}
 }
 
-// defaultSchedule backs the package-level helpers; the paper's scenario.
+// defaultSchedule backs Events; the paper's scenario.
 var defaultSchedule = Nov2015Schedule()
 
 // Events returns the default (Nov 2015) event specifications.
 func Events() []Event { return defaultSchedule.Events }
-
-// Active returns the event covering the given minute under the default
-// schedule, or -1 if outside all windows.
-func Active(minute int) int { return defaultSchedule.Active(minute) }
-
-// Targeted reports whether a letter received event traffic under the
-// default schedule.
-func Targeted(letter byte) bool { return defaultSchedule.Targeted(letter) }
 
 // SourceMix models the observed source-address structure: HeavyShare of
 // queries come from NumHeavy fixed sources (Zipf-weighted); the rest carry
@@ -254,13 +246,4 @@ func NewClientPopulation(g *topo.Graph, seed int64) *ClientPopulation {
 		w[asn] /= sum
 	}
 	return &ClientPopulation{Weights: w}
-}
-
-// RatePerAS returns each stub AS's share of a letter's normal load.
-func (c *ClientPopulation) RatePerAS(letterNormalQPS float64) map[topo.ASN]float64 {
-	out := make(map[topo.ASN]float64, len(c.Weights))
-	for asn, w := range c.Weights {
-		out[asn] = w * letterNormalQPS
-	}
-	return out
 }

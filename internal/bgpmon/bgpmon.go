@@ -124,18 +124,3 @@ func (c *Collector) UpdateSeries(letter byte, startMinute, binMinutes, bins int)
 	}
 	return s
 }
-
-// Letters returns the set of letters with at least one recorded update,
-// sorted.
-func (c *Collector) Letters() []byte {
-	set := map[byte]bool{}
-	for _, u := range c.updates {
-		set[u.Letter] = true
-	}
-	out := make([]byte, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -91,10 +91,6 @@ func TestUpdateSeriesBinning(t *testing.T) {
 	if e.Values[1] != 1 {
 		t.Errorf("E series = %v", e.Values)
 	}
-	letters := c.Letters()
-	if len(letters) != 2 || letters[0] != 'E' || letters[1] != 'K' {
-		t.Errorf("Letters = %v", letters)
-	}
 }
 
 func TestEndToEndWithRouting(t *testing.T) {

@@ -44,9 +44,6 @@ func NewFabric(g *topo.Graph, origins []Origin) *Fabric {
 	return f
 }
 
-// NumOrigins returns the size of the fixed origin set.
-func (f *Fabric) NumOrigins() int { return len(f.origins) }
-
 // SetAnnounced flips origin index i to the given announce state. It
 // returns true if the state changed (and the table was recomputed);
 // flipping to the current state is a no-op. Out-of-range indices panic:

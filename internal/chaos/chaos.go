@@ -199,17 +199,6 @@ func Parse(letter byte, txt string) (Identity, error) {
 	return Identity{Letter: letter, Site: strings.ToUpper(site), Server: server}, nil
 }
 
-// ParseAny tries all letters and returns the first match. Useful when the
-// querier does not know which service answered (e.g. hijack forensics).
-func ParseAny(txt string) (Identity, bool) {
-	for _, l := range Letters() {
-		if id, err := Parse(l, txt); err == nil {
-			return id, true
-		}
-	}
-	return Identity{}, false
-}
-
 // Matches reports whether txt is a well-formed identity for the letter —
 // exactly when Parse succeeds, but without building the Identity or the
 // error, so a reply already in wire form (lower case, no surrounding space)

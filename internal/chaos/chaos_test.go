@@ -45,17 +45,6 @@ func TestPatternsAreDistinctAcrossLetters(t *testing.T) {
 	}
 }
 
-func TestParseAny(t *testing.T) {
-	txt := MustFormat('K', "AMS", 2)
-	id, ok := ParseAny(txt)
-	if !ok || id.Letter != 'K' || id.Site != "AMS" || id.Server != 2 {
-		t.Errorf("ParseAny(%q) = %+v, %v", txt, id, ok)
-	}
-	if _, ok := ParseAny("totally.bogus.reply"); ok {
-		t.Error("ParseAny should reject unknown replies")
-	}
-}
-
 func TestParseRejectsHijackedReplies(t *testing.T) {
 	// Strings a third-party (hijacking) resolver might return.
 	bogus := []string{

@@ -2,29 +2,31 @@ package chaos
 
 import "testing"
 
-// FuzzParseAny guards the identity parsers against arbitrary reply strings
-// (hijacked VPs return attacker-controlled text, §2.4.1).
+// FuzzParseAny guards the identity parser against arbitrary reply strings
+// under any letter (hijacked VPs return attacker-controlled text, §2.4.1).
 func FuzzParseAny(f *testing.F) {
 	f.Add("ns1.ams.k.ripe.net")
 	f.Add("rootns-lax1.verisign.com")
 	f.Add("dnsmasq-2.76")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, txt string) {
-		id, ok := ParseAny(txt)
-		if !ok {
-			return
-		}
-		if len(id.Site) != 3 || id.Server < 1 {
-			t.Fatalf("malformed identity accepted: %+v from %q", id, txt)
-		}
-		// A parsed identity must re-format and re-parse to itself.
-		out, err := Format(id.Letter, id.Site, id.Server)
-		if err != nil {
-			t.Fatalf("parsed identity does not format: %v", err)
-		}
-		id2, err := Parse(id.Letter, out)
-		if err != nil || id2 != id {
-			t.Fatalf("identity not stable: %+v -> %q -> %+v (%v)", id, out, id2, err)
+		for _, l := range Letters() {
+			id, err := Parse(l, txt)
+			if err != nil {
+				continue
+			}
+			if len(id.Site) != 3 || id.Server < 1 {
+				t.Fatalf("malformed identity accepted: %+v from %q", id, txt)
+			}
+			// A parsed identity must re-format and re-parse to itself.
+			out, err := Format(id.Letter, id.Site, id.Server)
+			if err != nil {
+				t.Fatalf("parsed identity does not format: %v", err)
+			}
+			id2, err := Parse(id.Letter, out)
+			if err != nil || id2 != id {
+				t.Fatalf("identity not stable: %+v -> %q -> %+v (%v)", id, out, id2, err)
+			}
 		}
 	})
 }

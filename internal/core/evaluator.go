@@ -434,15 +434,6 @@ func NewEvaluator(cfg Config, opts ...Option) (*Evaluator, error) {
 	return ev, nil
 }
 
-// FaultPlan returns the injected fault plan, or nil when the evaluator
-// runs fault-free.
-func (ev *Evaluator) FaultPlan() *faults.Plan {
-	if ev.flt == nil {
-		return nil
-	}
-	return ev.flt.Plan()
-}
-
 func (ev *Evaluator) buildCaches() error {
 	cities := geo.Cities()
 	ev.cityIdx = make(map[string]int, len(cities))

@@ -44,8 +44,12 @@ func getShared(t *testing.T) (*Evaluator, *atlas.Dataset) {
 
 func TestEvaluatorConstruction(t *testing.T) {
 	ev, _ := getShared(t)
-	if ev.Deployment.TotalSites() < 300 {
-		t.Errorf("deployment has %d sites", ev.Deployment.TotalSites())
+	sites := 0
+	for _, l := range ev.Deployment.Letters {
+		sites += len(l.Sites)
+	}
+	if sites < 300 {
+		t.Errorf("deployment has %d sites", sites)
 	}
 	if ev.Collector.NumPeers() != 152 {
 		t.Errorf("collectors = %d", ev.Collector.NumPeers())
@@ -188,11 +192,12 @@ func TestBGPUpdatesBurstDuringEvents(t *testing.T) {
 	// route changes than quiet periods (Figure 9).
 	inEvent, outEvent := 0.0, 0.0
 	inBins, outBins := 0, 0
+	nov := attack.Nov2015Schedule()
 	for _, lb := range ev.Deployment.SortedLetters() {
 		s := ev.Collector.UpdateSeries(lb, 0, 10, ev.Cfg.Minutes/10)
 		for b, v := range s.Values {
 			minute := b * 10
-			if attack.Active(minute) >= 0 || attack.Active(minute-30) >= 0 {
+			if nov.Active(minute) >= 0 || nov.Active(minute-30) >= 0 {
 				inEvent += v
 				inBins++
 			} else {

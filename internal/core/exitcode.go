@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"errors"
+	"flag"
 )
 
 // Exit codes returned by supervised runs. ExitPanic deliberately matches
@@ -60,4 +61,15 @@ func ExitCode(err error) int {
 	default:
 		return ExitFailure
 	}
+}
+
+// UsageExit maps the error of a flag.ContinueOnError FlagSet's Parse onto
+// the contract: -h asked for help and exits ExitOK, anything else is a
+// rejected command line and exits ExitUsage. The flag package has already
+// printed the error and the usage text.
+func UsageExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return ExitOK
+	}
+	return ExitUsage
 }

@@ -8,8 +8,6 @@ package dnsserver
 // still reach it from its residual catchment, exactly like the paper's
 // withdrawn-but-reachable sites in §6).
 
-import "time"
-
 // Stats is a cumulative counter snapshot of one server's request
 // accounting. Counters are monotonic; subtract two snapshots (Sub) to get
 // a per-window delta and rate it.
@@ -113,9 +111,3 @@ func (s *Server) SetDraining(drain bool) {
 	}
 	s.mu.Unlock()
 }
-
-// Draining reports whether the TCP side is currently draining.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Uptime is how long the server has been running.
-func (s *Server) Uptime() time.Duration { return time.Since(s.start) }

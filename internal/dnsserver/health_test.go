@@ -81,9 +81,6 @@ func TestSnapshotCountsIgnored(t *testing.T) {
 		t.Fatalf("Snapshot %+v disagrees with Stats (%d,%d,%d,%d)",
 			snap2, received, answered, droppedLoss, droppedRRL)
 	}
-	if s.Uptime() <= 0 {
-		t.Fatal("Uptime not positive")
-	}
 }
 
 var errSendRefused = errors.New("send refused")
@@ -180,8 +177,8 @@ func TestDrainTCPKeepsUDPServing(t *testing.T) {
 	defer idle.Close()
 
 	s.SetDraining(true)
-	if !s.Draining() {
-		t.Fatal("Draining() false after SetDraining(true)")
+	if !s.draining.Load() {
+		t.Fatal("draining flag clear after SetDraining(true)")
 	}
 	if err := idle.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)

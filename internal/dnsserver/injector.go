@@ -10,7 +10,7 @@ import (
 )
 
 // Injector drives the server's per-packet UDP path in process, bypassing
-// the kernel. Capacity benchmarking uses it (floodbench -inproc, the
+// the kernel. Capacity benchmarking uses it (rootbench's flood_hot lane, the
 // FloodPath benchmark) to measure the userspace packet path on its own:
 // over loopback sockets the kernel's per-datagram cost dominates long
 // before this path saturates. Each Injector owns its decode scratch, reply

@@ -32,31 +32,10 @@ func New(p uint8) (*Sketch, error) {
 	return &Sketch{p: p, registers: make([]uint8, 1<<p)}, nil
 }
 
-// MustNew is New but panics on invalid precision; for compile-time-constant
-// precisions. Precisions from configuration must go through New.
-func MustNew(p uint8) *Sketch {
-	s, err := New(p)
-	if err != nil {
-		//repolint:allow panic -- Must* contract: precision is a compile-time constant
-		panic(err)
-	}
-	return s
-}
-
-// Precision returns the sketch's precision parameter.
-func (s *Sketch) Precision() uint8 { return s.p }
-
 // Add inserts a byte-slice item.
 func (s *Sketch) Add(item []byte) {
 	h := fnv.New64a()
 	h.Write(item)
-	s.AddHash(mix64(h.Sum64()))
-}
-
-// AddString inserts a string item.
-func (s *Sketch) AddString(item string) {
-	h := fnv.New64a()
-	h.Write([]byte(item))
 	s.AddHash(mix64(h.Sum64()))
 }
 
@@ -70,16 +49,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// AddUint32 inserts a 32-bit item (e.g. an IPv4 address).
-func (s *Sketch) AddUint32(v uint32) {
-	var buf [4]byte
-	buf[0] = byte(v >> 24)
-	buf[1] = byte(v >> 16)
-	buf[2] = byte(v >> 8)
-	buf[3] = byte(v)
-	s.Add(buf[:])
 }
 
 // AddHash inserts a pre-hashed 64-bit value. Use this when the caller
@@ -130,35 +99,4 @@ func (s *Sketch) Estimate() float64 {
 	// Large-range correction for 32-bit hash spaces does not apply to our
 	// 64-bit hashes until ~2^57, far beyond any workload here.
 	return est
-}
-
-// Count returns the estimate rounded to the nearest integer.
-func (s *Sketch) Count() int64 { return int64(math.Round(s.Estimate())) }
-
-// Merge unions other into s; afterwards s estimates the cardinality of the
-// union of both input streams. Sketches must share a precision.
-func (s *Sketch) Merge(other *Sketch) error {
-	if s.p != other.p {
-		return errors.New("hll: precision mismatch")
-	}
-	for i, r := range other.registers {
-		if r > s.registers[i] {
-			s.registers[i] = r
-		}
-	}
-	return nil
-}
-
-// Reset clears the sketch to empty.
-func (s *Sketch) Reset() {
-	for i := range s.registers {
-		s.registers[i] = 0
-	}
-}
-
-// Clone returns an independent copy of the sketch.
-func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{p: s.p, registers: make([]uint8, len(s.registers))}
-	copy(c.registers, s.registers)
-	return c
 }

@@ -66,9 +66,10 @@
 //     context, channel operation, or WaitGroup anywhere in the go statement
 //     or the launched same-package function) outlives the run it belongs to.
 //   - exitcode:     cmd/ binaries exit through the documented core.Exit*
-//     contract — no bare os.Exit(5), and no log.Fatal, which hard-exits 1
+//     contract — no bare os.Exit(5), no log.Fatal, which hard-exits 1
 //     without running the deferred cleanup the atomic-output discipline
-//     relies on.
+//     relies on, and no flag.ExitOnError or package-level flag.Parse, which
+//     exit 2 (core.ExitPanic) on a bad flag instead of core.ExitUsage.
 //   - hotalloc:     functions annotated `//repolint:hot` (the bgpsim/netsim/
 //     core per-probe paths the AllocsPerRun tests protect) must stay
 //     structurally allocation-free: no append, make, new, map/slice

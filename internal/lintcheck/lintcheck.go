@@ -57,7 +57,8 @@ type Config struct {
 	SyncCloseBan []string
 	// ExitContract lists prefixes (the cmd/ harnesses) that must exit
 	// through the documented core.Exit* contract (the exitcode rule): no
-	// bare numeric os.Exit statuses, no log.Fatal.
+	// bare numeric os.Exit statuses, no log.Fatal, no flag.ExitOnError or
+	// package-level flag.Parse.
 	ExitContract []string
 }
 
@@ -248,7 +249,7 @@ func RuleDocs() []RuleDoc {
 		{"atomicwrite", "whole-file writes in cmd/ harnesses go through internal/atomicio, not bare os.Create/os.WriteFile", "atomicwrite"},
 		{"syncclose", "no discarded Close/Sync error on writable files or durability types in the crash-safety packages", "syncclose"},
 		{"goroleak", "no goroutine launched without a visible join path (context, channel, or WaitGroup)", "goroleak"},
-		{"exitcode", "cmd/ exits through the core.Exit* contract: no bare numeric os.Exit, no log.Fatal", "exitcode"},
+		{"exitcode", "cmd/ exits through the core.Exit* contract: no bare numeric os.Exit, no log.Fatal, no flag.ExitOnError or package-level flag.Parse", "exitcode"},
 		{"hotalloc", "//repolint:hot functions stay allocation-free: no append, make, new, map/slice literals, or closures", "hotalloc"},
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].Name < docs[j].Name })

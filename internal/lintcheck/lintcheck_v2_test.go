@@ -60,8 +60,10 @@ func TestExitCodeFixture(t *testing.T) {
 	cfg.ExitContract = append(cfg.ExitContract, dir)
 	diags := Run(loadFixture(t, "./"+dir), cfg)
 	assertKeys(t, diags, []key{
-		{"exitcode", dir + "/bad.go", 15},
-		{"exitcode", dir + "/bad.go", 20},
+		{"exitcode", dir + "/bad.go", 16},
+		{"exitcode", dir + "/bad.go", 21},
+		{"exitcode", dir + "/bad.go", 31},
+		{"exitcode", dir + "/bad.go", 37},
 	})
 	// Outside the contract prefixes the fixture is clean: the rule is scoped.
 	if diags := Run(loadFixture(t, "./"+dir), DefaultConfig()); len(diags) != 0 {

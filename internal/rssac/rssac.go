@@ -249,17 +249,6 @@ func (a *Accumulator) Finalize(letter byte) []*Report {
 	return rs
 }
 
-// Letters returns all letters with recorded traffic, in byte order.
-func (a *Accumulator) Letters() []byte {
-	out := make([]byte, 0, len(a.reports))
-	for l := byte('A'); l <= 'M'; l++ {
-		if _, ok := a.reports[l]; ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // SyntheticBaseline fabricates a pre-event daily report for a letter
 // running its normal load, used as the 7-day baseline of Table 3.
 func SyntheticBaseline(letter byte, normalQPS float64, day int) *Report {

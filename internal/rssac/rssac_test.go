@@ -107,17 +107,6 @@ func TestFinalizeUnknownLetter(t *testing.T) {
 	}
 }
 
-func TestLettersSorted(t *testing.T) {
-	a := NewAccumulator(1, attack.DefaultSourceMix)
-	a.Record('K', Minute{Minute: 0, LegitServedQPS: 1})
-	a.Record('A', Minute{Minute: 0, LegitServedQPS: 1})
-	a.Record('H', Minute{Minute: 0, LegitServedQPS: 1})
-	got := a.Letters()
-	if string(got) != "AHK" {
-		t.Errorf("Letters = %q", string(got))
-	}
-}
-
 func TestSyntheticBaseline(t *testing.T) {
 	r := SyntheticBaseline('K', 40_000, 0)
 	if r.Queries != 40_000*86400 {

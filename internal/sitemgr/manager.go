@@ -247,12 +247,6 @@ func (m *Manager) startServer(name string, index int, addr string) (*dnsserver.S
 	return srv, nil
 }
 
-// Tick returns the number of assessment rounds completed.
-func (m *Manager) Tick() int { return m.tick }
-
-// Fabric exposes the routing fabric (read-only use: tables, versions).
-func (m *Manager) Fabric() *bgpsim.Fabric { return m.fabric }
-
 // SiteAddr returns site i's pinned listen address.
 func (m *Manager) SiteAddr(i int) string { return m.sites[i].addr }
 

@@ -25,33 +25,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs without modifying it.
 // It returns 0 for empty input.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
@@ -70,15 +43,6 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, n)
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for an already ascending-sorted slice; it
-// avoids the copy and sort.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
 	return quantileSorted(sorted, q)
 }
 
@@ -214,16 +178,4 @@ func (h *Histogram) ArgMax() int {
 func (h *Histogram) BinRange(i int) (lo, hi float64) {
 	lo = h.Origin + float64(i)*h.Width
 	return lo, lo + h.Width
-}
-
-// Merge adds other's counts into h. The histograms must have identical
-// shape.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h.Origin != other.Origin || h.Width != other.Width || len(h.Counts) != len(other.Counts) {
-		return errors.New("stats: histogram shape mismatch")
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	return nil
 }

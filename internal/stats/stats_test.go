@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -56,19 +55,6 @@ func TestQuantileEndpoints(t *testing.T) {
 	}
 	if got := Quantile(xs, 0.5); !almostEqual(got, 25) {
 		t.Errorf("q0.5 = %v, want 25", got)
-	}
-}
-
-func TestVarianceStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := Stddev(xs); !almostEqual(got, 2) {
-		t.Errorf("Stddev = %v, want 2", got)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("single-sample variance should be 0")
 	}
 }
 
@@ -151,23 +137,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 16, 4)
-	b := NewHistogram(0, 16, 4)
-	a.Add(1, 5)
-	b.Add(1, 7)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Counts[0] != 12 {
-		t.Errorf("merged bin 0 = %d", a.Counts[0])
-	}
-	c := NewHistogram(0, 8, 4)
-	if err := a.Merge(c); err == nil {
-		t.Error("want shape mismatch error")
-	}
-}
-
 // Property: Quantile is monotone in q and bounded by min/max.
 func TestQuantileProperties(t *testing.T) {
 	f := func(raw []float64, q1, q2 float64) bool {
@@ -191,28 +160,6 @@ func TestQuantileProperties(t *testing.T) {
 		v1, v2 := Quantile(xs, q1), Quantile(xs, q2)
 		min, max, _ := MinMax(xs)
 		return v1 <= v2+1e-9 && v1 >= min-1e-9 && v2 <= max+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Quantile agrees with QuantileSorted.
-func TestQuantileSortedAgrees(t *testing.T) {
-	f := func(xs []float64, q float64) bool {
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		q = math.Abs(math.Mod(q, 1))
-		sorted := make([]float64, len(clean))
-		copy(sorted, clean)
-		sort.Float64s(sorted)
-		a := Quantile(clean, q)
-		b := QuantileSorted(sorted, q)
-		return (len(clean) == 0 && a == 0 && b == 0) || almostEqual(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Series is a regularly sampled time series: Values[i] is the value of the
 // bin starting at StartMinute + i*BinMinutes (minutes since the simulation
@@ -93,85 +90,4 @@ func (s *Series) Normalize(d float64) (*Series, error) {
 		out.Values[i] = v / d
 	}
 	return out, nil
-}
-
-// Slice returns the sub-series covering bins [from, to). It shares the
-// underlying array.
-func (s *Series) Slice(from, to int) (*Series, error) {
-	if from < 0 || to > len(s.Values) || from > to {
-		return nil, fmt.Errorf("stats: slice [%d,%d) out of range 0..%d", from, to, len(s.Values))
-	}
-	return &Series{
-		Name:        s.Name,
-		StartMinute: s.MinuteFor(from),
-		BinMinutes:  s.BinMinutes,
-		Values:      s.Values[from:to],
-	}, nil
-}
-
-// Binner accumulates point observations into fixed-width time bins and can
-// report per-bin aggregates. It is the workhorse behind the 10-minute
-// binning of Atlas observations (§2.4.1).
-type Binner struct {
-	startMinute int
-	binMinutes  int
-	sums        []float64
-	counts      []int64
-}
-
-// NewBinner creates a binner with n bins of binMinutes width starting at
-// startMinute.
-func NewBinner(startMinute, binMinutes, n int) *Binner {
-	if binMinutes <= 0 || n <= 0 {
-		panic("stats: invalid binner shape")
-	}
-	return &Binner{
-		startMinute: startMinute,
-		binMinutes:  binMinutes,
-		sums:        make([]float64, n),
-		counts:      make([]int64, n),
-	}
-}
-
-// Add records observation v at the given absolute minute. Observations
-// outside the range are dropped and reported as false.
-func (b *Binner) Add(minute int, v float64) bool {
-	i := (minute - b.startMinute) / b.binMinutes
-	if minute < b.startMinute || i >= len(b.sums) {
-		return false
-	}
-	b.sums[i] += v
-	b.counts[i]++
-	return true
-}
-
-// Count returns the observation count of bin i.
-func (b *Binner) Count(i int) int64 { return b.counts[i] }
-
-// MeanSeries returns the per-bin mean as a Series; empty bins yield NaN-free
-// zeros when zeroEmpty is true, else the previous bin's value is carried
-// forward (useful for plotting sparse RTT series).
-func (b *Binner) MeanSeries(name string, zeroEmpty bool) *Series {
-	s := NewSeries(name, b.startMinute, b.binMinutes, len(b.sums))
-	var last float64
-	for i := range b.sums {
-		if b.counts[i] > 0 {
-			last = b.sums[i] / float64(b.counts[i])
-			s.Values[i] = last
-		} else if zeroEmpty {
-			s.Values[i] = 0
-		} else {
-			s.Values[i] = last
-		}
-	}
-	return s
-}
-
-// CountSeries returns the per-bin observation counts as a Series.
-func (b *Binner) CountSeries(name string) *Series {
-	s := NewSeries(name, b.startMinute, b.binMinutes, len(b.sums))
-	for i, c := range b.counts {
-		s.Values[i] = float64(c)
-	}
-	return s
 }

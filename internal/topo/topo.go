@@ -370,17 +370,6 @@ func (g *Graph) StubASNs() []ASN {
 	return out
 }
 
-// ASNsIn returns all ASNs whose city is in the given region.
-func (g *Graph) ASNsIn(r geo.Region) []ASN {
-	var out []ASN
-	for i := range g.ASes {
-		if g.ASes[i].City.Region == r {
-			out = append(out, ASN(i))
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: symmetric relationships, no
 // self-links, no duplicate links, and that every non-tier-1 AS has at least
 // one provider (so the graph is connected through the hierarchy).

@@ -150,7 +150,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestWriteBatchToListener sends one batch from an unconnected socket to
-// explicit destinations — the prober/floodbench usage.
+// explicit destinations — the usage of rootbench's flood_socket generator.
 func TestWriteBatchToListener(t *testing.T) {
 	serverConn, _ := newPair(t)
 	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
