@@ -253,20 +253,44 @@ func FuzzTCPReply(f *testing.F) {
 }
 
 // TestRespondZeroAllocs holds the whole per-packet server path (decode,
-// RRL, encode) to zero heap allocations once worker scratch is warm.
+// RRL, encode) to zero heap allocations once worker scratch is warm: for
+// one hot source, and for a spoofed flood that gives every packet a new
+// /24 once the RRL table is full.
 func TestRespondZeroAllocs(t *testing.T) {
-	rrlCfg := rrl.DefaultConfig()
-	s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
-	srcAP := netip.MustParseAddrPort("10.1.2.3:9999")
 	pkt := mustPack(t, dnswire.NewQuery(22, "www.336901.com", dnswire.TypeA, dnswire.ClassINET))
-	var q dnswire.Message
-	out := udpbatch.Message{Buf: make([]byte, 0, 1024)}
-	s.respond(pkt, srcAP, &q, &out) // warm decode scratch and tx buffer
-	if n := testing.AllocsPerRun(500, func() {
-		s.respond(pkt, srcAP, &q, &out)
-	}); n != 0 {
-		t.Fatalf("respond allocates %.1f allocs/op, want 0", n)
-	}
+	t.Run("hot", func(t *testing.T) {
+		rrlCfg := rrl.DefaultConfig()
+		s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
+		srcAP := netip.MustParseAddrPort("10.1.2.3:9999")
+		var q dnswire.Message
+		out := udpbatch.Message{Buf: make([]byte, 0, 1024)}
+		s.respond(pkt, srcAP, &q, &out) // warm decode scratch and tx buffer
+		if n := testing.AllocsPerRun(500, func() {
+			s.respond(pkt, srcAP, &q, &out)
+		}); n != 0 {
+			t.Fatalf("respond allocates %.1f allocs/op, want 0", n)
+		}
+	})
+	t.Run("spoofed", func(t *testing.T) {
+		rrlCfg := rrl.DefaultConfig()
+		rrlCfg.MaxEntries = 256
+		s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
+		var q dnswire.Message
+		out := udpbatch.Message{Buf: make([]byte, 0, 1024)}
+		next := uint32(0)
+		spoofed := func() {
+			next++
+			a := next << 8 // a new /24 every call
+			src := netip.AddrPortFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), 1}), 53)
+			s.respond(pkt, src, &q, &out)
+		}
+		for i := 0; i < 64*rrlCfg.MaxEntries; i++ {
+			spoofed() // fill the table to its cap
+		}
+		if n := testing.AllocsPerRun(500, spoofed); n != 0 {
+			t.Fatalf("respond allocates %.1f allocs/op under a spoofed flood, want 0", n)
+		}
+	})
 }
 
 // TestTCPReplyZeroAllocs is the TCP half: once a connection's scratch is

@@ -185,13 +185,7 @@ func TestCloseDrainsInFlightUDP(t *testing.T) {
 }
 
 func TestCloseDrainsInFlightTCP(t *testing.T) {
-	s, err := Start(Config{Letter: 'K', Site: "LHR", Server: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StartTCP(); err != nil {
-		t.Fatal(err)
-	}
+	s := startTCPServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
 	p := NewProber(7)
 	p.Timeout = 5 * time.Second
 	// Complete one exchange, then Close while the handler is blocked

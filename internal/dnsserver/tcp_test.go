@@ -1,7 +1,9 @@
 package dnsserver
 
 import (
+	"errors"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -9,13 +11,23 @@ import (
 	"github.com/rootevent/anycastddos/internal/rrl"
 )
 
+// startTCPServer starts a server with TCP beside UDP on an ephemeral port.
+// StartTCP binds the port number the kernel chose for UDP, and the TCP
+// port space is separate, so another socket may already hold it: on
+// EADDRINUSE the pair is closed and a fresh one tried.
 func startTCPServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s := startServer(t, cfg)
-	if err := s.StartTCP(); err != nil {
-		t.Fatal(err)
+	for try := 1; ; try++ {
+		s := startServer(t, cfg)
+		err := s.StartTCP()
+		if err == nil {
+			return s
+		}
+		s.Close()
+		if !errors.Is(err, syscall.EADDRINUSE) || try == 32 {
+			t.Fatal(err)
+		}
 	}
-	return s
 }
 
 // exchangeTCP writes one query over an established stream and decodes the
@@ -159,13 +171,7 @@ func TestTCPGarbageConnection(t *testing.T) {
 }
 
 func TestCloseStopsTCP(t *testing.T) {
-	s, err := Start(Config{Letter: 'K', Site: "AMS", Server: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StartTCP(); err != nil {
-		t.Fatal(err)
-	}
+	s := startTCPServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
 	addr := s.Addr().String()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

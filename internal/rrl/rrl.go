@@ -9,8 +9,9 @@
 // fraction of suppressed answers "slip" through as truncated replies so
 // that legitimate clients behind an abused prefix can retry over TCP.
 //
-// The limiter is deterministic: callers supply the clock, so simulation and
-// live servers share the same code path.
+// The limiter is deterministic: callers supply the clock, and a full table
+// evicts by a fixed rule, so one sequence of checks always gets the same
+// verdicts, and simulation and live servers share the same code path.
 package rrl
 
 import (
@@ -59,16 +60,19 @@ type Config struct {
 	// PrefixBits aggregates IPv4 sources by this prefix length
 	// (default 24, the RRL convention).
 	PrefixBits int
-	// MaxEntries caps the state table; idle entries are evicted first.
-	// Defaults to 65536.
+	// MaxEntries caps the bucket table (default 65536). Each shard's share
+	// is rounded down to a power-of-two number of 8-bucket sets, at least
+	// one. The table grows to that cap as prefixes arrive; at the cap a new
+	// prefix whose set is full evicts the set's least recently touched
+	// bucket, the lowest slot breaking ties. An idle bucket refills toward
+	// Burst, where a new one starts, so evicting the idlest costs least.
 	MaxEntries int
-	// IdleTimeoutMs evicts buckets untouched for this long (default 10s).
-	IdleTimeoutMs int64
 	// Shards splits the bucket table into independently locked shards so
 	// concurrent packet workers do not serialize on one mutex. A prefix
-	// always maps to the same shard, so per-prefix verdicts are identical
-	// for any shard count while the table is below capacity (MaxEntries is
-	// divided across shards, so *eviction* under a full table can differ).
+	// always maps to the same shard. Below capacity (no eviction yet),
+	// per-prefix verdicts are identical for any shard count. At capacity
+	// eviction is per shard, so verdicts are identical run to run for one
+	// shard count and one check sequence, but differ across shard counts.
 	// Defaults to 1: the single-lock behavior of earlier revisions.
 	Shards int
 }
@@ -100,9 +104,6 @@ func (c *Config) fillDefaults() error {
 	if c.MaxEntries < 1 {
 		return errors.New("rrl: MaxEntries must be positive")
 	}
-	if c.IdleTimeoutMs == 0 {
-		c.IdleTimeoutMs = 10_000
-	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
@@ -112,21 +113,27 @@ func (c *Config) fillDefaults() error {
 	return nil
 }
 
+// ways is the bucket table's associativity: a prefix lives in one of the
+// ways slots of the set its hash selects.
+const ways = 8
+
 type bucket struct {
+	key        uint32
+	used       bool
 	tokens     float64
 	lastMs     int64
 	suppressed int // counts suppressed responses for slip accounting
 }
 
-// shard is one independently locked slice of the bucket table. Padding
-// would buy little here: the mutex hold covers a map op, not a counter.
+// shard is one independently locked slice of the bucket table. Within a
+// set the used slots come first: a slot is only ever filled or replaced,
+// and a rehash packs each set from slot 0.
 type shard struct {
 	mu      sync.Mutex
-	buckets map[uint32]*bucket
-	// lastSweepMs rate-limits full idle sweeps so spoofed floods of
-	// unique sources cannot force an O(table) scan on every insert.
-	lastSweepMs int64
-	maxEntries  int
+	sets    [][ways]bucket // a power-of-two count, 1<<(32-shift)
+	shift   uint8
+	maxSets int
+	n       int // used slots
 
 	// Stats, guarded by mu.
 	sent, dropped, slipped uint64
@@ -152,29 +159,39 @@ func New(cfg Config) (*Limiter, error) {
 		mask:   ^uint32(0) << (32 - cfg.PrefixBits),
 		shards: make([]shard, cfg.Shards),
 	}
-	perShard := cfg.MaxEntries / cfg.Shards
-	if perShard < 1 {
-		perShard = 1
+	maxSets := 1
+	for maxSets*2*ways*cfg.Shards <= cfg.MaxEntries {
+		maxSets *= 2
 	}
 	for i := range l.shards {
-		l.shards[i].buckets = make(map[uint32]*bucket)
-		l.shards[i].maxEntries = perShard
+		l.shards[i].sets = make([][ways]bucket, 1)
+		l.shards[i].shift = 32
+		l.shards[i].maxSets = maxSets
 	}
 	return l, nil
 }
 
-// shardFor picks the shard holding key's bucket. The prefix mask zeroes the
-// low bits, so a modulo of the raw key would land everything in a handful
-// of shards; a splitmix-style multiply spreads the surviving high bits
-// first. The mapping depends only on the key, never on concurrency, so
-// verdict sequences per prefix are shard-count-independent.
-func (l *Limiter) shardFor(key uint32) *shard {
-	if len(l.shards) == 1 {
-		return &l.shards[0]
-	}
+// spread is a splitmix-style multiply of a masked key. The prefix mask
+// zeroes the low bits, so a modulo of the raw key would land everything in
+// a handful of shards or sets; the multiply spreads the surviving high
+// bits first. Shards take the whole result modulo their count, sets take
+// its top bits: for a /24 key the low bits of both halves coincide, so a
+// set index masked from them would repeat the shard choice and leave most
+// sets of a shard empty. It depends only on the key, never on concurrency,
+// so verdict sequences per prefix are shard-count-independent.
+func spread(key uint32) uint64 {
 	h := uint64(key) * 0x9E3779B97F4A7C15
-	h ^= h >> 32
-	return &l.shards[h%uint64(len(l.shards))]
+	return h ^ h>>32
+}
+
+// shardFor picks the shard holding key's bucket and returns the hash bits
+// that choose its set.
+func (l *Limiter) shardFor(key uint32) (*shard, uint32) {
+	h := spread(key)
+	if len(l.shards) == 1 {
+		return &l.shards[0], uint32(h >> 32)
+	}
+	return &l.shards[h%uint64(len(l.shards))], uint32(h >> 32)
 }
 
 // MustNew is New for known-good, compile-time-constant configs (tests and
@@ -189,19 +206,23 @@ func MustNew(cfg Config) *Limiter {
 }
 
 // Check decides the fate of one response to src at the given time.
+//
+//repolint:hot
 func (l *Limiter) Check(src uint32, nowMs int64) Action {
 	key := src & l.mask
-	sh := l.shardFor(key)
+	sh, h := l.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	b, ok := sh.buckets[key]
+	b, ok := sh.find(key, h)
 	if !ok {
-		if len(sh.buckets) >= sh.maxEntries {
-			sh.evictLocked(nowMs, l.cfg.IdleTimeoutMs)
+		if b == nil {
+			b = sh.makeRoom(key, h)
 		}
-		b = &bucket{tokens: l.cfg.Burst, lastMs: nowMs}
-		sh.buckets[key] = b
+		if !b.used {
+			sh.n++
+		}
+		*b = bucket{key: key, used: true, tokens: l.cfg.Burst, lastMs: nowMs}
 	}
 	// Refill.
 	if nowMs > b.lastMs {
@@ -225,28 +246,56 @@ func (l *Limiter) Check(src uint32, nowMs int64) Action {
 	return Drop
 }
 
-// evictLocked makes room in the shard's state table. A full sweep of idle
-// buckets runs at most once per idle-timeout interval; between sweeps (the
-// steady state under a spoofed flood of unique sources, where nothing is
-// ever idle) a single arbitrary entry is dropped instead, keeping Check
-// O(1) amortized.
-func (sh *shard) evictLocked(nowMs, idleTimeoutMs int64) {
-	if nowMs-sh.lastSweepMs >= idleTimeoutMs {
-		sh.lastSweepMs = nowMs
-		evicted := false
-		for k, b := range sh.buckets {
-			if nowMs-b.lastMs > idleTimeoutMs {
-				delete(sh.buckets, k)
-				evicted = true
-			}
+// find returns key's bucket in set h and true; on a miss it returns the
+// set's first free slot, or nil when the set is full.
+func (sh *shard) find(key, h uint32) (*bucket, bool) {
+	set := &sh.sets[h>>sh.shift]
+	for i := range set {
+		b := &set[i]
+		if !b.used {
+			return b, false
 		}
-		if evicted {
-			return
+		if b.key == key {
+			return b, true
 		}
 	}
-	for k := range sh.buckets {
-		delete(sh.buckets, k)
-		break
+	return nil, false
+}
+
+// makeRoom returns a slot for key, whose set h is full. Below the cap it
+// doubles the table until the set has a free slot; at the cap it returns
+// the set's least recently touched bucket, the lowest slot breaking ties.
+func (sh *shard) makeRoom(key, h uint32) *bucket {
+	for len(sh.sets) < sh.maxSets {
+		sh.grow()
+		if b, _ := sh.find(key, h); b != nil {
+			return b
+		}
+	}
+	set := &sh.sets[h>>sh.shift]
+	victim := &set[0]
+	for i := 1; i < ways; i++ {
+		if set[i].lastMs < victim.lastMs {
+			victim = &set[i]
+		}
+	}
+	return victim
+}
+
+// grow doubles the shard's set count and rehashes every bucket. Set i
+// splits into sets 2i and 2i+1, so no set can overflow.
+func (sh *shard) grow() {
+	old := sh.sets
+	sh.sets = make([][ways]bucket, 2*len(old))
+	sh.shift--
+	for i := range old {
+		for _, b := range old[i] {
+			if !b.used {
+				break
+			}
+			slot, _ := sh.find(b.key, uint32(spread(b.key)>>32))
+			*slot = b
+		}
 	}
 }
 
@@ -269,7 +318,7 @@ func (l *Limiter) Entries() int {
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.Lock()
-		n += len(sh.buckets)
+		n += sh.n
 		sh.mu.Unlock()
 	}
 	return n

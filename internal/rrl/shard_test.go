@@ -18,20 +18,11 @@ func TestShardedVerdictEquivalence(t *testing.T) {
 	base := mk(1)
 	for _, shards := range []int{2, 4, 7, 16} {
 		l := mk(shards)
-		// Mixed workload: 40 heavy prefixes plus a spread of one-shot
-		// sources, over an advancing clock — a miniature of the event mix.
-		for step := 0; step < 5000; step++ {
-			var src uint32
-			if step%3 == 0 {
-				src = uint32(step) * 2654435761 // spoofed-unique
-			} else {
-				src = uint32(step%40)<<24 | uint32(step) // heavy hitters
-			}
-			now := int64(step / 10)
-			want := base.Check(src, now)
-			if got := l.Check(src, now); got != want {
+		for i, s := range mixedTraffic() {
+			want := base.Check(s.src, s.nowMs)
+			if got := l.Check(s.src, s.nowMs); got != want {
 				t.Fatalf("step %d (src %08x): %d shards says %v, 1 shard says %v",
-					step, src, shards, got, want)
+					i, s.src, shards, got, want)
 			}
 		}
 		// Aggregate stats must match too.
@@ -44,14 +35,28 @@ func TestShardedVerdictEquivalence(t *testing.T) {
 	}
 }
 
+// mixedTraffic is 40 heavy prefixes plus a spread of one-shot sources, over
+// an advancing clock — a miniature of the event mix.
+func mixedTraffic() []step {
+	steps := make([]step, 5000)
+	for i := range steps {
+		src := uint32(i%40)<<24 | uint32(i) // heavy hitters
+		if i%3 == 0 {
+			src = uint32(i) * 2654435761 // spoofed-unique
+		}
+		steps[i] = step{src, int64(i / 10)}
+	}
+	return steps
+}
+
 // TestShardStableMapping checks a prefix never migrates between shards.
 func TestShardStableMapping(t *testing.T) {
 	l := MustNew(Config{ResponsesPerSecond: 1, Shards: 8})
 	for src := uint32(0); src < 4096; src += 7 {
 		key := src & l.mask
-		first := l.shardFor(key)
+		first, _ := l.shardFor(key)
 		for i := 0; i < 3; i++ {
-			if l.shardFor(key) != first {
+			if sh, _ := l.shardFor(key); sh != first {
 				t.Fatalf("key %08x migrated shards", key)
 			}
 		}
@@ -65,7 +70,8 @@ func TestShardSpread(t *testing.T) {
 	hit := make(map[*shard]int)
 	for i := uint32(0); i < 256; i++ {
 		key := (i << 8) & l.mask // 256 distinct /24s
-		hit[l.shardFor(key)]++
+		sh, _ := l.shardFor(key)
+		hit[sh]++
 	}
 	if len(hit) != 8 {
 		t.Fatalf("256 prefixes landed on %d of 8 shards: %v", len(hit), hit)
@@ -80,10 +86,10 @@ func TestShardsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More shards than MaxEntries still leaves every shard one bucket.
+	// More shards than MaxEntries still leaves every shard one set.
 	for i := range l.shards {
-		if l.shards[i].maxEntries < 1 {
-			t.Fatal("per-shard cap fell below 1")
+		if l.shards[i].maxSets < 1 {
+			t.Fatal("per-shard cap fell below one set")
 		}
 	}
 }
