@@ -14,7 +14,7 @@ import (
 type UserImpactConfig struct {
 	Resolvers       int // recursive resolvers simulated
 	QueriesPerBin   int // user queries per resolver per 10-minute bin
-	Domains         int // distinct qnames in the workload (Zipf popularity)
+	Domains         int // distinct names in the workload (Zipf popularity)
 	CacheTTLMinutes int
 	Strategy        resolver.Strategy
 	Seed            int64
@@ -73,13 +73,8 @@ func (a *Analyzer) UserImpact(cfg UserImpactConfig) (*UserImpactResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	stubs := ev.Graph.StubASNs()
+	// A name is its Zipf rank: the resolvers' caches key on it.
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Domains-1))
-	// One name per domain rank, formatted once: the query loop below draws
-	// ranks, and the resolvers' caches key on the name.
-	qnames := make([]string, cfg.Domains)
-	for i := range qnames {
-		qnames[i] = fmt.Sprintf("site%d.example", i)
-	}
 
 	type resolverState struct {
 		r  *resolver.Resolver
@@ -108,14 +103,14 @@ func (a *Analyzer) UserImpact(cfg UserImpactConfig) (*UserImpactResult, error) {
 	perBinFlips := make([]int, bins)
 	perBinLatency := make([]float64, bins)
 	var cacheHits, total int
-	letterCount := map[byte]int{}
+	var letterCount [256]int
 
 	for b := 0; b < bins; b++ {
 		for i := range states {
 			st := &states[i]
 			for q := 0; q < cfg.QueriesPerBin; q++ {
 				minute := b*10 + rng.Intn(10)
-				out := st.r.Resolve(qnames[zipf.Uint64()], minute, st.up)
+				out := st.r.Resolve(int(zipf.Uint64()), minute, st.up)
 				total++
 				perBinQueries[b]++
 				perBinLatency[b] += out.LatencyMs
@@ -155,7 +150,9 @@ func (a *Analyzer) UserImpact(cfg UserImpactConfig) (*UserImpactResult, error) {
 		servedTotal += n
 	}
 	for l, n := range letterCount {
-		res.LetterShare[l] = float64(n) / math.Max(1, float64(servedTotal))
+		if n > 0 {
+			res.LetterShare[byte(l)] = float64(n) / math.Max(1, float64(servedTotal))
+		}
 	}
 	return res, nil
 }

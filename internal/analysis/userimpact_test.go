@@ -92,3 +92,26 @@ func TestUserImpactStrategies(t *testing.T) {
 			worst[resolver.PreferFastest], worst[resolver.RoundRobin], worst[resolver.Uniform])
 	}
 }
+
+// TestUserImpactAllocationsIndependentOfQueries pins the query loop's
+// allocation-free claim: eight times the user queries may cost no more
+// extra allocations than the per-bin series has bins. What may differ is
+// the resolvers' name caches, which grow with the largest name drawn.
+func TestUserImpactAllocationsIndependentOfQueries(t *testing.T) {
+	ev, _ := getShared(t)
+	a := New(ev, nil)
+	mallocs := func(queriesPerBin int) float64 {
+		cfg := DefaultOutcomeConfig(7).User
+		cfg.QueriesPerBin = queriesPerBin
+		return testing.AllocsPerRun(1, func() {
+			if _, err := a.UserImpact(*cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := mallocs(4), mallocs(32)
+	// One allocation per query would add 60 resolvers × 28 × bins.
+	if bins := float64(ev.Cfg.Minutes / 10); many-few > bins {
+		t.Errorf("%v mallocs at 4 queries per bin, %v at 32: more than the %v bins apart", few, many, bins)
+	}
+}

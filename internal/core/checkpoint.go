@@ -143,6 +143,9 @@ func (ev *Evaluator) newCkptWriter(start int, states []*letterState) *ckptWriter
 // it after the record the run resumed from otherwise.
 func (w *ckptWriter) append(ev *Evaluator, minute int, states []*letterState) error {
 	rec, from := &w.rec, w.minute
+	if err := ev.flushReplays(states); err != nil {
+		return err
+	}
 	if w.log == nil {
 		log, err := checkpoint.OpenLog(w.dir, from)
 		if err != nil {

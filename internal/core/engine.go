@@ -290,6 +290,9 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 		}
 	}
 
+	if err := ev.flushReplays(states); err != nil {
+		return err
+	}
 	// Epoch sequences are final: materialize each letter's minute -> epoch
 	// index so post-run probe lookups are O(1).
 	for _, ls := range states {
@@ -423,6 +426,7 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 // into the letter's per-site series, per-site utilization into ls.util, and
 // the cross-letter contributions into tick.
 func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, tick *letterTick) error {
+	ls.flushReplay()
 	tick.cityAdds = tick.cityAdds[:0]
 	tick.failed = tick.failed[:0]
 	lb := ls.letter.Letter
@@ -493,16 +497,39 @@ func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, 
 }
 
 // replaySites is serveSites for a minute whose inputs equal the previous
-// minute's: the per-site series repeat, and ls.util and the letter's tick
-// already hold what serveSites would compute again.
+// minute's: ls.util and the letter's tick already hold its answers. It copies
+// the totals pass 2 reads; the site rows wait for flushReplay.
 //
 //repolint:hot
 func (ls *letterState) replaySites(minute int) {
-	for si := range ls.hasRoute {
-		ls.hasRoute[si][minute] = ls.hasRoute[si][minute-1]
-		ls.loss[si][minute] = ls.loss[si][minute-1]
-		ls.delay[si][minute] = ls.delay[si][minute-1]
-	}
+	ls.replayed++
 	ls.legitServed[minute] = ls.legitServed[minute-1]
 	ls.attackServed[minute] = ls.attackServed[minute-1]
+}
+
+// flushReplay fills the replayed minutes, the last ls.replayed through
+// sitesMinute, from the minute before them, row by row. It runs before
+// anything reads the rows: the letter's next site pass, a checkpoint record,
+// the end of the run.
+//
+//repolint:hot
+func (ls *letterState) flushReplay() {
+	from := ls.sitesMinute - ls.replayed + 1
+	ls.replayed = 0
+	for si := range ls.hasRoute {
+		h, l, d := ls.hasRoute[si], ls.loss[si], ls.delay[si]
+		for m := from; m <= ls.sitesMinute; m++ {
+			h[m], l[m], d[m] = h[from-1], l[from-1], d[from-1]
+		}
+	}
+}
+
+// flushReplays is flushReplay for every letter, under guard.
+func (ev *Evaluator) flushReplays(states []*letterState) error {
+	for _, ls := range states {
+		if err := ev.guard(ls, ls.sitesMinute, func() error { ls.flushReplay(); return nil }); err != nil {
+			return err
+		}
+	}
+	return nil
 }

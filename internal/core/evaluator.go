@@ -202,6 +202,9 @@ type letterState struct {
 	sitesMinute    int
 	sitesEpochs    int
 	sitesAttackQPS float64
+	// replayed counts the minutes through sitesMinute whose site rows
+	// flushReplay has yet to write.
+	replayed int
 	// pending is the routing diff produced by the latest computeEpoch,
 	// waiting to be handed to the BGP collector at the minute barrier.
 	pending []bgpsim.Change
@@ -875,17 +878,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func (ev *Evaluator) cityRTT(a, b string) float64 {
-	ia, ok1 := ev.cityIdx[a]
-	ib, ok2 := ev.cityIdx[b]
-	if !ok1 || !ok2 {
-		return 150
-	}
-	return ev.rttMatrix[ia][ib]
-}
-
-// cityRTTIdx is cityRTT over pre-resolved city indices (-1 = unknown), the
-// walk kernel's form.
+// cityRTTIdx is the baseline RTT between two pre-resolved city indices
+// (-1 = unknown, 150 ms), the form the walk kernel and Upstream use.
 func (ev *Evaluator) cityRTTIdx(a, b int32) float64 {
 	if a < 0 || b < 0 {
 		return 150
@@ -1018,7 +1012,9 @@ func (ev *Evaluator) TraceAt(letter byte, asn topo.ASN, minute int) ([]topo.ASN,
 
 // CityRTTms exposes the baseline city-to-city RTT model used for probe
 // outcomes (150 ms for unknown codes).
-func (ev *Evaluator) CityRTTms(a, b string) float64 { return ev.cityRTT(a, b) }
+func (ev *Evaluator) CityRTTms(a, b string) float64 {
+	return ev.cityRTTIdx(cityIndexOf(ev.cityIdx, a), cityIndexOf(ev.cityIdx, b))
+}
 
 // Schedule returns the attack scenario this evaluator runs.
 func (ev *Evaluator) Schedule() *attack.Schedule { return ev.sched }

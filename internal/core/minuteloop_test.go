@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -67,13 +71,9 @@ type engineState struct {
 	rssac       map[byte]interface{}
 }
 
-func runEngineState(t *testing.T, noReplay bool, workers int, plan *faults.Plan) engineState {
+func runEngineState(t *testing.T, noReplay bool, workers int, plan *faults.Plan, extra ...Option) engineState {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithSchedule(resumeSchedule())}
-	if plan != nil {
-		opts = append(opts, WithFaults(plan))
-	}
-	ev, err := NewEvaluator(resumeConfig(5), opts...)
+	ev, err := NewEvaluator(resumeConfig(5), append(engineStateOpts(workers, plan), extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,18 @@ func runEngineState(t *testing.T, noReplay bool, workers int, plan *faults.Plan)
 	if err := ev.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return engineStateOf(ev)
+}
+
+func engineStateOpts(workers int, plan *faults.Plan) []Option {
+	opts := []Option{WithWorkers(workers), WithSchedule(resumeSchedule())}
+	if plan != nil {
+		opts = append(opts, WithFaults(plan))
+	}
+	return opts
+}
+
+func engineStateOf(ev *Evaluator) engineState {
 	st := engineState{
 		loss: map[byte][][]float32{}, delay: map[byte][][]float32{}, hasRoute: map[byte][][]bool{},
 		legit: map[byte][]float64{}, atk: map[byte][]float64{}, retry: map[byte][]float64{}, resp: map[byte][]float64{},
@@ -98,6 +110,36 @@ func runEngineState(t *testing.T, noReplay bool, workers int, plan *faults.Plan)
 	return st
 }
 
+// compareEngineStates names every series in which got differs from ref.
+func compareEngineStates(t *testing.T, label string, got, ref engineState) {
+	t.Helper()
+	if reflect.DeepEqual(got, ref) {
+		return
+	}
+	for lb := range ref.loss {
+		for _, f := range []struct {
+			what     string
+			got, ref interface{}
+		}{
+			{"loss", got.loss[lb], ref.loss[lb]}, {"delay", got.delay[lb], ref.delay[lb]},
+			{"hasRoute", got.hasRoute[lb], ref.hasRoute[lb]}, {"legitServed", got.legit[lb], ref.legit[lb]},
+			{"attackServed", got.atk[lb], ref.atk[lb]}, {"retryServed", got.retry[lb], ref.retry[lb]},
+			{"responses", got.resp[lb], ref.resp[lb]}, {"epochs", got.epochStarts[lb], ref.epochStarts[lb]},
+			{"rssac", got.rssac[lb], ref.rssac[lb]},
+		} {
+			if !reflect.DeepEqual(f.got, f.ref) {
+				t.Errorf("%s: letter %c %s differs from the from-scratch run", label, lb, f.what)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got.cityExcess, ref.cityExcess) {
+		t.Errorf("%s: cityExcess differs", label)
+	}
+	if !reflect.DeepEqual(got.updates, ref.updates) {
+		t.Errorf("%s: BGP update stream differs", label)
+	}
+}
+
 // TestSiteReplayIsAnEquivalence proves the steady-minute shortcut changes
 // nothing: with it on (any worker count) and with every minute evaluated
 // from scratch, each letter's per-site loss, delay and route series, its
@@ -105,7 +147,10 @@ func runEngineState(t *testing.T, noReplay bool, workers int, plan *faults.Plan)
 // BGP update stream and the RSSAC reports are identical — floats compared
 // as bits by reflect.DeepEqual — for a fault-free and a faulted run whose
 // plan opens and closes degrade, burst, outage and flap windows inside both
-// quiet and attacked minutes.
+// quiet and attacked minutes. A run checkpointing every 7 minutes, so that
+// replayed spans cross record boundaries, is stopped at a middle record and
+// resumed: its state and its checkpoint log must equal those of a
+// from-scratch run checkpointing at the same minutes.
 func TestSiteReplayIsAnEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several engine runs")
@@ -113,31 +158,31 @@ func TestSiteReplayIsAnEquivalence(t *testing.T) {
 	for name, plan := range map[string]*faults.Plan{"fault-free": nil, "faulted": resumeFaultPlan()} {
 		ref := runEngineState(t, true, 1, plan)
 		for _, workers := range []int{1, 3} {
-			got := runEngineState(t, false, workers, plan)
-			if !reflect.DeepEqual(got, ref) {
-				for lb := range ref.loss {
-					for _, f := range []struct {
-						what     string
-						got, ref interface{}
-					}{
-						{"loss", got.loss[lb], ref.loss[lb]}, {"delay", got.delay[lb], ref.delay[lb]},
-						{"hasRoute", got.hasRoute[lb], ref.hasRoute[lb]}, {"legitServed", got.legit[lb], ref.legit[lb]},
-						{"attackServed", got.atk[lb], ref.atk[lb]}, {"retryServed", got.retry[lb], ref.retry[lb]},
-						{"responses", got.resp[lb], ref.resp[lb]}, {"epochs", got.epochStarts[lb], ref.epochStarts[lb]},
-						{"rssac", got.rssac[lb], ref.rssac[lb]},
-					} {
-						if !reflect.DeepEqual(f.got, f.ref) {
-							t.Errorf("%s, %d workers: letter %c %s differs from the from-scratch run", name, workers, lb, f.what)
-						}
-					}
+			compareEngineStates(t, fmt.Sprintf("%s, %d workers", name, workers), runEngineState(t, false, workers, plan), ref)
+		}
+
+		const every, stop = 7, 63
+		refDir, dir := t.TempDir(), t.TempDir()
+		ref = runEngineState(t, true, 1, plan, WithCheckpoint(refDir, every))
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := ResumeRun(dir, resumeConfig(5), append(engineStateOpts(1, plan), WithCheckpoint(dir, every),
+			WithContext(ctx), WithProgress(func(p Progress) {
+				if p.Stage == StageRun && p.Done == stop {
+					cancel()
 				}
-				if !reflect.DeepEqual(got.cityExcess, ref.cityExcess) {
-					t.Errorf("%s, %d workers: cityExcess differs", name, workers)
-				}
-				if !reflect.DeepEqual(got.updates, ref.updates) {
-					t.Errorf("%s, %d workers: BGP update stream differs", name, workers)
-				}
-			}
+			}))...)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: first segment: err = %v, want context.Canceled", name, err)
+		}
+		ev, err := ResumeRun(dir, resumeConfig(5), append(engineStateOpts(1, plan), WithCheckpoint(dir, every))...)
+		if err != nil {
+			t.Fatalf("%s: resume at minute %d: %v", name, stop, err)
+		}
+		label := fmt.Sprintf("%s, checkpointed every %d, resumed at %d", name, every, stop)
+		compareEngineStates(t, label, engineStateOf(ev), ref)
+		if !bytes.Equal(readLog(t, dir), readLog(t, refDir)) {
+			t.Errorf("%s: checkpoint log differs from the from-scratch run's", label)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 type Upstream struct {
 	ev   *Evaluator
 	asn  topo.ASN
+	city int32 // the AS's city index, -1 when unknown
 	salt uint64
 	seq  uint64
 }
@@ -26,10 +27,12 @@ func (ev *Evaluator) Upstream(asn topo.ASN, salt int64) (*Upstream, error) {
 	if int(asn) < 0 || int(asn) >= ev.Graph.N() {
 		return nil, fmt.Errorf("core: unknown AS %d", asn)
 	}
-	return &Upstream{ev: ev, asn: asn, salt: uint64(salt)}, nil
+	return &Upstream{ev: ev, asn: asn, city: ev.asnCity[asn], salt: uint64(salt)}, nil
 }
 
 // Query implements resolver.Upstream against the simulated event.
+//
+//repolint:hot
 func (u *Upstream) Query(letter byte, minute int) (bool, float64) {
 	ev := u.ev
 	if minute < 0 {
@@ -38,8 +41,8 @@ func (u *Upstream) Query(letter byte, minute int) (bool, float64) {
 	if minute >= ev.Cfg.Minutes {
 		minute = ev.Cfg.Minutes - 1
 	}
-	ls, ok := ev.letters[letter]
-	if !ok {
+	ls := ev.letterTab[letter]
+	if ls == nil {
 		return false, 0
 	}
 	ep := ls.epochAt(minute)
@@ -50,27 +53,25 @@ func (u *Upstream) Query(letter byte, minute int) (bool, float64) {
 	if site < 0 {
 		return false, 0
 	}
-	s := ls.letter.Sites[site]
 	if !ls.hasRoute[site][minute] {
 		return false, 0
 	}
 	loss := float64(ls.loss[site][minute])
 	delay := float64(ls.delay[site][minute])
-	if !ev.sched.Targeted(letter) {
-		if ci, ok := ev.cityIdx[s.City.Code]; ok {
-			cl := collateralLoss(ev.cityExcess[ci][minute], collateralFullQPS)
-			if cl > 0.45 {
-				cl = 0.45
-			}
-			loss = 1 - (1-loss)*(1-cl)
+	siteCity := ls.siteCity[site]
+	if !ls.targeted && siteCity >= 0 {
+		cl := collateralLoss(ev.cityExcess[siteCity][minute], collateralFullQPS)
+		if cl > 0.45 {
+			cl = 0.45
 		}
+		loss = 1 - (1-loss)*(1-cl)
 	}
 	u.seq++
 	coin := float64(mix64(u.salt^uint64(u.asn)<<28^uint64(letter)<<20^uint64(uint32(minute))^u.seq<<44)>>11) / float64(1<<53)
 	if coin < loss {
 		return false, 0
 	}
-	base := ev.cityRTT(ev.Graph.AS(u.asn).City.Code, s.City.Code)
+	base := ev.cityRTTIdx(u.city, siteCity)
 	rtt := base + delay
 	if rtt >= netsimTimeoutMs {
 		return false, 0

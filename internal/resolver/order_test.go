@@ -2,15 +2,20 @@ package resolver
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
 // mapResolver is the resolver as it was before server selection moved onto
-// slot-indexed arrays and a reused order buffer: SRTT and per-letter counts
-// in map[byte], a fresh []byte per order() call. It exists only as the
-// reference TestResolveMatchesMapReference compares against.
+// slot-indexed arrays and a kept order, and before the cache was keyed by
+// name ID: SRTT and per-letter counts in map[byte], a map[string]int cache
+// keyed by the name's text, and a fresh stable insertion sort of
+// cfg.Letters per order() call. It exists only as the reference
+// TestResolveMatchesMapReference and FuzzResolveMatchesReference compare
+// against.
 type mapResolver struct {
 	cfg   Config
 	srtt  map[byte]float64
@@ -124,66 +129,184 @@ func (r *mapResolver) LetterShare() map[byte]float64 {
 
 // lossyUpstream answers from a seeded stream: each letter has its own loss
 // rate and base RTT, both drifting with the minute, so SRTT order keeps
-// changing and every branch of Resolve is taken.
+// changing and every branch of Resolve is taken. With special set, about
+// one answer in 20 carries one of its RTTs instead: +Inf ties estimates at
+// infinity, and -Inf after +Inf at one letter makes its estimate NaN.
 type lossyUpstream struct {
-	rng *rand.Rand
+	rng     *rand.Rand
+	special []float64
 }
 
 func (u *lossyUpstream) Query(letter byte, minute int) (bool, float64) {
 	k := float64(letter%13) / 13
-	phase := float64(minute%97) / 97
+	phase := float64(((minute%97)+97)%97) / 97
 	if u.rng.Float64() < 0.9*k*phase+0.05 {
 		return false, 0
+	}
+	if len(u.special) > 0 && u.rng.Intn(20) == 0 {
+		return true, u.special[u.rng.Intn(len(u.special))]
 	}
 	return true, 5 + 300*k + 40*phase + u.rng.Float64()
 }
 
-// TestResolveMatchesMapReference is the differential proof that moving
-// server selection off maps changed no answer: 100 000 seeded queries per
-// strategy through both implementations, against identical upstreams, must
-// agree on every Result, every SRTT, the counters and the letter shares.
+// Upstream RTT sets for lossyUpstream.special.
+var (
+	infRTTs = []float64{math.Inf(1)}
+	nanRTTs = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+)
+
+// differ runs a Resolver and the reference side by side, each against its
+// own copy of one seeded upstream. Name ID n is the reference's qname
+// strconv.Itoa(n).
+type differ struct {
+	got           *Resolver
+	want          *mapResolver
+	upGot, upWant *lossyUpstream
+}
+
+func newDiffer(cfg Config, upSeed int64, special []float64) (*differ, error) {
+	got, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &differ{
+		got:    got,
+		want:   newMapResolver(cfg),
+		upGot:  &lossyUpstream{rng: rand.New(rand.NewSource(upSeed)), special: special},
+		upWant: &lossyUpstream{rng: rand.New(rand.NewSource(upSeed)), special: special},
+	}, nil
+}
+
+func (d *differ) resolve(name, minute int) error {
+	a := d.got.Resolve(name, minute, d.upGot)
+	b := d.want.Resolve(strconv.Itoa(name), minute, d.upWant)
+	if !sameFloat(a.LatencyMs, b.LatencyMs) || a.Cached != b.Cached || a.Served != b.Served ||
+		a.Letter != b.Letter || a.Attempts != b.Attempts || a.Flipped != b.Flipped {
+		return fmt.Errorf("name %d at minute %d: got %+v, reference %+v", name, minute, a, b)
+	}
+	return nil
+}
+
+func (d *differ) flush() {
+	d.got.FlushCache()
+	d.want.cache = make(map[string]int)
+}
+
+// final compares every SRTT estimate, the counters and the letter shares.
+func (d *differ) final() error {
+	for l := 0; l < 256; l++ {
+		if a, b := d.got.SRTT(byte(l)), d.want.srtt[byte(l)]; !sameFloat(a, b) {
+			return fmt.Errorf("SRTT(%d) = %v, reference %v", l, a, b)
+		}
+	}
+	w := d.want
+	q, c, s, f, fl := d.got.Stats()
+	if q != w.queries || c != w.cacheHits || s != w.served || f != w.failed || fl != w.flips {
+		return fmt.Errorf("stats %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d",
+			q, c, s, f, fl, w.queries, w.cacheHits, w.served, w.failed, w.flips)
+	}
+	if a, b := d.got.LetterShare(), w.LetterShare(); !reflect.DeepEqual(a, b) {
+		return fmt.Errorf("letter share %v, reference %v", a, b)
+	}
+	return nil
+}
+
+// sameFloat is float equality under which NaN equals NaN.
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// refLetterSets are the letter sets both differential tests draw from: the
+// 13 letters, a duplicated letter, and the extreme bytes.
+var refLetterSets = []string{"ABCDEFGHIJKLM", "KAK", "\x00\xffz"}
+
+// TestResolveMatchesMapReference is the differential proof that server
+// selection on slot arrays with a kept order, and a cache keyed by name ID,
+// changed no answer: seeded queries per strategy and letter set, through
+// both implementations against identical upstreams, must agree on every
+// Result, every SRTT, the counters and the letter shares. Minutes start
+// negative, the cache is flushed mid-stream, and two of the upstreams
+// answer with infinite and NaN RTTs.
 func TestResolveMatchesMapReference(t *testing.T) {
 	for _, strat := range []Strategy{PreferFastest, RoundRobin, Uniform} {
-		for _, letters := range []string{"ABCDEFGHIJKLM", "KAK", "\x00\xffz"} {
-			cfg := DefaultConfig(7)
-			cfg.Strategy = strat
-			cfg.Letters = []byte(letters)
-			cfg.CacheTTLMinutes = 30
-			got, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := newMapResolver(cfg)
-			upGot := &lossyUpstream{rng: rand.New(rand.NewSource(99))}
-			upWant := &lossyUpstream{rng: rand.New(rand.NewSource(99))}
-			pick := rand.New(rand.NewSource(3))
-			for q := 0; q < 100_000; q++ {
-				qname := fmt.Sprintf("site%d.example", pick.Intn(2000))
-				minute := q / 40
-				a, b := got.Resolve(qname, minute, upGot), want.Resolve(qname, minute, upWant)
-				if a != b {
-					t.Fatalf("%v %q query %d: got %+v, reference %+v", strat, letters, q, a, b)
+		for _, letters := range refLetterSets {
+			for _, up := range []struct {
+				name    string
+				special []float64
+				queries int
+			}{{"finite", nil, 100_000}, {"inf", infRTTs, 20_000}, {"nan", nanRTTs, 20_000}} {
+				cfg := DefaultConfig(7)
+				cfg.Strategy = strat
+				cfg.Letters = []byte(letters)
+				cfg.CacheTTLMinutes = 30
+				d, err := newDiffer(cfg, 99, up.special)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if q%5000 == 0 {
-					got.FlushCache()
-					want.cache = make(map[string]int)
+				pick := rand.New(rand.NewSource(3))
+				for q := 0; q < up.queries; q++ {
+					if err := d.resolve(pick.Intn(2000), q/40-100); err != nil {
+						t.Fatalf("%v %q %s query %d: %v", strat, letters, up.name, q, err)
+					}
+					if q%5000 == 0 {
+						d.flush()
+					}
 				}
-			}
-			for l := 0; l < 256; l++ {
-				if a, b := got.SRTT(byte(l)), want.srtt[byte(l)]; a != b {
-					t.Errorf("%v %q: SRTT(%d) = %v, reference %v", strat, letters, l, a, b)
+				if err := d.final(); err != nil {
+					t.Errorf("%v %q %s: %v", strat, letters, up.name, err)
 				}
-			}
-			q, c, s, f, fl := got.Stats()
-			if q != want.queries || c != want.cacheHits || s != want.served || f != want.failed || fl != want.flips {
-				t.Errorf("%v %q: stats %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d", strat, letters,
-					q, c, s, f, fl, want.queries, want.cacheHits, want.served, want.failed, want.flips)
-			}
-			if a, b := got.LetterShare(), want.LetterShare(); !reflect.DeepEqual(a, b) {
-				t.Errorf("%v %q: letter share %v, reference %v", strat, letters, a, b)
+				if up.special != nil && strat == PreferFastest && letters == refLetterSets[0] {
+					nan := math.IsNaN(d.got.SRTT('A'))
+					for _, l := range cfg.Letters {
+						nan = nan || math.IsNaN(d.got.SRTT(l))
+					}
+					if nan != (up.name == "nan") {
+						t.Errorf("%s upstream: some SRTT is NaN = %v", up.name, nan)
+					}
+				}
 			}
 		}
 	}
+}
+
+// FuzzResolveMatchesReference is TestResolveMatchesMapReference over
+// fuzzed configurations and query streams: data[0..3] pick the seeds, the
+// strategy, the exploration rate, the letter set, the upstream's special
+// RTTs and the cache TTL; every further byte is a query (name ID in the
+// low 5 bits, a minute step of -2..+5 in the high 3) or, at 0xff, a cache
+// flush. Minutes start at -100.
+func FuzzResolveMatchesReference(f *testing.F) {
+	f.Add([]byte{7, 0, 0, 30, 1, 2, 3, 0x21, 0x42, 0xff, 1, 0xe3})
+	f.Add([]byte{1, 4, 5, 5, 0, 0, 0, 0, 0x80, 0x80, 0x80, 0})
+	f.Add([]byte{2, 2, 10, 0, 9, 9, 0xff, 9, 0x20})
+	f.Add([]byte{3, 0, 1, 10, 0, 1, 2, 0x20, 0x21, 0x40, 0x62})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 || len(data) > 256 {
+			return
+		}
+		cfg := DefaultConfig(int64(data[0]))
+		cfg.Strategy = Strategy(data[1] % 3)
+		cfg.ExploreProb = []float64{0.05, 0, 0.5}[data[1]/3%3]
+		cfg.Letters = []byte(refLetterSets[data[2]%3])
+		special := [][]float64{nil, infRTTs, nanRTTs}[data[2]/3%3]
+		cfg.CacheTTLMinutes = int(data[3] % 64)
+		d, err := newDiffer(cfg, int64(data[3]), special)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minute := -100
+		for i, b := range data[4:] {
+			if b == 0xff {
+				d.flush()
+				continue
+			}
+			minute += int(b>>5) - 2
+			if err := d.resolve(int(b&31), minute); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		}
+		if err := d.final(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestUncachedResolveDoesNotAllocate pins order()'s comment: picking the
@@ -200,11 +323,11 @@ func TestUncachedResolveDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			var up Upstream = constUpstream{ok: answers, rtt: 20}
-			r.Resolve("example.com", 0, up) // the one cache-map insert this name will ever need
+			r.Resolve(0, 0, up) // the one cache growth this name will ever need
 			minute := 0
 			if n := testing.AllocsPerRun(200, func() {
 				minute++
-				if res := r.Resolve("example.com", minute, up); res.Cached || res.Attempts == 0 {
+				if res := r.Resolve(0, minute, up); res.Cached || res.Attempts == 0 {
 					t.Fatalf("query was not uncached: %+v", res)
 				}
 			}); n != 0 {

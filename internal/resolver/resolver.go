@@ -9,18 +9,19 @@
 //
 // A Resolver keeps a per-letter smoothed RTT estimate (the BIND-style
 // server-selection behaviour the paper cites), prefers the fastest letter,
-// retries across letters on timeout, and caches answers by qname.
+// retries across letters on timeout, and caches answers by name.
 package resolver
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
 // Upstream is the resolver's view of the root service: one attempt to one
 // letter at a simulation time, returning whether a response arrived and its
-// RTT. Implemented by core.Evaluator against the simulated event.
+// RTT. Implemented by *core.Upstream against the simulated event.
 type Upstream interface {
 	Query(letter byte, minute int) (ok bool, rttMs float64)
 }
@@ -120,9 +121,14 @@ type Resolver struct {
 	// compares and updates them on every uncached query. Configured letters
 	// get slots 1..n; every other byte shares slot 0, which is never
 	// written.
-	slot  [256]uint16
-	srtt  []float64
-	cache map[string]int // qname -> expiry minute
+	slot [256]uint16
+	srtt []float64
+	// byRTT is the last PreferFastest order, as positions in cfg.Letters;
+	// nanSRTT is set once an estimate is NaN (see order).
+	byRTT   []int
+	nanSRTT bool
+	// cache[name] is the minute name's cached answer expires.
+	cache []int
 	rng   *rand.Rand
 	rrIdx int
 	// ord is order's result buffer, reused by every query; swapOrd swaps two
@@ -149,18 +155,19 @@ func New(cfg Config) (*Resolver, error) {
 	}
 	r := &Resolver{
 		cfg:   cfg,
-		cache: make(map[string]int),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		ord:   make([]byte, len(cfg.Letters)),
+		byRTT: make([]int, len(cfg.Letters)),
 	}
 	r.swapOrd = func(i, j int) { r.ord[i], r.ord[j] = r.ord[j], r.ord[i] }
 	r.srtt = append(r.srtt, 0)
-	for _, l := range cfg.Letters {
+	for p, l := range cfg.Letters {
 		if r.slot[l] == 0 {
 			r.slot[l] = uint16(len(r.srtt))
 			// Optimistic initial estimates force early exploration.
 			r.srtt = append(r.srtt, 50)
 		}
+		r.byRTT[p] = p
 	}
 	r.perLetter = make([]uint64, len(r.srtt))
 	return r, nil
@@ -184,12 +191,22 @@ func (r *Resolver) order() []byte {
 		r.rng.Shuffle(len(letters), r.swapOrd)
 		return letters
 	default: // PreferFastest
-		copy(letters, r.cfg.Letters)
-		// Insertion sort by SRTT (13 letters; cheap and allocation-free).
-		for i := 1; i < len(letters); i++ {
-			for j := i; j > 0 && r.srtt[r.slot[letters[j]]] < r.srtt[r.slot[letters[j-1]]]; j-- {
-				letters[j], letters[j-1] = letters[j-1], letters[j]
+		// Sort by (SRTT, position), a total order: from any start it is the
+		// stable sort of cfg.Letters by SRTT, and from the last order about
+		// one pass. With a NaN it is not, so start where a fresh sort does.
+		byRTT := r.byRTT
+		if r.nanSRTT {
+			for i := range byRTT {
+				byRTT[i] = i
 			}
+		}
+		for i := 1; i < len(byRTT); i++ {
+			for j := i; j > 0 && r.rttBefore(byRTT[j], byRTT[j-1]); j-- {
+				byRTT[j], byRTT[j-1] = byRTT[j-1], byRTT[j]
+			}
+		}
+		for i, p := range byRTT {
+			letters[i] = r.cfg.Letters[p]
 		}
 		if r.cfg.ExploreProb > 0 && r.rng.Float64() < r.cfg.ExploreProb && len(letters) > 1 {
 			k := 1 + r.rng.Intn(len(letters)-1)
@@ -199,10 +216,19 @@ func (r *Resolver) order() []byte {
 	}
 }
 
-// Resolve handles one user query for qname at the given simulation minute.
-func (r *Resolver) Resolve(qname string, minute int, up Upstream) Result {
+// rttBefore orders positions in cfg.Letters by SRTT, then position.
+func (r *Resolver) rttBefore(p, q int) bool {
+	a, b := r.srtt[r.slot[r.cfg.Letters[p]]], r.srtt[r.slot[r.cfg.Letters[q]]]
+	return a < b || (a == b && p < q)
+}
+
+// Resolve handles one user query for a name, a small non-negative ID, at
+// the given simulation minute.
+//
+//repolint:hot
+func (r *Resolver) Resolve(name, minute int, up Upstream) Result {
 	r.queries++
-	if exp, ok := r.cache[qname]; ok && exp > minute {
+	if name < len(r.cache) && r.cache[name] > minute {
 		r.cacheHits++
 		return Result{Cached: true, Served: true}
 	}
@@ -224,7 +250,8 @@ func (r *Resolver) Resolve(qname string, minute int, up Upstream) Result {
 				r.flips++
 			}
 			r.served++
-			r.cache[qname] = minute + r.cfg.CacheTTLMinutes
+			r.growCache(name)
+			r.cache[name] = minute + r.cfg.CacheTTLMinutes
 			return res
 		}
 		res.LatencyMs += AttemptTimeoutMs
@@ -234,14 +261,23 @@ func (r *Resolver) Resolve(qname string, minute int, up Upstream) Result {
 	return res
 }
 
+// growCache extends the cache to hold name. A new entry expires at
+// math.MinInt, before any minute: never cached.
+func (r *Resolver) growCache(name int) {
+	for len(r.cache) <= name {
+		r.cache = append(r.cache, math.MinInt)
+	}
+}
+
 // observe updates the SRTT estimate for a letter.
 func (r *Resolver) observe(letter byte, rttMs float64, timeout bool) {
 	est := &r.srtt[r.slot[letter]]
 	if timeout {
 		*est += r.cfg.TimeoutPenaltyMs
-		return
+	} else {
+		*est = *est*(1-r.cfg.SRTTDecay) + rttMs*r.cfg.SRTTDecay
 	}
-	*est = *est*(1-r.cfg.SRTTDecay) + rttMs*r.cfg.SRTTDecay
+	r.nanSRTT = r.nanSRTT || math.IsNaN(*est)
 }
 
 // SRTT returns the current smoothed RTT estimate for a letter.
@@ -269,4 +305,4 @@ func (r *Resolver) LetterShare() map[byte]float64 {
 }
 
 // FlushCache drops all cached entries (for tests and phase boundaries).
-func (r *Resolver) FlushCache() { r.cache = make(map[string]int) }
+func (r *Resolver) FlushCache() { r.cache = r.cache[:0] }

@@ -54,13 +54,13 @@ func TestResolveAndCache(t *testing.T) {
 	r := newTestResolver(t, nil)
 	up := &scriptedUpstream{ok: map[byte]bool{'A': true, 'B': true, 'C': true},
 		rtt: map[byte]float64{'A': 20, 'B': 30, 'C': 40}}
-	res := r.Resolve("example.com", 0, up)
+	res := r.Resolve(0, 0, up)
 	if !res.Served || res.Cached || res.Attempts != 1 {
 		t.Fatalf("first = %+v", res)
 	}
 	// Second query inside TTL is served from cache without upstream.
 	before := up.hits[res.Letter]
-	res2 := r.Resolve("example.com", 10, up)
+	res2 := r.Resolve(0, 10, up)
 	if !res2.Cached || !res2.Served {
 		t.Fatalf("second = %+v", res2)
 	}
@@ -68,7 +68,7 @@ func TestResolveAndCache(t *testing.T) {
 		t.Error("cache hit still queried upstream")
 	}
 	// After TTL expiry the root is queried again.
-	res3 := r.Resolve("example.com", 10+DefaultConfig(1).CacheTTLMinutes+120, up)
+	res3 := r.Resolve(0, 10+DefaultConfig(1).CacheTTLMinutes+120, up)
 	if res3.Cached {
 		t.Error("expired entry served from cache")
 	}
@@ -83,7 +83,7 @@ func TestRetryAcrossLettersOnTimeout(t *testing.T) {
 	r := newTestResolver(t, nil)
 	// A (fastest initially, all equal -> order ABC) is dead; B answers.
 	up := &scriptedUpstream{ok: map[byte]bool{'B': true}, rtt: map[byte]float64{'B': 35}}
-	res := r.Resolve("x.com", 0, up)
+	res := r.Resolve(1, 0, up)
 	if !res.Served || res.Letter != 'B' || res.Attempts != 2 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -99,7 +99,7 @@ func TestRetryAcrossLettersOnTimeout(t *testing.T) {
 		t.Errorf("SRTT A=%v B=%v; timeout penalty not applied", r.SRTT('A'), r.SRTT('B'))
 	}
 	// Next query goes straight to B.
-	res2 := r.Resolve("y.com", 0, up)
+	res2 := r.Resolve(2, 0, up)
 	if res2.Letter != 'B' || res2.Attempts != 1 || res2.Flipped {
 		t.Errorf("after penalty = %+v", res2)
 	}
@@ -108,7 +108,7 @@ func TestRetryAcrossLettersOnTimeout(t *testing.T) {
 func TestTotalFailure(t *testing.T) {
 	r := newTestResolver(t, func(c *Config) { c.MaxAttempts = 3 })
 	up := &scriptedUpstream{ok: map[byte]bool{}}
-	res := r.Resolve("dead.com", 0, up)
+	res := r.Resolve(3, 0, up)
 	if res.Served || res.Attempts != 3 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -122,7 +122,7 @@ func TestTotalFailure(t *testing.T) {
 	// Failures are not cached: recovery is visible immediately.
 	up.ok['A'] = true
 	up.rtt = map[byte]float64{'A': 20}
-	if res := r.Resolve("dead.com", 1, up); !res.Served {
+	if res := r.Resolve(3, 1, up); !res.Served {
 		t.Error("recovered letter not used")
 	}
 }
@@ -133,7 +133,7 @@ func TestSRTTConvergesToFastest(t *testing.T) {
 		rtt: map[byte]float64{'A': 150, 'B': 12, 'C': 90}}
 	for i := 0; i < 50; i++ {
 		r.FlushCache()
-		r.Resolve("q.com", i, up)
+		r.Resolve(0, i, up)
 	}
 	share := r.LetterShare()
 	if share['B'] < 0.5 {
@@ -147,7 +147,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 		rtt: map[byte]float64{'A': 10, 'B': 10, 'C': 10}}
 	for i := 0; i < 30; i++ {
 		r.FlushCache()
-		r.Resolve("q.com", i, up)
+		r.Resolve(0, i, up)
 	}
 	share := r.LetterShare()
 	for _, l := range []byte("ABC") {
@@ -163,7 +163,7 @@ func TestUniformStrategyServes(t *testing.T) {
 		rtt: map[byte]float64{'A': 10, 'B': 10, 'C': 10}}
 	for i := 0; i < 20; i++ {
 		r.FlushCache()
-		if res := r.Resolve("q.com", i, up); !res.Served {
+		if res := r.Resolve(0, i, up); !res.Served {
 			t.Fatal("uniform strategy failed to serve")
 		}
 	}
@@ -184,7 +184,7 @@ func TestExplorationRefreshesEstimates(t *testing.T) {
 		rtt: map[byte]float64{'A': 10, 'B': 20}}
 	for i := 0; i < 60; i++ {
 		r.FlushCache()
-		r.Resolve("q.com", i, up)
+		r.Resolve(0, i, up)
 	}
 	if up.hits['B'] == 0 {
 		t.Error("exploration never tried the slower letter")
