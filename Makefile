@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build lint test race soak soak-resume soak-failover campaign-smoke campaign-resume bench-workers bench-e2e reproduce
+.PHONY: verify fmt vet build lint test race stress soak soak-resume soak-failover campaign-smoke campaign-resume bench-workers bench-e2e reproduce
 
 verify: fmt vet build lint test race
 
@@ -33,6 +33,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Socket stress: the packages that bind real UDP/TCP ports, 20 times over
+# under the race detector, 4 test binaries at a time. Run it beside other
+# load to shake out port-binding races (see EXPERIMENTS.md "Socket stress").
+stress:
+	$(GO) test -race -count=20 -p 4 ./internal/sitemgr ./internal/dnsserver
 
 # Fault-injection soak: 8 random heavy fault plans through the full engine
 # under the race detector; the first two seeds also replay sequentially to

@@ -4,8 +4,8 @@
 // Usage:
 //
 //	rootevent [-seed N] [-vps N] [-small] [-workers N] [-out DIR] [-only EXPR]
-//	          [-faults random:SEED[:PROFILE]] [-minutes N]
-//	          [-checkpoint DIR [-checkpoint-every N] [-resume | -supervise]]
+//	          [-faults none|random:SEED[:PROFILE]] [-minutes N]
+//	          [-checkpoint DIR [-checkpoint-every N] [-resume]]
 //	          [-hashfile PATH]
 //
 // Results are written under -out (default ./out): one .txt rendering and,
@@ -16,23 +16,19 @@
 //
 // With -checkpoint the engine snapshots its state every -checkpoint-every
 // minutes; -resume restarts from the newest good snapshot (or from scratch
-// when none is usable), and -supervise additionally runs the whole
-// simulation under a watchdog that restarts from the last checkpoint after
-// stalls and recovered panics, writing out/recovery.json. Either way the
-// final output is byte-identical to an uninterrupted run.
+// when none is usable). The final output is byte-identical to an
+// uninterrupted run.
 //
 // Exit status (the core.Exit* contract, stable for parent supervisors such
 // as the campaign runner): 0 clean success, 1 generic failure, 2 panic,
-// 3 restart-budget exhaustion under -supervise, 4 context cancellation,
-// 64 a rejected command line (0 for -h).
+// 4 context cancellation, 64 a rejected command line (0 for -h). 3 is
+// unassigned.
 package main
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,7 +38,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -91,7 +86,7 @@ func run(args []string) (err error) {
 	only := fs.String("only", "", "comma-separated experiment list (e.g. table2,fig3); empty = all")
 	saveData := fs.String("save", "", "also archive the cleaned measurement dataset to this file")
 	scheduleName := fs.String("schedule", "nov2015", "attack scenario: nov2015 (the paper) or june2016 (the follow-up event)")
-	faultsSpec := fs.String("faults", "", "inject a seeded fault plan on top of the attack: random:SEED[:PROFILE] (profiles: light, heavy, monitor)")
+	faultsSpec := fs.String("faults", "", "inject a seeded fault plan on top of the attack: none or random:SEED[:PROFILE] (profiles: light, heavy, monitor)")
 	verbose := fs.Bool("progress", false, "log simulation/measurement progress")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file before exiting")
@@ -99,7 +94,6 @@ func run(args []string) (err error) {
 	ckptDir := fs.String("checkpoint", "", "snapshot engine state into this directory for crash recovery")
 	ckptEvery := fs.Int("checkpoint-every", 10, "minutes between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume from the newest good snapshot in -checkpoint (falls back to a fresh run)")
-	supervise := fs.Bool("supervise", false, "run under the crash supervisor: watchdog plus bounded restarts from -checkpoint")
 	hashFile := fs.String("hashfile", "", "write the hex SHA-256 of the cleaned dataset to this file")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errFlags, err)
@@ -143,11 +137,11 @@ func run(args []string) (err error) {
 	default:
 		return fmt.Errorf("unknown -schedule %q (nov2015 or june2016)", *scheduleName)
 	}
-	if *faultsSpec != "" {
-		plan, err := parseFaultsSpec(*faultsSpec)
-		if err != nil {
-			return err
-		}
+	plan, err := faults.ParseSpec(*faultsSpec)
+	if err != nil {
+		return err
+	}
+	if plan != nil {
 		log.Printf("fault injection: %s", plan)
 		opts = append(opts, core.WithFaults(plan))
 	}
@@ -177,45 +171,22 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	if (*resume || *supervise) && *ckptDir == "" {
-		return errors.New("-resume and -supervise require -checkpoint DIR")
+	if *resume && *ckptDir == "" {
+		return errors.New("-resume requires -checkpoint DIR")
 	}
-	if *ckptDir != "" && !*supervise {
-		// The supervisor appends its own checkpoint option per attempt.
+	if *ckptDir != "" {
 		opts = append(opts, core.WithCheckpoint(*ckptDir, *ckptEvery))
 	}
 
 	start := time.Now()
 	log.Printf("building evaluator (seed %d, %d VPs)...", *seed, cfg.VPs)
 	var ev *core.Evaluator
-	switch {
-	case *supervise:
-		log.Printf("simulating the two event days (supervised)...")
-		var rep *core.RecoveryReport
-		ev, rep, err = core.Supervise(context.Background(), cfg, core.SupervisorConfig{
-			Dir:    *ckptDir,
-			EveryN: *ckptEvery,
-			Seed:   *seed,
-			Logf:   log.Printf,
-		}, opts...)
-		if werr := writeRecoveryReport(filepath.Join(*outDir, "recovery.json"), rep); werr != nil {
-			log.Printf("recovery report: %v", werr)
-		} else {
-			log.Printf("wrote %s", filepath.Join(*outDir, "recovery.json"))
-		}
-		if err != nil {
-			// main turns the cause into its documented exit code (see
-			// core.ExitCode): 2 panic, 3 restart budget exhausted, 4
-			// canceled, 1 anything else — so a parent supervisor can
-			// classify the failure without log parsing.
-			return fmt.Errorf("supervised run failed: %w", err)
-		}
-	case *resume:
+	if *resume {
 		log.Printf("simulating the two event days (resuming from %s)...", *ckptDir)
 		if ev, err = core.ResumeRun(*ckptDir, cfg, opts...); err != nil {
 			return err
 		}
-	default:
+	} else {
 		if ev, err = core.NewEvaluator(cfg, opts...); err != nil {
 			return err
 		}
@@ -592,36 +563,6 @@ func writeHeapProfile(path string) {
 		return
 	}
 	log.Printf("wrote heap profile to %s", path)
-}
-
-// writeRecoveryReport renders the supervisor's report as indented JSON,
-// written atomically so a crash while reporting a crash stays readable.
-func writeRecoveryReport(path string, rep *core.RecoveryReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("marshal recovery report: %w", err)
-	}
-	return atomicio.WriteFileBytes(path, append(data, '\n'))
-}
-
-// parseFaultsSpec parses the -faults flag value "random:SEED[:PROFILE]"
-// into a deterministic fault plan.
-func parseFaultsSpec(spec string) (*faults.Plan, error) {
-	parts := strings.Split(spec, ":")
-	if parts[0] != "random" || len(parts) < 2 || len(parts) > 3 {
-		return nil, fmt.Errorf("bad -faults %q: want random:SEED[:PROFILE]", spec)
-	}
-	seed, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad -faults seed %q: %w", parts[1], err)
-	}
-	pr := faults.LightProfile()
-	if len(parts) == 3 {
-		if pr, err = faults.ProfileByName(parts[2]); err != nil {
-			return nil, err
-		}
-	}
-	return faults.RandomPlan(seed, pr), nil
 }
 
 // writePolicyCases renders the §2.2 five-case sweep.

@@ -96,6 +96,8 @@ func TestRejectedFlagsExitUsage(t *testing.T) {
 		{[]string{"-no-such-flag"}, core.ExitUsage},
 		{[]string{"-vps=abc"}, core.ExitUsage},
 		{[]string{"-small", "-minutes", "1e3"}, core.ExitUsage},
+		{[]string{"-supervise"}, core.ExitUsage},
+		{[]string{"-checkpoint", "d", "-supervise"}, core.ExitUsage},
 		{[]string{"-h"}, core.ExitOK},
 	} {
 		if code := exitCode(run(append(tc.args, "-out", t.TempDir()))); code != tc.want {

@@ -44,12 +44,12 @@
 // — and core.ResumeRun folds the longest valid record prefix back into the
 // engine: a torn or damaged record ends the prefix, an empty directory
 // means a fresh run, and the output is byte-identical to an uninterrupted
-// run at any worker count, under any fault plan. core.Supervise adds a
-// watchdog that turns stalled workers and recovered panics into bounded
-// restarts from the last checkpoint and emits a structured RecoveryReport;
-// rootevent exposes it as -checkpoint/-resume/-supervise, and
-// `make soak-resume` proves the guarantee through real SIGKILLs (chaossoak
-// -mode killresume).
+// run at any worker count, under any fault plan. rootevent exposes it as
+// -checkpoint/-resume, and `make soak-resume` proves the guarantee through
+// real SIGKILLs (chaossoak -mode killresume). The engine runs under no
+// in-process watchdog: it is seeded and deterministic, so a failure recurs
+// on restart and a transient one is met by a rerun or -resume. Long sweeps
+// are supervised per scenario by the campaign runner.
 //
 // # Determinism invariants
 //

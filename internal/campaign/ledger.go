@@ -54,8 +54,8 @@ type Record struct {
 	// Attempt is the 0-based attempt number for start/fail records.
 	Attempt int `json:"attempt,omitempty"`
 	// Class is the failure classification for fail/quarantine records:
-	// "panic", "timeout", "stall", "restarts-exhausted", "canceled",
-	// "exit:N", "signal", or "bad-outcome".
+	// "panic", "timeout", "stall", "canceled", "exit:N", "signal", or
+	// "bad-outcome".
 	Class string `json:"class,omitempty"`
 	// Detail is a human-readable failure description (tail of the child's
 	// output); never part of the report.

@@ -58,7 +58,7 @@ type ScenarioResult struct {
 	// Status is completed, quarantined, or pending.
 	Status string `json:"status"`
 	// FailureClass is the quarantine classification (panic, timeout,
-	// stall, restarts-exhausted, canceled, exit:N, signal, bad-outcome).
+	// stall, canceled, exit:N, signal, bad-outcome).
 	FailureClass string `json:"failure_class,omitempty"`
 	// Outcome is the scenario's analysis.Outcome, present when completed.
 	Outcome json.RawMessage `json:"outcome,omitempty"`

@@ -38,9 +38,6 @@ const (
 	ClassTimeout = "timeout"
 	// ClassStall marks a child killed after its heartbeats went silent.
 	ClassStall = "stall"
-	// ClassRestarts marks a child that exhausted its own internal restart
-	// budget (exit 3, the rootevent -supervise contract).
-	ClassRestarts = "restarts-exhausted"
 	// ClassCanceled marks a child that reported cancellation (exit 4).
 	ClassCanceled = "canceled"
 	// ClassSignal marks a child killed by a signal the runner did not send.
@@ -303,7 +300,7 @@ func (r *runner) runScenario(ctx context.Context, sl *slot, sc *Scenario) error 
 			r.logf("%s: quarantined after %d attempts (%s)", sc.ID, fails, class)
 			return nil
 		}
-		backoff := core.BackoffDelay(r.cfg.BackoffBase, r.cfg.BackoffCap, fails-1, rng)
+		backoff := BackoffDelay(r.cfg.BackoffBase, r.cfg.BackoffCap, fails-1, rng)
 		r.logf("%s: attempt %d failed (%s), retrying in %v", sc.ID, fails-1, class, backoff)
 		select {
 		case <-time.After(backoff):
@@ -462,13 +459,24 @@ func classForExit(code int) string {
 		return ClassSignal
 	case core.ExitPanic:
 		return ClassPanic
-	case core.ExitRestartsExhausted:
-		return ClassRestarts
 	case core.ExitCanceled:
 		return ClassCanceled
 	default:
 		return fmt.Sprintf("exit:%d", code)
 	}
+}
+
+// BackoffDelay is the capped exponential retry delay with seeded jitter
+// in [0.5, 1.0] of the nominal value.
+func BackoffDelay(base, cap0 time.Duration, attempt int, rng *rand.Rand) time.Duration {
+	d := base
+	for i := 0; i < attempt && d < cap0; i++ {
+		d *= 2
+	}
+	if d > cap0 {
+		d = cap0
+	}
+	return time.Duration(float64(d) * (0.5 + 0.5*rng.Float64()))
 }
 
 // snapshotState copies the runner's state for report building.

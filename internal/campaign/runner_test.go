@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -163,6 +164,26 @@ func testRunnerConfig(t *testing.T) RunnerConfig {
 		BackoffCap:   5 * time.Millisecond,
 		Seed:         42,
 		Logf:         t.Logf,
+	}
+}
+
+func TestBackoffDelay(t *testing.T) {
+	base, cap0 := 100*time.Millisecond, 800*time.Millisecond
+	for attempt := 0; attempt < 8; attempt++ {
+		d := BackoffDelay(base, cap0, attempt, rand.New(rand.NewSource(1)))
+		if d > cap0 {
+			t.Errorf("attempt %d: backoff %v exceeds cap %v", attempt, d, cap0)
+		}
+		if d < base/2 {
+			t.Errorf("attempt %d: backoff %v below half the base", attempt, d)
+		}
+	}
+	// Same seed, same schedule.
+	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for attempt := 0; attempt < 5; attempt++ {
+		if BackoffDelay(base, cap0, attempt, a) != BackoffDelay(base, cap0, attempt, b) {
+			t.Fatal("seeded backoff schedule is not reproducible")
+		}
 	}
 }
 

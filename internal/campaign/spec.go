@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"github.com/rootevent/anycastddos/internal/anycast"
@@ -227,7 +226,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, f := range a.Faults {
-		if _, err := ParseFaults(f); err != nil {
+		if _, err := faults.ParseSpec(f); err != nil {
 			return err
 		}
 	}
@@ -352,7 +351,7 @@ func (sc *Scenario) EngineConfig() (core.Config, []core.Option, error) {
 		return core.Config{}, nil, err
 	}
 	opts := []core.Option{core.WithWorkers(sc.Workers), core.WithSchedule(sched)}
-	plan, err := ParseFaults(sc.Faults)
+	plan, err := faults.ParseSpec(sc.Faults)
 	if err != nil {
 		return core.Config{}, nil, err
 	}
@@ -437,28 +436,4 @@ func forcePolicy(defense string) (*anycast.Policy, error) {
 	default:
 		return nil, fmt.Errorf("campaign: unknown defense %q (default, absorb, or withdraw)", defense)
 	}
-}
-
-// ParseFaults parses a fault axis value: "" or "none" disables injection;
-// "random:SEED[:PROFILE]" draws a deterministic plan (profiles: light,
-// heavy, monitor).
-func ParseFaults(spec string) (*faults.Plan, error) {
-	if spec == "" || spec == "none" {
-		return nil, nil
-	}
-	parts := strings.Split(spec, ":")
-	if parts[0] != "random" || len(parts) < 2 || len(parts) > 3 {
-		return nil, fmt.Errorf("campaign: bad faults %q: want none or random:SEED[:PROFILE]", spec)
-	}
-	seed, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: bad faults seed %q: %w", parts[1], err)
-	}
-	pr := faults.LightProfile()
-	if len(parts) == 3 {
-		if pr, err = faults.ProfileByName(parts[2]); err != nil {
-			return nil, err
-		}
-	}
-	return faults.RandomPlan(seed, pr), nil
 }

@@ -191,25 +191,6 @@ func TestEngineConfig(t *testing.T) {
 	}
 }
 
-func TestParseFaults(t *testing.T) {
-	for _, ok := range []string{"", "none", "random:1", "random:42:heavy", "random:7:monitor"} {
-		if _, err := ParseFaults(ok); err != nil {
-			t.Errorf("ParseFaults(%q): %v", ok, err)
-		}
-	}
-	if p, _ := ParseFaults("none"); p != nil {
-		t.Error("none yielded a plan")
-	}
-	if p, err := ParseFaults("random:1:light"); err != nil || p == nil {
-		t.Errorf("random:1:light: plan=%v err=%v", p, err)
-	}
-	for _, bad := range []string{"random", "random:x", "random:1:nosuch", "chaosmonkey"} {
-		if _, err := ParseFaults(bad); err == nil {
-			t.Errorf("ParseFaults(%q) accepted", bad)
-		}
-	}
-}
-
 func TestScenarioIDShape(t *testing.T) {
 	s, _ := ParseSpec([]byte(`{"name":"x"}`))
 	id := s.Expand()[0].ID

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"github.com/rootevent/anycastddos/internal/attack"
@@ -220,54 +219,6 @@ func TestFreshRunReplacesUsedDirectory(t *testing.T) {
 			}
 			compareFingerprints(t, leftover.name, fingerprintEv(t, resumed), golden)
 		})
-	}
-}
-
-// TestCanceledRunDoesNotCheckpoint: the supervisor abandons a wedged attempt
-// on the promise that a canceled engine writes nothing more, and the next
-// attempt appends to the same log. A letter step that outlasts the
-// cancellation on a checkpoint minute must therefore not reach the append.
-func TestCanceledRunDoesNotCheckpoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine run")
-	}
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var sizeAtCancel int64
-	var once sync.Once
-	// The heartbeat runs on the letter's worker, inside minute 19's step —
-	// after the loop-top context check, before the minute-20 checkpoint.
-	hb := func(letter byte, minute int) {
-		if minute == 19 {
-			once.Do(func() {
-				info, err := os.Stat(filepath.Join(dir, checkpoint.LogName))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				sizeAtCancel = info.Size()
-				cancel()
-			})
-		}
-	}
-	ev, err := NewEvaluator(resumeConfig(5), WithWorkers(2), WithSchedule(resumeSchedule()),
-		WithCheckpoint(dir, 10), WithContext(ctx), WithHeartbeat(hb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ev.Run(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	info, err := os.Stat(filepath.Join(dir, checkpoint.LogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Size() != sizeAtCancel {
-		t.Errorf("log grew from %d to %d bytes after the cancellation", sizeAtCancel, info.Size())
-	}
-	if m, err := checkpoint.LatestMinute(dir); err != nil || m != 10 {
-		t.Errorf("log ends at minute %d (%v), want 10", m, err)
 	}
 }
 

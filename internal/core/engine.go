@@ -183,12 +183,6 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 			if tick.reroute {
 				reroute = append(reroute, ls)
 			}
-			if hb := ev.opts.heartbeat; hb != nil {
-				// Liveness signal for the supervisor's watchdog, emitted as
-				// each letter's step completes so a wedged one is visible
-				// as a missing beat.
-				hb(ls.letter.Letter, minute)
-			}
 		}
 		// Letters whose announcements moved recompute their routing — the
 		// one part of a minute that grows with the topology — sharded over
@@ -272,14 +266,8 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 
 		// Checkpoint before the progress callback: a caller canceling from
 		// inside progress at minute m+1 is then guaranteed the checkpoint
-		// for m+1 is already durable. A canceled run must write nothing
-		// after the cancel — the supervisor may have abandoned this
-		// goroutine and started another attempt on the same log — and a
-		// letter step can outlast the loop-top check, so check again here.
+		// for m+1 is already durable.
 		if ckpt != nil && (minute+1)%ev.opts.checkpointEvery == 0 && minute+1 < ev.Cfg.Minutes {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("core: run canceled at minute %d: %w", minute+1, err)
-			}
 			if err := ckpt.append(ev, minute+1, states); err != nil {
 				return err
 			}

@@ -3,9 +3,9 @@ package core
 // Process exit codes shared by the command-line harnesses. A parent
 // supervisor (the campaign runner, CI scripts) classifies a child run by
 // its exit status instead of parsing logs, so the codes are part of the
-// public contract of `rootevent -supervise` and the campaign scenario
-// child: clean success, generic failure, panic, restart-budget
-// exhaustion, and context cancellation are all distinct.
+// public contract of rootevent and the campaign scenario worker: clean
+// success, generic failure, panic, context cancellation, and a rejected
+// command line are all distinct.
 
 import (
 	"context"
@@ -13,21 +13,21 @@ import (
 	"flag"
 )
 
-// Exit codes returned by supervised runs. ExitPanic deliberately matches
-// the Go runtime's exit status for an unrecovered panic, so a crash that
-// escapes every recover still classifies correctly.
+// Exit codes returned by runs. ExitPanic deliberately matches the Go
+// runtime's exit status for an unrecovered panic, so a crash that escapes
+// every recover still classifies correctly. Code 3 is unassigned: it
+// meant restart-budget exhaustion under the retired in-process run
+// supervisor, and it is not to be reused, so that a 3 in an old ledger or
+// log is never misread.
 const (
 	// ExitOK is a clean, complete run.
 	ExitOK = 0
 	// ExitFailure is any failure not covered by a more specific code
 	// (configuration errors, I/O failures).
 	ExitFailure = 1
-	// ExitPanic marks a run that panicked — recovered into ErrWorkerPanic
-	// or ErrRunPanic, or unrecovered (the runtime itself exits 2).
+	// ExitPanic marks a run that panicked — recovered into ErrWorkerPanic,
+	// or unrecovered (the runtime itself exits 2).
 	ExitPanic = 2
-	// ExitRestartsExhausted marks a supervised run that kept failing until
-	// the restart budget ran out (ErrRestartBudget).
-	ExitRestartsExhausted = 3
 	// ExitCanceled marks a run terminated by context cancellation or a
 	// deadline, not by its own failure.
 	ExitCanceled = 4
@@ -38,23 +38,13 @@ const (
 	ExitUsage = 64
 )
 
-// ErrRestartBudget marks a supervised run abandoned because every restart
-// attempt failed; Supervise wraps it into its terminal error alongside
-// the last attempt's failure.
-var ErrRestartBudget = errors.New("core: restart budget exhausted")
-
 // ExitCode maps a run's terminal error to the documented process exit
-// code. Budget exhaustion wins over the wrapped per-attempt cause (a run
-// that exhausted its restarts on repeated panics is ExitRestartsExhausted,
-// not ExitPanic): the parent cares that supervision gave up, the per-cause
-// detail stays in the error text and the recovery report.
+// code. A recovered panic wins over a cancellation wrapped beside it.
 func ExitCode(err error) int {
 	switch {
 	case err == nil:
 		return ExitOK
-	case errors.Is(err, ErrRestartBudget):
-		return ExitRestartsExhausted
-	case errors.Is(err, ErrWorkerPanic), errors.Is(err, ErrRunPanic):
+	case errors.Is(err, ErrWorkerPanic):
 		return ExitPanic
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return ExitCanceled

@@ -16,8 +16,7 @@ func TestExitCode(t *testing.T) {
 		{"clean", nil, ExitOK},
 		{"generic", errors.New("disk full"), ExitFailure},
 		{"worker panic", fmt.Errorf("letter K minute 12: %w", ErrWorkerPanic), ExitPanic},
-		{"run panic", fmt.Errorf("attempt 0: %w", ErrRunPanic), ExitPanic},
-		{"budget", fmt.Errorf("%w after 4 attempts: %w", ErrRestartBudget, ErrWorkerPanic), ExitRestartsExhausted},
+		{"panic beats cancel", errors.Join(fmt.Errorf("letter K: %w", ErrWorkerPanic), context.Canceled), ExitPanic},
 		{"canceled", fmt.Errorf("run: %w", context.Canceled), ExitCanceled},
 		{"deadline", fmt.Errorf("run: %w", context.DeadlineExceeded), ExitCanceled},
 	}
@@ -25,19 +24,5 @@ func TestExitCode(t *testing.T) {
 		if got := ExitCode(tc.err); got != tc.want {
 			t.Errorf("%s: ExitCode(%v) = %d, want %d", tc.name, tc.err, got, tc.want)
 		}
-	}
-}
-
-// TestExitCodeBudgetBeatsPanic pins the precedence: a supervised run that
-// exhausted its restarts on repeated panics reports budget exhaustion, not
-// the per-attempt panic cause — the parent needs to know supervision gave
-// up, the cause is in the recovery report.
-func TestExitCodeBudgetBeatsPanic(t *testing.T) {
-	err := fmt.Errorf("%w after 4 attempts: %w", ErrRestartBudget, fmt.Errorf("letter K: %w", ErrWorkerPanic))
-	if got := ExitCode(err); got != ExitRestartsExhausted {
-		t.Fatalf("ExitCode = %d, want ExitRestartsExhausted", got)
-	}
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatal("give-up error should still unwrap to the per-attempt cause")
 	}
 }

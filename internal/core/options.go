@@ -39,9 +39,6 @@ type options struct {
 	// the minute stride between them.
 	checkpointDir   string
 	checkpointEvery int
-	// heartbeat receives one call per letter per simulated minute (see
-	// WithHeartbeat).
-	heartbeat HeartbeatFunc
 }
 
 func defaultOptions() options {
@@ -114,18 +111,6 @@ func WithCheckpoint(dir string, everyN int) Option {
 		}
 		o.checkpointEvery = everyN
 	}
-}
-
-// HeartbeatFunc receives liveness reports from the engine: one call per
-// letter per simulated minute, made as the letter's minute step completes.
-// Implementations should be cheap (an atomic store); the run supervisor's
-// watchdog is the intended consumer.
-type HeartbeatFunc func(letter byte, minute int)
-
-// WithHeartbeat registers a per-letter liveness callback, used by the run
-// supervisor to detect stalled letter-workers.
-func WithHeartbeat(fn HeartbeatFunc) Option {
-	return func(o *options) { o.heartbeat = fn }
 }
 
 // WithFaults injects a deterministic fault plan into the run: site

@@ -10,9 +10,11 @@ import (
 	"github.com/rootevent/anycastddos/internal/rrl"
 )
 
-func startServer(t *testing.T, cfg Config) *Server {
+// startServer starts a server through start (Start, or StartWithTCP for
+// TCP beside UDP) and closes it when the test ends.
+func startServer(t *testing.T, start func(Config) (*Server, error), cfg Config) *Server {
 	t.Helper()
-	s, err := Start(cfg)
+	s, err := start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +23,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 func TestChaosIdentityOverUDP(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 2})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 2})
 	p := NewProber(1)
 	p.Timeout = 2 * time.Second
 	res, err := p.Probe(s.Addr(), 'K')
@@ -43,7 +45,7 @@ func TestChaosIdentityOverUDP(t *testing.T) {
 }
 
 func TestIdServerAliasAndRefused(t *testing.T) {
-	s := startServer(t, Config{Letter: 'E', Site: "FRA", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'E', Site: "FRA", Server: 1})
 	// Raw exchange so we can use id.server and exotic classes.
 	conn, err := net.DialUDP("udp", nil, s.Addr())
 	if err != nil {
@@ -90,7 +92,7 @@ func TestIdServerAliasAndRefused(t *testing.T) {
 }
 
 func TestRootPrimingResponse(t *testing.T) {
-	s := startServer(t, Config{Letter: 'B', Site: "LAX", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'B', Site: "LAX", Server: 1})
 	conn, err := net.DialUDP("udp", nil, s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestRootPrimingResponse(t *testing.T) {
 }
 
 func TestNXDomainWithSOA(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "LHR", Server: 1})
 	conn, _ := net.DialUDP("udp", nil, s.Addr())
 	defer conn.Close()
 	q := dnswire.NewQuery(10, "www.336901.com", dnswire.TypeA, dnswire.ClassINET)
@@ -141,7 +143,7 @@ func TestNXDomainWithSOA(t *testing.T) {
 }
 
 func TestLossInjectionAndTimeout(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "NRT", Server: 1, LossProb: 1.0})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "NRT", Server: 1, LossProb: 1.0})
 	p := NewProber(2)
 	p.Timeout = 300 * time.Millisecond
 	_, err := p.Probe(s.Addr(), 'K')
@@ -157,7 +159,7 @@ func TestLossInjectionAndTimeout(t *testing.T) {
 func TestRetryAfterTimeout(t *testing.T) {
 	// 70% loss with retries should usually succeed; use enough retries
 	// to make flakiness negligible (P(fail) = 0.7^8 ≈ 6e-2... use 16).
-	s := startServer(t, Config{Letter: 'K', Site: "NRT", Server: 1, LossProb: 0.7, Seed: 5})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "NRT", Server: 1, LossProb: 0.7, Seed: 5})
 	p := NewProber(3)
 	p.Timeout = 150 * time.Millisecond
 	p.Retries = 16
@@ -173,7 +175,7 @@ func TestRetryAfterTimeout(t *testing.T) {
 }
 
 func TestDelayInjectionShowsInRTT(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1, Delay: 120 * time.Millisecond})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1, Delay: 120 * time.Millisecond})
 	p := NewProber(4)
 	p.Timeout = 2 * time.Second
 	res, err := p.Probe(s.Addr(), 'K')
@@ -187,7 +189,7 @@ func TestDelayInjectionShowsInRTT(t *testing.T) {
 
 func TestRRLSuppressesFlood(t *testing.T) {
 	cfg := rrl.Config{ResponsesPerSecond: 2, Burst: 2, SlipRatio: 0, PrefixBits: 32}
-	s := startServer(t, Config{Letter: 'J', Site: "IAD", Server: 1, RRL: &cfg})
+	s := startServer(t, Start, Config{Letter: 'J', Site: "IAD", Server: 1, RRL: &cfg})
 	p := NewProber(5)
 	p.Timeout = 200 * time.Millisecond
 	ok, timeouts := 0, 0
@@ -211,9 +213,9 @@ func TestRRLSuppressesFlood(t *testing.T) {
 }
 
 func TestMapCatchment(t *testing.T) {
-	s1 := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
-	s2 := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
-	s3 := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 2})
+	s1 := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s2 := startServer(t, Start, Config{Letter: 'K', Site: "LHR", Server: 1})
+	s3 := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 2})
 	p := NewProber(6)
 	p.Timeout = 2 * time.Second
 	sites, err := p.MapCatchment([]*net.UDPAddr{s1.Addr(), s2.Addr(), s3.Addr()}, 'K')
@@ -226,7 +228,7 @@ func TestMapCatchment(t *testing.T) {
 }
 
 func TestServerRejectsGarbageSilently(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1})
 	conn, _ := net.DialUDP("udp", nil, s.Addr())
 	defer conn.Close()
 	conn.Write([]byte{1, 2, 3})

@@ -123,7 +123,7 @@ func queryShapes(t testing.TB) []queryShape {
 // per-packet step and requires the oracle's bytes — including identical
 // accept/reject decisions for traffic neither should answer.
 func TestFastPathMatchesLegacy(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 2})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 2})
 	o := &oracle{identity: s.Identity()}
 	src := netip.MustParseAddrPort("10.0.0.1:5353")
 	var q dnswire.Message
@@ -149,7 +149,7 @@ func TestFastPathMatchesLegacyUnderRRL(t *testing.T) {
 	// sequence is Drop, Slip, Drop, Slip... regardless of wall clock, so
 	// both limiters see identical verdicts despite distinct clocks.
 	rrlCfg := rrl.Config{ResponsesPerSecond: 0.001, Burst: 2, SlipRatio: 2, PrefixBits: 32}
-	s := startServer(t, Config{Letter: 'J', Site: "IAD", Server: 1, RRL: &rrlCfg})
+	s := startServer(t, Start, Config{Letter: 'J', Site: "IAD", Server: 1, RRL: &rrlCfg})
 	limiter, err := rrl.New(rrlCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestFastPathMatchesLegacyUnderRRL(t *testing.T) {
 // answered shapes must come back as the oracle's bytes on the same
 // connection, the rest must end the connection without a reply.
 func TestTCPMatchesOracle(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'K', Site: "AMS", Server: 2})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "AMS", Server: 2})
 	o := &oracle{identity: s.Identity()}
 	var conn net.Conn
 	defer func() {
@@ -260,7 +260,7 @@ func TestRespondZeroAllocs(t *testing.T) {
 	pkt := mustPack(t, dnswire.NewQuery(22, "www.336901.com", dnswire.TypeA, dnswire.ClassINET))
 	t.Run("hot", func(t *testing.T) {
 		rrlCfg := rrl.DefaultConfig()
-		s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
+		s := startServer(t, Start, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
 		srcAP := netip.MustParseAddrPort("10.1.2.3:9999")
 		var q dnswire.Message
 		out := udpbatch.Message{Buf: make([]byte, 0, 1024)}
@@ -274,7 +274,7 @@ func TestRespondZeroAllocs(t *testing.T) {
 	t.Run("spoofed", func(t *testing.T) {
 		rrlCfg := rrl.DefaultConfig()
 		rrlCfg.MaxEntries = 256
-		s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
+		s := startServer(t, Start, Config{Letter: 'K', Site: "LHR", Server: 1, RRL: &rrlCfg})
 		var q dnswire.Message
 		out := udpbatch.Message{Buf: make([]byte, 0, 1024)}
 		next := uint32(0)
@@ -296,7 +296,7 @@ func TestRespondZeroAllocs(t *testing.T) {
 // TestTCPReplyZeroAllocs is the TCP half: once a connection's scratch is
 // warm, answering another query on it touches no heap.
 func TestTCPReplyZeroAllocs(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "LHR", Server: 1})
 	pkt := mustPack(t, dnswire.NewQuery(23, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS))
 	var q dnswire.Message
 	out, ok := s.tcpReply(pkt, &q, nil) // warm decode scratch and reply buffer

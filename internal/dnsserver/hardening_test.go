@@ -123,7 +123,7 @@ func TestBackoffCancellationInterruptsSleep(t *testing.T) {
 }
 
 func TestMapCatchmentContextReturnsPartialTallies(t *testing.T) {
-	live := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	live := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1})
 	hung := hungAddr(t)
 	p := NewProber(5)
 	p.Timeout = 30 * time.Second
@@ -185,7 +185,7 @@ func TestCloseDrainsInFlightUDP(t *testing.T) {
 }
 
 func TestCloseDrainsInFlightTCP(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "LHR", Server: 1})
 	p := NewProber(7)
 	p.Timeout = 5 * time.Second
 	// Complete one exchange, then Close while the handler is blocked

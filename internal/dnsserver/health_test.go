@@ -46,7 +46,7 @@ func TestStatsHelpers(t *testing.T) {
 }
 
 func TestSnapshotCountsIgnored(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1})
 	conn, err := net.DialUDP("udp", nil, s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestSendBatchSkipsUnsendableReply(t *testing.T) {
 // (as ignored), leaving no phantom backlog for the site manager to read as
 // queue depth.
 func TestTCPPeerGoneBeforeReply(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1})
 	srv, cli := net.Pipe()
 	s.wg.Add(1)
 	done := make(chan struct{})
@@ -167,7 +167,7 @@ func TestTCPPeerGoneBeforeReply(t *testing.T) {
 }
 
 func TestDrainTCPKeepsUDPServing(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'K', Site: "LHR", Server: 1})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "LHR", Server: 1})
 
 	// Park an idle TCP connection, then drain: it must close promptly.
 	idle, err := net.Dial("tcp", s.Addr().String())

@@ -11,7 +11,7 @@ import (
 // TestInjectorMatchesLegacy checks the in-process lane returns the
 // oracle's wire replies and books the same stats a reader worker would.
 func TestInjectorMatchesLegacy(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1})
 	in := s.NewInjector()
 	o := &oracle{identity: s.Identity()}
 	srcAP := netip.MustParseAddrPort("10.0.0.9:5353")
@@ -44,7 +44,7 @@ func TestInjectorMatchesLegacy(t *testing.T) {
 
 // TestInjectorLossCoin checks injected traffic obeys the seeded loss model.
 func TestInjectorLossCoin(t *testing.T) {
-	s := startServer(t, Config{Letter: 'K', Site: "AMS", Server: 1, LossProb: 0.4, Seed: 9})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "AMS", Server: 1, LossProb: 0.4, Seed: 9})
 	in := s.NewInjector()
 	srcAP := netip.MustParseAddrPort("10.0.0.9:5353")
 	pkt := mustPack(t, dnswire.NewQuery(7, "www.336901.com", dnswire.TypeA, dnswire.ClassINET))

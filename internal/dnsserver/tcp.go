@@ -1,7 +1,9 @@
 package dnsserver
 
 import (
+	"errors"
 	"net"
+	"syscall"
 	"time"
 
 	"github.com/rootevent/anycastddos/internal/dnswire"
@@ -26,6 +28,40 @@ func (s *Server) StartTCP() error {
 	s.wg.Add(1)
 	go s.serveTCP(ln)
 	return nil
+}
+
+// pairBindAttempts bounds StartWithTCP's search for a free ephemeral port.
+const pairBindAttempts = 32
+
+// StartWithTCP starts a server with TCP beside UDP on the same address.
+// StartTCP binds the port number the kernel chose for UDP, and the TCP port
+// space is separate, so with an ephemeral cfg.Addr (port 0) another socket
+// may already hold it: on EADDRINUSE the pair is closed and a fresh one
+// tried, up to pairBindAttempts times. A pinned port makes one attempt.
+func StartWithTCP(cfg Config) (*Server, error) {
+	for try := 1; ; try++ {
+		s, err := Start(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err = s.StartTCP(); err == nil {
+			return s, nil
+		}
+		err = errors.Join(err, s.Close())
+		if !errors.Is(err, syscall.EADDRINUSE) || !ephemeral(cfg.Addr) || try == pairBindAttempts {
+			return nil, err
+		}
+	}
+}
+
+// ephemeral reports whether addr (a Config.Addr) leaves the port to the
+// kernel.
+func ephemeral(addr string) bool {
+	if addr == "" {
+		return true
+	}
+	_, port, err := net.SplitHostPort(addr)
+	return err == nil && port == "0"
 }
 
 func (s *Server) serveTCP(ln *net.TCPListener) {

@@ -11,23 +11,26 @@ import (
 	"github.com/rootevent/anycastddos/internal/rrl"
 )
 
-// startTCPServer starts a server with TCP beside UDP on an ephemeral port.
-// StartTCP binds the port number the kernel chose for UDP, and the TCP
-// port space is separate, so another socket may already hold it: on
-// EADDRINUSE the pair is closed and a fresh one tried.
-func startTCPServer(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	for try := 1; ; try++ {
-		s := startServer(t, cfg)
-		err := s.StartTCP()
-		if err == nil {
-			return s
-		}
-		s.Close()
-		if !errors.Is(err, syscall.EADDRINUSE) || try == 32 {
-			t.Fatal(err)
-		}
+// TestStartWithTCPPinnedPort: a pinned address whose TCP port is taken gets
+// one attempt, fails with EADDRINUSE, and releases the UDP half it bound.
+func TestStartWithTCPPinnedPort(t *testing.T) {
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	if s, err := StartWithTCP(Config{Letter: 'K', Site: "AMS", Server: 1, Addr: addr}); !errors.Is(err, syscall.EADDRINUSE) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("err = %v, want EADDRINUSE", err)
+	}
+	c, err := net.ListenPacket("udp", addr)
+	if err != nil {
+		t.Fatalf("UDP half not released: %v", err)
+	}
+	c.Close()
 }
 
 // exchangeTCP writes one query over an established stream and decodes the
@@ -48,7 +51,7 @@ func exchangeTCP(conn net.Conn, q *dnswire.Message) (*dnswire.Message, error) {
 }
 
 func TestProbeTCP(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'K', Site: "AMS", Server: 3})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "AMS", Server: 3})
 	p := NewProber(1)
 	p.Timeout = 2 * time.Second
 	res, err := p.ProbeTCP(s.Addr(), 'K')
@@ -61,7 +64,7 @@ func TestProbeTCP(t *testing.T) {
 }
 
 func TestTCPMultipleQueriesOneConnection(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'E', Site: "FRA", Server: 1})
+	s := startServer(t, StartWithTCP, Config{Letter: 'E', Site: "FRA", Server: 1})
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +98,7 @@ func TestTCPBypassesRRL(t *testing.T) {
 	// A tight UDP RRL budget must not affect TCP clients: the handshake
 	// already proved the source address.
 	cfg := rrl.Config{ResponsesPerSecond: 1, Burst: 1, SlipRatio: 0, PrefixBits: 32}
-	s := startTCPServer(t, Config{Letter: 'J', Site: "IAD", Server: 1, RRL: &cfg})
+	s := startServer(t, StartWithTCP, Config{Letter: 'J', Site: "IAD", Server: 1, RRL: &cfg})
 	p := NewProber(2)
 	p.Timeout = time.Second
 	ok := 0
@@ -113,7 +116,7 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	// Exhaust the UDP budget so slips (TC=1) come back, then verify the
 	// prober transparently completes over TCP.
 	cfg := rrl.Config{ResponsesPerSecond: 1, Burst: 1, SlipRatio: 1, PrefixBits: 32}
-	s := startTCPServer(t, Config{Letter: 'K', Site: "LHR", Server: 2, RRL: &cfg})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "LHR", Server: 2, RRL: &cfg})
 	p := NewProber(3)
 	p.Timeout = time.Second
 	p.FallbackTCP = true
@@ -137,7 +140,7 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 
 func TestTruncatedSurfacedWithoutFallback(t *testing.T) {
 	cfg := rrl.Config{ResponsesPerSecond: 1, Burst: 1, SlipRatio: 1, PrefixBits: 32}
-	s := startServer(t, Config{Letter: 'K', Site: "LHR", Server: 2, RRL: &cfg})
+	s := startServer(t, Start, Config{Letter: 'K', Site: "LHR", Server: 2, RRL: &cfg})
 	p := NewProber(4)
 	p.Timeout = time.Second
 	if _, err := p.Probe(s.Addr(), 'K'); err != nil {
@@ -153,7 +156,7 @@ func TestTruncatedSurfacedWithoutFallback(t *testing.T) {
 }
 
 func TestTCPGarbageConnection(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "AMS", Server: 1})
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +174,7 @@ func TestTCPGarbageConnection(t *testing.T) {
 }
 
 func TestCloseStopsTCP(t *testing.T) {
-	s := startTCPServer(t, Config{Letter: 'K', Site: "AMS", Server: 1})
+	s := startServer(t, StartWithTCP, Config{Letter: 'K', Site: "AMS", Server: 1})
 	addr := s.Addr().String()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -277,6 +278,30 @@ func ProfileByName(name string) (Profile, error) {
 	default:
 		return Profile{}, fmt.Errorf("%w: unknown profile %q (light, heavy, monitor, healthmon)", ErrBadPlan, name)
 	}
+}
+
+// ParseSpec parses a fault spec as the command lines and campaign specs
+// write it: "" or "none" disables injection (a nil plan);
+// "random:SEED[:PROFILE]" draws RandomPlan(SEED, PROFILE), light by default.
+func ParseSpec(spec string) (*Plan, error) {
+	if spec == "" || spec == "none" {
+		return nil, nil
+	}
+	parts := strings.Split(spec, ":")
+	if parts[0] != "random" || len(parts) < 2 || len(parts) > 3 {
+		return nil, fmt.Errorf("%w: bad spec %q: want none or random:SEED[:PROFILE]", ErrBadPlan, spec)
+	}
+	seed, err := strconv.ParseInt(parts[1], 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad seed %q: %w", ErrBadPlan, parts[1], err)
+	}
+	pr := LightProfile()
+	if len(parts) == 3 {
+		if pr, err = ProfileByName(parts[2]); err != nil {
+			return nil, err
+		}
+	}
+	return RandomPlan(seed, pr), nil
 }
 
 // RandomPlan derives a fault plan purely from (seed, profile): the same

@@ -379,3 +379,22 @@ func TestHealthMonProfileValidates(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
+
+func TestParseSpec(t *testing.T) {
+	for _, ok := range []string{"", "none", "random:1", "random:42:heavy", "random:7:monitor"} {
+		if _, err := ParseSpec(ok); err != nil {
+			t.Errorf("ParseSpec(%q): %v", ok, err)
+		}
+	}
+	if p, _ := ParseSpec("none"); p != nil {
+		t.Error("none yielded a plan")
+	}
+	if p, err := ParseSpec("random:1:light"); err != nil || p == nil {
+		t.Errorf("random:1:light: plan=%v err=%v", p, err)
+	}
+	for _, bad := range []string{"random", "random:x", "random:1:nosuch", "chaosmonkey"} {
+		if _, err := ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}

@@ -11,9 +11,15 @@ import (
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid time.Now, global math/rand, unseeded rand.New, unsorted map-range results, and any map-range in pooled-scratch packages",
+		Doc:  "forbid time.Now/Since/Until, global math/rand, unseeded rand.New, unsorted map-range results, and any map-range in pooled-scratch packages",
 		Run:  runDeterminism,
 	}
+}
+
+// isWallClock reports whether fn is one of the time package functions that
+// read the wall clock: time.Now, and time.Since and time.Until, which call it.
+func isWallClock(fn *types.Func) bool {
+	return isPkgFunc(fn, "time", "Now") || isPkgFunc(fn, "time", "Since") || isPkgFunc(fn, "time", "Until")
 }
 
 // globalRandExceptions are math/rand package-level functions that do not
@@ -46,9 +52,9 @@ func runDeterminism(pass *Pass) {
 				if fn == nil {
 					return true
 				}
-				if !clockExempt && isPkgFunc(fn, "time", "Now") {
+				if !clockExempt && isWallClock(fn) {
 					pass.Reportf("wallclock", n.Pos(),
-						"time.Now is forbidden in the simulation plane; model time as minute bins or thread it through the caller")
+						"time.%s reads the wall clock, which is forbidden in the simulation plane; model time as minute bins or thread it through the caller", fn.Name())
 				}
 				if fn.Pkg() != nil && fn.Pkg().Path() == "math/rand" && !globalRandExceptions[fn.Name()] {
 					if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil {

@@ -23,8 +23,9 @@
 // engine/simulation entry points (every function declared under
 // Config.TransitiveRoots: internal/core, internal/bgpsim, internal/netsim,
 // internal/atlas, internal/campaign) and diagnoses any chain that reaches
-// time.Now, a global math/rand function, or an unseeded rand.New — printing
-// the full call chain, with devirtualized hops marked "iface.M => impl.M".
+// the wall clock, a global math/rand function, or an unseeded rand.New —
+// printing the full call chain, with devirtualized hops marked
+// "iface.M => impl.M".
 // A forbidden source that is itself allow-suppressed or inside a
 // WallClockAllow package does not taint its callers: the justification at
 // the site covers the usage.
@@ -37,9 +38,10 @@
 // `repolint -rules` prints this table; `repolint -allows` audits every
 // suppression in the tree.
 //
-//   - wallclock:    time.Now is forbidden outside the live-socket and harness
-//     allowlist, both at the call site and transitively from the engine entry
-//     points. The simulation plane models time as minute bins.
+//   - wallclock:    time.Now, time.Since and time.Until are forbidden outside
+//     the live-socket and harness allowlist, both at the call site and
+//     transitively from the engine entry points. The simulation plane models
+//     time as minute bins.
 //   - globalrand:   package-level math/rand functions draw from the shared,
 //     racily-seeded global source; also enforced transitively.
 //   - unseededrand: rand.New's source must be a direct rand.NewSource(seed)

@@ -236,7 +236,7 @@ type RuleDoc struct {
 // "Determinism invariants" table is kept in sync against this listing.
 func RuleDocs() []RuleDoc {
 	docs := []RuleDoc{
-		{"wallclock", "no time.Now in the simulation plane; also enforced transitively from the engine entry points", "determinism"},
+		{"wallclock", "no time.Now (nor time.Since/Until) in the simulation plane; also enforced transitively from the engine entry points", "determinism"},
 		{"globalrand", "no package-level math/rand draws from the shared global source; also enforced transitively", "determinism"},
 		{"unseededrand", "rand.New's source must be a direct rand.NewSource(seed) call; also enforced transitively", "determinism"},
 		{"maprange", "no returning a slice appended in map-iteration order without a sort.* call", "determinism"},

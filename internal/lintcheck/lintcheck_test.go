@@ -55,6 +55,8 @@ func TestFixtureDiagnostics(t *testing.T) {
 				{"globalrand", base + "determinism/bad.go", 20},
 				{"unseededrand", base + "determinism/bad.go", 25},
 				{"maprange", base + "determinism/bad.go", 31},
+				{"wallclock", base + "determinism/bad.go", 54}, // time.Since
+				{"wallclock", base + "determinism/bad.go", 59}, // time.Until
 			},
 		},
 		{

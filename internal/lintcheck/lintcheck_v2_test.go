@@ -102,18 +102,26 @@ func TestTransitiveFixture(t *testing.T) {
 	cfg.TransitiveRoots = append(cfg.TransitiveRoots, dir)
 	diags := Run(loadFixture(t, "./"+dir+"/..."), cfg)
 	assertKeys(t, diags, []key{
-		{"wallclock", dir + "/bad.go", 24},                // root wallTicker.Tick
-		{"wallclock", dir + "/bad.go", 30},                // root Entry, 3 hops
-		{"wallclock", dir + "/bad.go", 34},                // root timestamp, devirtualized hop
-		{"globalrand", dir + "/bad.go", 39},               // root Jitter
-		{"globalrand", dir + "/bad.go", 43},               // per-site leaf
-		{"wallclock", dir + "/clockutil/clockutil.go", 9}, // per-site leaf
+		{"wallclock", dir + "/bad.go", 24},                 // root wallTicker.Tick
+		{"wallclock", dir + "/bad.go", 30},                 // root Entry, 3 hops
+		{"wallclock", dir + "/bad.go", 34},                 // root timestamp, devirtualized hop
+		{"globalrand", dir + "/bad.go", 39},                // root Jitter
+		{"globalrand", dir + "/bad.go", 43},                // per-site leaf
+		{"wallclock", dir + "/bad.go", 48},                 // root Uptime, via time.Since
+		{"wallclock", dir + "/bad.go", 53},                 // root Deadline, via time.Until
+		{"wallclock", dir + "/clockutil/clockutil.go", 9},  // per-site leaf
+		{"wallclock", dir + "/clockutil/clockutil.go", 14}, // per-site leaf, time.Since
+		{"wallclock", dir + "/clockutil/clockutil.go", 19}, // per-site leaf, time.Until
 	})
 
 	var entry Diagnostic
+	sources := map[int]string{48: "time.Since", 53: "time.Until"}
 	for _, d := range diags {
 		if d.Line == 30 {
 			entry = d
+		}
+		if what, ok := sources[d.Line]; ok && d.File == dir+"/bad.go" && !strings.Contains(d.Message, what) {
+			t.Errorf("line %d diagnostic does not name %s:\n%s", d.Line, what, d.Message)
 		}
 	}
 	const chain = "Entry -> timestamp -> ticker.Tick => wallTicker.Tick -> clockutil.Stamp"
@@ -131,6 +139,8 @@ func TestTransitiveFixture(t *testing.T) {
 	assertKeys(t, diags, []key{
 		{"globalrand", dir + "/bad.go", 43},
 		{"wallclock", dir + "/clockutil/clockutil.go", 9},
+		{"wallclock", dir + "/clockutil/clockutil.go", 14},
+		{"wallclock", dir + "/clockutil/clockutil.go", 19},
 	})
 }
 

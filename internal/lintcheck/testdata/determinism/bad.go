@@ -48,3 +48,13 @@ func SortedKeys(m map[string]int) []string {
 func Seeded(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
+
+// Elapsed reads the wall clock through time.Since.
+func Elapsed(t0 time.Time) time.Duration {
+	return time.Since(t0) // want wallclock (line 54)
+}
+
+// Remaining reads the wall clock through time.Until.
+func Remaining(t1 time.Time) time.Duration {
+	return time.Until(t1) // want wallclock (line 59)
+}

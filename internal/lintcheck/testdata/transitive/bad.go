@@ -42,3 +42,13 @@ func Jitter() float64 {
 func draw() float64 {
 	return rand.Float64() // want globalrand at the site itself (line 43)
 }
+
+// Uptime reaches time.Since through one call.
+func Uptime() int64 {
+	return clockutil.Age() // want transitive wallclock for root Uptime (line 48)
+}
+
+// Deadline reaches time.Until through one call.
+func Deadline() int64 {
+	return clockutil.Left() // want transitive wallclock for root Deadline (line 53)
+}

@@ -8,3 +8,13 @@ import "time"
 func Stamp() int64 {
 	return time.Now().UnixNano() // want wallclock at the site itself (line 9)
 }
+
+// Age reads the wall clock through time.Since.
+func Age() int64 {
+	return int64(time.Since(time.Time{})) // want wallclock at the site itself (line 14)
+}
+
+// Left reads the wall clock through time.Until.
+func Left() int64 {
+	return int64(time.Until(time.Time{})) // want wallclock at the site itself (line 19)
+}

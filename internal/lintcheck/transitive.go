@@ -19,7 +19,7 @@ import (
 func TransitiveDeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name:       "transitive",
-		Doc:        "engine/simulation entry points must not reach time.Now, global math/rand, or unseeded rand.New through any call chain",
+		Doc:        "engine/simulation entry points must not reach time.Now/Since/Until, global math/rand, or unseeded rand.New through any call chain",
 		RunProgram: runTransitive,
 	}
 }
@@ -74,8 +74,8 @@ func collectTaints(prog *Program) map[string][]taint {
 				return true
 			}
 			switch {
-			case !clockExempt && isPkgFunc(fn, "time", "Now"):
-				add("wallclock", "time.Now", call.Pos())
+			case !clockExempt && isWallClock(fn):
+				add("wallclock", "time."+fn.Name(), call.Pos())
 			case !clockExempt && isPkgFunc(fn, "math/rand", "New") && !isDirectNewSource(info, call):
 				add("unseededrand", "rand.New with a source hidden from the call site", call.Pos())
 			case fn.Pkg() != nil && fn.Pkg().Path() == "math/rand" && !globalRandExceptions[fn.Name()]:

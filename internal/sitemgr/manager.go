@@ -227,7 +227,7 @@ func New(cfg ManagerConfig) (*Manager, error) {
 // startServer binds one site's server; addr pins the listen address
 // (restart path) and "" takes an ephemeral port (first start).
 func (m *Manager) startServer(name string, index int, addr string) (*dnsserver.Server, error) {
-	srv, err := dnsserver.Start(dnsserver.Config{
+	return dnsserver.StartWithTCP(dnsserver.Config{
 		Letter:   m.cfg.Letter,
 		Site:     name,
 		Server:   1,
@@ -238,13 +238,6 @@ func (m *Manager) startServer(name string, index int, addr string) (*dnsserver.S
 		Delay:    m.cfg.Delay,
 		Seed:     m.cfg.Seed + int64(index),
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := srv.StartTCP(); err != nil {
-		return nil, errors.Join(err, srv.Close())
-	}
-	return srv, nil
 }
 
 // SiteAddr returns site i's pinned listen address.
