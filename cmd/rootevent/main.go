@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rootevent [-seed N] [-vps N] [-small] [-workers N] [-out DIR] [-only EXPR]
-//	          [-faults none|random:SEED[:PROFILE]] [-minutes N]
+//	          [-schedule nov2015|june2016] [-faults none|random:SEED[:PROFILE]] [-minutes N]
 //	          [-checkpoint DIR [-checkpoint-every N] [-resume]]
 //	          [-hashfile PATH]
 //
@@ -19,10 +19,14 @@
 // when none is usable). The final output is byte-identical to an
 // uninterrupted run.
 //
+// The flags describe the run as one campaign.Scenario; the policy ablation
+// re-runs that scenario under each defense of the campaign grid.
+//
 // Exit status (the core.Exit* contract, stable for parent supervisors such
 // as the campaign runner): 0 clean success, 1 generic failure, 2 panic,
-// 4 context cancellation, 64 a rejected command line (0 for -h). 3 is
-// unassigned.
+// 4 context cancellation, 64 a rejected command line or flag value (an
+// unknown -schedule, -vps below 1, -resume without -checkpoint; 0 for -h).
+// 3 is unassigned.
 package main
 
 import (
@@ -43,13 +47,11 @@ import (
 
 	"github.com/rootevent/anycastddos/internal/analysis"
 	"github.com/rootevent/anycastddos/internal/atomicio"
-	"github.com/rootevent/anycastddos/internal/attack"
+	"github.com/rootevent/anycastddos/internal/campaign"
 	"github.com/rootevent/anycastddos/internal/core"
-	"github.com/rootevent/anycastddos/internal/faults"
 	"github.com/rootevent/anycastddos/internal/report"
 	"github.com/rootevent/anycastddos/internal/rssac"
 	"github.com/rootevent/anycastddos/internal/stats"
-	"github.com/rootevent/anycastddos/internal/topo"
 )
 
 func main() {
@@ -66,9 +68,13 @@ func main() {
 // reported on stderr), or a -h request.
 var errFlags = errors.New("rootevent: command line rejected")
 
+// errBadValue marks a flag value the flag package accepted but run rejects;
+// main still prints it.
+var errBadValue = errors.New("rejected flag value")
+
 // exitCode maps run's error onto the core.Exit* contract.
 func exitCode(err error) int {
-	if errors.Is(err, errFlags) {
+	if errors.Is(err, errFlags) || errors.Is(err, errBadValue) {
 		return core.UsageExit(err)
 	}
 	return core.ExitCode(err)
@@ -119,31 +125,32 @@ func run(args []string) (err error) {
 	}
 	defer writeHeapProfile(*memProfile)
 
-	cfg := core.DefaultConfig(*seed)
-	cfg.VPs = *vps
+	// The run is one campaign scenario: the schedule's own attack under the
+	// as-deployed policy mix. Zero minutes keep the schedule's horizon.
+	sc := campaign.Scenario{
+		Schedule: *scheduleName, Intensity: 1, DurationScale: 1, Target: "paper",
+		Defense: "default", Faults: *faultsSpec, Seed: *seed,
+		VPs: *vps, Minutes: *minutesFlag, Workers: *workers,
+	}
+	_, schedErr := sc.BuildSchedule()
+	switch {
+	case schedErr != nil:
+		return fmt.Errorf("%w: unknown -schedule %q (nov2015 or june2016)", errBadValue, *scheduleName)
+	case *vps < 1:
+		return fmt.Errorf("%w: -vps %d: want at least 1", errBadValue, *vps)
+	case *minutesFlag < 0:
+		return fmt.Errorf("%w: -minutes %d: want 0 (the schedule default) or more", errBadValue, *minutesFlag)
+	case *resume && *ckptDir == "":
+		return fmt.Errorf("%w: -resume requires -checkpoint DIR", errBadValue)
+	}
 	if *small {
-		cfg.Topology = &topo.Config{Tier1s: 6, Tier2s: 60, Stubs: 800, Seed: *seed}
-		cfg.VPs = 600
+		sc.Topology = &campaign.TopologySpec{Tier1s: 6, Tier2s: 60, Stubs: 800}
+		sc.VPs = 600
 	}
-	if *minutesFlag > 0 {
-		cfg.Minutes = *minutesFlag
-	}
-	opts := []core.Option{core.WithWorkers(*workers)}
-	switch *scheduleName {
-	case "nov2015":
-		// the default
-	case "june2016":
-		opts = append(opts, core.WithSchedule(attack.June2016Schedule()))
-	default:
-		return fmt.Errorf("unknown -schedule %q (nov2015 or june2016)", *scheduleName)
-	}
-	plan, err := faults.ParseSpec(*faultsSpec)
+	cfg, opts, err := sc.EngineConfig()
 	if err != nil {
-		return err
-	}
-	if plan != nil {
-		log.Printf("fault injection: %s", plan)
-		opts = append(opts, core.WithFaults(plan))
+		// The schedule passed above and the defense is fixed: the fault spec failed.
+		return fmt.Errorf("%w: -faults: %w", errBadValue, err)
 	}
 	if *verbose {
 		opts = append(opts, core.WithProgress(func(p core.Progress) {
@@ -171,9 +178,6 @@ func run(args []string) (err error) {
 		return err
 	}
 
-	if *resume && *ckptDir == "" {
-		return errors.New("-resume requires -checkpoint DIR")
-	}
 	if *ckptDir != "" {
 		opts = append(opts, core.WithCheckpoint(*ckptDir, *ckptEvery))
 	}
@@ -445,9 +449,7 @@ func run(args []string) (err error) {
 		return err
 	})
 	emit("ablation", "full-event policy ablation: mix vs all-absorb vs all-withdraw", func(w io.Writer) error {
-		abCfg := cfg
-		abCfg.VPs = 50 // no measurement pass needed
-		rows, err := analysis.PolicyAblation(abCfg)
+		rows, err := policyAblation(sc)
 		if err != nil {
 			return err
 		}
@@ -548,6 +550,38 @@ func run(args []string) (err error) {
 	}
 	log.Printf("all selected experiments done in %v", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// policyAblation re-runs the event of scenario sc under each defense —
+// the as-deployed mix, all-absorb and all-withdraw — and scores the runs.
+// It skips the measurement campaign, so a token VP population suffices.
+func policyAblation(sc campaign.Scenario) ([]analysis.PolicyAblationRow, error) {
+	sc.VPs = 50
+	var rows []analysis.PolicyAblationRow
+	for _, v := range []struct{ label, defense string }{
+		{"as-deployed mix", "default"},
+		{"all-absorb", "absorb"},
+		{"all-withdraw", "withdraw"},
+	} {
+		sc.Defense = v.defense
+		cfg, opts, err := sc.EngineConfig()
+		if err != nil {
+			return nil, err
+		}
+		ev, err := core.NewEvaluator(cfg, opts...)
+		if err != nil {
+			return nil, err
+		}
+		if err := ev.Run(); err != nil {
+			return nil, err
+		}
+		row, err := analysis.ScorePolicy(v.label, ev)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // writeHeapProfile records a post-GC heap profile to path (no-op when

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"log"
 	"os"
@@ -10,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rootevent/anycastddos/internal/analysis"
+	"github.com/rootevent/anycastddos/internal/campaign"
 	"github.com/rootevent/anycastddos/internal/core"
 )
 
@@ -84,24 +88,117 @@ func TestFailedRunFlushesProfile(t *testing.T) {
 	checkProfile(t, heap)
 }
 
-// TestRejectedFlagsExitUsage: a command line the flag package rejects
-// exits ExitUsage, not the ExitPanic a parent supervisor would retry, and
-// -h exits ExitOK; neither starts a run.
+// TestRejectedFlagsExitUsage: a command line the flag package rejects, or
+// a flag value run rejects, exits ExitUsage, not the ExitPanic a parent
+// supervisor would retry, and -h exits ExitOK; none starts a run. A value
+// run rejects comes back as one line naming its flag, for main to print.
 func TestRejectedFlagsExitUsage(t *testing.T) {
 	quietLog(t)
 	for _, tc := range []struct {
 		args []string
 		want int
+		flag string // named in run's error when run rejects the value
 	}{
-		{[]string{"-no-such-flag"}, core.ExitUsage},
-		{[]string{"-vps=abc"}, core.ExitUsage},
-		{[]string{"-small", "-minutes", "1e3"}, core.ExitUsage},
-		{[]string{"-supervise"}, core.ExitUsage},
-		{[]string{"-checkpoint", "d", "-supervise"}, core.ExitUsage},
-		{[]string{"-h"}, core.ExitOK},
+		{[]string{"-no-such-flag"}, core.ExitUsage, ""},
+		{[]string{"-vps=abc"}, core.ExitUsage, ""},
+		{[]string{"-small", "-minutes", "1e3"}, core.ExitUsage, ""},
+		{[]string{"-supervise"}, core.ExitUsage, ""},
+		{[]string{"-checkpoint", "d", "-supervise"}, core.ExitUsage, ""},
+		{[]string{"-h"}, core.ExitOK, ""},
+		{[]string{"-schedule", "bogus"}, core.ExitUsage, "-schedule"},
+		{[]string{"-small", "-faults", "garbage"}, core.ExitUsage, "-faults"},
+		{[]string{"-small", "-resume"}, core.ExitUsage, "-resume"},
+		{[]string{"-vps", "-5"}, core.ExitUsage, "-vps"},
+		{[]string{"-small", "-minutes", "-3"}, core.ExitUsage, "-minutes"},
+		{[]string{"-vps", "0"}, core.ExitUsage, "-vps"},
 	} {
-		if code := exitCode(run(append(tc.args, "-out", t.TempDir()))); code != tc.want {
+		err := run(append(tc.args, "-out", t.TempDir()))
+		if code := exitCode(err); code != tc.want {
 			t.Errorf("run(%q) exits %d, want %d", tc.args, code, tc.want)
 		}
+		if tc.flag == "" {
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.flag) || strings.Contains(msg, "\n") {
+			t.Errorf("run(%q) error %q: want one line naming %s", tc.args, msg, tc.flag)
+		}
+	}
+}
+
+// TestPolicyAblation: the three ablation runs of one scenario score as the
+// §2.2 trade-off predicts.
+func TestPolicyAblation(t *testing.T) {
+	rows, err := policyAblation(campaign.Scenario{
+		Schedule: "nov2015", Intensity: 1, DurationScale: 1, Target: "paper",
+		Defense: "default", Seed: 31, VPs: 50, BotnetOrigins: 30,
+		Topology: &campaign.TopologySpec{Tier1s: 6, Tier2s: 60, Stubs: 700},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	byName := map[string]analysis.PolicyAblationRow{}
+	for _, r := range rows {
+		byName[r.Policy] = r
+		if r.ServedLegitFrac <= 0 || r.ServedLegitFrac > 1 {
+			t.Errorf("%s served frac = %v", r.Policy, r.ServedLegitFrac)
+		}
+		if r.WorstMinuteFrac > r.ServedLegitFrac+1e-9 {
+			t.Errorf("%s worst %v above mean %v", r.Policy, r.WorstMinuteFrac, r.ServedLegitFrac)
+		}
+	}
+	// All-absorb makes no route changes; all-withdraw churns the most.
+	if byName["all-absorb"].RouteChangeCount != 0 {
+		t.Errorf("all-absorb route changes = %d", byName["all-absorb"].RouteChangeCount)
+	}
+	if byName["all-withdraw"].RouteChangeCount <= byName["as-deployed mix"].RouteChangeCount {
+		t.Errorf("all-withdraw churn %d <= mix %d",
+			byName["all-withdraw"].RouteChangeCount, byName["as-deployed mix"].RouteChangeCount)
+	}
+	// The deployed mix should be competitive with the best pure policy —
+	// operators chose their policies for a reason.
+	best := byName["all-absorb"].ServedLegitFrac
+	if byName["all-withdraw"].ServedLegitFrac > best {
+		best = byName["all-withdraw"].ServedLegitFrac
+	}
+	if byName["as-deployed mix"].ServedLegitFrac < best-0.25 {
+		t.Errorf("mix %v far below best pure policy %v",
+			byName["as-deployed mix"].ServedLegitFrac, best)
+	}
+	t.Logf("ablation: %+v", rows)
+}
+
+// TestAblationFollowsScenario: the ablation scores the run's own scenario,
+// so -schedule reaches its three runs. The default table is the Nov 2015
+// one, byte for byte.
+func TestAblationFollowsScenario(t *testing.T) {
+	quietLog(t)
+	ablation := func(extra ...string) string {
+		t.Helper()
+		dir := t.TempDir()
+		if err := run(append([]string{"-small", "-seed", "7", "-only", "ablation", "-out", dir}, extra...)); err != nil {
+			t.Fatalf("run(%q): %v", extra, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "ablation.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	const nov2015 = "018622de9d03f9574e2a218410db1299fcc742fd1572f24e5359c58a5fba5c52"
+	if sum := sha256.Sum256([]byte(ablation())); hex.EncodeToString(sum[:]) != nov2015 {
+		t.Errorf("default ablation.txt sha256 = %x, want %s", sum, nov2015)
+	}
+	june := ablation("-schedule", "june2016")
+	var mix string
+	for _, line := range strings.Split(june, "\n") {
+		if strings.HasPrefix(line, "as-deployed mix") {
+			mix = line
+		}
+	}
+	if f := strings.Fields(mix); len(f) != 5 || f[2] != "64.2%" || f[4] != "3049" {
+		t.Errorf("june2016 as-deployed row = %q, want 64.2%% served and 3049 updates", mix)
 	}
 }

@@ -89,5 +89,5 @@ func main() {
 			site, st.OfferedQPS, st.LossFrac*100, st.ExtraDelayMs)
 	}
 	fmt.Println("\nWhether that trade is worth it is exactly the §2.2 policy question —")
-	fmt.Println("see examples/policycompare for the full five-case analysis.")
+	fmt.Println("see `go run ./cmd/rootevent -small -only fig2` for the full five-case analysis.")
 }

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"github.com/rootevent/anycastddos/internal/anycast"
-	"github.com/rootevent/anycastddos/internal/core"
-)
+import "github.com/rootevent/anycastddos/internal/core"
 
 // PolicyAblationRow scores one deployment-wide policy over the full
 // two-day event.
@@ -20,62 +15,35 @@ type PolicyAblationRow struct {
 	RouteChangeCount int
 }
 
-// PolicyAblation re-runs the full event simulation three times — the
-// as-deployed policy mix, all-absorb, and all-withdraw — quantifying the
-// trade-off the paper frames in §2.2 at the scale of the whole root
-// system. Measurement campaigns are skipped; the simulation's own served
-// counters are the metric.
-func PolicyAblation(base core.Config) ([]PolicyAblationRow, error) {
-	absorb := anycast.Absorb
-	withdraw := anycast.Withdraw
-	variants := []struct {
-		name  string
-		force *anycast.Policy
-	}{
-		{"as-deployed mix", nil},
-		{"all-absorb", &absorb},
-		{"all-withdraw", &withdraw},
-	}
-	var rows []PolicyAblationRow
-	for _, v := range variants {
-		cfg := base
-		cfg.ForcePolicy = v.force
-		ev, err := core.NewEvaluator(cfg)
+// ScorePolicy scores a completed run under the row label policy — one row
+// of the §2.2 trade-off at the scale of the whole root system. It needs no
+// measurement campaign: the simulation's own served counters are the
+// metric.
+func ScorePolicy(policy string, ev *core.Evaluator) (PolicyAblationRow, error) {
+	row := PolicyAblationRow{Policy: policy, WorstMinuteFrac: 1}
+	var served, offered float64
+	for _, l := range ev.Deployment.Letters {
+		if !ev.Schedule().Targeted(l.Letter) {
+			continue
+		}
+		legit, _, _, _, err := ev.LetterServedSeries(l.Letter)
 		if err != nil {
-			return nil, err
+			return PolicyAblationRow{}, err
 		}
-		if err := ev.Run(); err != nil {
-			return nil, err
-		}
-		row := PolicyAblationRow{Policy: v.name, WorstMinuteFrac: 1}
-		var served, offered float64
-		for _, l := range ev.Deployment.Letters {
-			if !ev.Schedule().Targeted(l.Letter) {
+		for m, v := range legit {
+			if ev.Schedule().Active(m) < 0 {
 				continue
 			}
-			legit, _, _, _, err := ev.LetterServedSeries(l.Letter)
-			if err != nil {
-				return nil, err
-			}
-			for m, v := range legit {
-				if ev.Schedule().Active(m) < 0 {
-					continue
-				}
-				served += v
-				offered += l.NormalQPS
-				if frac := v / l.NormalQPS; frac < row.WorstMinuteFrac {
-					row.WorstMinuteFrac = frac
-				}
+			served += v
+			offered += l.NormalQPS
+			if frac := v / l.NormalQPS; frac < row.WorstMinuteFrac {
+				row.WorstMinuteFrac = frac
 			}
 		}
-		if offered > 0 {
-			row.ServedLegitFrac = served / offered
-		}
-		row.RouteChangeCount = len(ev.Collector.Updates())
-		rows = append(rows, row)
 	}
-	if len(rows) != 3 {
-		return nil, fmt.Errorf("analysis: ablation produced %d rows", len(rows))
+	if offered > 0 {
+		row.ServedLegitFrac = served / offered
 	}
-	return rows, nil
+	row.RouteChangeCount = len(ev.Collector.Updates())
+	return row, nil
 }

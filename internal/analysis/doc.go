@@ -19,7 +19,7 @@
 // (Figure9, Figure15, Table3, LetterFlips, UserImpact) read the evaluator
 // directly.
 //
-// PolicyAblation and MatchesKnownEvents remain free functions: the former
-// runs whole simulations from a config (there is no single ev/d pair), and
-// the latter scores already-computed windows against a schedule.
+// ScorePolicy and MatchesKnownEvents are free functions: the former scores
+// a run that has no measurement dataset, and the latter scores
+// already-computed windows against a schedule.
 package analysis

@@ -59,10 +59,6 @@ type Config struct {
 	// ablation knob for comparing an all-absorb against an all-withdraw
 	// root deployment (forcing Absorb also disables session flaps).
 	ForcePolicy *anycast.Policy
-
-	// Schedule selects the attack scenario; nil runs the paper's Nov 2015
-	// events (attack.Nov2015Schedule).
-	Schedule *attack.Schedule
 }
 
 // DefaultConfig returns a full-scale configuration.
@@ -392,9 +388,6 @@ func NewEvaluator(cfg Config, opts ...Option) (*Evaluator, error) {
 		return nil, err
 	}
 	sched := o.schedule
-	if sched == nil {
-		sched = cfg.Schedule
-	}
 	if sched == nil {
 		sched = attack.Nov2015Schedule()
 	}

@@ -312,9 +312,7 @@ func TestJune2016Schedule(t *testing.T) {
 	// The follow-up event (§2.3 "Generalizing"): one longer window, every
 	// letter targeted. The same machinery must reproduce the same
 	// operational dynamics.
-	cfg := smallConfig(77)
-	cfg.Schedule = attack.June2016Schedule()
-	ev, err := NewEvaluator(cfg)
+	ev, err := NewEvaluator(smallConfig(77), WithSchedule(attack.June2016Schedule()))
 	if err != nil {
 		t.Fatal(err)
 	}

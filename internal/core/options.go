@@ -88,7 +88,8 @@ func WithProgress(fn ProgressFunc) Option {
 	return func(o *options) { o.progress = fn }
 }
 
-// WithSchedule selects the attack scenario, overriding Config.Schedule.
+// WithSchedule selects the attack scenario; without it the engine runs the
+// paper's Nov 2015 events (attack.Nov2015Schedule).
 func WithSchedule(s *attack.Schedule) Option {
 	return func(o *options) { o.schedule = s }
 }

@@ -284,16 +284,6 @@ func TestWithScheduleOption(t *testing.T) {
 	if ev.Schedule().Name != "june2016" {
 		t.Errorf("schedule = %q, want june2016", ev.Schedule().Name)
 	}
-	// The option wins over Config.Schedule.
-	cfg := tinyConfig(3)
-	cfg.Schedule = attack.Nov2015Schedule()
-	ev2, err := NewEvaluator(cfg, WithSchedule(june))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev2.Schedule().Name != "june2016" {
-		t.Errorf("option did not override Config.Schedule: %q", ev2.Schedule().Name)
-	}
 }
 
 // TestSimulatedEvents: only events that end inside the horizon count as
