@@ -17,6 +17,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"sort"
 
 	"github.com/rootevent/anycastddos/internal/atlas"
 	"github.com/rootevent/anycastddos/internal/core"
@@ -76,13 +77,18 @@ func writeReport(w io.Writer, d *atlas.Dataset, letter string, width int) error 
 	fmt.Fprintln(w, ")")
 
 	reasons := map[string]int{}
+	var names []string
 	for vp, excluded := range d.Excluded {
 		if excluded {
+			if reasons[d.ExcludedReason[vp]] == 0 {
+				names = append(names, d.ExcludedReason[vp])
+			}
 			reasons[d.ExcludedReason[vp]]++
 		}
 	}
-	for reason, n := range reasons {
-		fmt.Fprintf(w, "  excluded %d VPs: %s\n", n, reason)
+	sort.Strings(names)
+	for _, reason := range names {
+		fmt.Fprintf(w, "  excluded %d VPs: %s\n", reasons[reason], reason)
 	}
 	fmt.Fprintln(w)
 

@@ -55,3 +55,54 @@ func TestRunExitCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestExclusionReasonsSorted: the exclusion reasons print in sorted order,
+// so one archive gives one report, where map order used to reorder them
+// from run to run.
+func TestExclusionReasonsSorted(t *testing.T) {
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+
+	d := atlas.NewDataset([]byte("EK"), nil, 8, 0, 10, 6, 4)
+	for vp, reason := range []string{"hijack", "firmware", "hijack", "churn", "", "bogon", "firmware"} {
+		if reason != "" {
+			d.Exclude(atlas.VPID(vp), reason)
+		}
+	}
+	var archive bytes.Buffer
+	if err := d.Save(&archive); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dataset.bin")
+	if err := os.WriteFile(path, archive.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var first string
+	for i := 0; i < 20; i++ {
+		var out bytes.Buffer
+		if code := run([]string{"-data", path, "-width", "12"}, &out); code != core.ExitOK {
+			t.Fatalf("run %d exits %d", i, code)
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, out.String(), first)
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(first, "\n") {
+		if strings.HasPrefix(line, "  excluded ") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"  excluded 1 VPs: bogon",
+		"  excluded 1 VPs: churn",
+		"  excluded 2 VPs: firmware",
+		"  excluded 2 VPs: hijack",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("exclusion lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -111,6 +111,8 @@ func TestRejectedFlagsExitUsage(t *testing.T) {
 		{[]string{"-vps", "-5"}, core.ExitUsage, "-vps"},
 		{[]string{"-small", "-minutes", "-3"}, core.ExitUsage, "-minutes"},
 		{[]string{"-vps", "0"}, core.ExitUsage, "-vps"},
+		{[]string{"-small", "-only", "bogus"}, core.ExitUsage, "bogus"},
+		{[]string{"-small", "-only", "fig3,bogus"}, core.ExitUsage, "bogus"},
 	} {
 		err := run(append(tc.args, "-out", t.TempDir()))
 		if code := exitCode(err); code != tc.want {
@@ -125,19 +127,46 @@ func TestRejectedFlagsExitUsage(t *testing.T) {
 	}
 }
 
-// TestPolicyAblation: the three ablation runs of one scenario score as the
-// §2.2 trade-off predicts.
+// simulateScenario builds and runs sc's engine without measuring it.
+func simulateScenario(t *testing.T, sc campaign.Scenario) *core.Evaluator {
+	t.Helper()
+	cfg, opts, err := sc.EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := core.NewEvaluator(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// TestPolicyAblation: the ablation's three rows of one scenario score as
+// the §2.2 trade-off predicts, and its as-deployed row, taken from the main
+// run at 300 VPs, equals a fresh run at the ablation's own 50 VPs.
 func TestPolicyAblation(t *testing.T) {
-	rows, err := policyAblation(campaign.Scenario{
+	sc := campaign.Scenario{
 		Schedule: "nov2015", Intensity: 1, DurationScale: 1, Target: "paper",
-		Defense: "default", Seed: 31, VPs: 50, BotnetOrigins: 30,
+		Defense: "default", Seed: 31, VPs: 300, BotnetOrigins: 30,
 		Topology: &campaign.TopologySpec{Tier1s: 6, Tier2s: 60, Stubs: 700},
-	})
+	}
+	rows, err := policyAblation(sc, simulateScenario(t, sc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	sc.VPs = 50
+	fresh, err := analysis.ScorePolicy("as-deployed mix", simulateScenario(t, sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0] != fresh {
+		t.Errorf("reused as-deployed row %+v, fresh 50-VP run %+v", rows[0], fresh)
 	}
 	byName := map[string]analysis.PolicyAblationRow{}
 	for _, r := range rows {
@@ -200,5 +229,102 @@ func TestAblationFollowsScenario(t *testing.T) {
 	}
 	if f := strings.Fields(mix); len(f) != 5 || f[2] != "64.2%" || f[4] != "3049" {
 		t.Errorf("june2016 as-deployed row = %q, want 64.2%% served and 3049 updates", mix)
+	}
+}
+
+// runLogged runs the command with args and returns its log output.
+func runLogged(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	if err := run(args); err != nil {
+		t.Fatalf("run(%q): %v\n%s", args, err, buf.String())
+	}
+	return buf.String()
+}
+
+// TestSelectionRunsOnlyNeededStages: the stage log shows that -only fig2
+// builds no evaluator, that the run-level -only ablation simulates but runs
+// no Measure, and that -only none with -hashfile runs both and writes only
+// the digest.
+func TestSelectionRunsOnlyNeededStages(t *testing.T) {
+	const build, simulate, measure = "building evaluator", "simulating the two event days", "running the Atlas measurement campaign"
+	for _, tc := range []struct {
+		only      string
+		hashfile  bool
+		want, not []string
+	}{
+		{"fig2", false, nil, []string{build, simulate, measure}},
+		{"ablation", false, []string{build, simulate}, []string{measure}},
+		{"none", true, []string{build, simulate, measure}, nil},
+	} {
+		dir := t.TempDir()
+		args := []string{"-small", "-seed", "7", "-only", tc.only, "-out", dir}
+		if tc.hashfile {
+			args = append(args, "-hashfile", filepath.Join(t.TempDir(), "hash"))
+		}
+		out := runLogged(t, args...)
+		for _, line := range tc.want {
+			if !strings.Contains(out, line) {
+				t.Errorf("-only %s: log lacks %q:\n%s", tc.only, line, out)
+			}
+		}
+		for _, line := range tc.not {
+			if strings.Contains(out, line) {
+				t.Errorf("-only %s: log has %q:\n%s", tc.only, line, out)
+			}
+		}
+		if files, _ := os.ReadDir(dir); tc.only == "none" && len(files) != 0 {
+			t.Errorf("-only none wrote %d files", len(files))
+		}
+	}
+}
+
+// TestSelectionMatchesFullRun: a run selecting exactly one stage's keys
+// writes files byte-identical to the same files of a full run.
+func TestSelectionMatchesFullRun(t *testing.T) {
+	quietLog(t)
+	full := t.TempDir()
+	if err := run([]string{"-small", "-seed", "7", "-out", full}); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []need{needNone, needRun, needMeasure} {
+		var keys []string
+		for _, e := range experiments {
+			if e.needs == level {
+				keys = append(keys, e.key)
+			}
+		}
+		dir := t.TempDir()
+		if err := run([]string{"-small", "-seed", "7", "-only", strings.Join(keys, ","), "-out", dir}); err != nil {
+			t.Fatalf("level %d: %v", level, err)
+		}
+		n := 0
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			want, err := os.ReadFile(filepath.Join(full, rel))
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("level %d: %s differs from the full run's", level, rel)
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n < len(keys) {
+			t.Errorf("level %d wrote %d files for %d keys", level, n, len(keys))
+		}
 	}
 }

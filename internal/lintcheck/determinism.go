@@ -7,11 +7,12 @@ import (
 
 // DeterminismAnalyzer enforces the simulation plane's reproducibility
 // invariants: no wall clock, no global RNG, visibly seeded RNG construction,
-// and no map-iteration order escaping into returned slices.
+// and no map-iteration order escaping into returned slices or written
+// output.
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid time.Now/Since/Until, global math/rand, unseeded rand.New, unsorted map-range results, and any map-range in pooled-scratch packages",
+		Doc:  "forbid time.Now/Since/Until, global math/rand, unseeded rand.New, unsorted map-range results or output, and any map-range in pooled-scratch packages",
 		Run:  runDeterminism,
 	}
 }
@@ -95,7 +96,8 @@ func isDirectNewSource(info *types.Info, call *ast.CallExpr) bool {
 // checkMapRangeOrder flags functions that range over a map, append into a
 // local slice inside the loop, return that slice, and never sort it. The
 // slice then carries map-iteration order — freshly randomized on every run —
-// straight into results.
+// straight into results. It also flags a map range whose body writes
+// output, which prints in that order; ranging over sorted keys is the fix.
 func checkMapRangeOrder(pass *Pass, fn *ast.FuncDecl) {
 	info := pass.Pkg.Info
 
@@ -115,6 +117,10 @@ func checkMapRangeOrder(pass *Pass, fn *ast.FuncDecl) {
 		}
 		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 			return true
+		}
+		if name := writerCall(info, rng.Body); name != "" {
+			pass.Reportf("maprange", rng.Pos(),
+				"%s inside a map range writes output in map-iteration order; range over sorted keys instead", name)
 		}
 		ast.Inspect(rng.Body, func(b ast.Node) bool {
 			asg, ok := b.(*ast.AssignStmt)
@@ -191,4 +197,30 @@ func checkMapRangeOrder(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// writerCall returns the name of the first call in body that writes output
+// — fmt.Fprint, Fprintf or Fprintln, or a Write or WriteString method — or
+// "" when there is none.
+func writerCall(info *types.Info, body ast.Node) string {
+	var name string
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if name != "" || !ok {
+			return name == ""
+		}
+		fn := calleeFunc(info, call)
+		if fn == nil {
+			return true
+		}
+		sig, _ := fn.Type().(*types.Signature)
+		switch {
+		case isPkgFunc(fn, "fmt", "Fprint"), isPkgFunc(fn, "fmt", "Fprintf"), isPkgFunc(fn, "fmt", "Fprintln"):
+			name = "fmt." + fn.Name()
+		case sig.Recv() != nil && (fn.Name() == "Write" || fn.Name() == "WriteString"):
+			name = fn.Name()
+		}
+		return true
+	})
+	return name
 }

@@ -239,7 +239,7 @@ func RuleDocs() []RuleDoc {
 		{"wallclock", "no time.Now (nor time.Since/Until) in the simulation plane; also enforced transitively from the engine entry points", "determinism"},
 		{"globalrand", "no package-level math/rand draws from the shared global source; also enforced transitively", "determinism"},
 		{"unseededrand", "rand.New's source must be a direct rand.NewSource(seed) call; also enforced transitively", "determinism"},
-		{"maprange", "no returning a slice appended in map-iteration order without a sort.* call", "determinism"},
+		{"maprange", "no returning a slice appended in map-iteration order without a sort.* call, and no writing output (fmt.Fprint*, Write, WriteString) inside a map range", "determinism"},
 		{"mapiter", "no map iteration at all in pooled-scratch packages (internal/bgpsim)", "determinism"},
 		{"errwrap", "fmt.Errorf with an error-typed argument must use %w", "errhygiene"},
 		{"sentinel", "package-level sentinel errors must be errors.New, not fmt.Errorf", "errhygiene"},

@@ -55,8 +55,10 @@ func TestFixtureDiagnostics(t *testing.T) {
 				{"globalrand", base + "determinism/bad.go", 20},
 				{"unseededrand", base + "determinism/bad.go", 25},
 				{"maprange", base + "determinism/bad.go", 31},
-				{"wallclock", base + "determinism/bad.go", 54}, // time.Since
-				{"wallclock", base + "determinism/bad.go", 59}, // time.Until
+				{"wallclock", base + "determinism/bad.go", 54},   // time.Since
+				{"wallclock", base + "determinism/bad.go", 59},   // time.Until
+				{"maprange", base + "determinism/output.go", 12}, // fmt.Fprintf in a map range
+				{"maprange", base + "determinism/output.go", 20}, // WriteString in a map range
 			},
 		},
 		{
