@@ -38,20 +38,22 @@ race:
 # under the race detector, 4 test binaries at a time. Run it beside other
 # load to shake out port-binding races (see EXPERIMENTS.md "Socket stress").
 stress:
-	$(GO) test -race -count=20 -p 4 ./internal/sitemgr ./internal/dnsserver
+	$(GO) test -race -count=20 -p 4 ./internal/sitemgr ./internal/dnsserver ./cmd/sitemgr
 
 # Fault-injection soak: 8 random heavy fault plans through the full engine
-# under the race detector; the first two seeds also replay sequentially to
-# prove worker-count independence under faults.
+# under the race detector, each dataset distinct; the first two seeds also
+# replay sequentially to prove worker-count independence under faults. Each
+# soak target below runs exactly one test; -count=1 keeps a cached pass from
+# standing in for a soak, and the test's constants set its length.
 soak:
-	$(GO) run -race ./cmd/chaossoak -seeds 8
+	$(GO) test -race -count=1 -run '^TestFaultSoak$$' .
 
 # Kill/resume soak: SIGKILL a checkpointing child rootevent at three seeded
 # epochs, resume each time from the snapshots it left behind, and require
 # the final dataset hash to equal an uninterrupted run's (see README
-# "Crash recovery"). Quick mode used by CI; crank -kills/-minutes to soak.
+# "Crash recovery").
 soak-resume:
-	$(GO) run ./cmd/chaossoak -mode killresume -kills 3 -seed 7 -minutes 720
+	$(GO) test -count=1 -run '^TestKillResume$$' ./cmd/rootevent
 
 # Live failover soak: run the site manager as a child over real sockets,
 # flood one site until both health signals corroborate, and require the
@@ -59,20 +61,21 @@ soak-resume:
 # SIGKILL + journal resume with the damping penalty intact, re-announce —
 # to close (see README "Live failover").
 soak-failover:
-	$(GO) run ./cmd/chaossoak -mode sitefailover -seed 7
+	$(GO) test -count=1 -run '^TestSiteFailover$$' ./cmd/sitemgr
 
 # Campaign degraded-mode smoke: sweep a tiny scenario grid containing one
 # scripted-panic and one scripted-stall scenario and require both to be
 # quarantined with the right failure class while the clean scenarios
 # complete (see README "Campaign runner").
 campaign-smoke:
-	$(GO) run ./cmd/chaossoak -mode campaignsmoke
+	$(GO) test -count=1 -run '^TestCampaignSmoke$$' ./cmd/campaign
 
-# Campaign kill/resume soak: SIGKILL the campaign runner at seeded points
-# of ledger progress, resume each time, and require the final campaign.json
-# to be byte-identical to an uninterrupted sweep's.
+# Campaign kill/resume soak: SIGKILL the campaign runner and its workers
+# after 1, 2 and 3 of 4 scenarios finish, resume each time, and require the
+# final campaign.json to be byte-identical to an uninterrupted sweep's, with
+# no finished scenario started again.
 campaign-resume:
-	$(GO) run ./cmd/chaossoak -mode campaignresume -kills 3 -seed 7
+	$(GO) test -count=1 -run '^TestCampaignResume$$' ./cmd/campaign
 
 # Parallel-engine scaling benches (byte-identical output per worker count).
 bench-workers:

@@ -11,9 +11,12 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rootevent/anycastddos/cmd/internal/selfexec"
 	"github.com/rootevent/anycastddos/internal/campaign"
 	"github.com/rootevent/anycastddos/internal/core"
 )
+
+func TestMain(m *testing.M) { selfexec.Main(m, main) }
 
 func quietLog(t *testing.T) {
 	t.Helper()
@@ -206,5 +209,122 @@ func TestDiffExitCodes(t *testing.T) {
 		if tc.want == core.ExitFailure && !strings.Contains(out.String(), "total_route_changes") {
 			t.Errorf("differing reports rendered as %q", out.Bytes())
 		}
+	}
+}
+
+// soakSpec writes the 4-scenario grid the smoke and resume tests sweep:
+// small enough to finish in seconds, big enough for progress between
+// kills. extra is spliced in as further top-level keys.
+func soakSpec(t *testing.T, extra string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	spec := `{"name": "soak", "vps": 80, "minutes": 120,
+  "topology": {"tier1s": 4, "tier2s": 24, "stubs": 160},` + extra + `
+  "axes": {"defenses": ["absorb"], "seeds": [1, 2, 3, 4]}}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// sweepArgs is the runner command line every soak invocation shares.
+func sweepArgs(spec, dir string, extra ...string) []string {
+	return append([]string{"-spec", spec, "-dir", dir, "-parallel", "2",
+		"-timeout", "2m", "-stall-timeout", "10s", "-retries", "2"}, extra...)
+}
+
+// sweep runs the runner in process to completion and returns its
+// campaign.json. Its workers are this test binary re-executed as the
+// command.
+func sweep(t *testing.T, spec, dir string, extra ...string) []byte {
+	t.Helper()
+	t.Setenv(selfexec.Env, "1")
+	if code := run(sweepArgs(spec, dir, extra...), nil, io.Discard); code != core.ExitOK {
+		t.Fatalf("campaign %q exits %d", extra, code)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, campaign.ReportFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCampaignSmoke is the degraded-mode guarantee: a grid with one
+// scripted panic and one scripted stall exits 0, quarantines both with
+// the right class, and completes the clean scenarios.
+func TestCampaignSmoke(t *testing.T) {
+	quietLog(t)
+	spec := soakSpec(t, `
+  "chaos": [{"scenario": 2, "kind": "panic", "minute": 20}, {"scenario": 3, "kind": "stall", "minute": 20}],`)
+	var rep campaign.Report
+	if err := json.Unmarshal(sweep(t, spec, t.TempDir(), "-stall-timeout", "5s"), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.GridSize != 4 || rep.Completed != 2 || rep.Quarantined != 2 || rep.Pending != 0 || rep.Aggregate == nil {
+		t.Fatalf("report grid=%d completed=%d quarantined=%d pending=%d aggregate=%v, want 4/2/2/0 with an aggregate",
+			rep.GridSize, rep.Completed, rep.Quarantined, rep.Pending, rep.Aggregate != nil)
+	}
+	wantClass := map[int]string{2: "panic", 3: "stall"}
+	for _, sr := range rep.Scenarios {
+		if want, chaotic := wantClass[sr.Index]; chaotic {
+			if sr.Status != campaign.StatusQuarantined || sr.FailureClass != want {
+				t.Errorf("scenario %d: %s/%q, want quarantined/%s", sr.Index, sr.Status, sr.FailureClass, want)
+			}
+		} else if sr.Status != campaign.StatusCompleted || len(sr.Outcome) == 0 {
+			t.Errorf("clean scenario %d: %s with %d outcome bytes", sr.Index, sr.Status, len(sr.Outcome))
+		}
+	}
+}
+
+// TestCampaignResume is crash recovery one level up: the runner and its
+// workers are SIGKILLed after 1, 2 and 3 of the 4 scenarios are terminal
+// and resumed each time; the final campaign.json must equal an
+// uninterrupted sweep's byte for byte, and no finished scenario may run
+// again.
+func TestCampaignResume(t *testing.T) {
+	quietLog(t)
+	spec := soakSpec(t, "")
+	golden := sweep(t, spec, t.TempDir())
+	dir := t.TempDir()
+	ledgerPath := filepath.Join(dir, campaign.LedgerFileName)
+	for k := 1; k <= 3; k++ {
+		args := sweepArgs(spec, dir)
+		if k > 1 {
+			args = append(args, "-resume")
+		}
+		child := selfexec.Start(t, args...)
+		// Reading the ledger the live runner appends to is safe: a torn
+		// tail just ends the prefix.
+		if child.Until(t, func() bool {
+			recs, _ := campaign.ReadRecords(ledgerPath)
+			terminal := 0
+			for _, r := range recs {
+				if r.Type == campaign.RecDone || r.Type == campaign.RecQuarantine {
+					terminal++
+				}
+			}
+			return terminal >= k
+		}) {
+			child.Kill()
+			t.Logf("SIGKILLed the runner after %d terminal scenarios", k)
+		} else {
+			t.Logf("the runner finished before %d terminal scenarios", k)
+		}
+	}
+	if resumed := sweep(t, spec, dir, "-resume"); !bytes.Equal(resumed, golden) {
+		t.Fatalf("resumed campaign.json differs from the uninterrupted one:\n%s\n%s", resumed, golden)
+	}
+	// Outcomes are deterministic, so campaign.json cannot show a finished
+	// scenario run twice; the ledger can.
+	recs, err := campaign.ReadRecords(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[string]bool{}
+	for _, r := range recs {
+		if r.Type == campaign.RecStart && done[r.Scenario] {
+			t.Errorf("scenario %s started again after it was done", r.Scenario)
+		}
+		done[r.Scenario] = done[r.Scenario] || r.Type == campaign.RecDone
 	}
 }

@@ -7,15 +7,21 @@ import (
 	"encoding/hex"
 	"io"
 	"log"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/rootevent/anycastddos/cmd/internal/selfexec"
 	"github.com/rootevent/anycastddos/internal/analysis"
 	"github.com/rootevent/anycastddos/internal/campaign"
+	"github.com/rootevent/anycastddos/internal/checkpoint"
 	"github.com/rootevent/anycastddos/internal/core"
 )
+
+func TestMain(m *testing.M) { selfexec.Main(m, main) }
 
 func quietLog(t *testing.T) {
 	t.Helper()
@@ -327,4 +333,65 @@ func TestSelectionMatchesFullRun(t *testing.T) {
 			t.Errorf("level %d wrote %d files for %d keys", level, n, len(keys))
 		}
 	}
+}
+
+// TestKillResume is crash recovery through real process death: a
+// checkpointing child is SIGKILLed past seeded minutes and resumed each
+// time, and the final resume's dataset hash must equal an uninterrupted
+// run's. Raise kills or minutes to soak longer.
+func TestKillResume(t *testing.T) {
+	const seed, kills, minutes = 7, 3, 720
+	quietLog(t)
+	dir := t.TempDir()
+	common := []string{"-small", "-seed", strconv.Itoa(seed), "-minutes", strconv.Itoa(minutes),
+		"-workers", "4", "-only", "none", "-out", filepath.Join(dir, "out")}
+	golden := filepath.Join(dir, "golden.hash")
+	if err := run(append(common, "-hashfile", golden)); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "ckpt")
+	resume := append(common, "-checkpoint", ckpt, "-resume")
+	for _, target := range killTargets(seed, kills, minutes) {
+		child := selfexec.Start(t, resume...)
+		if child.Until(t, func() bool {
+			m, err := checkpoint.LatestMinute(ckpt)
+			return err == nil && m >= target
+		}) {
+			child.Kill()
+			m, _ := checkpoint.LatestMinute(ckpt)
+			t.Logf("SIGKILLed the child past minute %d (newest snapshot: minute %d)", target, m)
+		} else {
+			t.Logf("the child finished before minute %d", target)
+		}
+	}
+	resumed := filepath.Join(dir, "resumed.hash")
+	if err := run(append(resume, "-hashfile", resumed)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(resumed); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed dataset hash %q (%v), want the uninterrupted run's %q", got, err, want)
+	}
+}
+
+// killTargets draws an increasing seeded schedule of kill minutes, each a
+// multiple of the checkpoint stride and clear of the run's end, so every
+// cycle interrupts the run past snapshots the previous one did not reach.
+func killTargets(seed int64, kills, minutes int) []int {
+	const stride = 10
+	rng := rand.New(rand.NewSource(seed))
+	targets := make([]int, kills)
+	lo := stride
+	for k := range targets {
+		hi := minutes - 2*stride - (kills-1-k)*stride
+		targets[k] = lo
+		if hi > lo {
+			targets[k] += rng.Intn((hi-lo)/stride+1) * stride
+		}
+		lo = targets[k] + stride
+	}
+	return targets
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -60,8 +61,23 @@ func run(args []string) int {
 			sites = append(sites, s)
 		}
 	}
-	if *letter == "" || len(sites) == 0 {
-		log.Print("need -letter and at least one -sites entry")
+	// Reject here what sitemgr.New would bend, or fail on only after it
+	// has bound the sites' sockets.
+	bad := ""
+	switch {
+	case len(*letter) != 1 || !strings.Contains("ABCDEFGHIJKLM", *letter):
+		bad = "-letter must be one root letter, A to M"
+	case len(sites) == 0:
+		bad = "-sites needs at least one site"
+	case *minAnnounced < 1 || *minAnnounced > len(sites):
+		bad = fmt.Sprintf("-min-announced must be 1 to %d, the -sites count", len(sites))
+	case *interval <= 0:
+		bad = "-interval must be positive"
+	case *samples < 0:
+		bad = "-samples must not be negative"
+	}
+	if bad != "" {
+		log.Print(bad)
 		return core.ExitUsage
 	}
 

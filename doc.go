@@ -46,7 +46,7 @@
 // means a fresh run, and the output is byte-identical to an uninterrupted
 // run at any worker count, under any fault plan. rootevent exposes it as
 // -checkpoint/-resume, and `make soak-resume` proves the guarantee through
-// real SIGKILLs (chaossoak -mode killresume). The engine runs under no
+// real SIGKILLs (cmd/rootevent's TestKillResume). The engine runs under no
 // in-process watchdog: it is seeded and deterministic, so a failure recurs
 // on restart and a transient one is met by a rerun or -resume. Long sweeps
 // are supervised per scenario by the campaign runner.

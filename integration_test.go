@@ -7,6 +7,7 @@ package anycastddos
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"runtime"
 	"sync"
 	"testing"
@@ -306,18 +307,26 @@ func newEvaluator(cfg core.Config) (*core.Evaluator, error) {
 	return core.NewEvaluator(cfg)
 }
 
-// TestFaultSoakShort is a two-seed slice of the chaossoak harness: random
-// fault plans must never panic the engine, and the faulted run must still
-// produce a measurable dataset end to end.
-func TestFaultSoakShort(t *testing.T) {
+// TestFaultSoak is the fault-injection soak: random fault plans must never
+// panic the engine, every faulted run must still produce a measurable
+// dataset, distinct seeds must give distinct datasets, and a faulted run
+// must not depend on the worker count. heavy is `make soak`'s contract;
+// raise its seed count or horizon to soak longer.
+func TestFaultSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline runs under fault injection")
 	}
-	for seed := int64(1); seed <= 2; seed++ {
-		plan := faults.RandomPlan(seed, faults.LightProfile())
+	t.Run("heavy", func(t *testing.T) { faultSoak(t, faults.HeavyProfile(), 8, 1440, 2) })
+	t.Run("light", func(t *testing.T) { faultSoak(t, faults.LightProfile(), 2, 720, 0) })
+}
+
+// faultSoak runs seeds 1..seeds at 4 workers, replays the first equiv of
+// them at 1 worker, and requires every dataset hash to be distinct.
+func faultSoak(t *testing.T, profile faults.Profile, seeds, minutes, equiv int) {
+	run := func(seed int64, workers int) [32]byte {
 		cfg := coreSmallConfig(seed)
-		cfg.Minutes = 720
-		ev, err := core.NewEvaluator(cfg, core.WithWorkers(4), core.WithFaults(plan))
+		cfg.Minutes = minutes
+		ev, err := core.NewEvaluator(cfg, core.WithWorkers(workers), core.WithFaults(faults.RandomPlan(seed, profile)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -332,8 +341,19 @@ func TestFaultSoakShort(t *testing.T) {
 		if err := d.Save(&buf); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if buf.Len() == 0 {
-			t.Fatalf("seed %d: empty dataset", seed)
+		return sha256.Sum256(buf.Bytes())
+	}
+	seen := map[[32]byte]int64{}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		hash := run(seed, 4)
+		if prev, dup := seen[hash]; dup {
+			t.Errorf("seeds %d and %d give the same dataset %x", prev, seed, hash[:4])
+		}
+		seen[hash] = seed
+		if seed <= int64(equiv) {
+			if seq := run(seed, 1); seq != hash {
+				t.Errorf("seed %d: 4 workers give dataset %x, 1 worker %x", seed, hash[:4], seq[:4])
+			}
 		}
 	}
 }

@@ -159,7 +159,7 @@ func logErr(dir string, err error) error {
 // LatestMinute reports the Minute of the last complete record in dir's log
 // from length prefixes and that record's leading [From, Minute) alone: no
 // hashing, no decoding, no truncation, a half-written tail ignored. It is
-// the cheap poll external supervisors (chaossoak's kill scheduler) run
+// the cheap poll external supervisors (TestKillResume's kill timing) run
 // against a live writer; LoadLatest, which verifies, is the authority.
 func LatestMinute(dir string) (int, error) {
 	const spanBytes = 20 // two full-width uvarints: From, Minute
