@@ -48,8 +48,9 @@ stress:
 soak:
 	$(GO) test -race -count=1 -run '^TestFaultSoak$$' .
 
-# Kill/resume soak: SIGKILL a checkpointing child rootevent at three seeded
-# epochs, resume each time from the snapshots it left behind, and require
+# Kill/resume soak: SIGKILL a checkpointing child rootevent at three fixed
+# minutes, the last inside event 1, resume each time from the snapshots it
+# left behind, and require
 # the final dataset hash to equal an uninterrupted run's (see README
 # "Crash recovery").
 soak-resume:
@@ -70,10 +71,10 @@ soak-failover:
 campaign-smoke:
 	$(GO) test -count=1 -run '^TestCampaignSmoke$$' ./cmd/campaign
 
-# Campaign kill/resume soak: SIGKILL the campaign runner and its workers
-# after 1, 2 and 3 of 4 scenarios finish, resume each time, and require the
-# final campaign.json to be byte-identical to an uninterrupted sweep's, with
-# no finished scenario started again.
+# Campaign kill/resume soak: SIGKILL the campaign runner (its workers live
+# on until their pipes close) after 1, 2 and 3 of 4 scenarios finish, resume
+# each time, and require the final campaign.json to be byte-identical to an
+# uninterrupted sweep's, with no finished scenario started again.
 campaign-resume:
 	$(GO) test -count=1 -run '^TestCampaignResume$$' ./cmd/campaign
 

@@ -6,9 +6,11 @@ package selfexec
 import (
 	"os"
 	"os/exec"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Env is the variable that makes a test binary run main.
@@ -23,38 +25,41 @@ func Main(m *testing.M, main func()) {
 }
 
 // Child is the command running in its own process group, writing to the
-// test binary's stderr. ExitErr is valid once Done is closed.
+// test binary's stderr. Exited is closed once the command has exited. It
+// stays unreaped until Kill, so the id of its process group, which Kill
+// signals, cannot pass to another process before then.
 type Child struct {
 	*exec.Cmd
-	ExitErr error
-	Done    chan struct{}
+	Exited  chan struct{}
+	once    sync.Once
+	exitErr error
 }
 
 // Start runs the command with args. The child and everything it starts are
-// killed and reaped when the test ends, passed or failed.
+// killed, and the child reaped, when the test ends, passed or failed.
 func Start(t testing.TB, args ...string) *Child {
-	c := &Child{Cmd: exec.Command(os.Args[0], args...), Done: make(chan struct{})}
+	c := &Child{Cmd: exec.Command(os.Args[0], args...), Exited: make(chan struct{})}
 	c.Env = append(os.Environ(), Env+"=1")
 	c.Stdout, c.Stderr = os.Stderr, os.Stderr
 	c.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	if err := c.Cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	go func() { c.ExitErr = c.Wait(); close(c.Done) }()
-	t.Cleanup(c.Kill)
+	go func() { waitExited(c.Process.Pid); close(c.Exited) }()
+	t.Cleanup(func() { _ = c.Kill() })
 	return c
 }
 
-// Until polls pred until it holds (true) or the child has exited 0 (false).
-// An exit with an error, or a minute with neither, fails the test.
+// Until polls pred until it holds (true) or the command has exited 0
+// (false). An exit with an error, or a minute with neither, fails the test.
 func (c *Child) Until(t testing.TB, pred func() bool) bool {
 	t.Helper()
 	timeout := time.After(time.Minute)
 	for !pred() {
 		select {
-		case <-c.Done:
-			if c.ExitErr != nil {
-				t.Fatalf("%v: %v", c.Args, c.ExitErr)
+		case <-c.Exited:
+			if err := c.Kill(); err != nil {
+				t.Fatalf("%v: %v", c.Args, err)
 			}
 			return false
 		case <-timeout:
@@ -65,8 +70,26 @@ func (c *Child) Until(t testing.TB, pred func() bool) bool {
 	return true
 }
 
-// Kill SIGKILLs the child's process group and reaps the child.
-func (c *Child) Kill() {
-	_ = syscall.Kill(-c.Process.Pid, syscall.SIGKILL) // ESRCH: the whole group has exited
-	<-c.Done
+// Kill SIGKILLs what is left of the command's process group, reaps the
+// command and returns its exit error: nil if it had already exited 0. Only
+// the first call signals; later ones return the same error.
+func (c *Child) Kill() error {
+	c.once.Do(func() {
+		_ = syscall.Kill(-c.Process.Pid, syscall.SIGKILL) // ESRCH: the whole group has exited
+		c.exitErr = c.Wait()
+	})
+	return c.exitErr
+}
+
+// waitExited blocks until process pid has exited and leaves it unreaped.
+func waitExited(pid int) {
+	const pPID = 1      // waitid's idtype for one process id
+	var info [16]uint64 // a siginfo_t, which waitid fills in
+	for {
+		_, _, errno := syscall.Syscall6(syscall.SYS_WAITID, pPID, uintptr(pid),
+			uintptr(unsafe.Pointer(&info)), syscall.WEXITED|syscall.WNOWAIT, 0, 0)
+		if errno != syscall.EINTR {
+			return
+		}
+	}
 }

@@ -141,8 +141,9 @@ func TestSiteFailover(t *testing.T) {
 	if err := child.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
-	if <-child.Done; child.ExitErr != nil {
-		t.Fatalf("manager exit after interrupt: %v", child.ExitErr)
+	<-child.Exited
+	if err := child.Kill(); err != nil {
+		t.Fatalf("manager exit after interrupt: %v", err)
 	}
 }
 
