@@ -7,8 +7,9 @@
 //	dsreport -data out/dataset.bin [-letter K]
 //
 // Exit status follows the core.Exit* contract: core.ExitUsage for a
-// rejected flag or an unreadable or malformed -data archive, core.ExitFailure
-// when the report itself fails.
+// rejected flag (a -width below 1, a -letter that is not one letter of the
+// archive) or an unreadable or malformed -data archive, core.ExitFailure
+// when the report itself fails. A rejected flag prints nothing on stdout.
 package main
 
 import (
@@ -39,10 +40,22 @@ func run(args []string, w io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return core.UsageExit(err)
 	}
+	if *width < 1 {
+		log.Printf("-width %d: want at least 1", *width)
+		return core.ExitUsage
+	}
+	if len(*letter) > 1 {
+		log.Printf("-letter %q: want one letter", *letter)
+		return core.ExitUsage
+	}
 
 	d, err := load(*dataPath)
 	if err != nil {
 		log.Print(err)
+		return core.ExitUsage
+	}
+	if *letter != "" && !d.HasLetter((*letter)[0]) {
+		log.Printf("-letter %s: not in the dataset (letters %s)", *letter, d.Letters)
 		return core.ExitUsage
 	}
 	if err := writeReport(w, d, *letter, *width); err != nil {
@@ -116,9 +129,6 @@ func writeReport(w io.Writer, d *atlas.Dataset, letter string, width int) error 
 
 	if letter != "" {
 		lb := letter[0]
-		if !d.HasLetter(lb) {
-			return fmt.Errorf("letter %c not in dataset", lb)
-		}
 		fmt.Fprintf(w, "\nPer-site catchments for %c (sites with any VPs):\n", lb)
 		series, err := d.SiteSeriesAll(lb, 0)
 		if err != nil {

@@ -45,10 +45,19 @@ func TestRunExitCodes(t *testing.T) {
 		{"missing file", []string{"-data", filepath.Join(dir, "absent.bin")}, core.ExitUsage},
 		{"truncated archive", []string{"-data", truncated}, core.ExitUsage},
 		{"archive", []string{"-data", good, "-width", "12"}, core.ExitOK},
+		{"archive letter", []string{"-data", good, "-letter", "K"}, core.ExitOK},
+		{"two-byte letter", []string{"-data", good, "-letter", "KZ"}, core.ExitUsage},
+		{"absent letter", []string{"-data", good, "-letter", "Q"}, core.ExitUsage},
+		{"lower-case letter", []string{"-data", good, "-letter", "k"}, core.ExitUsage},
+		{"zero width", []string{"-data", good, "-width", "0"}, core.ExitUsage},
+		{"negative width", []string{"-data", good, "-width", "-5"}, core.ExitUsage},
 	} {
 		var out bytes.Buffer
 		if code := run(tc.args, &out); code != tc.want {
 			t.Errorf("%s: run(%q) = %d, want %d", tc.name, tc.args, code, tc.want)
+		}
+		if tc.want == core.ExitUsage && out.Len() != 0 {
+			t.Errorf("%s: a rejected run printed %d bytes of report", tc.name, out.Len())
 		}
 		if tc.name == "archive" && !strings.HasPrefix(out.String(), "Dataset: 3 VPs (0 excluded), letters EK,") {
 			t.Errorf("report starts %q", strings.SplitN(out.String(), "\n", 2)[0])

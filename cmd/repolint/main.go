@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,7 +36,14 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints results to stdout and
+// complaints to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repolint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of file:line:col text")
 	rules := fs.Bool("rules", false, "list every rule with its one-line doc and exit")
 	allows := fs.Bool("allows", false, "list every //repolint:allow suppression and exit")
@@ -45,26 +53,31 @@ func main() {
 		printRules(fs.Output())
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(core.UsageExit(err))
+	if err := fs.Parse(args); err != nil {
+		return core.UsageExit(err)
 	}
 
 	if *rules {
-		printRules(os.Stdout)
-		os.Exit(core.ExitOK)
+		printRules(stdout)
+		return core.ExitOK
+	}
+	// fail reports a load or usage error.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "repolint:", err)
+		return core.ExitUsage
 	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	root, err := lintcheck.ModuleRoot(wd)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	pkgs, err := lintcheck.Load(root, fs.Args()...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *allows {
@@ -73,39 +86,42 @@ func main() {
 			if s.Justification != "" {
 				line += " -- " + s.Justification
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
-		os.Exit(core.ExitOK)
+		return core.ExitOK
 	}
 
 	diags := lintcheck.Run(pkgs, lintcheck.DefaultConfig())
+	if diags == nil {
+		diags = []lintcheck.Diagnostic{}
+	}
 
 	if *outPath != "" {
-		writeFindings(root, *outPath, diags)
+		if err := writeFindings(root, *outPath, diags); err != nil {
+			return fail(err)
+		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lintcheck.Diagnostic{}
-		}
 		if err := enc.Encode(diags); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "repolint: %d violation(s)\n", len(diags))
+			fmt.Fprintf(stderr, "repolint: %d violation(s)\n", len(diags))
 		}
-		os.Exit(core.ExitFailure)
+		return core.ExitFailure
 	}
+	return core.ExitOK
 }
 
-func printRules(w interface{ Write([]byte) (int, error) }) {
+func printRules(w io.Writer) {
 	for _, r := range lintcheck.RuleDocs() {
 		fmt.Fprintf(w, "  %-16s %s\n", r.Name, r.Doc)
 	}
@@ -113,21 +129,16 @@ func printRules(w interface{ Write([]byte) (int, error) }) {
 
 // writeFindings writes the complete findings array as indented JSON,
 // atomically, creating parent directories.
-func writeFindings(root, path string, diags []lintcheck.Diagnostic) {
-	if diags == nil {
-		diags = []lintcheck.Diagnostic{}
-	}
+func writeFindings(root, path string, diags []lintcheck.Diagnostic) error {
 	data, err := json.MarshalIndent(diags, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	abs := absAgainst(root, path)
 	if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
-		fatal(err)
+		return err
 	}
-	if err := atomicio.WriteFileBytes(abs, append(data, '\n')); err != nil {
-		fatal(err)
-	}
+	return atomicio.WriteFileBytes(abs, append(data, '\n'))
 }
 
 // absAgainst resolves a possibly-relative flag path against the module root,
@@ -137,9 +148,4 @@ func absAgainst(root, path string) string {
 		return path
 	}
 	return filepath.Join(root, path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "repolint:", err)
-	os.Exit(core.ExitUsage)
 }

@@ -23,7 +23,9 @@
 // minutes; -resume restarts from the newest good snapshot (or from scratch
 // when none is usable). The final output is byte-identical to an
 // uninterrupted run. The flags describe the run as one campaign.Scenario;
-// the policy ablation scores it against re-runs under the other defenses.
+// the policy ablation scores it against re-runs with every site forced to
+// absorb, to withdraw, and to the adaptive controller (campaign defenses
+// absorb, withdraw and adaptive), one row each.
 //
 // Exit status (the core.Exit* contract, stable for parent supervisors such
 // as the campaign runner): 0 clean success, 1 generic failure, 2 panic,
@@ -578,12 +580,13 @@ func letterSeries(key, desc string, needs need, title string, fig func(*analysis
 }
 
 // policyAblation scores deployed, the completed run of scenario sc, as the
-// as-deployed mix against re-runs of sc under all-absorb and all-withdraw.
-// A score reads the simulation alone, so the re-runs use a token VP count.
+// as-deployed mix against re-runs of sc under all-absorb, all-withdraw and
+// the adaptive controller. A score reads the simulation alone, so the
+// re-runs use a token VP count.
 func policyAblation(sc campaign.Scenario, deployed *core.Evaluator) ([]analysis.PolicyAblationRow, error) {
 	var rows []analysis.PolicyAblationRow
 	sc.VPs = 50
-	for _, defense := range []string{"default", "absorb", "withdraw"} {
+	for _, defense := range []string{"default", "absorb", "withdraw", "adaptive"} {
 		ev, label := deployed, "as-deployed mix"
 		if defense != "default" {
 			sc.Defense, label = defense, "all-"+defense

@@ -149,9 +149,9 @@ func simulateScenario(t *testing.T, sc campaign.Scenario) *core.Evaluator {
 	return ev
 }
 
-// TestPolicyAblation: the ablation's three rows of one scenario score as
-// the §2.2 trade-off predicts, and its as-deployed row, taken from the main
-// run at 300 VPs, equals a fresh run at the ablation's own 50 VPs.
+// TestPolicyAblation: the ablation's rows of one scenario score as the §2.2
+// trade-off predicts, and its as-deployed row, taken from the main run at
+// 300 VPs, equals a fresh run at the ablation's own 50 VPs.
 func TestPolicyAblation(t *testing.T) {
 	sc := campaign.Scenario{
 		Schedule: "nov2015", Intensity: 1, DurationScale: 1, Target: "paper",
@@ -162,8 +162,8 @@ func TestPolicyAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != 4 || rows[3].Policy != "all-adaptive" {
+		t.Fatalf("rows = %+v, want the mix, all-absorb, all-withdraw and all-adaptive", rows)
 	}
 	sc.VPs = 50
 	fresh, err := analysis.ScorePolicy("as-deployed mix", simulateScenario(t, sc))
@@ -205,8 +205,9 @@ func TestPolicyAblation(t *testing.T) {
 }
 
 // TestAblationFollowsScenario: the ablation scores the run's own scenario,
-// so -schedule reaches its three runs. The default table is the Nov 2015
-// one, byte for byte.
+// so -schedule reaches its re-runs. The default table is the Nov 2015 one,
+// byte for byte, and without its all-adaptive row it is the three-row table
+// of the ablation before the adaptive controller joined it.
 func TestAblationFollowsScenario(t *testing.T) {
 	quietLog(t)
 	ablation := func(extra ...string) string {
@@ -221,9 +222,22 @@ func TestAblationFollowsScenario(t *testing.T) {
 		}
 		return string(data)
 	}
-	const nov2015 = "018622de9d03f9574e2a218410db1299fcc742fd1572f24e5359c58a5fba5c52"
-	if sum := sha256.Sum256([]byte(ablation())); hex.EncodeToString(sum[:]) != nov2015 {
+	const (
+		nov2015       = "b80f47ce7a02d7990d78498b7dad38bf6b03da7221a4cbd41c14cb24772e9fa9"
+		threePolicies = "018622de9d03f9574e2a218410db1299fcc742fd1572f24e5359c58a5fba5c52"
+	)
+	table := ablation()
+	if sum := sha256.Sum256([]byte(table)); hex.EncodeToString(sum[:]) != nov2015 {
 		t.Errorf("default ablation.txt sha256 = %x, want %s", sum, nov2015)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(table, "\n") {
+		if !strings.HasPrefix(line, "all-adaptive ") {
+			kept = append(kept, line)
+		}
+	}
+	if sum := sha256.Sum256([]byte(strings.Join(kept, ""))); hex.EncodeToString(sum[:]) != threePolicies {
+		t.Errorf("ablation.txt without all-adaptive: sha256 = %x, want %s", sum, threePolicies)
 	}
 	june := ablation("-schedule", "june2016")
 	var mix string

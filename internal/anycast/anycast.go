@@ -30,6 +30,10 @@ const (
 	// Withdraw pulls the site's BGP announcement once overload persists,
 	// moving its whole catchment to other sites (the "waterbed").
 	Withdraw
+	// Adaptive leaves the decision to one feedback controller per letter
+	// (netsim.Adaptive), which withdraws and re-announces sites from their
+	// served counters — the automated policy management of §5.
+	Adaptive
 )
 
 // String returns the policy name.
@@ -39,6 +43,8 @@ func (p Policy) String() string {
 		return "absorb"
 	case Withdraw:
 		return "withdraw"
+	case Adaptive:
+		return "adaptive"
 	default:
 		return fmt.Sprintf("Policy(%d)", uint8(p))
 	}

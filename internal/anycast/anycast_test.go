@@ -216,7 +216,7 @@ func TestSortedLettersAndNames(t *testing.T) {
 }
 
 func TestPolicyAndModeStrings(t *testing.T) {
-	if Absorb.String() != "absorb" || Withdraw.String() != "withdraw" || Policy(9).String() != "Policy(9)" {
+	if Absorb.String() != "absorb" || Withdraw.String() != "withdraw" || Adaptive.String() != "adaptive" || Policy(9).String() != "Policy(9)" {
 		t.Error("Policy strings")
 	}
 	if ServersShared.String() != "shared" || ServersIsolate.String() != "isolate" || ServerMode(9).String() != "ServerMode(9)" {

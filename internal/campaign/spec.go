@@ -85,7 +85,8 @@ type Axes struct {
 	// exactly the named letters.
 	Targets []string `json:"targets,omitempty"`
 	// Defenses force the per-site overload policy: "default" (the paper's
-	// observed mix), "absorb", or "withdraw".
+	// observed mix), "absorb", "withdraw", or "adaptive" (one feedback
+	// controller per letter, netsim.Adaptive).
 	Defenses []string `json:"defenses,omitempty"`
 	// Faults are fault-plan specs: "none" or "random:SEED[:PROFILE]"
 	// (profiles: light, heavy, monitor).
@@ -433,7 +434,10 @@ func forcePolicy(defense string) (*anycast.Policy, error) {
 	case "withdraw":
 		p := anycast.Withdraw
 		return &p, nil
+	case "adaptive":
+		p := anycast.Adaptive
+		return &p, nil
 	default:
-		return nil, fmt.Errorf("campaign: unknown defense %q (default, absorb, or withdraw)", defense)
+		return nil, fmt.Errorf("campaign: unknown defense %q (default, absorb, withdraw, or adaptive)", defense)
 	}
 }

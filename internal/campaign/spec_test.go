@@ -198,3 +198,33 @@ func TestScenarioIDShape(t *testing.T) {
 		t.Errorf("ID %q has unexpected shape", id)
 	}
 }
+
+// TestAdaptiveDefense: the defenses axis accepts adaptive, which resolves to
+// ForcePolicy Adaptive, and an unknown defense names all four values.
+func TestAdaptiveDefense(t *testing.T) {
+	s, err := ParseSpec([]byte(`{"name":"x","axes":{"defenses":["adaptive"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := s.Expand()
+	if len(scs) != 1 || scs[0].Defense != "adaptive" || !strings.Contains(scs[0].ID, "-adaptive-") {
+		t.Fatalf("expanded %+v", scs)
+	}
+	cfg, _, err := scs[0].EngineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.ForcePolicy == nil || *cfg.ForcePolicy != anycast.Adaptive {
+		t.Errorf("ForcePolicy = %v, want adaptive", cfg.ForcePolicy)
+	}
+
+	_, err = ParseSpec([]byte(`{"axes":{"defenses":["surrender"]}}`))
+	if err == nil {
+		t.Fatal("unknown defense accepted")
+	}
+	for _, d := range []string{"default", "absorb", "withdraw", "adaptive"} {
+		if !strings.Contains(err.Error(), d) {
+			t.Errorf("error %q does not list %s", err, d)
+		}
+	}
+}

@@ -355,29 +355,34 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 	ls.sitesMinute = minute
 	utilization := ls.util
 
-	// Step announcement state machines.
+	// Step announcement state machines, or let the letter's controller
+	// move them.
 	changed := false
-	act := ls.effective()
-	for oi := range ls.states {
-		os := &ls.states[oi]
-		u := utilization[os.site]
-		if os.flap && minute > 0 {
-			// Session failures also follow shared-fabric congestion in
-			// the site's city (previous minute's totals — fully merged at
-			// the last barrier, so letter processing order cannot matter).
-			if ci := ls.siteCity[os.site]; ci >= 0 {
-				if cu := ev.cityExcess[ci][minute-1] / flapExcessQPS; cu > u {
-					u = cu
+	if ls.adaptive != nil {
+		changed = ls.steerAdaptive(minute)
+	} else {
+		act := ls.effective()
+		for oi := range ls.states {
+			os := &ls.states[oi]
+			u := utilization[os.site]
+			if os.flap && minute > 0 {
+				// Session failures also follow shared-fabric congestion in
+				// the site's city (previous minute's totals — fully merged at
+				// the last barrier, so letter processing order cannot matter).
+				if ci := ls.siteCity[os.site]; ci >= 0 {
+					if cu := ev.cityExcess[ci][minute-1] / flapExcessQPS; cu > u {
+						u = cu
+					}
 				}
 			}
+			if !act[oi] {
+				u = 0
+			}
+			if os.router.Step(minute, u) {
+				changed = true
+			}
+			ls.active[oi] = os.router.Announced()
 		}
-		if !act[oi] {
-			u = 0
-		}
-		if os.router.Step(minute, u) {
-			changed = true
-		}
-		ls.active[oi] = os.router.Announced()
 	}
 	// H-Root primary/backup: activate the backup while the primary is
 	// down (fault-forced primary outages count as down).
@@ -410,9 +415,28 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 	return nil
 }
 
+// steerAdaptive runs the letter's controller on the minute's site
+// observations and moves every uplink router to its site's decision. It
+// reports whether an announcement changed.
+func (ls *letterState) steerAdaptive(minute int) bool {
+	want := ls.adaptive.Decide(minute, ls.obs)
+	changed := false
+	for oi := range ls.states {
+		r := ls.states[oi].router
+		if want[ls.states[oi].site] {
+			changed = r.ForceAnnounce() || changed
+		} else {
+			changed = r.ForceWithdraw(minute) || changed
+		}
+		ls.active[oi] = r.Announced()
+	}
+	return changed
+}
+
 // serveSites evaluates every site of a letter for a minute: service quality
-// into the letter's per-site series, per-site utilization into ls.util, and
-// the cross-letter contributions into tick.
+// into the letter's per-site series, per-site utilization into ls.util, the
+// controller's observations into ls.obs (when it has one), and the
+// cross-letter contributions into tick.
 func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, tick *letterTick) error {
 	ls.flushReplay()
 	tick.cityAdds = tick.cityAdds[:0]
@@ -424,10 +448,14 @@ func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, 
 		utilization[i] = 0
 	}
 	ls.fillAnnounced()
+	obs := ls.obs
 	for si, site := range ls.letter.Sites {
 		if !ls.announced[si] {
 			ls.hasRoute[si][minute] = false
 			ls.loss[si][minute] = 1
+			if obs != nil {
+				obs[si] = netsim.SiteObs{CapacityQPS: site.CapacityQPS}
+			}
 			continue
 		}
 		if site.CapacityQPS <= 0 {
@@ -461,6 +489,10 @@ func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, 
 			st.ExtraDelayMs = 60
 		}
 		utilization[si] = st.Utilization
+		if obs != nil {
+			obs[si] = netsim.SiteObs{Announced: true, CapacityQPS: site.CapacityQPS,
+				OfferedQPS: st.OfferedQPS, ServedQPS: st.ServedQPS}
+		}
 		ls.hasRoute[si][minute] = true
 		ls.loss[si][minute] = float32(st.LossFrac)
 		ls.delay[si][minute] = float32(st.ExtraDelayMs)

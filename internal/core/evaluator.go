@@ -56,8 +56,11 @@ type Config struct {
 	FlapCooldown int // default 25
 
 	// ForcePolicy, when set, overrides every site's stress policy — the
-	// ablation knob for comparing an all-absorb against an all-withdraw
-	// root deployment (forcing Absorb also disables session flaps).
+	// ablation knob for comparing an all-absorb, an all-withdraw and an
+	// adaptive root deployment (forcing Absorb or Adaptive also disables
+	// session flaps). Under Adaptive each letter's sites keep absorb
+	// routers and one netsim.Adaptive moves them; a primary/backup letter
+	// is left to its switch.
 	ForcePolicy *anycast.Policy
 }
 
@@ -191,6 +194,11 @@ type letterState struct {
 	// reused across minutes to keep the hot loop allocation-free.
 	util      []float64
 	announced []bool
+	// adaptive steers the letter's routers under ForcePolicy Adaptive (nil
+	// otherwise); obs is what it observes, one slot per site, written by
+	// the site pass.
+	adaptive *netsim.Adaptive
+	obs      []netsim.SiteObs
 	// sitesMinute is the latest minute whose site pass ran in this process
 	// (noSitePass before the first: a resumed run replays nothing it did
 	// not compute), sitesEpochs and sitesAttackQPS the epoch count and attack
@@ -365,10 +373,14 @@ func NewEvaluator(cfg Config, opts ...Option) (*Evaluator, error) {
 		return nil, err
 	}
 	if cfg.ForcePolicy != nil {
+		if *cfg.ForcePolicy == anycast.Adaptive && o.checkpointDir != "" {
+			// The snapshot has no field for a controller's trial state.
+			return nil, fmt.Errorf("core: WithCheckpoint cannot checkpoint a ForcePolicy %v run", anycast.Adaptive)
+		}
 		for _, l := range dep.Letters {
 			for _, s := range l.Sites {
 				s.Policy = *cfg.ForcePolicy
-				if *cfg.ForcePolicy == anycast.Absorb {
+				if *cfg.ForcePolicy == anycast.Absorb || *cfg.ForcePolicy == anycast.Adaptive {
 					s.FlappyUplinks = 0
 				}
 			}
@@ -583,6 +595,10 @@ func (ev *Evaluator) buildLetterStates() {
 		ls.responses = make([]float64, ev.Cfg.Minutes)
 		ls.util = make([]float64, nSites)
 		ls.announced = make([]bool, nSites)
+		if ev.Cfg.ForcePolicy != nil && *ev.Cfg.ForcePolicy == anycast.Adaptive && !l.PrimaryBackup {
+			ls.adaptive = &netsim.Adaptive{}
+			ls.obs = make([]netsim.SiteObs, nSites)
+		}
 		ls.sitesMinute = noSitePass
 		ls.targeted = ev.sched.Targeted(l.Letter)
 		ls.tableCache = make(map[string]*routeEntry)

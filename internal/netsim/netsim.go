@@ -12,8 +12,10 @@
 //     ~30 ms to 1-2 s while remaining up.
 //
 // The package also provides the per-server view behind a site's load
-// balancer (§3.5) and the withdraw state machine that turns persistent
-// overload into BGP withdrawals for sites with the Withdraw policy (§2.2).
+// balancer (§3.5), the withdraw state machine that turns persistent
+// overload into BGP withdrawals for sites with the Withdraw policy (§2.2),
+// and the adaptive controller that steers a whole letter's announcements
+// from its sites' counters (the automated policy management of §5).
 package netsim
 
 import (
