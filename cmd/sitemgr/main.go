@@ -5,6 +5,11 @@
 // minimum-announced floor, and every decision journaled crash-safely so a
 // killed manager resumes with its damping history.
 //
+// The manager ticks once at start and then every -interval. With -ticks N
+// it stops after N ticks, reports and exits 0; an interrupt before that
+// exits 4 (core.ExitCanceled). Without -ticks it runs until interrupted,
+// and the interrupt is the normal stop: it reports and exits 0.
+//
 // The observable surface for soaks and dashboards is the -state file
 // (atomic JSON: per-site state, penalties, catchments, and sampled
 // ASN-to-site routings) and the -journal ledger (readable live with
@@ -13,7 +18,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -73,6 +77,10 @@ func run(args []string) int {
 		bad = fmt.Sprintf("-min-announced must be 1 to %d, the -sites count", len(sites))
 	case *interval <= 0:
 		bad = "-interval must be positive"
+	case *ticks < 0:
+		bad = "-ticks must not be negative"
+	case *rps < 0:
+		bad = "-rrl-rps must not be negative"
 	case *samples < 0:
 		bad = "-samples must not be negative"
 	}
@@ -88,7 +96,6 @@ func run(args []string) int {
 		Seed:         *seed,
 		JournalPath:  *journal,
 		StatePath:    *state,
-		Interval:     *interval,
 		SampleASNs:   spreadASNs(*samples),
 	}
 	if *rps > 0 {
@@ -136,30 +143,27 @@ func run(args []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *ticks > 0 {
-		for i := 0; i < *ticks; i++ {
-			if err := m.TickOnce(ctx); err != nil {
-				log.Print(err)
-				return core.ExitCode(err)
-			}
-			if err := sleepCtx(ctx, *interval); err != nil {
+	// The health machines never see the clock: only the tick cadence is
+	// wall time.
+	ticker := time.NewTicker(*interval)
+	defer ticker.Stop()
+	for n := 0; *ticks == 0 || n < *ticks; n++ {
+		if err := m.TickOnce(ctx); err != nil {
+			log.Print(err)
+			return core.ExitCode(err)
+		}
+		select {
+		case <-ticker.C:
+		case <-ctx.Done():
+			if *ticks > 0 {
 				return core.ExitCanceled
 			}
+			// An interrupt is the normal way to stop an open-ended run.
+			report(m)
+			return core.ExitOK
 		}
-		report(m)
-		return core.ExitOK
 	}
-
-	err = m.Run(ctx)
 	report(m)
-	if errors.Is(err, context.Canceled) {
-		// An interrupt is the normal way to stop an open-ended run.
-		return core.ExitOK
-	}
-	if err != nil {
-		log.Print(err)
-		return core.ExitCode(err)
-	}
 	return core.ExitOK
 }
 
@@ -168,8 +172,8 @@ func report(m *sitemgr.Manager) {
 	st := m.Status()
 	log.Printf("tick %d: %d/%d announced (fabric v%d)", st.Tick, st.Announced, len(st.Sites), st.Version)
 	for _, s := range st.Sites {
-		log.Printf("  site %d %s: %s penalty %.0f catchment %d restarts %d",
-			s.Index, s.Name, s.State, s.Penalty, s.Catchment, s.Restarts)
+		log.Printf("  site %d %s: %s penalty %.0f catchment %d",
+			s.Index, s.Name, s.State, s.Penalty, s.Catchment)
 	}
 }
 
@@ -180,16 +184,4 @@ func spreadASNs(n int) []topo.ASN {
 		out = append(out, topo.ASN(10+7*i))
 	}
 	return out
-}
-
-// sleepCtx sleeps d or returns early when ctx ends.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -37,10 +37,16 @@ func TestRejectedFlagsExitUsage(t *testing.T) {
 		{"-min-announced", "5"},
 		{"-interval", "0"},
 		{"-interval", "-1s"},
+		{"-rrl-rps", "-1"},
+		{"-ticks", "-1"},
 	} {
 		stderr.Reset()
-		// -ticks 1 bounds the run should the value be accepted.
-		if code := run([]string{tc.flag, tc.value, "-ticks", "1"}); code != core.ExitUsage {
+		args := []string{tc.flag, tc.value}
+		if tc.flag != "-ticks" {
+			// -ticks 1 bounds the run should the value be accepted.
+			args = append(args, "-ticks", "1")
+		}
+		if code := run(args); code != core.ExitUsage {
 			t.Errorf("%s %s exits %d, want %d", tc.flag, tc.value, code, core.ExitUsage)
 		}
 		if msg := strings.TrimSuffix(stderr.String(), "\n"); !strings.Contains(msg, tc.flag) || strings.Contains(msg, "\n") {

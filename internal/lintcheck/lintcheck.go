@@ -67,10 +67,10 @@ type Config struct {
 // panics are allowed only for internal/stats shape assertions.
 func DefaultConfig() Config {
 	return Config{
-		// internal/sitemgr drives live sockets too: its health loop runs on
-		// real tickers and socket deadlines, while its state machine stays
-		// tick-driven and clock-free (proved by the deterministic FSM tests).
-		WallClockAllow: []string{"internal/dnsserver", "internal/sitemgr", "cmd/", "examples/"},
+		// internal/sitemgr drives live sockets only through dnsserver: its
+		// tick cadence is cmd/sitemgr's ticker, and its state machine is
+		// tick-driven and clock-free.
+		WallClockAllow: []string{"internal/dnsserver", "cmd/", "examples/"},
 		PanicAllow:     []string{"internal/stats"},
 		// bgpsim's route solver breaks exact ties by adjacency-list order;
 		// a map-range there could write iteration order into a table that

@@ -3,9 +3,10 @@
 // site's health every tick from two independent signals — an active CHAOS
 // probe and the server's own counter deltas — and drives announce/withdraw
 // decisions through a simulated BGP fabric, with flap damping, graceful
-// TCP drain on withdraw, a minimum-announced safety floor, bounded
-// restart-with-backoff of crashed sites, and a crash-safe decision journal
-// so a killed manager resumes with its damping history intact.
+// TCP drain on withdraw, a minimum-announced safety floor, and a
+// crash-safe decision journal so a killed manager resumes with its damping
+// history intact. Every site lives in the manager's process, so a process
+// crash is the journal's case; the manager restarts nothing itself.
 //
 // The paper's event showed both halves of this loop going wrong at human
 // timescales: operators withdrew overwhelmed sites hours into the attack,
@@ -94,13 +95,10 @@ func (a Action) String() string {
 	}
 }
 
-// Signals is one assessment window's evidence for one site. The two
-// independent signal families of the tentpole: ProbeOK comes from an
-// active CHAOS probe over a real socket; Stats is the server's own
-// counter delta for the window. Alive reports the serving process is up
-// at all (a crashed site fails both families at once).
+// Signals is one assessment window's evidence for one site, in two
+// independent families: ProbeOK comes from an active CHAOS probe over a
+// real socket; the rest is the server's own counter delta for the window.
 type Signals struct {
-	Alive   bool
 	ProbeOK bool
 	// LossRate, RRLRate, and Backlog are the window's server-side
 	// signals (dnsserver.Stats delta helpers).
@@ -108,6 +106,19 @@ type Signals struct {
 	RRLRate  float64
 	Backlog  uint64
 }
+
+// The server-signal thresholds (crossing any marks the server-side family
+// bad) and the flap-damping constants: every withdraw charges
+// penaltyPerFlap, and re-announce is blocked while the penalty exceeds
+// suppressThreshold, so one withdraw damps briefly and two in quick
+// succession damp for several half-lives.
+const (
+	maxLossRate       = 0.25
+	maxRRLRate        = 0.5
+	maxBacklog        = 4096
+	penaltyPerFlap    = 1000.0
+	suppressThreshold = 1500.0
+)
 
 // Config tunes the FSM. The zero value is usable: every field defaults to
 // the values documented on it. All durations are in ticks — the FSM never
@@ -133,23 +144,9 @@ type Config struct {
 	// ProbationTicks is how many consecutive clean ticks graduate
 	// Probation to Healthy (default 5).
 	ProbationTicks int
-
-	// MaxLossRate, MaxRRLRate, and MaxBacklog are the server-signal
-	// thresholds; crossing any of them marks the server-side family bad
-	// (defaults 0.25, 0.5, 4096).
-	MaxLossRate float64
-	MaxRRLRate  float64
-	MaxBacklog  uint64
-
-	// PenaltyPerFlap is charged on every withdraw (default 1000).
-	PenaltyPerFlap float64
 	// PenaltyHalfLife is the decay half-life of the penalty, in ticks
 	// (default 30).
 	PenaltyHalfLife int
-	// SuppressThreshold blocks re-announce while the penalty exceeds it
-	// (default 1500): one withdraw damps briefly, two in quick
-	// succession damp for several half-lives.
-	SuppressThreshold float64
 }
 
 func (c *Config) setDefaults() {
@@ -171,23 +168,8 @@ func (c *Config) setDefaults() {
 	if c.ProbationTicks <= 0 {
 		c.ProbationTicks = 5
 	}
-	if c.MaxLossRate <= 0 {
-		c.MaxLossRate = 0.25
-	}
-	if c.MaxRRLRate <= 0 {
-		c.MaxRRLRate = 0.5
-	}
-	if c.MaxBacklog == 0 {
-		c.MaxBacklog = 4096
-	}
-	if c.PenaltyPerFlap <= 0 {
-		c.PenaltyPerFlap = 1000
-	}
 	if c.PenaltyHalfLife <= 0 {
 		c.PenaltyHalfLife = 30
-	}
-	if c.SuppressThreshold <= 0 {
-		c.SuppressThreshold = 1500
 	}
 }
 
@@ -253,7 +235,7 @@ func (f *FSM) Restore(state State, penalty float64) {
 // withdraw's penalty charge is rolled back since no flap happened.
 func (f *FSM) Absorb() {
 	f.state = Stressed
-	f.penalty -= f.cfg.PenaltyPerFlap
+	f.penalty -= penaltyPerFlap
 	if f.penalty < 0 {
 		f.penalty = 0
 	}
@@ -268,19 +250,15 @@ func (f *FSM) Tick(sig Signals) Action {
 		f.penalty = 0
 	}
 
-	probeBad := !sig.ProbeOK || !sig.Alive
-	serverBad := !sig.Alive ||
-		sig.LossRate > f.cfg.MaxLossRate ||
-		sig.RRLRate > f.cfg.MaxRRLRate ||
-		sig.Backlog > f.cfg.MaxBacklog
+	probeBad := !sig.ProbeOK
+	serverBad := sig.LossRate > maxLossRate ||
+		sig.RRLRate > maxRRLRate ||
+		sig.Backlog > maxBacklog
 	anyBad := probeBad || serverBad
 	bothBad := probeBad && serverBad
 
 	switch f.state {
 	case Healthy:
-		if !sig.Alive {
-			return f.withdraw()
-		}
 		if anyBad {
 			f.badStreak++
 			if f.badStreak >= f.cfg.StressTicks {
@@ -291,9 +269,6 @@ func (f *FSM) Tick(sig Signals) Action {
 		}
 
 	case Stressed:
-		if !sig.Alive {
-			return f.withdraw()
-		}
 		switch {
 		case bothBad:
 			f.failStreak++
@@ -323,12 +298,12 @@ func (f *FSM) Tick(sig Signals) Action {
 	case Withdrawn:
 		// Probe-only evidence: a withdrawn site sees no real traffic, so
 		// the server-side family is vacuous here.
-		if sig.Alive && sig.ProbeOK {
+		if sig.ProbeOK {
 			f.probeStreak++
 		} else {
 			f.probeStreak = 0
 		}
-		if f.probeStreak >= f.cfg.ReprobeTicks && f.penalty <= f.cfg.SuppressThreshold {
+		if f.probeStreak >= f.cfg.ReprobeTicks && f.penalty <= suppressThreshold {
 			f.toState(Probation)
 			return ActAnnounce
 		}
@@ -350,7 +325,7 @@ func (f *FSM) Tick(sig Signals) Action {
 // withdraw moves to Draining and charges the flap penalty.
 func (f *FSM) withdraw() Action {
 	f.toState(Draining)
-	f.penalty += f.cfg.PenaltyPerFlap
+	f.penalty += penaltyPerFlap
 	return ActWithdraw
 }
 

@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// sigOK / sigProbeBad / sigServerBad / sigBothBad / sigDead are the five
-// evidence shapes the machine distinguishes.
+// sigOK / sigProbeBad / sigServerBad / sigBothBad are the four evidence
+// shapes the machine distinguishes.
 var (
-	sigOK        = Signals{Alive: true, ProbeOK: true}
-	sigProbeBad  = Signals{Alive: true, ProbeOK: false}
-	sigServerBad = Signals{Alive: true, ProbeOK: true, LossRate: 0.9}
-	sigBothBad   = Signals{Alive: true, ProbeOK: false, RRLRate: 0.9}
-	sigDead      = Signals{}
+	sigOK        = Signals{ProbeOK: true}
+	sigProbeBad  = Signals{ProbeOK: false}
+	sigServerBad = Signals{ProbeOK: true, LossRate: 0.9}
+	sigBothBad   = Signals{ProbeOK: false, RRLRate: 0.9}
 )
 
 // trace runs a fresh FSM over a signal script and records every tick's
@@ -135,16 +134,6 @@ func TestFSMProbationFlapStacksPenalty(t *testing.T) {
 	}
 }
 
-func TestFSMCrashWithdrawsImmediately(t *testing.T) {
-	f := NewFSM(Config{})
-	if act := f.Tick(sigDead); act != ActWithdraw {
-		t.Fatalf("dead site: %v, want immediate withdraw", act)
-	}
-	if f.State() != Draining {
-		t.Fatalf("state %v", f.State())
-	}
-}
-
 func TestFSMAbsorbRollsBack(t *testing.T) {
 	f := NewFSM(Config{StressTicks: 1, FailTicks: 1})
 	f.Tick(sigBothBad)
@@ -179,7 +168,7 @@ func TestFSMDeterministicTrace(t *testing.T) {
 	add(sigBothBad, 4)
 	add(sigProbeBad, 5)
 	add(sigOK, 40)
-	add(sigDead, 2)
+	add(sigBothBad, 2)
 	add(sigOK, 30)
 
 	first := trace(cfg, script)
@@ -232,5 +221,97 @@ func TestStateAndActionStrings(t *testing.T) {
 	}
 	if stateByName("draining") != Draining || stateByName("bogus") != Withdrawn {
 		t.Fatal("stateByName")
+	}
+}
+
+// TestFSMSafetyExhaustive walks every sequence of the four evidence shapes
+// to a fixed depth, copying the machine at each node, and checks the
+// safety rules on every tick:
+//   - a withdraw from Healthy or Stressed comes only after FailTicks
+//     consecutive both-bad ticks, so one evidence family never withdraws;
+//   - a withdraw from Probation comes only on a tick with a bad family;
+//   - an announce comes only from Withdrawn, after ReprobeTicks probe-OK
+//     ticks, with the penalty at or below the suppression threshold;
+//   - nothing else withdraws or announces, and the penalty is never
+//     negative.
+//
+// Walks start from a fresh machine and, shallower, from every state a
+// journal resume can restore, at several penalties, so Probation and the
+// suppression threshold are reached under the default tick counts too.
+func TestFSMSafetyExhaustive(t *testing.T) {
+	shapes := []struct {
+		name string
+		sig  Signals
+	}{{"ok", sigOK}, {"probe-bad", sigProbeBad}, {"server-bad", sigServerBad}, {"both-bad", sigBothBad}}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"fast", fastFSM()}, {"default", Config{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := NewFSM(tc.cfg).cfg
+			var path []string
+			seen := map[[2]State]int{} // (from, to) of every withdraw and announce
+			// bothRun and probeRun count the both-bad and probe-OK ticks
+			// that end the current path.
+			var walk func(f FSM, depth, bothRun, probeRun int)
+			walk = func(f FSM, depth, bothRun, probeRun int) {
+				if depth == 0 {
+					return
+				}
+				for _, sh := range shapes {
+					g := f
+					act := g.Tick(sh.sig)
+					path = append(path, sh.name)
+					both, probe := 0, 0
+					if sh.sig == sigBothBad {
+						both = bothRun + 1
+					}
+					if sh.sig.ProbeOK {
+						probe = probeRun + 1
+					}
+					fail := func(rule string) {
+						t.Helper()
+						t.Fatalf("%s: %v -> %v (%v, penalty %.1f) after %v", rule, f.State(), g.State(), act, g.Penalty(), path)
+					}
+					switch {
+					case g.Penalty() < 0:
+						fail("negative penalty")
+					case act == ActWithdraw && (f.State() == Healthy || f.State() == Stressed) && both < cfg.FailTicks:
+						fail("withdraw without FailTicks of corroborated evidence")
+					case act == ActWithdraw && f.State() == Probation && sh.sig == sigOK:
+						fail("probation withdraw on a clean tick")
+					case act == ActWithdraw && !f.State().Announced():
+						fail("withdraw of an unannounced site")
+					case act == ActAnnounce && f.State() != Withdrawn:
+						fail("announce from outside Withdrawn")
+					case act == ActAnnounce && probe < cfg.ReprobeTicks:
+						fail("announce without ReprobeTicks of good probes")
+					case act == ActAnnounce && g.Penalty() > suppressThreshold:
+						fail("announce while suppressed")
+					}
+					if act != ActNone {
+						seen[[2]State{f.State(), g.State()}]++
+					}
+					walk(g, depth-1, both, probe)
+					path = path[:len(path)-1]
+				}
+			}
+			walk(*NewFSM(tc.cfg), 10, 0, 0)
+			for s := State(0); s < numStates; s++ {
+				for _, p := range []float64{0, penaltyPerFlap, 2 * penaltyPerFlap} {
+					f := NewFSM(tc.cfg)
+					f.Restore(s, p)
+					path = []string{fmt.Sprintf("restore(%v, %.0f)", s, p)}
+					walk(*f, 8, 0, 0)
+				}
+			}
+			// The walk is not vacuous: every decision edge was taken.
+			for _, e := range [][2]State{{Stressed, Draining}, {Probation, Draining}, {Withdrawn, Probation}} {
+				if seen[e] == 0 {
+					t.Errorf("walk never took %v -> %v", e[0], e[1])
+				}
+			}
+		})
 	}
 }

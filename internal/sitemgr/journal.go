@@ -30,8 +30,6 @@ const (
 	RecTransition = "transition"
 	// RecAbsorb marks a withdraw vetoed by the minimum-announced floor.
 	RecAbsorb = "absorb"
-	// RecRestart marks a crashed site's server being restarted.
-	RecRestart = "restart"
 )
 
 // JournalRecord is one journal entry.
@@ -52,12 +50,10 @@ type JournalRecord struct {
 	// "none").
 	Action string `json:"action,omitempty"`
 	// Reason is a short human-readable cause ("probe+server bad",
-	// "floor veto", "crash").
+	// "floor veto: ...").
 	Reason string `json:"reason,omitempty"`
 	// Penalty is the site's damping penalty after the event.
 	Penalty float64 `json:"penalty"`
-	// Restarts counts restarts consumed, on restart records.
-	Restarts int `json:"restarts,omitempty"`
 }
 
 // journal wraps the shared ledger with record encoding.
@@ -121,9 +117,8 @@ func (j *journal) close() error { return j.l.Close() }
 
 // journalState is the per-site position a journal replay yields.
 type journalState struct {
-	state    State
-	penalty  float64
-	restarts int
+	state   State
+	penalty float64
 }
 
 // replayJournal folds records into per-site state. It returns the replayed
@@ -160,11 +155,6 @@ func replayJournal(recs []JournalRecord, letter byte, sites int, seed int64) ([]
 			}
 			st[rec.Site].state = Stressed
 			st[rec.Site].penalty = rec.Penalty
-		case RecRestart:
-			if rec.Site < 0 || rec.Site >= sites {
-				continue
-			}
-			st[rec.Site].restarts = rec.Restarts
 		}
 	}
 	if len(recs) > 0 && !sawMeta {

@@ -26,8 +26,8 @@ type ManagerConfig struct {
 	// announced-site count drop below it — a withdraw that would is
 	// vetoed and the site absorbs instead (default 1).
 	MinAnnounced int
-	// Seed drives every stochastic element (server loss coins, probe
-	// backoff jitter) so runs replay.
+	// Seed generates the routing topology and seeds the health prober's
+	// backoff jitter, so runs replay.
 	Seed int64
 
 	// JournalPath enables the crash-safe decision journal; empty
@@ -42,11 +42,6 @@ type ManagerConfig struct {
 	// FSM tunes the per-site health machines.
 	FSM Config
 
-	// Graph is the routing topology; nil generates the default graph
-	// from Seed. Hosts assigns each site's origin AS; nil uses
-	// ASN 0..len(Sites)-1 (the tier-1s of a generated graph).
-	Graph *topo.Graph
-	Hosts []topo.ASN
 	// SampleASNs are published in the state file with their currently
 	// serving site — the catchment-shift observable the failover soak
 	// checks against real probes.
@@ -62,23 +57,8 @@ type ManagerConfig struct {
 	ProbeTimeout time.Duration
 	ProbeRetries int
 
-	// RRL, Workers, LossProb, and Delay pass through to each site's
-	// server.
-	RRL      *rrl.Config
-	Workers  int
-	LossProb float64
-	Delay    time.Duration
-
-	// MaxRestarts bounds crashed-site restarts per site (default 3).
-	MaxRestarts int
-	// RestartBackoffTicks is the backoff before the first restart, in
-	// ticks; it doubles per consumed restart, capped at 16 ticks
-	// (default 2).
-	RestartBackoffTicks int
-
-	// Interval is Run's tick period (default 250ms). TickOnce ignores
-	// it: tests and soaks step the manager manually.
-	Interval time.Duration
+	// RRL passes through to each site's server.
+	RRL *rrl.Config
 }
 
 func (c *ManagerConfig) setDefaults() error {
@@ -102,32 +82,21 @@ func (c *ManagerConfig) setDefaults() error {
 	} else if c.ProbeRetries == 0 {
 		c.ProbeRetries = 1
 	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 3
-	}
-	if c.RestartBackoffTicks <= 0 {
-		c.RestartBackoffTicks = 2
-	}
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
 	return nil
 }
 
-// managedSite is one site's runtime: its server (nil while crashed), its
-// health machine, and its restart bookkeeping.
+// managedSite is one site's runtime: its server, its health machine, and
+// the counter snapshot the next tick's delta starts from.
 type managedSite struct {
-	name            string
-	fsm             *FSM
-	srv             *dnsserver.Server
-	addr            string // pinned listen address, stable across restarts
-	prev            dnsserver.Stats
-	restarts        int
-	nextRestartTick int // 0 = no restart scheduled
+	name string
+	fsm  *FSM
+	srv  *dnsserver.Server
+	addr string
+	prev dnsserver.Stats
 }
 
 // Manager runs one letter's sites and their control loop. Methods are not
-// safe for concurrent use — drive it from one goroutine (Run does).
+// safe for concurrent use — drive it from one goroutine.
 type Manager struct {
 	cfg      ManagerConfig
 	fabric   *bgpsim.Fabric
@@ -139,7 +108,8 @@ type Manager struct {
 }
 
 // New starts the deployment: N servers on loopback (UDP+TCP), the routing
-// fabric with every site announced, and — when JournalPath is set — the
+// fabric generated from Seed with site i originated by ASN i (the tier-1s)
+// and every site announced, and — when JournalPath is set — the
 // decision journal, replaying any existing records so a restarted manager
 // resumes with each site's state, announce position, and damping penalty
 // intact.
@@ -147,25 +117,13 @@ func New(cfg ManagerConfig) (*Manager, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	g := cfg.Graph
-	if g == nil {
-		var err error
-		if g, err = topo.Generate(topo.DefaultConfig(cfg.Seed)); err != nil {
-			return nil, fmt.Errorf("sitemgr: generate topology: %w", err)
-		}
-	}
-	hosts := cfg.Hosts
-	if hosts == nil {
-		for i := range cfg.Sites {
-			hosts = append(hosts, topo.ASN(i))
-		}
-	}
-	if len(hosts) != len(cfg.Sites) {
-		return nil, fmt.Errorf("sitemgr: %d hosts for %d sites", len(hosts), len(cfg.Sites))
+	g, err := topo.Generate(topo.DefaultConfig(cfg.Seed))
+	if err != nil {
+		return nil, fmt.Errorf("sitemgr: generate topology: %w", err)
 	}
 	origins := make([]bgpsim.Origin, len(cfg.Sites))
-	for i, h := range hosts {
-		origins[i] = bgpsim.Origin{Site: i, Host: h}
+	for i := range origins {
+		origins[i] = bgpsim.Origin{Site: i, Host: topo.ASN(i)}
 	}
 
 	m := &Manager{
@@ -179,8 +137,13 @@ func New(cfg ManagerConfig) (*Manager, error) {
 	fail := func(err error) (*Manager, error) {
 		return nil, errors.Join(err, m.Close())
 	}
-	for i, name := range cfg.Sites {
-		srv, err := m.startServer(name, i, "")
+	for _, name := range cfg.Sites {
+		srv, err := dnsserver.StartWithTCP(dnsserver.Config{
+			Letter: cfg.Letter,
+			Site:   name,
+			Server: 1,
+			RRL:    cfg.RRL,
+		})
 		if err != nil {
 			return fail(fmt.Errorf("sitemgr: start site %s: %w", name, err))
 		}
@@ -213,7 +176,6 @@ func New(cfg ManagerConfig) (*Manager, error) {
 			for i, js := range replayed {
 				s := m.sites[i]
 				s.fsm.Restore(js.state, js.penalty)
-				s.restarts = js.restarts
 				if !js.state.Announced() {
 					m.fabric.Withdraw(i)
 					s.srv.SetDraining(true)
@@ -224,52 +186,16 @@ func New(cfg ManagerConfig) (*Manager, error) {
 	return m, nil
 }
 
-// startServer binds one site's server; addr pins the listen address
-// (restart path) and "" takes an ephemeral port (first start).
-func (m *Manager) startServer(name string, index int, addr string) (*dnsserver.Server, error) {
-	return dnsserver.StartWithTCP(dnsserver.Config{
-		Letter:   m.cfg.Letter,
-		Site:     name,
-		Server:   1,
-		Addr:     addr,
-		RRL:      m.cfg.RRL,
-		Workers:  m.cfg.Workers,
-		LossProb: m.cfg.LossProb,
-		Delay:    m.cfg.Delay,
-		Seed:     m.cfg.Seed + int64(index),
-	})
-}
-
-// SiteAddr returns site i's pinned listen address.
+// SiteAddr returns site i's listen address.
 func (m *Manager) SiteAddr(i int) string { return m.sites[i].addr }
-
-// KillSite simulates a site crash: the server is closed and the manager
-// notices on the next tick, withdrawing the route and scheduling a
-// restart with capped exponential backoff.
-func (m *Manager) KillSite(i int) error {
-	s := m.sites[i]
-	if s.srv == nil {
-		return nil
-	}
-	err := s.srv.Close()
-	s.srv = nil
-	return err
-}
 
 // TickOnce runs one assessment round: per site, gather the two signal
 // families (active probe, server counter delta), advance the health
 // machine, journal the decision, and apply it to the fabric and the
-// server's drain state. Crashed sites are restarted once their backoff
-// expires, up to the restart budget. The state file (if configured) is
-// rewritten last.
+// server's drain state. The state file (if configured) is rewritten last.
 func (m *Manager) TickOnce(ctx context.Context) error {
 	m.tick++
 	for i, s := range m.sites {
-		if s.srv == nil {
-			if err := m.maybeRestart(ctx, i, s); err != nil {
-				return err
-			}
-		}
 		sig := m.assess(ctx, i, s)
 		before := s.fsm.State()
 		act := s.fsm.Tick(sig)
@@ -282,17 +208,10 @@ func (m *Manager) TickOnce(ctx context.Context) error {
 
 // assess gathers one site's Signals for this tick.
 func (m *Manager) assess(ctx context.Context, i int, s *managedSite) Signals {
-	sig := Signals{Alive: s.srv != nil}
-	if !sig.Alive {
-		s.prev = dnsserver.Stats{}
-		return sig
-	}
 	snap := s.srv.Snapshot()
 	delta := snap.Sub(s.prev)
 	s.prev = snap
-	sig.LossRate = delta.LossRate()
-	sig.RRLRate = delta.RRLRate()
-	sig.Backlog = delta.Backlog()
+	sig := Signals{LossRate: delta.LossRate(), RRLRate: delta.RRLRate(), Backlog: delta.Backlog()}
 
 	m.attempts++
 	if m.cfg.Faults != nil && m.cfg.Faults.ProbeDropped(m.cfg.Letter, i, m.tick, m.attempts) {
@@ -336,23 +255,16 @@ func (m *Manager) apply(i int, s *managedSite, before State, act Action, sig Sig
 	switch act {
 	case ActWithdraw:
 		m.fabric.Withdraw(i)
-		if s.srv != nil {
-			s.srv.SetDraining(true)
-		}
+		s.srv.SetDraining(true)
 	case ActAnnounce:
 		m.fabric.Announce(i)
-		if s.srv != nil {
-			s.srv.SetDraining(false)
-		}
+		s.srv.SetDraining(false)
 	}
 	return nil
 }
 
 // reasonFor summarizes the evidence behind a decision for the journal.
 func reasonFor(act Action, sig Signals) string {
-	if !sig.Alive {
-		return "crash"
-	}
 	switch act {
 	case ActWithdraw:
 		return fmt.Sprintf("probe+server bad (loss %.2f rrl %.2f backlog %d)",
@@ -365,58 +277,6 @@ func reasonFor(act Action, sig Signals) string {
 	}
 	return fmt.Sprintf("server signals (loss %.2f rrl %.2f backlog %d)",
 		sig.LossRate, sig.RRLRate, sig.Backlog)
-}
-
-// maybeRestart restarts a crashed site once its backoff expires, within
-// the restart budget. A failed rebind consumes a restart and doubles the
-// backoff.
-func (m *Manager) maybeRestart(ctx context.Context, i int, s *managedSite) error {
-	if s.restarts >= m.cfg.MaxRestarts {
-		return nil
-	}
-	if s.nextRestartTick == 0 {
-		s.nextRestartTick = m.tick + m.restartBackoff(s.restarts)
-		return nil
-	}
-	if m.tick < s.nextRestartTick {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.restarts++
-	s.nextRestartTick = 0
-	srv, err := m.startServer(s.name, i, s.addr)
-	if err != nil {
-		// The old port can linger briefly; retry after a doubled backoff.
-		s.nextRestartTick = m.tick + m.restartBackoff(s.restarts)
-		return m.journalAppend(JournalRecord{
-			Type: RecRestart, Tick: m.tick, Site: i,
-			Reason: "rebind failed: " + err.Error(), Restarts: s.restarts,
-		})
-	}
-	s.srv = srv
-	s.prev = dnsserver.Stats{}
-	if !s.fsm.State().Announced() {
-		srv.SetDraining(true)
-	}
-	return m.journalAppend(JournalRecord{
-		Type: RecRestart, Tick: m.tick, Site: i,
-		Reason: "restarted", Restarts: s.restarts,
-	})
-}
-
-// restartBackoff is the capped exponential backoff (in ticks) before
-// restart number `restarts`.
-func (m *Manager) restartBackoff(restarts int) int {
-	d := m.cfg.RestartBackoffTicks
-	for i := 0; i < restarts && d < 16; i++ {
-		d *= 2
-	}
-	if d > 16 {
-		d = 16
-	}
-	return d
 }
 
 func (m *Manager) journalAppend(rec JournalRecord) error {
@@ -434,8 +294,6 @@ type SiteStatus struct {
 	State     string  `json:"state"`
 	Penalty   float64 `json:"penalty"`
 	Announced bool    `json:"announced"`
-	Alive     bool    `json:"alive"`
-	Restarts  int     `json:"restarts"`
 	Catchment int     `json:"catchment"`
 }
 
@@ -474,8 +332,6 @@ func (m *Manager) Status() StateFile {
 			State:     s.fsm.State().String(),
 			Penalty:   s.fsm.Penalty(),
 			Announced: m.fabric.Announced(i),
-			Alive:     s.srv != nil,
-			Restarts:  s.restarts,
 			Catchment: sizes[i],
 		})
 	}
@@ -504,32 +360,12 @@ func (m *Manager) publishState() error {
 	return nil
 }
 
-// Run drives TickOnce on a real ticker until the context ends. The FSMs
-// never see the clock — only the tick cadence is wall time.
-func (m *Manager) Run(ctx context.Context) error {
-	ticker := time.NewTicker(m.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			if err := m.TickOnce(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
-
 // Close stops every server and closes the journal, joining their errors.
 func (m *Manager) Close() error {
 	var errs []error
 	for _, s := range m.sites {
-		if s.srv != nil {
-			if err := s.srv.Close(); err != nil {
-				errs = append(errs, err)
-			}
-			s.srv = nil
+		if err := s.srv.Close(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	if m.journal != nil {

@@ -259,40 +259,6 @@ func TestManagerJournalMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestManagerKillRestart(t *testing.T) {
-	cfg := testManagerConfig(t)
-	cfg.RestartBackoffTicks = 1
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	tickUntil(t, m, 10, func() bool { return siteState(m, 0) == "healthy" })
-
-	if err := m.KillSite(1); err != nil {
-		t.Fatal(err)
-	}
-	// The crash withdraws the site immediately.
-	if !tickUntil(t, m, 10, func() bool { return !m.Status().Sites[1].Announced }) {
-		t.Fatalf("crashed site not withdrawn: %+v", m.Status().Sites[1])
-	}
-	// The restart budget brings it back on the same address, and health
-	// probes re-announce it.
-	addr := m.SiteAddr(1)
-	if !tickUntil(t, m, 60, func() bool {
-		s := m.Status().Sites[1]
-		return s.Alive && s.Announced
-	}) {
-		t.Fatalf("site never restarted+re-announced: %+v", m.Status().Sites[1])
-	}
-	if m.SiteAddr(1) != addr {
-		t.Fatalf("restart moved the address: %s -> %s", addr, m.SiteAddr(1))
-	}
-	if m.Status().Sites[1].Restarts != 1 {
-		t.Fatalf("restarts = %d", m.Status().Sites[1].Restarts)
-	}
-}
-
 func TestManagerStateFilePublished(t *testing.T) {
 	cfg := testManagerConfig(t)
 	dir := t.TempDir()
