@@ -89,6 +89,13 @@ func (s *Server) Snapshot() Stats {
 	}
 }
 
+// Reading reports whether any UDP worker is still reading the socket. A
+// worker stops on Close, and also on a read error that is not a timeout;
+// once every worker has stopped, the socket still accepts datagrams but
+// nothing answers them, which the counters alone cannot tell from an idle
+// site.
+func (s *Server) Reading() bool { return s.readers.Load() > 0 }
+
 // SetDraining switches the TCP drain state. Draining a server gracefully
 // sheds its TCP side — in-flight replies finish, then each connection
 // closes at its next read, and new connections are refused — while UDP

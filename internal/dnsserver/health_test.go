@@ -229,3 +229,38 @@ func TestDrainTCPKeepsUDPServing(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestReadingReportsStoppedWorkers pins the signal the site manager needs
+// for a server that stopped answering: Reading is true while any UDP worker
+// is in its read loop, and false once every worker has returned, whether
+// through Close or through a read error that is not a timeout.
+func TestReadingReportsStoppedWorkers(t *testing.T) {
+	s, err := Start(Config{Letter: 'K', Site: "AMS", Server: 1, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Reading() {
+		t.Fatal("Reading() = false on a running server")
+	}
+	// Closing the socket under the workers fails their reads for good.
+	s.conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Reading() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s.Reading() {
+		t.Fatal("Reading() = true after every worker's socket was closed")
+	}
+	s.Close()
+
+	s, err = Start(Config{Letter: 'K', Site: "AMS", Server: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Reading() {
+		t.Fatal("Reading() = true after Close")
+	}
+}

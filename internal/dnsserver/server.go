@@ -112,6 +112,11 @@ type Server struct {
 	// Precomputed response tails (sections after the question), carved
 	// from the allocating encoder's output at startup; see buildTails.
 	identityTail, primingTail, nxdomainTail []byte
+
+	// readers counts the UDP workers still in their read loop. A worker
+	// decrements it once, when it returns, so it costs nothing per packet.
+	// It sits last so the packet path's fields keep their offsets.
+	readers atomic.Int32
 }
 
 // Start creates the socket and begins serving.
@@ -168,6 +173,7 @@ func Start(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("dnsserver: worker %d: %w", i, err)
 		}
 		s.wg.Add(1)
+		s.readers.Add(1)
 		go w.run() // joined by Close via s.wg
 	}
 	return s, nil
@@ -336,6 +342,7 @@ func newWorker(s *Server, batch int, seed int64) (*worker, error) {
 func (w *worker) run() {
 	s := w.srv
 	defer s.wg.Done()
+	defer s.readers.Add(-1)
 	for {
 		n, err := w.bc.ReadBatch(w.rx)
 		if err != nil {

@@ -1,7 +1,8 @@
 // Package sitemgr is the self-healing anycast site manager: it runs one
 // letter's sites as real UDP/TCP DNS servers on loopback, assesses each
 // site's health every tick from two independent signals — an active CHAOS
-// probe and the server's own counter deltas — and drives announce/withdraw
+// probe and the server's own view (counter deltas, and whether any worker
+// still reads its socket) — and drives announce/withdraw
 // decisions through a simulated BGP fabric, with flap damping, graceful
 // TCP drain on withdraw, a minimum-announced safety floor, and a
 // crash-safe decision journal so a killed manager resumes with its damping
@@ -97,7 +98,7 @@ func (a Action) String() string {
 
 // Signals is one assessment window's evidence for one site, in two
 // independent families: ProbeOK comes from an active CHAOS probe over a
-// real socket; the rest is the server's own counter delta for the window.
+// real socket; the rest is the server's own view of the window.
 type Signals struct {
 	ProbeOK bool
 	// LossRate, RRLRate, and Backlog are the window's server-side
@@ -105,6 +106,10 @@ type Signals struct {
 	LossRate float64
 	RRLRate  float64
 	Backlog  uint64
+	// Stopped is server-side too: no worker is reading the socket
+	// (dnsserver.Server.Reading), so the counters above stay at zero
+	// however much arrives.
+	Stopped bool
 }
 
 // The server-signal thresholds (crossing any marks the server-side family
@@ -251,7 +256,8 @@ func (f *FSM) Tick(sig Signals) Action {
 	}
 
 	probeBad := !sig.ProbeOK
-	serverBad := sig.LossRate > maxLossRate ||
+	serverBad := sig.Stopped ||
+		sig.LossRate > maxLossRate ||
 		sig.RRLRate > maxRRLRate ||
 		sig.Backlog > maxBacklog
 	anyBad := probeBad || serverBad

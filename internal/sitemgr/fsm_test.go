@@ -52,6 +52,18 @@ func TestFSMWithdrawRequiresCorroboration(t *testing.T) {
 	if f.State() != Stressed {
 		t.Fatalf("server-only evidence: state %v, want stressed", f.State())
 	}
+	// A server that stopped reading is server-family evidence: alone it
+	// holds, with a failing probe it withdraws.
+	f = NewFSM(Config{})
+	for i := 0; i < 100; i++ {
+		if act := f.Tick(Signals{ProbeOK: true, Stopped: true}); act != ActNone {
+			t.Fatalf("tick %d: stopped-server evidence alone produced %v", i, act)
+		}
+	}
+	f = NewFSM(Config{StressTicks: 1, FailTicks: 1})
+	if f.Tick(Signals{Stopped: true}); f.Tick(Signals{Stopped: true}) != ActWithdraw {
+		t.Fatalf("failing probe + stopped server did not withdraw: state %v", f.State())
+	}
 	// Corroborated evidence withdraws after StressTicks + FailTicks.
 	f = NewFSM(Config{StressTicks: 2, FailTicks: 3})
 	var got Action

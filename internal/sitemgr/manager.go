@@ -211,7 +211,10 @@ func (m *Manager) assess(ctx context.Context, i int, s *managedSite) Signals {
 	snap := s.srv.Snapshot()
 	delta := snap.Sub(s.prev)
 	s.prev = snap
-	sig := Signals{LossRate: delta.LossRate(), RRLRate: delta.RRLRate(), Backlog: delta.Backlog()}
+	sig := Signals{
+		LossRate: delta.LossRate(), RRLRate: delta.RRLRate(), Backlog: delta.Backlog(),
+		Stopped: !s.srv.Reading(),
+	}
 
 	m.attempts++
 	if m.cfg.Faults != nil && m.cfg.Faults.ProbeDropped(m.cfg.Letter, i, m.tick, m.attempts) {
@@ -265,18 +268,20 @@ func (m *Manager) apply(i int, s *managedSite, before State, act Action, sig Sig
 
 // reasonFor summarizes the evidence behind a decision for the journal.
 func reasonFor(act Action, sig Signals) string {
+	server := fmt.Sprintf("loss %.2f rrl %.2f backlog %d", sig.LossRate, sig.RRLRate, sig.Backlog)
+	if sig.Stopped {
+		server = "server stopped reading"
+	}
 	switch act {
 	case ActWithdraw:
-		return fmt.Sprintf("probe+server bad (loss %.2f rrl %.2f backlog %d)",
-			sig.LossRate, sig.RRLRate, sig.Backlog)
+		return "probe+server bad (" + server + ")"
 	case ActAnnounce:
 		return "probes recovered, penalty decayed"
 	}
 	if !sig.ProbeOK {
 		return "probe failed"
 	}
-	return fmt.Sprintf("server signals (loss %.2f rrl %.2f backlog %d)",
-		sig.LossRate, sig.RRLRate, sig.Backlog)
+	return "server signals (" + server + ")"
 }
 
 func (m *Manager) journalAppend(rec JournalRecord) error {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +196,95 @@ func TestManagerMinAnnouncedFloor(t *testing.T) {
 	if got := m.Status().Announced; got != 2 {
 		t.Fatalf("announced = %d, want 2 (floor)", got)
 	}
+}
+
+// TestManagerStoppedServerWithdrawn closes site 1's server once the
+// deployment is healthy. Its probes fail and, with no worker reading, its
+// counters stay at zero; the server's own report that it stopped reading
+// corroborates the probes, so the site leaves rotation in exactly
+// StressTicks + FailTicks + DrainTicks ticks. At the min-announced floor
+// the same evidence is vetoed and the site absorbs.
+func TestManagerStoppedServerWithdrawn(t *testing.T) {
+	settle := func(t *testing.T, m *Manager) {
+		t.Helper()
+		if !tickUntil(t, m, 10, func() bool {
+			for _, s := range m.Status().Sites {
+				if s.State != "healthy" {
+					return false
+				}
+			}
+			return true
+		}) {
+			t.Fatalf("deployment never settled healthy: %+v", m.Status().Sites)
+		}
+	}
+
+	t.Run("withdrawn", func(t *testing.T) {
+		m, err := New(testManagerConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		settle(t, m)
+		if err := m.sites[1].srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for i := 0; i < 4; i++ {
+			if err := m.TickOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, siteState(m, 1))
+		}
+		want := []string{"stressed", "stressed", "draining", "withdrawn"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("stopped site went %v, want %v", got, want)
+		}
+		st := m.Status()
+		if st.Sites[1].Announced || st.Sites[1].Catchment != 0 || st.Announced != 2 {
+			t.Fatalf("stopped site still in rotation: %+v", st.Sites)
+		}
+	})
+
+	t.Run("floor_vetoes", func(t *testing.T) {
+		cfg := testManagerConfig(t)
+		cfg.Sites = []string{"AMS", "LHR"}
+		cfg.MinAnnounced = 2
+		cfg.JournalPath = filepath.Join(t.TempDir(), "journal.bin")
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		settle(t, m)
+		if err := m.sites[1].srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := m.TickOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := ReadJournal(cfg.JournalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		absorbs := 0
+		for _, r := range recs {
+			if r.Type == RecTransition && r.Action == "withdraw" {
+				t.Fatalf("floor violated: %+v", r)
+			}
+			if r.Type == RecAbsorb && r.Site == 1 && strings.Contains(r.Reason, "server stopped reading") {
+				absorbs++
+			}
+		}
+		if absorbs == 0 {
+			t.Fatalf("no absorb of the stopped site journaled: %+v", recs)
+		}
+		if st := m.Status(); st.Announced != 2 || st.Sites[1].State != "stressed" {
+			t.Fatalf("at the floor the stopped site should absorb: %+v", st.Sites)
+		}
+	})
 }
 
 func TestManagerJournalResume(t *testing.T) {

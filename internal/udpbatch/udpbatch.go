@@ -6,7 +6,28 @@
 // and one kernel crossing can move an entire batch; everywhere else it
 // degrades to the stdlib's netip-based single-packet calls with the same
 // API. Either way the steady-state path performs zero heap allocations: all
-// message headers, iovecs, and sockaddr storage live in the Conn.
+// message headers, iovecs, control messages and sockaddr storage live in
+// the Conn.
+//
+// On linux a write also coalesces each run of consecutive messages with the
+// same Addr and N into one sendmmsg header: one iovec per message, pointing
+// at the caller's Buf, and a UDP_SEGMENT control message set to N (UDP
+// GSO, linux 4.18+). Route lookup, IP output and device transmit are then
+// paid once per run instead of once per datagram. A run holds at most 64
+// datagrams and one IP datagram's worth of payload. Receivers that have not
+// enabled UDP_GRO get the run back as separate datagrams, in order, with
+// the same bytes and source as separate sends. If the kernel refuses a run
+// (EINVAL, EIO or EOPNOTSUPP: a device without checksum offload, a segment
+// over the route's MTU, a socket without UDP checksums), the run is resent
+// one datagram per header; if that succeeds the Conn stops coalescing. A
+// kernel without UDP GSO is detected when the Conn is made, and nothing is
+// coalesced on it.
+//
+// Runs form when one peer gets several equal-sized datagrams in a row: a
+// load generator's batch of one query to one server, or a server's batch of
+// replies to one client, such as RRL slips to a fixed-name flood from one
+// source. Replies to many sources, as under a spoofed flood, rarely form
+// runs, so their sends save nothing.
 //
 // Several Conns may wrap the same *net.UDPConn (one per server worker).
 // Each Conn's batch state is single-goroutine; concurrency comes from many
@@ -60,5 +81,7 @@ func (c *Conn) Batched() bool { return batched }
 func (c *Conn) ReadBatch(ms []Message) (int, error) { return c.os.readBatch(c.conn, ms) }
 
 // WriteBatch sends ms[i].Buf[:ms[i].N] to ms[i].Addr for every message and
-// returns how many were handed to the kernel before any error.
+// returns how many were handed to the kernel before any error. The count is
+// in messages, however they were coalesced: on an error, ms[n] is the
+// message the kernel refused.
 func (c *Conn) WriteBatch(ms []Message) (int, error) { return c.os.writeBatch(c.conn, ms) }

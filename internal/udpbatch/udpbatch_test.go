@@ -4,6 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
+	"slices"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -147,6 +151,32 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got := in[0].Addr.Port(); got != clientConn.LocalAddr().(*net.UDPAddr).AddrPort().Port() {
 		t.Fatalf("source port %d does not match client %v", got, clientConn.LocalAddr())
 	}
+
+	// A run of equal datagrams to one peer goes out as one coalesced
+	// header, still without allocating.
+	gso := coalescing(client) // false on a kernel without UDP GSO
+	run := newMessages(4, 64)
+	for i := range run {
+		run[i].N = copy(run[i].Buf, "pong")
+		run[i].Addr = dst
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if sent, err := client.WriteBatch(run); err != nil || sent != len(run) {
+			t.Fatalf("WriteBatch(run) = %d, %v", sent, err)
+		}
+		for got := 0; got < len(run); {
+			n, err := server.ReadBatch(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}); n != 0 {
+		t.Fatalf("coalesced round trip allocates %.1f allocs/op, want 0", n)
+	}
+	if gso && (!coalescing(client) || lastHeaders(client) != 1) {
+		t.Fatalf("run of %d laid out in %d headers (coalescing %v), want 1", len(run), lastHeaders(client), coalescing(client))
+	}
 }
 
 // TestWriteBatchToListener sends one batch from an unconnected socket to
@@ -183,6 +213,239 @@ func TestWriteBatchToListener(t *testing.T) {
 		}
 		if string(buf[:n])[:2] != "q-" {
 			t.Fatalf("unexpected payload %q", buf[:n])
+		}
+	}
+}
+
+// outgoing is one datagram to send: its payload and the index of the peer
+// socket it goes to.
+type outgoing struct {
+	peer    int
+	payload string
+}
+
+// received is one datagram as its receiver saw it.
+type received struct {
+	peer       int // index of the receiving socket
+	fromSender bool
+	payload    string
+}
+
+// deliver sends out from a fresh unconnected socket to fresh peer sockets
+// through one WriteBatch, coalescing or not, and returns what the peers
+// received (peer 0's datagrams first, each peer's in arrival order) and
+// the number of headers the write used.
+func deliver(t *testing.T, coalesce bool, peers int, out []outgoing) ([]received, int) {
+	t.Helper()
+	socks := make([]*net.UDPConn, peers)
+	want := make([]int, peers)
+	for i := range socks {
+		s, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.SetReadBuffer(1 << 20)
+		socks[i] = s
+	}
+	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	sender, err := New(src, len(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coalesce {
+		perDatagram(sender)
+	} else if batched && !coalescing(sender) {
+		t.Skip("kernel without UDP GSO")
+	}
+	ms := make([]Message, len(out))
+	for i, o := range out {
+		ms[i] = Message{Buf: []byte(o.payload), N: len(o.payload), Addr: socks[o.peer].LocalAddr().(*net.UDPAddr).AddrPort()}
+		want[o.peer]++
+	}
+	if n, err := sender.WriteBatch(ms); err != nil || n != len(ms) {
+		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(ms))
+	}
+	headers := lastHeaders(sender)
+	from := src.LocalAddr().(*net.UDPAddr).AddrPort()
+	var got []received
+	buf := make([]byte, 1<<16)
+	for p, s := range socks {
+		s.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for i := 0; i < want[p]; i++ {
+			n, addr, err := s.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatalf("peer %d datagram %d of %d: %v", p, i, want[p], err)
+			}
+			got = append(got, received{peer: p, fromSender: addr == from, payload: string(buf[:n])})
+		}
+	}
+	return got, headers
+}
+
+// TestWriteBatchCoalescing sends each batch through the coalesced layout
+// and one datagram per header and requires both to deliver exactly the
+// batch: the same bytes, from the sender, to the same peer, in order. It
+// also pins how many headers the coalesced layout uses.
+func TestWriteBatchCoalescing(t *testing.T) {
+	// batch builds n datagrams; datagram i has size(i) bytes, is tagged
+	// with i, and goes to peer(i).
+	batch := func(n int, size, peer func(i int) int) []outgoing {
+		out := make([]outgoing, n)
+		for i := range out {
+			b := []byte(strings.Repeat(".", size(i)))
+			copy(b, fmt.Sprintf("%d:", i))
+			out[i] = outgoing{peer: peer(i), payload: string(b)}
+		}
+		return out
+	}
+	bytes := func(n int) func(int) int { return func(int) int { return n } }
+	peer0 := func(int) int { return 0 }
+	cases := []struct {
+		name    string
+		peers   int
+		out     []outgoing
+		headers int
+	}{
+		{"one_peer_32_equal", 1, batch(32, bytes(40), peer0), 1},
+		// Runs of 3, 1, 3, 1, ... alternating peers: 0 0 0 1 0 0 0 1 ...
+		{"two_peers_interleaved", 2, batch(32, bytes(40), func(i int) int { return i % 4 / 3 }), 16},
+		{"odd_length_mid_run", 1, batch(32, func(i int) int {
+			if i == 13 {
+				return 41
+			}
+			return 40
+		}, peer0), 3},
+		{"over_segment_cap", 1, batch(100, bytes(20), peer0), 2},
+		// maxRunBytes / 1900 = 34 segments per run.
+		{"over_byte_cap", 1, batch(36, bytes(1900), peer0), 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []received
+			for p := 0; p < tc.peers; p++ {
+				for _, o := range tc.out {
+					if o.peer == p {
+						want = append(want, received{peer: p, fromSender: true, payload: o.payload})
+					}
+				}
+			}
+			plain, plainHeaders := deliver(t, false, tc.peers, tc.out)
+			coalesced, headers := deliver(t, true, tc.peers, tc.out)
+			if !slices.Equal(plain, want) {
+				t.Fatalf("per-datagram path delivered %v, want %v", plain, want)
+			}
+			if !slices.Equal(coalesced, want) {
+				t.Fatalf("coalesced path delivered %v, want %v", coalesced, want)
+			}
+			if !batched {
+				return
+			}
+			if plainHeaders != len(tc.out) {
+				t.Fatalf("per-datagram path used %d headers for %d messages", plainHeaders, len(tc.out))
+			}
+			if headers != tc.headers {
+				t.Fatalf("coalesced path used %d headers, want %d", headers, tc.headers)
+			}
+		})
+	}
+}
+
+// TestWriteBatchRunRefused has the kernel refuse every segmented send (a
+// socket without UDP checksums): the refused run is resent one datagram
+// per header, the count stays in messages, everything arrives in order,
+// and the Conn stops coalescing.
+func TestWriteBatchRunRefused(t *testing.T) {
+	sink, _ := newPair(t)
+	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	refuseGSO(t, src)
+	sender, err := New(src, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !coalescing(sender) {
+		t.Skip("kernel without UDP GSO")
+	}
+	dst := sink.LocalAddr().(*net.UDPAddr).AddrPort()
+	// One lone datagram, then runs of 8 and 4.
+	ms := newMessages(13, 64)
+	for i := range ms {
+		n := 12
+		if i >= 9 {
+			n = 20
+		}
+		ms[i].N = copy(ms[i].Buf, fmt.Sprintf("%-*d", n, i))
+		ms[i].Addr = dst
+	}
+	ms[0].N = 5
+	if n, err := sender.WriteBatch(ms); err != nil || n != len(ms) {
+		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(ms))
+	}
+	if coalescing(sender) {
+		t.Fatal("Conn still coalesces after the kernel refused a run")
+	}
+	buf := make([]byte, 64)
+	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := range ms {
+		n, err := sink.Read(buf)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if got, want := string(buf[:n]), string(ms[i].Buf[:ms[i].N]); got != want {
+			t.Fatalf("datagram %d = %q, want %q", i, got, want)
+		}
+	}
+	if n, err := sender.WriteBatch(ms[1:9]); err != nil || n != 8 || lastHeaders(sender) != 8 {
+		t.Fatalf("WriteBatch after refusal = %d, %v in %d headers; want 8 per datagram", n, err, lastHeaders(sender))
+	}
+}
+
+// TestWriteBatchRunToBadPort sends a run the kernel refuses for its
+// destination, not its segmentation (port 0 is EINVAL either way): the
+// per-datagram resend fails on its first datagram, so WriteBatch reports
+// the messages before the run, exactly as the per-datagram path does, and
+// the Conn keeps coalescing.
+func TestWriteBatchRunToBadPort(t *testing.T) {
+	sink, _ := newPair(t)
+	good := sink.LocalAddr().(*net.UDPAddr).AddrPort()
+	bad := netip.AddrPortFrom(good.Addr(), 0)
+	for _, coalesce := range []bool{false, true} {
+		src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		sender, err := New(src, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !coalesce {
+			perDatagram(sender)
+		}
+		before := coalescing(sender)
+		ms := newMessages(8, 64)
+		for i := range ms {
+			ms[i].N = copy(ms[i].Buf, "payload")
+			ms[i].Addr = good
+			if i >= 2 && i < 6 {
+				ms[i].Addr = bad
+			}
+		}
+		// Linux answers port 0 with EINVAL; other systems pick their own errno.
+		n, err := sender.WriteBatch(ms)
+		if n != 2 || err == nil || (batched && !errors.Is(err, syscall.EINVAL)) {
+			t.Fatalf("coalesce=%v: WriteBatch = %d, %v; want 2, EINVAL", coalesce, n, err)
+		}
+		if coalescing(sender) != before {
+			t.Fatalf("coalesce=%v: coalescing went %v → %v on a refused destination", coalesce, before, coalescing(sender))
 		}
 	}
 }
