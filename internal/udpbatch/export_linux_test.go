@@ -18,6 +18,16 @@ func coalescing(c *Conn) bool { return !c.os.plain }
 // lastHeaders returns how many headers c's last write laid out.
 func lastHeaders(c *Conn) int { return c.os.cur }
 
+// countWrites counts the sendmmsg calls c makes from now on.
+func countWrites(c *Conn) *int {
+	n, write := new(int), c.os.writeFn
+	c.os.writeFn = func(fd uintptr) bool {
+		*n++
+		return write(fd)
+	}
+	return n
+}
+
 // refuseGSO makes the kernel refuse segmented sends on conn: UDP GSO needs
 // the UDP checksum, and SO_NO_CHECK turns it off (udp(7)).
 func refuseGSO(t *testing.T, conn *net.UDPConn) {

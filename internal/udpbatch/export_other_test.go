@@ -16,4 +16,6 @@ func coalescing(*Conn) bool { return false }
 
 func lastHeaders(*Conn) int { return -1 }
 
+func countWrites(*Conn) *int { return new(int) }
+
 func refuseGSO(t *testing.T, _ *net.UDPConn) { t.Skip("no UDP GSO on this platform") }

@@ -56,6 +56,12 @@ type osConn struct {
 	// UDP GSO, and after the kernel refused a run that then went out one
 	// datagram per header.
 	plain bool
+	// refused is the peer of a refused run whose one-per-header resend
+	// failed too: the peer, not the segmentation, was refused. The caller
+	// skips that one message and writes the rest again, so while a batch
+	// still begins with this peer its runs go out per datagram rather than
+	// being refused as a run once more.
+	refused netip.AddrPort
 
 	readFn  func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
@@ -148,6 +154,9 @@ func (c *osConn) writeBatch(_ *net.UDPConn, ms []Message) (int, error) {
 	if len(ms) > len(c.hdrs) {
 		ms = ms[:len(c.hdrs)]
 	}
+	if len(ms) == 0 || ms[0].Addr != c.refused {
+		c.refused = netip.AddrPort{}
+	}
 	c.cur, c.off = c.layout(ms, !c.plain), 0
 	sent, refusedEnd := 0, 0 // messages handed to the kernel; end of a refused run
 	for c.off < c.cur {
@@ -161,6 +170,9 @@ func (c *osConn) writeBatch(_ *net.UDPConn, ms []Message) (int, error) {
 				refusedEnd = sent + run
 				c.cur, c.off = c.layout(ms[sent:], false), 0
 				continue
+			}
+			if sent < refusedEnd {
+				c.refused = ms[sent].Addr // every message of the run shares it
 			}
 			return sent, c.errno
 		}
@@ -179,8 +191,8 @@ func (c *osConn) writeBatch(_ *net.UDPConn, ms []Message) (int, error) {
 // and N, up to maxRunSegments segments and maxRunBytes of payload, and
 // returns the header count. The run's iovecs point at the callers' own
 // buffers, one per message, and its UDP_SEGMENT cmsg carries N. A run of
-// one message, and every message when coalesce is false, gets a plain
-// header with no cmsg.
+// one message, a run to the refused peer, and every message when coalesce
+// is false, gets a plain header with no cmsg.
 func (c *osConn) layout(ms []Message, coalesce bool) int {
 	h := 0
 	for i := 0; i < len(ms); h++ {
@@ -188,7 +200,7 @@ func (c *osConn) layout(ms []Message, coalesce bool) int {
 		run := 1
 		c.iovs[i].Base = &first.Buf[0]
 		c.iovs[i].SetLen(first.N)
-		if coalesce && first.N > 0 {
+		if coalesce && first.N > 0 && first.Addr != c.refused {
 			for i+run < len(ms) && run < maxRunSegments && (run+1)*first.N <= maxRunBytes &&
 				ms[i+run].N == first.N && ms[i+run].Addr == first.Addr {
 				c.iovs[i+run].Base = &ms[i+run].Buf[0]

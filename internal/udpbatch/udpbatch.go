@@ -19,15 +19,17 @@
 // the same bytes and source as separate sends. If the kernel refuses a run
 // (EINVAL, EIO or EOPNOTSUPP: a device without checksum offload, a segment
 // over the route's MTU, a socket without UDP checksums), the run is resent
-// one datagram per header; if that succeeds the Conn stops coalescing. A
-// kernel without UDP GSO is detected when the Conn is made, and nothing is
-// coalesced on it.
+// one datagram per header; if that succeeds the Conn stops coalescing. If
+// it fails too, the peer refused it: WriteBatch reports the error at that
+// message, and while the next batch begins with that peer its runs are not
+// tried again. A kernel without UDP GSO is detected when the Conn is made,
+// and nothing is coalesced on it.
 //
 // Runs form when one peer gets several equal-sized datagrams in a row: a
-// load generator's batch of one query to one server, or a server's batch of
-// replies to one client, such as RRL slips to a fixed-name flood from one
-// source. Replies to many sources, as under a spoofed flood, rarely form
-// runs, so their sends save nothing.
+// load generator's batch of one query to one server, or a server's RRL
+// slips to a flood from a single source address and port. Replies to a
+// flood from many sources, spoofed or just interleaved, form none, so a
+// server's sends under such a flood save nothing.
 //
 // Several Conns may wrap the same *net.UDPConn (one per server worker).
 // Each Conn's batch state is single-goroutine; concurrency comes from many

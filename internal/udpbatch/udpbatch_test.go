@@ -412,12 +412,16 @@ func TestWriteBatchRunRefused(t *testing.T) {
 // destination, not its segmentation (port 0 is EINVAL either way): the
 // per-datagram resend fails on its first datagram, so WriteBatch reports
 // the messages before the run, exactly as the per-datagram path does, and
-// the Conn keeps coalescing.
+// the Conn keeps coalescing. It then resumes past each refused message as
+// dnsserver's sendBatch does, and the refused run must cost at most one
+// sendmmsg more than it does laid out per datagram: the rest of the run is
+// not tried as a run again.
 func TestWriteBatchRunToBadPort(t *testing.T) {
 	sink, _ := newPair(t)
 	good := sink.LocalAddr().(*net.UDPAddr).AddrPort()
 	bad := netip.AddrPortFrom(good.Addr(), 0)
-	for _, coalesce := range []bool{false, true} {
+	var writes [2]int
+	for k, coalesce := range []bool{false, true} {
 		src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -430,6 +434,7 @@ func TestWriteBatchRunToBadPort(t *testing.T) {
 		if !coalesce {
 			perDatagram(sender)
 		}
+		calls := countWrites(sender)
 		before := coalescing(sender)
 		ms := newMessages(8, 64)
 		for i := range ms {
@@ -447,5 +452,25 @@ func TestWriteBatchRunToBadPort(t *testing.T) {
 		if coalescing(sender) != before {
 			t.Fatalf("coalesce=%v: coalescing went %v → %v on a refused destination", coalesce, before, coalescing(sender))
 		}
+		sent, refused := n, 1
+		for tx := ms[n+1:]; len(tx) > 0; {
+			n, err := sender.WriteBatch(tx)
+			sent += n
+			if err == nil {
+				break
+			}
+			refused++
+			tx = tx[n+1:]
+		}
+		if sent != 4 || refused != 4 {
+			t.Fatalf("coalesce=%v: %d sent and %d refused; want 4 and 4", coalesce, sent, refused)
+		}
+		if coalescing(sender) != before {
+			t.Fatalf("coalesce=%v: coalescing went %v → %v after the refused run", coalesce, before, coalescing(sender))
+		}
+		writes[k] = *calls
+	}
+	if writes[1] > writes[0]+1 {
+		t.Fatalf("the refused run took %d sendmmsg calls coalesced, %d per datagram; want at most one more", writes[1], writes[0])
 	}
 }
