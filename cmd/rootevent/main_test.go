@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -346,6 +347,82 @@ func TestSelectionMatchesFullRun(t *testing.T) {
 			t.Errorf("level %d wrote %d files for %d keys", level, n, len(keys))
 		}
 	}
+}
+
+// TestGoldenOutputs regenerates the default run — `make reproduce` without
+// its -save archive — and requires it to equal the tracked out/ directory,
+// file for file and byte for byte. A file that differs is reported with its
+// first differing line, which names the number that moved.
+func TestGoldenOutputs(t *testing.T) {
+	quietLog(t)
+	dir := t.TempDir()
+	if err := run([]string{"-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("..", "..", "out")
+	want, got := outputFiles(t, golden), outputFiles(t, dir)
+	delete(want, "dataset.bin") // make reproduce's archive; not tracked
+	for rel := range got {
+		if _, ok := want[rel]; !ok {
+			t.Errorf("the run writes %s, which out/ lacks", rel)
+		}
+	}
+	for rel := range want {
+		if _, ok := got[rel]; !ok {
+			t.Errorf("out/%s: the run no longer writes it", rel)
+			continue
+		}
+		g, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := os.ReadFile(filepath.Join(golden, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("out/%s differs: %s", rel, firstDiff(w, g))
+		}
+	}
+	if len(want) < 40 {
+		t.Errorf("out/ holds %d files, want the full default output", len(want))
+	}
+}
+
+// outputFiles lists the regular files under root, relative to it.
+func outputFiles(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	files := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = true
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// firstDiff describes the first line at which got departs from want.
+func firstDiff(want, got []byte) string {
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g || i >= len(wl) || i >= len(gl) {
+			return fmt.Sprintf("line %d: golden %q, run %q", i+1, w, g)
+		}
+	}
+	return "same lines, different bytes"
 }
 
 // TestKillResume is crash recovery through real process death: a

@@ -42,8 +42,8 @@ func TestAdaptivePolicy(t *testing.T) {
 		ls := adaptive.letters[lb]
 		for m := 0; m < adaptive.Cfg.Minutes; m++ {
 			up := false
-			for si := range ls.hasRoute {
-				up = up || ls.hasRoute[si][m]
+			for si := range ls.sites {
+				up = up || ls.sites[si].get(m).route
 			}
 			if !up {
 				t.Fatalf("letter %c has no site announced at minute %d", lb, m)
@@ -98,7 +98,7 @@ func TestAdaptiveSiteReturnsAfterFault(t *testing.T) {
 	if err := ev.Run(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ev.SiteRouteSeries('K', 0)
+	s, err := siteRouteSeries(ev, 'K', 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/rootevent/anycastddos/internal/bgpmon"
@@ -104,8 +105,9 @@ type ckptWriter struct {
 	minute  int             // the log holds the run up to this minute
 	updates int             // collector updates already in the log
 	epochs  []int           // per letter, epochs already in the log
-	// rec is reused from record to record; its series alias engine state
-	// (never copied), which the encoder reads before append returns.
+	// rec is reused from record to record. Its traffic series alias engine
+	// state, which the encoder reads before append returns; its site and
+	// city series are the engine's steps expanded into rec's own buffers.
 	rec checkpoint.Snapshot
 }
 
@@ -143,9 +145,6 @@ func (ev *Evaluator) newCkptWriter(start int, states []*letterState) *ckptWriter
 // it after the record the run resumed from otherwise.
 func (w *ckptWriter) append(ev *Evaluator, minute int, states []*letterState) error {
 	rec, from := &w.rec, w.minute
-	if err := ev.flushReplays(states); err != nil {
-		return err
-	}
 	if w.log == nil {
 		log, err := checkpoint.OpenLog(w.dir, from)
 		if err != nil {
@@ -154,8 +153,12 @@ func (w *ckptWriter) append(ev *Evaluator, minute int, states []*letterState) er
 		w.log = log
 	}
 	rec.From, rec.Minute = from, minute
-	for ci, row := range ev.cityExcess {
-		rec.CityExcess[ci] = row[from:minute]
+	for ci := range ev.cityExcess {
+		row := rec.CityExcess[ci][:0]
+		ev.cityExcess[ci].each(from, minute, func(_ int, v uint64) {
+			row = append(row, math.Float64frombits(v))
+		})
+		rec.CityExcess[ci] = row
 	}
 	updates := ev.Collector.Updates()
 	rec.Updates = rec.Updates[:0]
@@ -180,10 +183,14 @@ func (w *ckptWriter) append(ev *Evaluator, minute int, states []*letterState) er
 		for _, ep := range ls.epochs[w.epochs[i]:] {
 			cl.Epochs = append(cl.Epochs, checkpoint.Epoch{Start: int32(ep.Start), Active: ep.act})
 		}
-		for si := range cl.Loss {
-			cl.Loss[si] = ls.loss[si][from:minute]
-			cl.Delay[si] = ls.delay[si][from:minute]
-			cl.HasRoute[si] = ls.hasRoute[si][from:minute]
+		for si := range ls.sites {
+			loss, delay, route := cl.Loss[si][:0], cl.Delay[si][:0], cl.HasRoute[si][:0]
+			ls.sites[si].each(from, minute, func(_ int, st siteState) {
+				loss = append(loss, math.Float32frombits(st.loss))
+				delay = append(delay, math.Float32frombits(st.delay))
+				route = append(route, st.route)
+			})
+			cl.Loss[si], cl.Delay[si], cl.HasRoute[si] = loss, delay, route
 		}
 		cl.LegitServed = ls.legitServed[from:minute]
 		cl.AttackServed = ls.attackServed[from:minute]
@@ -278,7 +285,9 @@ func (ev *Evaluator) restoreSnapshot(snap *checkpoint.Snapshot) error {
 	}
 
 	for ci, row := range snap.CityExcess {
-		copy(ev.cityExcess[ci], row)
+		for m, v := range row {
+			ev.cityExcess[ci].set(m, math.Float64bits(v))
+		}
 	}
 	rest := make([]bgpmon.Update, len(snap.Updates))
 	for i, u := range snap.Updates {
@@ -320,9 +329,10 @@ func (ev *Evaluator) restoreSnapshot(snap *checkpoint.Snapshot) error {
 		}
 		ls.pending = ls.pending[:0]
 		for si := range cl.Loss {
-			copy(ls.loss[si], cl.Loss[si])
-			copy(ls.delay[si], cl.Delay[si])
-			copy(ls.hasRoute[si], cl.HasRoute[si])
+			for m, route := range cl.HasRoute[si] {
+				ls.sites[si].set(m, siteState{route: route,
+					loss: math.Float32bits(cl.Loss[si][m]), delay: math.Float32bits(cl.Delay[si][m])})
+			}
 		}
 		copy(ls.legitServed, cl.LegitServed)
 		copy(ls.attackServed, cl.AttackServed)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/rootevent/anycastddos/internal/attack"
@@ -201,13 +202,14 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 		// Barrier: merge cross-letter state in letter order, replaying the
 		// same float additions the sequential loop performs.
 		var failedLegitQPS float64
+		clear(ev.cityMinute)
 		for i, ls := range states {
 			t := &ticks[i]
 			if t.err != nil {
 				return t.err
 			}
 			for _, ca := range t.cityAdds {
-				ev.cityExcess[ca.city][minute] += ca.qps
+				ev.cityMinute[ca.city] += ca.qps
 			}
 			for _, f := range t.failed {
 				failedLegitQPS += f
@@ -218,6 +220,9 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 				ev.Collector.Observe(minute+1, ls.letter.Letter, ls.pending)
 				ls.pending = ls.pending[:0]
 			}
+		}
+		for ci, q := range ev.cityMinute {
+			ev.cityExcess[ci].set(minute, math.Float64bits(q))
 		}
 
 		// Pass 2: retry load at un-attacked letters and RSSAC records —
@@ -278,9 +283,6 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 		}
 	}
 
-	if err := ev.flushReplays(states); err != nil {
-		return err
-	}
 	// Epoch sequences are final: materialize each letter's minute -> epoch
 	// index so post-run probe lookups are O(1).
 	for _, ls := range states {
@@ -370,7 +372,7 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 				// the site's city (previous minute's totals — fully merged at
 				// the last barrier, so letter processing order cannot matter).
 				if ci := ls.siteCity[os.site]; ci >= 0 {
-					if cu := ev.cityExcess[ci][minute-1] / flapExcessQPS; cu > u {
+					if cu := ev.excessAt(ci, minute-1) / flapExcessQPS; cu > u {
 						u = cu
 					}
 				}
@@ -434,11 +436,10 @@ func (ls *letterState) steerAdaptive(minute int) bool {
 }
 
 // serveSites evaluates every site of a letter for a minute: service quality
-// into the letter's per-site series, per-site utilization into ls.util, the
+// into the letter's site series, per-site utilization into ls.util, the
 // controller's observations into ls.obs (when it has one), and the
 // cross-letter contributions into tick.
 func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, tick *letterTick) error {
-	ls.flushReplay()
 	tick.cityAdds = tick.cityAdds[:0]
 	tick.failed = tick.failed[:0]
 	lb := ls.letter.Letter
@@ -451,8 +452,7 @@ func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, 
 	obs := ls.obs
 	for si, site := range ls.letter.Sites {
 		if !ls.announced[si] {
-			ls.hasRoute[si][minute] = false
-			ls.loss[si][minute] = 1
+			ls.sites[si].set(minute, withdrawnSite)
 			if obs != nil {
 				obs[si] = netsim.SiteObs{CapacityQPS: site.CapacityQPS}
 			}
@@ -493,9 +493,8 @@ func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, 
 			obs[si] = netsim.SiteObs{Announced: true, CapacityQPS: site.CapacityQPS,
 				OfferedQPS: st.OfferedQPS, ServedQPS: st.ServedQPS}
 		}
-		ls.hasRoute[si][minute] = true
-		ls.loss[si][minute] = float32(st.LossFrac)
-		ls.delay[si][minute] = float32(st.ExtraDelayMs)
+		ls.sites[si].set(minute, siteState{route: true,
+			loss: math.Float32bits(float32(st.LossFrac)), delay: math.Float32bits(float32(st.ExtraDelayMs))})
 
 		served := st.ServedQPS
 		frac := 0.0
@@ -517,39 +516,11 @@ func (ev *Evaluator) serveSites(ls *letterState, minute int, attackQPS float64, 
 }
 
 // replaySites is serveSites for a minute whose inputs equal the previous
-// minute's: ls.util and the letter's tick already hold its answers. It copies
-// the totals pass 2 reads; the site rows wait for flushReplay.
+// minute's: ls.util, the letter's tick and its site series already hold its
+// answers. It copies the totals pass 2 reads.
 //
 //repolint:hot
 func (ls *letterState) replaySites(minute int) {
-	ls.replayed++
 	ls.legitServed[minute] = ls.legitServed[minute-1]
 	ls.attackServed[minute] = ls.attackServed[minute-1]
-}
-
-// flushReplay fills the replayed minutes, the last ls.replayed through
-// sitesMinute, from the minute before them, row by row. It runs before
-// anything reads the rows: the letter's next site pass, a checkpoint record,
-// the end of the run.
-//
-//repolint:hot
-func (ls *letterState) flushReplay() {
-	from := ls.sitesMinute - ls.replayed + 1
-	ls.replayed = 0
-	for si := range ls.hasRoute {
-		h, l, d := ls.hasRoute[si], ls.loss[si], ls.delay[si]
-		for m := from; m <= ls.sitesMinute; m++ {
-			h[m], l[m], d[m] = h[from-1], l[from-1], d[from-1]
-		}
-	}
-}
-
-// flushReplays is flushReplay for every letter, under guard.
-func (ev *Evaluator) flushReplays(states []*letterState) error {
-	for _, ls := range states {
-		if err := ev.guard(ls, ls.sitesMinute, func() error { ls.flushReplay(); return nil }); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -206,17 +207,12 @@ type letterState struct {
 	sitesMinute    int
 	sitesEpochs    int
 	sitesAttackQPS float64
-	// replayed counts the minutes through sitesMinute whose site rows
-	// flushReplay has yet to write.
-	replayed int
 	// pending is the routing diff produced by the latest computeEpoch,
 	// waiting to be handed to the BGP collector at the minute barrier.
 	pending []bgpsim.Change
 
-	// Per-site per-minute service quality.
-	loss     [][]float32 // [site][minute]
-	delay    [][]float32
-	hasRoute [][]bool // any uplink announced
+	// sites[si] is the site's service quality, minute by minute.
+	sites []steps[siteState]
 
 	// Aggregated per-minute letter traffic (for RSSAC).
 	legitServed  []float64
@@ -299,10 +295,12 @@ type Evaluator struct {
 	// stubs caches Graph.StubASNs(), read concurrently by epoch workers.
 	stubs []topo.ASN
 
-	// cityExcess[cityIdx][minute] is the total over-capacity query rate
-	// landing in a city, across all letters — the shared-infrastructure
-	// stress behind collateral damage (§3.6).
-	cityExcess [][]float64
+	// cityExcess[cityIdx] is the total over-capacity query rate landing in
+	// a city, across all letters, minute by minute (float64 bit patterns) —
+	// the shared-infrastructure stress behind collateral damage (§3.6).
+	// cityMinute is the minute's sums while the engine's barrier adds them.
+	cityExcess []steps[uint64]
+	cityMinute []float64
 	cityIdx    map[string]int
 
 	// NL models the .nl TLD's two anycast deployments colocated with
@@ -466,10 +464,8 @@ func (ev *Evaluator) buildCaches() error {
 		}
 		ev.txt[l.Letter] = perSite
 	}
-	ev.cityExcess = make([][]float64, len(cities))
-	for i := range ev.cityExcess {
-		ev.cityExcess[i] = make([]float64, ev.Cfg.Minutes)
-	}
+	ev.cityExcess = make([]steps[uint64], len(cities))
+	ev.cityMinute = make([]float64, len(cities))
 	ev.clientWeights = make([]clientWeight, 0, len(ev.Clients.Weights))
 	for asn, w := range ev.Clients.Weights {
 		ev.clientWeights = append(ev.clientWeights, clientWeight{asn: asn, w: w})
@@ -581,14 +577,7 @@ func (ev *Evaluator) buildLetterStates() {
 			ls.uplinkOrd[oi] = ls.siteUplinks[o.Site]
 			ls.siteUplinks[o.Site]++
 		}
-		ls.loss = make([][]float32, nSites)
-		ls.delay = make([][]float32, nSites)
-		ls.hasRoute = make([][]bool, nSites)
-		for si := 0; si < nSites; si++ {
-			ls.loss[si] = make([]float32, ev.Cfg.Minutes)
-			ls.delay[si] = make([]float32, ev.Cfg.Minutes)
-			ls.hasRoute[si] = make([]bool, ev.Cfg.Minutes)
-		}
+		ls.sites = make([]steps[siteState], nSites)
 		ls.legitServed = make([]float64, ev.Cfg.Minutes)
 		ls.attackServed = make([]float64, ev.Cfg.Minutes)
 		ls.retryServed = make([]float64, ev.Cfg.Minutes)
@@ -767,15 +756,15 @@ func (ev *Evaluator) buildNLSeries() {
 		for si := range ls.letter.Sites {
 			var sum float64
 			n := 0
-			for m := 0; m < ev.Cfg.Minutes; m++ {
+			ls.sites[si].each(0, ev.Cfg.Minutes, func(m int, st siteState) {
 				if ev.evActive[m] < 0 {
-					continue
+					return
 				}
-				if ls.hasRoute[si][m] {
-					sum += float64(ls.loss[si][m])
+				if st.route {
+					sum += st.lossFrac()
 				}
 				n++
-			}
+			})
 			if n > 0 {
 				anchors = append(anchors, anchor{lb, si, sum / float64(n)})
 			}
@@ -807,8 +796,8 @@ func (ev *Evaluator) buildNLSeries() {
 			var served float64
 			for m := b * 10; m < (b+1)*10 && m < ev.Cfg.Minutes; m++ {
 				rootLoss := 0.0
-				if ls.hasRoute[a.site][m] {
-					rootLoss = float64(ls.loss[a.site][m])
+				if st := ls.sites[a.site].get(m); st.route {
+					rootLoss = st.lossFrac()
 				}
 				// Sharing a saturated rack link: the small .nl node is
 				// starved much harder than the root's own loss rate.
@@ -868,9 +857,16 @@ func collateralLoss(excess float64, fullQPS float64) float64 {
 	return l
 }
 
+// excessAt is city ci's summed excess load at a minute.
+//
+//repolint:hot
+func (ev *Evaluator) excessAt(ci int32, minute int) float64 {
+	return math.Float64frombits(ev.cityExcess[ci].get(minute))
+}
+
 // nlLoss is the loss experienced by a .nl anycast node in city ci.
 func (ev *Evaluator) nlLoss(ci, minute int) float64 {
-	l := collateralLoss(ev.cityExcess[ci][minute], nlFullQPS)
+	l := collateralLoss(ev.excessAt(int32(ci), minute), nlFullQPS)
 	if l > 0.97 {
 		l = 0.97
 	}
@@ -937,29 +933,6 @@ func (ev *Evaluator) LetterSites(letter byte) []*anycast.Site {
 		return nil
 	}
 	return append([]*anycast.Site(nil), l.Sites...)
-}
-
-// SiteRouteSeries returns a 10-minute-binned series of whether a site held
-// any announced route (1) or was withdrawn (0) — ground truth behind the
-// reachability figures. Each call builds a fresh Series, so callers may
-// mutate the result; valid only after Run completes.
-func (ev *Evaluator) SiteRouteSeries(letter byte, site int) (*stats.Series, error) {
-	ls, ok := ev.letters[letter]
-	if !ok || site < 0 || site >= len(ls.hasRoute) {
-		return nil, fmt.Errorf("core: unknown site %c/%d", letter, site)
-	}
-	bins := ev.Cfg.Minutes / 10
-	s := stats.NewSeries(fmt.Sprintf("route-%c-%d", letter, site), 0, 10, bins)
-	for b := 0; b < bins; b++ {
-		up := 0
-		for m := b * 10; m < (b+1)*10; m++ {
-			if ls.hasRoute[site][m] {
-				up++
-			}
-		}
-		s.Values[b] = float64(up) / 10
-	}
-	return s, nil
 }
 
 // LetterServedSeries returns per-minute served legit+retry query rates for

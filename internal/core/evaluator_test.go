@@ -237,17 +237,17 @@ func TestCollateralDamageNL(t *testing.T) {
 
 func TestSiteRouteSeries(t *testing.T) {
 	ev, _ := getShared(t)
-	s, err := ev.SiteRouteSeries('K', 0)
+	s, err := siteRouteSeries(ev, 'K', 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Values[0] != 1 {
 		t.Errorf("K-AMS route at start = %v", s.Values[0])
 	}
-	if _, err := ev.SiteRouteSeries('Z', 0); err == nil {
+	if _, err := siteRouteSeries(ev, 'Z', 0); err == nil {
 		t.Error("unknown letter should error")
 	}
-	if _, err := ev.SiteRouteSeries('K', 999); err == nil {
+	if _, err := siteRouteSeries(ev, 'K', 999); err == nil {
 		t.Error("unknown site should error")
 	}
 }

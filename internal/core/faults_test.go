@@ -23,7 +23,7 @@ func TestSiteOutageWithdrawsRoutes(t *testing.T) {
 	if err := ev.Run(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ev.SiteRouteSeries('K', 0)
+	s, err := siteRouteSeries(ev, 'K', 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,7 @@ func TestVPChurnLeavesDatasetGaps(t *testing.T) {
 // TestWorkerPanicBecomesError poisons one letter's state so its worker
 // panics mid-run, and checks the engine converts that into a wrapped
 // error naming the letter and minute instead of crashing the process.
-// legitServed is written at every minute, replayed or not; the per-site
-// rows of a replayed minute are written later, by the flush.
+// legitServed is written at every minute, replayed or not.
 func TestWorkerPanicBecomesError(t *testing.T) {
 	ev, err := NewEvaluator(tinyConfig(3), WithWorkers(4))
 	if err != nil {
@@ -118,35 +117,6 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
-	}
-}
-
-// TestFlushPanicBecomesError poisons a per-site row one minute short of
-// the horizon. The run's last minutes are a replayed span, so the write
-// that panics is the end-of-run flush's, and it too must come back as
-// ErrWorkerPanic naming the letter.
-func TestFlushPanicBecomesError(t *testing.T) {
-	done := 0
-	ev, err := NewEvaluator(tinyConfig(3), WithWorkers(4), WithProgress(func(p Progress) {
-		if p.Stage == StageRun {
-			done = p.Done
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := ev.letters['K']
-	n := ev.Cfg.Minutes - 1
-	ls.loss[0] = ls.loss[0][:n:n]
-	err = ev.Run()
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("err = %v, want ErrWorkerPanic", err)
-	}
-	if !strings.Contains(err.Error(), "letter K") {
-		t.Errorf("error %q does not name letter K", err)
-	}
-	if done != ev.Cfg.Minutes {
-		t.Errorf("run failed after %d of %d minutes, not in the end-of-run flush", done, ev.Cfg.Minutes)
 	}
 }
 

@@ -97,10 +97,10 @@ func engineStateOf(ev *Evaluator) engineState {
 		loss: map[byte][][]float32{}, delay: map[byte][][]float32{}, hasRoute: map[byte][][]bool{},
 		legit: map[byte][]float64{}, atk: map[byte][]float64{}, retry: map[byte][]float64{}, resp: map[byte][]float64{},
 		epochStarts: map[byte][]int{}, rssac: map[byte]interface{}{},
-		cityExcess: ev.cityExcess, updates: ev.Collector.Updates(),
+		cityExcess: cityRows(ev), updates: ev.Collector.Updates(),
 	}
 	for lb, ls := range ev.letters {
-		st.loss[lb], st.delay[lb], st.hasRoute[lb] = ls.loss, ls.delay, ls.hasRoute
+		st.loss[lb], st.delay[lb], st.hasRoute[lb] = siteRows(ev, ls)
 		st.legit[lb], st.atk[lb], st.retry[lb], st.resp[lb] = ls.legitServed, ls.attackServed, ls.retryServed, ls.responses
 		for _, ep := range ls.epochs {
 			st.epochStarts[lb] = append(st.epochStarts[lb], ep.Start)

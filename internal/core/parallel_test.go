@@ -339,19 +339,6 @@ func TestAccessorDefensiveCopies(t *testing.T) {
 	if ev.RSSACReports('K')[0] == nil {
 		t.Error("RSSACReports returned a live slice; caller mutation visible")
 	}
-
-	s1, err := ev.SiteRouteSeries('K', 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Values[0] = -1
-	s2, err := ev.SiteRouteSeries('K', 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Values[0] == -1 {
-		t.Error("SiteRouteSeries shares Values across calls")
-	}
 }
 
 // TestConcurrentReaders drives every read accessor from many goroutines
@@ -374,7 +361,7 @@ func TestConcurrentReaders(t *testing.T) {
 			for _, lb := range ev.Deployment.SortedLetters() {
 				_ = ev.LetterSites(lb)
 				_ = ev.RSSACReports(lb)
-				if _, err := ev.SiteRouteSeries(lb, 0); err != nil {
+				if _, err := siteRouteSeries(ev, lb, 0); err != nil {
 					t.Error(err)
 				}
 				_, _, _, _, _ = ev.LetterServedSeries(lb)

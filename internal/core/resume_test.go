@@ -68,7 +68,7 @@ func fingerprintEv(t *testing.T, ev *Evaluator) runFingerprint {
 		updates:     ev.Collector.Updates(),
 		rssacK:      ev.RSSACReports('K'),
 	}
-	s, err := ev.SiteRouteSeries('K', 0)
+	s, err := siteRouteSeries(ev, 'K', 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,14 +53,14 @@ func (u *Upstream) Query(letter byte, minute int) (bool, float64) {
 	if site < 0 {
 		return false, 0
 	}
-	if !ls.hasRoute[site][minute] {
+	st := ls.sites[site].get(minute)
+	if !st.route {
 		return false, 0
 	}
-	loss := float64(ls.loss[site][minute])
-	delay := float64(ls.delay[site][minute])
+	loss, delay := st.lossFrac(), st.delayMs()
 	siteCity := ls.siteCity[site]
 	if !ls.targeted && siteCity >= 0 {
-		cl := collateralLoss(ev.cityExcess[siteCity][minute], collateralFullQPS)
+		cl := collateralLoss(ev.excessAt(siteCity, minute), collateralFullQPS)
 		if cl > 0.45 {
 			cl = 0.45
 		}

@@ -31,18 +31,15 @@ func (ev *Evaluator) ProbeOutcome(vp *atlas.VP, letter byte, minute int) atlas.O
 }
 
 // siteRow is what a walk's probes share while routing keeps the vantage
-// point at one site: the site's per-minute service columns and everything
-// about the (vantage point, site) pair that does not depend on the minute.
+// point at one site: the site's service series and everything about the
+// (vantage point, site) pair that does not depend on the minute.
 type siteRow struct {
-	site     int
-	s        *anycast.Site
-	hasRoute []bool
-	loss     []float32
-	delay    []float32
-	// excess is the city's over-capacity load per minute when the letter is
-	// not itself targeted and so suffers only collateral loss there; nil
-	// otherwise.
-	excess []float64
+	site  int
+	s     *anycast.Site
+	steps *steps[siteState]
+	// excess is the city's excess-load series when the letter is not itself
+	// targeted and so suffers only collateral loss there; nil otherwise.
+	excess *steps[uint64]
 	// baseRTT is the geographic RTT between the vantage point and the site.
 	baseRTT  float64
 	nServers uint64
@@ -51,15 +48,39 @@ type siteRow struct {
 	identity uint32
 }
 
+// spanKind is what every probe of a walk span answers.
+type spanKind uint8
+
+const (
+	spanTimeout  spanKind = iota
+	spanNoData            // the vantage point is churned off the platform
+	spanBogus             // a hijacked vantage point's resolver answers
+	spanLossless          // the hashed server answers with the site's delay
+	spanLossy             // netsim.ProbeServer and the loss coin decide
+)
+
+// walkSpan is where a walk stands: the routing epoch and site row in force,
+// and the span of minutes, up to end, over which every input of a probe but
+// its minute's coins holds still. Minutes past the horizon read its last.
+type walkSpan struct {
+	kind spanKind
+	end  int
+	// loss is the span's loss with collateral damage composed in, and delay
+	// the site's extra delay; both are read only by route-holding spans.
+	loss, delay        float64
+	epochIdx, epochEnd int
+	row                siteRow
+}
+
 // ProbeWalk implements atlas.WalkWorld: it answers the probes of one vantage
-// point toward one letter at minutes first, first+interval, ... This is the
-// measurement hot path — VPs × letters walks of hundreds of probes each — and
-// the only model of a probe (ProbeOutcome is its one-probe case). What the
-// probes share is resolved once: letter state, vantage-point city, hijack and
-// churn membership and the coin keys per walk; the serving site's row and
-// identity strings each time routing moves the vantage point to another
-// site. A probe itself is a few column loads, the balancer hash and the RTT
-// coin; the walk allocates nothing.
+// point toward one letter at minutes first, first+interval, ... (interval >=
+// 0). This is the measurement hot path — VPs × letters walks of hundreds of
+// probes each — and the only model of a probe (ProbeOutcome is its one-probe
+// case). The walk steps from change point to change point: nextSpan resolves
+// what the probes of a span share — churn, routing epoch, the site's
+// service state and its city's collateral load — once, so a probe of a
+// lossless span is its balancer hash and its RTT coin. The walk allocates
+// nothing.
 //
 //repolint:hot
 func (ev *Evaluator) ProbeWalk(vp *atlas.VP, letter byte, first, interval int, w *atlas.Walk) {
@@ -89,102 +110,128 @@ func (ev *Evaluator) ProbeWalk(vp *atlas.VP, letter byte, first, interval int, w
 		ls = nil
 	}
 
-	// The routing epoch in force and the minute it is superseded at; the row
-	// of the site it routes the vantage point to (row.site < 0: to none).
-	epochIdx, epochEnd := -1, math.MinInt
-	var row siteRow
-	row.site = -1
-
-	minute := first - interval
-	for i := range probes {
+	i, minute := 0, first
+	for ; i < len(probes) && minute < 0; i++ {
+		// A negative minute is misuse, not a moment of the simulation.
+		probes[i].Set(atlas.Timeout, 0, 0, 0, 0)
 		minute += interval
-		m := minute
-		p := &probes[i]
-		if m < 0 {
-			// A negative minute is misuse, not a moment of the simulation.
-			p.Set(atlas.Timeout, 0, 0, 0, 0)
-			continue
+	}
+	sp := walkSpan{epochIdx: -1, epochEnd: math.MinInt}
+	sp.row.site = -1
+	for i < len(probes) {
+		// Probes past the horizon read its last minute.
+		ev.nextSpan(&sp, ls, vp, down, min(minute, lastMinute), w)
+		n := len(probes)
+		if sp.end <= lastMinute && interval > 0 {
+			n = min(n, i+(sp.end-minute+interval-1)/interval)
 		}
-		if m > lastMinute {
-			m = lastMinute
-		}
-		if isDown(down, m) {
-			p.Set(atlas.NoData, 0, 0, 0, 0)
-			continue
-		}
-		if vp.Hijacked {
+		span := probes[i:n]
+		i = n
+		row := &sp.row
+		switch sp.kind {
+		case spanLossless:
+			minute = row.fillLossless(span, minute, interval, lastMinute, coinKey, serverKey, sp.delay)
+		case spanLossy:
+			// A stressed site needs the per-server view and the loss coin.
+			st := netsim.State{LossFrac: sp.loss, ExtraDelayMs: sp.delay}
+			for k := range span {
+				m := min(minute, lastMinute)
+				minute += interval
+				server, responds, srvLoss, delay := netsim.ProbeServer(row.s, st, ev.Cfg.Netsim, int(ev.evActive[m])+1, row.server(serverKey, m))
+				if !responds || coin(coinKey, m, 2) < srvLoss {
+					span[k].Set(atlas.Timeout, 0, 0, 0, 0)
+					continue
+				}
+				span[k].Set(atlas.OK, row.site, server, (row.baseRTT+delay)*(0.92+0.16*coin(coinKey, m, 3)), row.identity+uint32(server))
+			}
+		case spanBogus:
 			// A third-party resolver intercepts the query: instant bogus
 			// identity at an implausibly short RTT (§2.4.1).
-			p.Set(atlas.OK, 0, 0, 2+3*coin(coinKey, m, 1), bogus)
-			continue
-		}
-		if ls == nil {
-			p.Set(atlas.Timeout, 0, 0, 0, 0)
-			continue
-		}
-		if m >= epochEnd {
-			if epochIdx < 0 {
-				epochIdx = ls.epochIndexAt(m)
+			for k := range span {
+				span[k].Set(atlas.OK, 0, 0, 2+3*coin(coinKey, min(minute, lastMinute), 1), bogus)
+				minute += interval
 			}
-			for epochIdx+1 < len(ls.epochs) && ls.epochs[epochIdx+1].Start <= m {
-				epochIdx++
+		default:
+			status := atlas.Timeout
+			if sp.kind == spanNoData {
+				status = atlas.NoData
 			}
-			epochEnd = math.MaxInt
-			if epochIdx+1 < len(ls.epochs) {
-				epochEnd = ls.epochs[epochIdx+1].Start
+			for k := range span {
+				span[k].Set(status, 0, 0, 0, 0)
 			}
-			if site := ls.epochs[epochIdx].Table.SiteOf(vp.ASN); site != row.site {
-				row.site = site
-				if site >= 0 {
-					ev.fillSiteRow(&row, ls, vp, w)
-				}
-			}
+			minute += len(span) * interval
 		}
-		if row.site < 0 || !row.hasRoute[m] {
-			p.Set(atlas.Timeout, 0, 0, 0, 0)
-			continue
-		}
+	}
+}
 
-		loss := float64(row.loss[m])
-		delay := float64(row.delay[m])
-		// Collateral damage applies to letters that are not directly under
-		// attack but share a stressed city (§3.6, Figure 14). Root sites
-		// have their own uplinks, so shared-facility stress costs them a
-		// bounded fraction of queries — unlike the rack-sharing .nl nodes.
-		if row.excess != nil {
-			cl := collateralLoss(row.excess[m], collateralFullQPS)
-			if cl > 0.45 {
-				cl = 0.45
-			}
-			loss = 1 - (1-loss)*(1-cl)
+// nextSpan moves sp to the span that starts at minute m (at most the last
+// minute of the run, and no earlier than the span before). The span ends at
+// the earliest of the next churn-window edge, the next routing epoch, the
+// site's next service step and, for a row with collateral loss, its city's
+// next excess step.
+//
+//repolint:hot
+func (ev *Evaluator) nextSpan(sp *walkSpan, ls *letterState, vp *atlas.VP, down []faults.Window, m int, w *atlas.Walk) {
+	isDown, end := churnAt(down, m)
+	sp.kind, sp.end = spanTimeout, end
+	switch {
+	case isDown:
+		sp.kind = spanNoData
+		return
+	case vp.Hijacked:
+		sp.kind = spanBogus
+		return
+	case ls == nil:
+		return
+	}
+	if m >= sp.epochEnd {
+		if sp.epochIdx < 0 {
+			sp.epochIdx = ls.epochIndexAt(m)
 		}
-
-		// Server selection behind the load balancer.
-		server := 1
-		if n := row.nServers; n > 1 {
-			h := mix64(serverKey ^ uint64(uint32(m/4)))
-			if n&(n-1) == 0 {
-				server += int(h & (n - 1)) // h % n without the division
-			} else {
-				server += int(h % n)
+		for sp.epochIdx+1 < len(ls.epochs) && ls.epochs[sp.epochIdx+1].Start <= m {
+			sp.epochIdx++
+		}
+		sp.epochEnd = math.MaxInt
+		if sp.epochIdx+1 < len(ls.epochs) {
+			sp.epochEnd = ls.epochs[sp.epochIdx+1].Start
+		}
+		if site := ls.epochs[sp.epochIdx].Table.SiteOf(vp.ASN); site != sp.row.site {
+			sp.row.site = site
+			if site >= 0 {
+				ev.fillSiteRow(&sp.row, ls, vp, w)
 			}
 		}
-		if !(loss <= 0) {
-			// A lossless site answers from the hashed server with the site's
-			// delay (netsim.ProbeServer's own first case); only a stressed
-			// one needs the per-server view and the loss coin.
-			var responds bool
-			var srvLoss float64
-			server, responds, srvLoss, delay = netsim.ProbeServer(row.s,
-				netsim.State{LossFrac: loss, ExtraDelayMs: delay}, ev.Cfg.Netsim, int(ev.evActive[m])+1, server)
-			if !responds || coin(coinKey, m, 2) < srvLoss {
-				p.Set(atlas.Timeout, 0, 0, 0, 0)
-				continue
-			}
+	}
+	sp.end = min(sp.end, sp.epochEnd)
+	if sp.row.site < 0 {
+		return
+	}
+	st, end := sp.row.steps.span(m)
+	sp.end = min(sp.end, end)
+	if !st.route {
+		return
+	}
+	loss := st.lossFrac()
+	sp.delay = st.delayMs()
+	// Collateral damage applies to letters that are not directly under
+	// attack but share a stressed city (§3.6, Figure 14). Root sites have
+	// their own uplinks, so shared-facility stress costs them a bounded
+	// fraction of queries — unlike the rack-sharing .nl nodes.
+	if sp.row.excess != nil {
+		excess, end := sp.row.excess.span(m)
+		sp.end = min(sp.end, end)
+		cl := collateralLoss(math.Float64frombits(excess), collateralFullQPS)
+		if cl > 0.45 {
+			cl = 0.45
 		}
-
-		// RTT: geography plus queueing, with mild multiplicative jitter.
-		p.Set(atlas.OK, row.site, server, (row.baseRTT+delay)*(0.92+0.16*coin(coinKey, m, 3)), row.identity+uint32(server))
+		loss = 1 - (1-loss)*(1-cl)
+	}
+	sp.loss = loss
+	sp.kind = spanLossy
+	if loss <= 0 {
+		// A lossless site answers from the hashed server with the site's
+		// delay: netsim.ProbeServer's own first case.
+		sp.kind = spanLossless
 	}
 }
 
@@ -195,27 +242,66 @@ func (ev *Evaluator) ProbeWalk(vp *atlas.VP, letter byte, first, interval int, w
 func (ev *Evaluator) fillSiteRow(row *siteRow, ls *letterState, vp *atlas.VP, w *atlas.Walk) {
 	site := row.site
 	row.s = ls.letter.Sites[site]
-	row.hasRoute = ls.hasRoute[site]
-	row.loss = ls.loss[site]
-	row.delay = ls.delay[site]
+	row.steps = &ls.sites[site]
 	row.baseRTT = ev.cityRTTIdx(ev.vpCity[vp.ID], ls.siteCity[site])
 	row.nServers = uint64(row.s.NumServers)
 	row.identity = w.AddIdentities(ls.txt[site])
 	row.excess = nil
 	if ci := ls.siteCity[site]; !ls.targeted && ci >= 0 {
-		row.excess = ev.cityExcess[ci]
+		row.excess = &ev.cityExcess[ci]
 	}
 }
 
-// isDown reports whether a churn window of the walk's vantage point contains
-// the minute.
-func isDown(down []faults.Window, minute int) bool {
-	for _, w := range down {
-		if w.Contains(minute) {
-			return true
+// fillLossless answers the probes of a lossless span, the first at minute:
+// each is the hashed server's reply at the site's delay, its RTT jittered by
+// the probe's coin. It returns the minute after the span's last probe.
+//
+//repolint:hot
+func (row *siteRow) fillLossless(span []atlas.WalkProbe, minute, interval, lastMinute int, coinKey, serverKey uint64, delay float64) int {
+	// RTT: geography plus queueing, with mild multiplicative jitter.
+	base, site, identity := row.baseRTT+delay, row.site, row.identity
+	for k := range span {
+		m := min(minute, lastMinute)
+		server := row.server(serverKey, m)
+		span[k].Set(atlas.OK, site, server, base*(0.92+0.16*coin(coinKey, m, 3)), identity+uint32(server))
+		minute += interval
+	}
+	return minute
+}
+
+// server is a probe's server behind the site's load balancer, hashed from
+// the walk and the minute's 4-minute slot.
+//
+//repolint:hot
+func (row *siteRow) server(serverKey uint64, m int) int {
+	server := 1
+	if n := row.nServers; n > 1 {
+		h := mix64(serverKey ^ uint64(uint32(uint(m)/4))) // m >= 0
+		if n&(n-1) == 0 {
+			server += int(h & (n - 1)) // h % n without the division
+		} else {
+			server += int(h % n)
 		}
 	}
-	return false
+	return server
+}
+
+// churnAt reports whether a churn window of the walk's vantage point
+// contains minute m, and the first minute after m at which that can change
+// (math.MaxInt when none can).
+//
+//repolint:hot
+func churnAt(down []faults.Window, m int) (bool, int) {
+	isDown, edge := false, math.MaxInt
+	for _, w := range down {
+		switch {
+		case w.Contains(m):
+			isDown, edge = true, min(edge, w.End)
+		case w.Start > m:
+			edge = min(edge, w.Start)
+		}
+	}
+	return isDown, edge
 }
 
 // coin returns a deterministic uniform [0,1) draw for one probe: walkKey

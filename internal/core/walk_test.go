@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"github.com/rootevent/anycastddos/internal/atlas"
@@ -46,14 +47,15 @@ func referenceProbeOutcome(ev *Evaluator, vp *atlas.VP, letter byte, minute int)
 		return atlas.Outcome{Status: atlas.Timeout}
 	}
 	s := ls.letter.Sites[site]
-	if !ls.hasRoute[site][minute] {
+	state := ls.sites[site].get(minute)
+	if !state.route {
 		return atlas.Outcome{Status: atlas.Timeout}
 	}
-	loss := float64(ls.loss[site][minute])
-	delay := float64(ls.delay[site][minute])
+	loss := state.lossFrac()
+	delay := state.delayMs()
 	if !ls.targeted {
 		if ci := ls.siteCity[site]; ci >= 0 {
-			cl := collateralLoss(ev.cityExcess[ci][minute], collateralFullQPS)
+			cl := collateralLoss(ev.excessAt(ci, minute), collateralFullQPS)
 			if cl > 0.45 {
 				cl = 0.45
 			}
@@ -83,6 +85,76 @@ type walkCoverage struct {
 	// were served by at least two sites; withdrawn those among them whose
 	// first site had lost its route by the time the walk left it.
 	rerouted, withdrawn int
+	// siteCut, cityCut and churnCut count consecutive probes a, b where a
+	// is lossless and the first change point after a, at or before b, is a
+	// step of a's site (its state at b differs), a step of the city excess
+	// behind a's collateral loss (the site's state is a's, its effective
+	// loss is not) or a churn-window edge (b is NoData): the span edges a
+	// kernel that missed them would answer b wrong at. lossy counts probes
+	// whose site holds a route and loses queries.
+	siteCut, cityCut, churnCut, lossy int
+}
+
+// spanInputs is what a probe at one minute reads, as the reference model
+// derives it, plus the change points after that minute.
+type spanInputs struct {
+	down, routed bool
+	site         int
+	state        siteState
+	loss         float64 // state's loss with collateral damage composed in
+	// The next minute at which the routing epoch, the site's state, its
+	// city's excess (when it causes collateral loss) or the vantage point's
+	// churn membership change; math.MaxInt for none.
+	epochNext, siteNext, cityNext, churnNext int
+}
+
+func inputsAt(ev *Evaluator, vp *atlas.VP, letter byte, minute int) spanInputs {
+	in := spanInputs{site: -1, epochNext: math.MaxInt, siteNext: math.MaxInt, cityNext: math.MaxInt, churnNext: math.MaxInt}
+	if ev.flt != nil {
+		in.down, in.churnNext = churnAt(ev.flt.AppendVPDownWindows(nil, int32(vp.ID)), minute)
+	}
+	ls := ev.letterTab[letter]
+	if in.down || vp.Hijacked || ls == nil || len(ls.epochs) == 0 {
+		return in
+	}
+	e := ls.epochIndexAt(minute)
+	if e+1 < len(ls.epochs) {
+		in.epochNext = ls.epochs[e+1].Start
+	}
+	if in.site = ls.epochs[e].Table.SiteOf(vp.ASN); in.site < 0 {
+		return in
+	}
+	in.state, in.siteNext = ls.sites[in.site].span(minute)
+	in.routed, in.loss = in.state.route, in.state.lossFrac()
+	if ci := ls.siteCity[in.site]; in.routed && !ls.targeted && ci >= 0 {
+		var excess uint64
+		excess, in.cityNext = ev.cityExcess[ci].span(minute)
+		cl := min(collateralLoss(math.Float64frombits(excess), collateralFullQPS), 0.45)
+		in.loss = 1 - (1-in.loss)*(1-cl)
+	}
+	return in
+}
+
+// countSpanEdge records in cov what lies between the probes at minutes a and
+// b > a, whose inputs are prev and cur.
+func countSpanEdge(cov *walkCoverage, prev, cur spanInputs, b int) {
+	if !prev.routed || prev.loss > 0 {
+		return
+	}
+	cut := min(prev.epochNext, prev.siteNext, prev.cityNext, prev.churnNext)
+	if cut > b {
+		return
+	}
+	sameSite := !cur.down && cur.site == prev.site
+	if cut == prev.siteNext && sameSite && cur.state != prev.state {
+		cov.siteCut++
+	}
+	if cut == prev.cityNext && sameSite && cur.state == prev.state && cur.loss != prev.loss {
+		cov.cityCut++
+	}
+	if cut == prev.churnNext && cur.down {
+		cov.churnCut++
+	}
 }
 
 // checkWalk answers one walk three ways — the kernel over the whole walk,
@@ -95,8 +167,20 @@ func checkWalk(t *testing.T, ev *Evaluator, w *atlas.Walk, vp *atlas.VP, letter 
 	ls := ev.letterTab[letter]
 	firstSite, sites, firstEpoch, lastEpoch := -1, 0, -1, -1
 	lostRoute := false
+	prevMinute := -1
+	var prev spanInputs
 	for i := 0; i < n; i++ {
 		minute := first + i*interval
+		if m := min(minute, ev.Cfg.Minutes-1); m >= 0 && m > prevMinute {
+			cur := inputsAt(ev, vp, letter, m)
+			if prevMinute >= 0 {
+				countSpanEdge(cov, prev, cur, m)
+			}
+			if cur.routed && !(cur.loss <= 0) {
+				cov.lossy++
+			}
+			prev, prevMinute = cur, m
+		}
 		got := w.Outcome(i)
 		if one := ev.ProbeOutcome(vp, letter, minute); one != got {
 			t.Fatalf("vp %d letter %c walk(%d,+%d) probe %d (minute %d): walk %+v, ProbeOutcome %+v", vp.ID, letter, first, interval, i, minute, got, one)
@@ -129,7 +213,7 @@ func checkWalk(t *testing.T, ev *Evaluator, w *atlas.Walk, vp *atlas.VP, letter 
 				firstSite, sites = site, 1
 			case site != firstSite && sites == 1:
 				sites = 2
-				lostRoute = !ls.hasRoute[firstSite][minute]
+				lostRoute = !ls.sites[firstSite].get(minute).route
 			}
 		}
 	}
@@ -215,6 +299,12 @@ func TestWalkIsItsProbes(t *testing.T) {
 			}
 			if cov.rerouted == 0 || cov.withdrawn == 0 {
 				t.Errorf("no walk crossed two routing epochs away from a withdrawn site: %+v", cov)
+			}
+			if cov.siteCut == 0 || cov.cityCut == 0 || cov.lossy == 0 {
+				t.Errorf("walks met no lossless span cut by a site step, none cut by a city step, or no lossy span: %+v", cov)
+			}
+			if (cov.churnCut > 0) != (tc.plan != nil) {
+				t.Errorf("lossless spans cut by a churn edge = %d with plan %v", cov.churnCut, tc.plan != nil)
 			}
 		})
 	}
