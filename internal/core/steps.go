@@ -27,18 +27,17 @@ func (s *steps[T]) set(minute int, v T) {
 	}
 }
 
-// index returns the index of the step in force at minute, -1 before the
-// first. The last step answers without a search: the engine reads the
-// minute it just wrote.
+// span returns the value in force at minute and the minute the next step
+// replaces it at, math.MaxInt when none does.
 //
 //repolint:hot
-func (s *steps[T]) index(minute int) int {
-	n := len(s.at)
-	if n == 0 || int(s.at[n-1]) <= minute {
-		return n - 1
+func (s *steps[T]) span(minute int) (v T, end int) {
+	// lo ends as the first step after minute. The engine reads the minute it
+	// just wrote, so the last step is tried before the search.
+	lo, hi := 0, len(s.at)
+	if hi > 0 && int(s.at[hi-1]) <= minute {
+		lo = hi
 	}
-	// The first step starting after minute, in at[:n-1].
-	lo, hi := 0, n-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if int(s.at[mid]) <= minute {
@@ -47,35 +46,22 @@ func (s *steps[T]) index(minute int) int {
 			hi = mid
 		}
 	}
-	return lo - 1
+	end = math.MaxInt
+	if lo < len(s.at) {
+		end = int(s.at[lo])
+	}
+	if lo > 0 {
+		v = s.val[lo-1]
+	}
+	return v, end
 }
 
 // get returns the value in force at minute.
 //
 //repolint:hot
 func (s *steps[T]) get(minute int) T {
-	if i := s.index(minute); i >= 0 {
-		return s.val[i]
-	}
-	var zero T
-	return zero
-}
-
-// span returns the value in force at minute and the minute the next step
-// replaces it at, math.MaxInt when none does.
-//
-//repolint:hot
-func (s *steps[T]) span(minute int) (T, int) {
-	i := s.index(minute)
-	end := math.MaxInt
-	if i+1 < len(s.at) {
-		end = int(s.at[i+1])
-	}
-	if i < 0 {
-		var zero T
-		return zero, end
-	}
-	return s.val[i], end
+	v, _ := s.span(minute)
+	return v
 }
 
 // each calls fn with every minute in [from, to) and the value in force then,

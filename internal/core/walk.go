@@ -59,17 +59,17 @@ const (
 	spanLossy             // netsim.ProbeServer and the loss coin decide
 )
 
-// walkSpan is where a walk stands: the routing epoch and site row in force,
-// and the span of minutes, up to end, over which every input of a probe but
-// its minute's coins holds still. Minutes past the horizon read its last.
+// walkSpan is where a walk stands: the site row of the routing epoch in
+// force until epochEnd, and the span of minutes, up to end, over which every
+// input of a probe but its minute's coins holds still.
 type walkSpan struct {
 	kind spanKind
 	end  int
 	// loss is the span's loss with collateral damage composed in, and delay
 	// the site's extra delay; both are read only by route-holding spans.
-	loss, delay        float64
-	epochIdx, epochEnd int
-	row                siteRow
+	loss, delay float64
+	epochEnd    int
+	row         siteRow
 }
 
 // ProbeWalk implements atlas.WalkWorld: it answers the probes of one vantage
@@ -116,7 +116,7 @@ func (ev *Evaluator) ProbeWalk(vp *atlas.VP, letter byte, first, interval int, w
 		probes[i].Set(atlas.Timeout, 0, 0, 0, 0)
 		minute += interval
 	}
-	sp := walkSpan{epochIdx: -1, epochEnd: math.MinInt}
+	sp := walkSpan{epochEnd: math.MinInt}
 	sp.row.site = -1
 	for i < len(probes) {
 		// Probes past the horizon read its last minute.
@@ -130,7 +130,14 @@ func (ev *Evaluator) ProbeWalk(vp *atlas.VP, letter byte, first, interval int, w
 		row := &sp.row
 		switch sp.kind {
 		case spanLossless:
-			minute = row.fillLossless(span, minute, interval, lastMinute, coinKey, serverKey, sp.delay)
+			// RTT: geography plus queueing, with mild multiplicative jitter.
+			base, site, identity := row.baseRTT+sp.delay, row.site, row.identity
+			for k := range span {
+				m := min(minute, lastMinute)
+				server := row.server(serverKey, m)
+				span[k].Set(atlas.OK, site, server, base*(0.92+0.16*coin(coinKey, m, 3)), identity+uint32(server))
+				minute += interval
+			}
 		case spanLossy:
 			// A stressed site needs the per-server view and the loss coin.
 			st := netsim.State{LossFrac: sp.loss, ExtraDelayMs: sp.delay}
@@ -185,17 +192,12 @@ func (ev *Evaluator) nextSpan(sp *walkSpan, ls *letterState, vp *atlas.VP, down 
 		return
 	}
 	if m >= sp.epochEnd {
-		if sp.epochIdx < 0 {
-			sp.epochIdx = ls.epochIndexAt(m)
-		}
-		for sp.epochIdx+1 < len(ls.epochs) && ls.epochs[sp.epochIdx+1].Start <= m {
-			sp.epochIdx++
-		}
+		e := ls.epochIndexAt(m)
 		sp.epochEnd = math.MaxInt
-		if sp.epochIdx+1 < len(ls.epochs) {
-			sp.epochEnd = ls.epochs[sp.epochIdx+1].Start
+		if e+1 < len(ls.epochs) {
+			sp.epochEnd = ls.epochs[e+1].Start
 		}
-		if site := ls.epochs[sp.epochIdx].Table.SiteOf(vp.ASN); site != sp.row.site {
+		if site := ls.epochs[e].Table.SiteOf(vp.ASN); site != sp.row.site {
 			sp.row.site = site
 			if site >= 0 {
 				ev.fillSiteRow(&sp.row, ls, vp, w)
@@ -250,23 +252,6 @@ func (ev *Evaluator) fillSiteRow(row *siteRow, ls *letterState, vp *atlas.VP, w 
 	if ci := ls.siteCity[site]; !ls.targeted && ci >= 0 {
 		row.excess = &ev.cityExcess[ci]
 	}
-}
-
-// fillLossless answers the probes of a lossless span, the first at minute:
-// each is the hashed server's reply at the site's delay, its RTT jittered by
-// the probe's coin. It returns the minute after the span's last probe.
-//
-//repolint:hot
-func (row *siteRow) fillLossless(span []atlas.WalkProbe, minute, interval, lastMinute int, coinKey, serverKey uint64, delay float64) int {
-	// RTT: geography plus queueing, with mild multiplicative jitter.
-	base, site, identity := row.baseRTT+delay, row.site, row.identity
-	for k := range span {
-		m := min(minute, lastMinute)
-		server := row.server(serverKey, m)
-		span[k].Set(atlas.OK, site, server, base*(0.92+0.16*coin(coinKey, m, 3)), identity+uint32(server))
-		minute += interval
-	}
-	return minute
 }
 
 // server is a probe's server behind the site's load balancer, hashed from
