@@ -108,6 +108,7 @@ type spanInputs struct {
 	epochNext, siteNext, cityNext, churnNext int
 }
 
+// inputsAt derives a probe's spanInputs at a minute from the engine's state.
 func inputsAt(ev *Evaluator, vp *atlas.VP, letter byte, minute int) spanInputs {
 	in := spanInputs{site: -1, epochNext: math.MaxInt, siteNext: math.MaxInt, cityNext: math.MaxInt, churnNext: math.MaxInt}
 	if ev.flt != nil {
