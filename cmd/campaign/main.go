@@ -94,6 +94,23 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 		fs.Usage()
 		return core.ExitUsage
 	}
+	// Reject here what the runner would bend to its defaults, before it
+	// creates -dir.
+	bad := ""
+	switch {
+	case *parallel < 1:
+		bad = "-parallel must be at least 1"
+	case *retries < 1:
+		bad = "-retries must be at least 1"
+	case *timeout <= 0:
+		bad = "-timeout must be positive"
+	case *stallTimeout <= 0:
+		bad = "-stall-timeout must be positive"
+	}
+	if bad != "" {
+		log.Print(bad)
+		return core.ExitUsage
+	}
 	data, err := os.ReadFile(*specPath)
 	if err != nil {
 		log.Print(err)

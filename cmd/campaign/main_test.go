@@ -84,6 +84,41 @@ func TestRunnerModeNeedsSpecAndDir(t *testing.T) {
 	}
 }
 
+// TestRejectedFlagsExitUsage: a value the runner would bend to its default
+// exits ExitUsage with one stderr line naming the flag, before the campaign
+// directory exists.
+func TestRejectedFlagsExitUsage(t *testing.T) {
+	var stderr bytes.Buffer
+	log.SetOutput(&stderr)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	spec := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(spec, []byte(smallSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"-parallel", "0"},
+		{"-parallel", "-3"},
+		{"-retries", "0"},
+		{"-retries", "-1"},
+		{"-timeout", "0s"},
+		{"-timeout", "-1s"},
+		{"-stall-timeout", "0s"},
+		{"-stall-timeout", "-5s"},
+	} {
+		stderr.Reset()
+		dir := filepath.Join(t.TempDir(), "sweep")
+		if code := run([]string{"-spec", spec, "-dir", dir, tc.flag, tc.value}, nil, io.Discard); code != core.ExitUsage {
+			t.Errorf("%s %s exits %d, want %d", tc.flag, tc.value, code, core.ExitUsage)
+		}
+		if msg := strings.TrimSuffix(stderr.String(), "\n"); !strings.Contains(msg, tc.flag+" ") || strings.Contains(msg, "\n") {
+			t.Errorf("%s %s logs %q: want one line naming the flag", tc.flag, tc.value, msg)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s %s: -dir exists after the rejection (stat: %v)", tc.flag, tc.value, err)
+		}
+	}
+}
+
 // TestWorkerModeRejectsBadScenarioFiles: a scenario file that cannot be
 // read or parsed ends the worker with ExitFailure and no outcome file.
 func TestWorkerModeRejectsBadScenarioFiles(t *testing.T) {

@@ -27,7 +27,6 @@ import (
 	"github.com/rootevent/anycastddos/internal/bgpmon"
 	"github.com/rootevent/anycastddos/internal/checkpoint"
 	"github.com/rootevent/anycastddos/internal/netsim"
-	"github.com/rootevent/anycastddos/internal/rssac"
 	"github.com/rootevent/anycastddos/internal/topo"
 )
 
@@ -363,21 +362,10 @@ func (ev *Evaluator) replayRSSAC(upto int, letters []byte) {
 		evIdx := int(ev.evActive[minute])
 		for _, lb := range letters {
 			ls := ev.letters[lb]
-			rec := rssac.Minute{
-				Minute:          minute,
-				LegitServedQPS:  ls.legitServed[minute],
-				RetryServedQPS:  ls.retryServed[minute],
-				AttackServedQPS: ls.attackServed[minute],
-				ResponseQPS:     ls.responses[minute],
-			}
-			if evIdx >= 0 {
-				rec.AttackQueryBytes = events[evIdx].QueryBytes
-				rec.AttackResponseBytes = events[evIdx].ResponseBytes
-			}
-			if ev.flt != nil && ev.flt.MonitorGapAt(lb, minute) {
+			if ls.flt.MonitorGapAt(minute) {
 				ev.RSSAC.RecordGap(lb, minute)
 			} else {
-				ev.RSSAC.Record(lb, rec)
+				ev.RSSAC.Record(lb, ls.rssacMinute(minute, evIdx, events))
 			}
 		}
 	}

@@ -39,6 +39,7 @@ type letterTick struct {
 	failed     []float64 // per-served-site failed legit QPS, in site order
 	recomputed bool      // routing changed; letterState.pending holds the diff
 	reroute    bool      // announcements moved this minute; the next epoch is still to compute
+	replayed   bool      // the site pass replayed the minute before's
 	err        error
 }
 
@@ -56,11 +57,16 @@ var ErrWorkerPanic = errors.New("core: letter worker panicked")
 func (ev *Evaluator) guard(ls *letterState, minute int, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: letter %c at minute %d: %v: %w",
-				ls.letter.Letter, minute, r, ErrWorkerPanic)
+			err = workerPanic(ls, minute, r)
 		}
 	}()
 	return fn()
+}
+
+// workerPanic is the error a panic recovered from letter ls's work at a
+// minute fails the run with.
+func workerPanic(ls *letterState, minute int, r any) error {
+	return fmt.Errorf("core: letter %c at minute %d: %v: %w", ls.letter.Letter, minute, r, ErrWorkerPanic)
 }
 
 // applyFaultOverlay refreshes the letter's effective announcement vector
@@ -161,6 +167,14 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 	events := ev.sched.Events
 	ticks := make([]letterTick, len(states))
 	reroute := make([]*letterState, 0, len(states))
+	// Minutes in [quietFrom, quietEnd) are a quiet span: see quietSpanEnd.
+	// A letter with a controller decides every minute, so none are crossed
+	// then, nor when the site pass is forced to run from scratch.
+	spans := !ev.noSiteReplay
+	for _, ls := range states {
+		spans = spans && ls.adaptive == nil
+	}
+	quietFrom, quietEnd := 0, 0
 
 	// Pre-event retry load is zero; during events, legitimate queries
 	// that fail at attacked letters are retried at the others (§3.2.2).
@@ -170,102 +184,39 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 		}
 		evIdx := ev.sched.Active(minute)
 
-		// Pass 1: per-letter site states and announcement state machines,
-		// letter by letter on this goroutine. The deployment is the same 13
-		// letters at every topology scale, so this is tens of microseconds
-		// a minute — less than waking a second goroutine costs. guard turns
-		// a panicking letter into an error surfaced at the barrier below.
-		reroute = reroute[:0]
-		for _, ls := range states {
-			tick := &ticks[ls.index]
-			tick.err = ev.guard(ls, minute, func() error {
-				return ev.stepLetter(ls, minute, evIdx, events, tick)
-			})
-			if tick.reroute {
-				reroute = append(reroute, ls)
+		if minute < quietEnd {
+			// Every input of the minute equals the minute before's, so its
+			// answers do too; the routers catch up at the span's last minute.
+			if err := repeatMinute(states, minute); err != nil {
+				return err
 			}
-		}
-		// Letters whose announcements moved recompute their routing — the
-		// one part of a minute that grows with the topology — sharded over
-		// the worker pool. The new epoch sees intent and faults as of the
-		// minute it takes effect.
-		ev.forEachLetter(workers, reroute, func(ls *letterState) {
-			tick := &ticks[ls.index]
-			tick.err = ev.guard(ls, minute, func() error {
-				ev.applyFaultOverlay(ls, minute+1)
-				ev.computeEpoch(ls, minute+1)
-				return nil
-			})
-			tick.recomputed = true
-		})
-
-		// Barrier: merge cross-letter state in letter order, replaying the
-		// same float additions the sequential loop performs.
-		var failedLegitQPS float64
-		clear(ev.cityMinute)
-		for i, ls := range states {
-			t := &ticks[i]
-			if t.err != nil {
-				return t.err
+			if minute+1 == quietEnd {
+				ev.endQuietSpan(states, quietFrom, quietEnd)
 			}
-			for _, ca := range t.cityAdds {
-				ev.cityMinute[ca.city] += ca.qps
+		} else {
+			quiet, err := ev.stepMinute(minute, evIdx, workers, states, ticks, reroute)
+			if err != nil {
+				return err
 			}
-			for _, f := range t.failed {
-				failedLegitQPS += f
+			if spans && quiet {
+				quietFrom, quietEnd = minute+1, ev.quietSpanEnd(states, minute+1, evIdx)
+				if ev.onQuietSpan != nil && quietEnd > quietFrom {
+					ev.onQuietSpan(quietFrom, quietEnd)
+				}
 			}
-			if t.recomputed {
-				// Observe copies the changes, so the pending buffer is
-				// reusable across minutes.
-				ev.Collector.Observe(minute+1, ls.letter.Letter, ls.pending)
-				ls.pending = ls.pending[:0]
-			}
-		}
-		for ci, q := range ev.cityMinute {
-			ev.cityExcess[ci].set(minute, math.Float64bits(q))
 		}
 
-		// Pass 2: retry load at un-attacked letters and RSSAC records —
-		// cheap per-letter arithmetic, kept on the coordinating goroutine.
-		unattacked := 0
-		for _, ls := range states {
-			if evIdx >= 0 && !ls.targeted {
-				unattacked++
-			}
-		}
+		// RSSAC records, letter by letter: the float additions of a daily
+		// report happen once per minute, in this order, in every path.
 		for i, lb := range letters {
 			ls := states[i]
-			if evIdx >= 0 && !ls.targeted && unattacked > 0 {
-				ls.retryServed[minute] = failedLegitQPS / float64(unattacked)
-			}
-			// Responses: legit (and retries) answered 1:1; attack
-			// responses survive RRL at the reported ~60% suppression.
-			suppress := 0.0
-			if ls.attackServed[minute] > 0 {
-				total := ls.attackServed[minute] + ls.legitServed[minute]
-				suppress = rrl.SuppressionModel(ls.attackServed[minute] / total)
-			}
-			ls.responses[minute] = ls.legitServed[minute] + ls.retryServed[minute] +
-				ls.attackServed[minute]*(1-suppress)
-
-			rec := rssac.Minute{
-				Minute:          minute,
-				LegitServedQPS:  ls.legitServed[minute],
-				RetryServedQPS:  ls.retryServed[minute],
-				AttackServedQPS: ls.attackServed[minute],
-				ResponseQPS:     ls.responses[minute],
-			}
-			if evIdx >= 0 {
-				rec.AttackQueryBytes = events[evIdx].QueryBytes
-				rec.AttackResponseBytes = events[evIdx].ResponseBytes
-			}
 			if ls.flt.MonitorGapAt(minute) {
 				// The letter's RSSAC-002 measurement is down: the minute
 				// goes missing from the daily report (the paper's §2.4
 				// data holes) instead of being recorded as zeros.
 				ev.RSSAC.RecordGap(lb, minute)
 			} else {
-				ev.RSSAC.Record(lb, rec)
+				ev.RSSAC.Record(lb, ls.rssacMinute(minute, evIdx, events))
 			}
 		}
 
@@ -291,6 +242,207 @@ func (ev *Evaluator) runFrom(ctx context.Context, start int) (err error) {
 
 	ev.buildNLSeries()
 	return nil
+}
+
+// stepMinute runs one minute of every letter in full: site passes and
+// announcement state machines, the routing of the letters whose
+// announcements moved, the cross-letter barrier, and retry load and
+// responses. It reports the minute quiet: every letter replayed the minute
+// before's site pass and no announcement moved.
+func (ev *Evaluator) stepMinute(minute, evIdx, workers int, states []*letterState, ticks []letterTick, reroute []*letterState) (quiet bool, err error) {
+	events := ev.sched.Events
+
+	// Pass 1: per-letter site states and announcement state machines,
+	// letter by letter on this goroutine. The deployment is the same 13
+	// letters at every topology scale, so this is tens of microseconds
+	// a minute — less than waking a second goroutine costs. guard turns
+	// a panicking letter into an error surfaced at the barrier below.
+	quiet = true
+	reroute = reroute[:0]
+	for _, ls := range states {
+		tick := &ticks[ls.index]
+		tick.err = ev.guard(ls, minute, func() error {
+			return ev.stepLetter(ls, minute, evIdx, events, tick)
+		})
+		if tick.reroute {
+			reroute = append(reroute, ls)
+		}
+		quiet = quiet && tick.replayed && !tick.reroute
+	}
+	// Letters whose announcements moved recompute their routing — the
+	// one part of a minute that grows with the topology — sharded over
+	// the worker pool. The new epoch sees intent and faults as of the
+	// minute it takes effect.
+	ev.forEachLetter(workers, reroute, func(ls *letterState) {
+		tick := &ticks[ls.index]
+		tick.err = ev.guard(ls, minute, func() error {
+			ev.applyFaultOverlay(ls, minute+1)
+			ev.computeEpoch(ls, minute+1)
+			return nil
+		})
+		tick.recomputed = true
+	})
+
+	// Barrier: merge cross-letter state in letter order, replaying the
+	// same float additions the sequential loop performs.
+	var failedLegitQPS float64
+	clear(ev.cityMinute)
+	for i, ls := range states {
+		t := &ticks[i]
+		if t.err != nil {
+			return false, t.err
+		}
+		for _, ca := range t.cityAdds {
+			ev.cityMinute[ca.city] += ca.qps
+		}
+		for _, f := range t.failed {
+			failedLegitQPS += f
+		}
+		if t.recomputed {
+			// Observe copies the changes, so the pending buffer is
+			// reusable across minutes.
+			ev.Collector.Observe(minute+1, ls.letter.Letter, ls.pending)
+			ls.pending = ls.pending[:0]
+		}
+	}
+	for ci, q := range ev.cityMinute {
+		ev.cityExcess[ci].set(minute, math.Float64bits(q))
+	}
+
+	// Pass 2: retry load at un-attacked letters and responses — cheap
+	// per-letter arithmetic, kept on the coordinating goroutine.
+	unattacked := 0
+	for _, ls := range states {
+		if evIdx >= 0 && !ls.targeted {
+			unattacked++
+		}
+	}
+	for _, ls := range states {
+		if evIdx >= 0 && !ls.targeted && unattacked > 0 {
+			ls.retryServed[minute] = failedLegitQPS / float64(unattacked)
+		}
+		// Responses: legit (and retries) answered 1:1; attack
+		// responses survive RRL at the reported ~60% suppression.
+		suppress := 0.0
+		if ls.attackServed[minute] > 0 {
+			total := ls.attackServed[minute] + ls.legitServed[minute]
+			suppress = rrl.SuppressionModel(ls.attackServed[minute] / total)
+		}
+		ls.responses[minute] = ls.legitServed[minute] + ls.retryServed[minute] +
+			ls.attackServed[minute]*(1-suppress)
+	}
+	return quiet, nil
+}
+
+// rssacMinute is the letter's RSSAC-002 record of a minute.
+func (ls *letterState) rssacMinute(minute, evIdx int, events []attack.Event) rssac.Minute {
+	rec := rssac.Minute{
+		Minute:          minute,
+		LegitServedQPS:  ls.legitServed[minute],
+		RetryServedQPS:  ls.retryServed[minute],
+		AttackServedQPS: ls.attackServed[minute],
+		ResponseQPS:     ls.responses[minute],
+	}
+	if evIdx >= 0 {
+		rec.AttackQueryBytes = events[evIdx].QueryBytes
+		rec.AttackResponseBytes = events[evIdx].ResponseBytes
+	}
+	return rec
+}
+
+// quietSpanEnd returns where the quiet span that starts at minute `from`
+// ends, `from` itself when there is none. Minute from-1 was quiet: every
+// letter replayed its site pass and no announcement moved. The minutes after
+// it stay so, each a copy of the one before, until the first of
+//   - a schedule edge, where the attack rate moves;
+//   - a fault-window edge of any letter, where its announcement overlay or
+//     its sites' capacity and loss may move;
+//   - a router's next state change: its input is constant across the span
+//     (its site's utilization is the replayed pass's, and a flappy uplink's
+//     city congestion is the sum of the unchanged cross-letter ticks), so
+//     Router.NextChange computes it;
+//   - the next checkpoint minute, whose record must hold the routers as
+//     stepped up to it;
+//   - the horizon.
+//
+// It leaves every router's span input in originState.quietU for
+// endQuietSpan.
+func (ev *Evaluator) quietSpanEnd(states []*letterState, from, evIdx int) int {
+	end := ev.Cfg.Minutes
+	if ev.opts.checkpointDir != "" {
+		end = min(end, (from/ev.opts.checkpointEvery+1)*ev.opts.checkpointEvery)
+	}
+	for _, ls := range states {
+		end = min(end, ls.flt.NextEdge(from-1))
+		act := ls.effective()
+		for oi := range ls.states {
+			os := &ls.states[oi]
+			os.quietU = ev.routerInput(ls, oi, from, act)
+			end = min(end, os.router.NextChange(from, os.quietU))
+		}
+	}
+	for m := from; m < end; m++ {
+		if int(ev.evActive[m]) != evIdx {
+			return m
+		}
+	}
+	return end
+}
+
+// endQuietSpan brings the engine state a quiet span [from, end) leaves
+// behind up to date: every router advanced over the span's minutes, and the
+// site pass's minute moved to the span's last.
+func (ev *Evaluator) endQuietSpan(states []*letterState, from, end int) {
+	for _, ls := range states {
+		for oi := range ls.states {
+			os := &ls.states[oi]
+			os.router.Skip(from, end, os.quietU)
+		}
+		ls.sitesMinute = end - 1
+	}
+}
+
+// repeatMinute fills every letter's traffic series at a quiet minute with
+// the minute before's: same inputs, same bits. One recover covers the
+// letters, so a panic fails the run as a letter worker's would.
+func repeatMinute(states []*letterState, minute int) (err error) {
+	i := 0
+	defer func() {
+		if r := recover(); r != nil {
+			err = workerPanic(states[i], minute, r)
+		}
+	}()
+	for ; i < len(states); i++ {
+		ls := states[i]
+		ls.legitServed[minute] = ls.legitServed[minute-1]
+		ls.attackServed[minute] = ls.attackServed[minute-1]
+		ls.retryServed[minute] = ls.retryServed[minute-1]
+		ls.responses[minute] = ls.responses[minute-1]
+	}
+	return nil
+}
+
+// routerInput is the utilization uplink oi's router steps on at a minute:
+// its site's, raised for a flappy uplink to the congestion of the shared
+// fabric in the site's city over the minute before, and 0 while act says
+// the uplink is down.
+func (ev *Evaluator) routerInput(ls *letterState, oi, minute int, act []bool) float64 {
+	if !act[oi] {
+		return 0
+	}
+	os := &ls.states[oi]
+	u := ls.util[os.site]
+	if os.flap && minute > 0 {
+		// Session failures also follow shared-fabric congestion in the
+		// site's city (previous minute's totals — fully merged at the last
+		// barrier, so letter processing order cannot matter).
+		if ci := ls.siteCity[os.site]; ci >= 0 {
+			if cu := ev.excessAt(ci, minute-1) / flapExcessQPS; cu > u {
+				u = cu
+			}
+		}
+	}
+	return u
 }
 
 // forEachLetter runs fn over every letter state, fanning out across
@@ -329,6 +481,7 @@ func (ev *Evaluator) forEachLetter(workers int, states []*letterState, fn func(*
 func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []attack.Event, tick *letterTick) error {
 	tick.recomputed = false
 	tick.reroute = false
+	tick.replayed = false
 
 	// A fault window opening or closing at this minute changes the
 	// effective announcements: recompute routing before serving traffic.
@@ -348,6 +501,7 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 	if !ev.noSiteReplay && ls.sitesMinute == minute-1 && ls.sitesEpochs == len(ls.epochs) &&
 		ls.sitesAttackQPS == attackQPS && ls.flt.ServiceSteadyAt(minute) {
 		ls.replaySites(minute)
+		tick.replayed = true
 	} else {
 		if err := ev.serveSites(ls, minute, attackQPS, tick); err != nil {
 			return err
@@ -355,7 +509,6 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 		ls.sitesEpochs, ls.sitesAttackQPS = len(ls.epochs), attackQPS
 	}
 	ls.sitesMinute = minute
-	utilization := ls.util
 
 	// Step announcement state machines, or let the letter's controller
 	// move them.
@@ -365,25 +518,11 @@ func (ev *Evaluator) stepLetter(ls *letterState, minute, evIdx int, events []att
 	} else {
 		act := ls.effective()
 		for oi := range ls.states {
-			os := &ls.states[oi]
-			u := utilization[os.site]
-			if os.flap && minute > 0 {
-				// Session failures also follow shared-fabric congestion in
-				// the site's city (previous minute's totals — fully merged at
-				// the last barrier, so letter processing order cannot matter).
-				if ci := ls.siteCity[os.site]; ci >= 0 {
-					if cu := ev.excessAt(ci, minute-1) / flapExcessQPS; cu > u {
-						u = cu
-					}
-				}
-			}
-			if !act[oi] {
-				u = 0
-			}
-			if os.router.Step(minute, u) {
+			r := ls.states[oi].router
+			if r.Step(minute, ev.routerInput(ls, oi, minute, act)) {
 				changed = true
 			}
-			ls.active[oi] = os.router.Announced()
+			ls.active[oi] = r.Announced()
 		}
 	}
 	// H-Root primary/backup: activate the backup while the primary is

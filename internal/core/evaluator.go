@@ -140,6 +140,8 @@ type originState struct {
 	// flap marks an uplink whose BGP session fails under shared-fabric
 	// congestion (city excess), not only local overload.
 	flap bool
+	// quietU is the router's input throughout the current quiet span.
+	quietU float64
 }
 
 // flapExcessQPS converts city-level excess load into the utilization signal
@@ -319,9 +321,13 @@ type Evaluator struct {
 	asnCity []int32
 	// evActive[m] caches sched.Active(m) for every simulated minute.
 	evActive []int32
-	// noSiteReplay makes every minute evaluate its sites from scratch; only
-	// the test that proves the replay an equivalence sets it.
+	// noSiteReplay makes every minute evaluate its sites from scratch and
+	// step every router, crossing no quiet span; only the test that proves
+	// the replay and the spans an equivalence sets it.
 	noSiteReplay bool
+	// onQuietSpan, when set, is told every quiet span [from, end) the run
+	// crosses; only tests set it.
+	onQuietSpan func(from, end int)
 	// routes solves every letter's routing tables. It is immutable, so the
 	// engine workers routing different letters share it.
 	routes *bgpsim.Computer
@@ -748,23 +754,39 @@ func (ev *Evaluator) buildNLSeries() {
 		site   int
 		stress float64
 	}
+	// evBefore[m] counts the event minutes before minute m.
+	evBefore := make([]int, ev.Cfg.Minutes+1)
+	for m, e := range ev.evActive {
+		evBefore[m+1] = evBefore[m]
+		if e >= 0 {
+			evBefore[m+1]++
+		}
+	}
 	var anchors []anchor
 	for lb, ls := range ev.letters {
 		if !ev.sched.Targeted(lb) {
 			continue
 		}
 		for si := range ls.letter.Sites {
+			// A site's mean event-minute loss, step by step: a step adds its
+			// loss at each of its event minutes, one addition at a time, and
+			// only counts them when that loss is +0, whose addition changes
+			// no bit of the sum.
 			var sum float64
 			n := 0
-			ls.sites[si].each(0, ev.Cfg.Minutes, func(m int, st siteState) {
-				if ev.evActive[m] < 0 {
-					return
+			for m := 0; m < ev.Cfg.Minutes; {
+				st, end := ls.sites[si].span(m)
+				end = min(end, ev.Cfg.Minutes)
+				n += evBefore[end] - evBefore[m]
+				if !st.route || st.loss == 0 {
+					m = end
 				}
-				if st.route {
-					sum += st.lossFrac()
+				for ; m < end; m++ {
+					if ev.evActive[m] >= 0 {
+						sum += st.lossFrac()
+					}
 				}
-				n++
-			})
+			}
 			if n > 0 {
 				anchors = append(anchors, anchor{lb, si, sum / float64(n)})
 			}

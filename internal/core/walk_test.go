@@ -8,6 +8,7 @@ import (
 
 	"github.com/rootevent/anycastddos/internal/atlas"
 	"github.com/rootevent/anycastddos/internal/atlas/atlastest"
+	"github.com/rootevent/anycastddos/internal/attack"
 	"github.com/rootevent/anycastddos/internal/faults"
 	"github.com/rootevent/anycastddos/internal/netsim"
 )
@@ -91,8 +92,9 @@ type walkCoverage struct {
 	// behind a's collateral loss (the site's state is a's, its effective
 	// loss is not) or a churn-window edge (b is NoData): the span edges a
 	// kernel that missed them would answer b wrong at. lossy counts probes
-	// whose site holds a route and loses queries.
-	siteCut, cityCut, churnCut, lossy int
+	// whose site holds a route and loses queries, faultLossy those among
+	// them whose site is inside a CapacityDegrade or PacketLossBurst window.
+	siteCut, cityCut, churnCut, lossy, faultLossy int
 }
 
 // spanInputs is what a probe at one minute reads, as the reference model
@@ -179,6 +181,9 @@ func checkWalk(t *testing.T, ev *Evaluator, w *atlas.Walk, vp *atlas.VP, letter 
 			}
 			if cur.routed && !(cur.loss <= 0) {
 				cov.lossy++
+				if ev.flt != nil && (ev.flt.CapacityFactor(letter, cur.site, m) < 1 || ev.flt.ExtraLossFrac(letter, cur.site, m) > 0) {
+					cov.faultLossy++
+				}
 			}
 			prev, prevMinute = cur, m
 		}
@@ -227,21 +232,27 @@ func checkWalk(t *testing.T, ev *Evaluator, w *atlas.Walk, vp *atlas.VP, letter 
 }
 
 // TestWalkIsItsProbes pins the walk kernel to the probes it stands for, on a
-// fault-free run and under the random:3:heavy plan: every vantage point's
+// fault-free run, under the random:3:heavy plan, and under that plan with
+// capacity-degrade and packet-loss-burst windows on loaded sites of every
+// attacked letter inside both events (loadedSitePlan): every vantage point's
 // campaign walk of every letter (A at its 30-minute cadence, an unknown
 // letter too), plus walks that start before minute 0, run past the horizon,
-// and visit every minute.
+// and visit every minute. The last plan must move sites' service where its
+// windows open and close, and leave lossy probes inside them.
 func TestWalkIsItsProbes(t *testing.T) {
+	cfg := tinyConfig(5)
+	cfg.VPs = 60
+	heavy := faults.RandomPlan(3, faults.HeavyProfile())
+	loaded := loadedSitePlan(t, cfg, attack.Nov2015Schedule(), heavy)
 	for _, tc := range []struct {
 		name string
 		plan *faults.Plan
 	}{
 		{"fault-free", nil},
-		{"random:3:heavy", faults.RandomPlan(3, faults.HeavyProfile())},
+		{"random:3:heavy", heavy},
+		{"random:3:heavy+loaded-sites", loaded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tinyConfig(5)
-			cfg.VPs = 60
 			ev, err := NewEvaluator(cfg, WithFaults(tc.plan))
 			if err != nil {
 				t.Fatal(err)
@@ -307,8 +318,37 @@ func TestWalkIsItsProbes(t *testing.T) {
 			if (cov.churnCut > 0) != (tc.plan != nil) {
 				t.Errorf("lossless spans cut by a churn edge = %d with plan %v", cov.churnCut, tc.plan != nil)
 			}
+			if tc.plan == loaded {
+				edges := loadedWindowSteps(ev, loaded, len(heavy.Events))
+				t.Logf("site steps at loaded-site window edges: %d", edges)
+				if edges < 80 || cov.faultLossy < 5000 {
+					t.Errorf("loaded-site windows moved %d site steps and left %d lossy probes, want at least 80 and 5000", edges, cov.faultLossy)
+				}
+			}
 		})
 	}
+}
+
+// loadedWindowSteps counts the site steps of ev's run that fall on a minute
+// where one of plan's windows past its first `skip` events opens or closes on
+// that site.
+func loadedWindowSteps(ev *Evaluator, plan *faults.Plan, skip int) int {
+	edges := map[[3]int]bool{}
+	for _, e := range plan.Events[skip:] {
+		edges[[3]int{int(e.Letter), e.Site, e.Start}] = true
+		edges[[3]int{int(e.Letter), e.Site, e.End()}] = true
+	}
+	n := 0
+	for lb, ls := range ev.letters {
+		for si := range ls.sites {
+			for _, at := range ls.sites[si].at {
+				if edges[[3]int{int(lb), si, int(at)}] {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestWalkBeforeRun covers the letter without a routing epoch: nothing but a

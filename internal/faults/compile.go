@@ -2,6 +2,8 @@ package faults
 
 import (
 	"fmt"
+	"math"
+	"slices"
 )
 
 // Shape describes the deployment a plan is compiled against: the run's
@@ -56,6 +58,10 @@ type Letter struct {
 	// serviceEdge[m] reports that a CapacityDegrade or PacketLossBurst
 	// window opens or closes at minute m of the horizon.
 	serviceEdge []bool
+	// edges lists, ascending and without repeats, every minute at which a
+	// SiteOutage, LinkFlap, CapacityDegrade or PacketLossBurst window opens
+	// or closes.
+	edges []int
 }
 
 // markServiceEdges records the minutes of the horizon at which e's window
@@ -126,6 +132,10 @@ func Compile(p *Plan, sh Shape) (*Compiled, error) {
 				}
 			}
 			switch ev.Kind {
+			case SiteOutage, LinkFlap, CapacityDegrade, PacketLossBurst:
+				lf.edges = append(lf.edges, ev.Start, ev.End())
+			}
+			switch ev.Kind {
 			case SiteOutage:
 				lf.outages.add(ev, sh.Minutes)
 			case LinkFlap:
@@ -141,6 +151,12 @@ func Compile(p *Plan, sh Shape) (*Compiled, error) {
 			case HealthProbeLoss:
 				lf.probeLoss.add(ev, sh.Minutes)
 			}
+		}
+	}
+	for _, lf := range c.letters {
+		if lf != nil {
+			slices.Sort(lf.edges)
+			lf.edges = slices.Compact(lf.edges)
 		}
 	}
 	return c, nil
@@ -254,6 +270,25 @@ func (lf *Letter) ServiceSteadyAt(minute int) bool {
 		return true
 	}
 	return uint(minute) < uint(len(lf.serviceEdge)) && !lf.serviceEdge[minute]
+}
+
+// NextEdge returns the first minute after `minute` at which a SiteOutage,
+// LinkFlap, CapacityDegrade or PacketLossBurst window of the letter opens or
+// closes, math.MaxInt when none does. From a minute up to its NextEdge,
+// SiteForcedDown, CapacityFactor and ExtraLossFrac answer every minute as
+// they answer the first.
+func (lf *Letter) NextEdge(minute int) int {
+	if lf == nil {
+		return math.MaxInt
+	}
+	i, found := slices.BinarySearch(lf.edges, minute)
+	if found {
+		i++
+	}
+	if i == len(lf.edges) {
+		return math.MaxInt
+	}
+	return lf.edges[i]
 }
 
 // MonitorGapAt reports whether the letter's RSSAC-002 measurement is

@@ -125,6 +125,22 @@ func (c *refCompiled) MonitorGapAt(letter byte, minute int) bool {
 	return false
 }
 
+// sameAnswers reports that the reference answers every site lookup the same
+// at minutes a and b.
+func sameAnswers(ref *refCompiled, l byte, site, a, b int) bool {
+	if ref.CapacityFactor(l, site, a) != ref.CapacityFactor(l, site, b) || ref.ExtraLossFrac(l, site, a) != ref.ExtraLossFrac(l, site, b) {
+		return false
+	}
+	for nUp := 1; nUp <= 3; nUp++ {
+		for up := 0; up < nUp; up++ {
+			if ref.SiteForcedDown(l, site, up, nUp, a) != ref.SiteForcedDown(l, site, up, nUp, b) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // rootShape is a 13-letter shape with uneven site counts, like the root
 // deployment's.
 func rootShape(minutes int) Shape {
@@ -138,7 +154,8 @@ func rootShape(minutes int) Shape {
 // TestDenseViewMatchesReference checks the dense per-letter view against
 // the map-and-scan reference at every (letter, site, uplink, minute) of a
 // 13-letter shape — floats bit for bit — and a few minutes past both ends
-// of the horizon, where the per-minute early-outs do not apply. The
+// of the horizon, where the per-minute early-outs do not apply. No lookup may
+// change its answer between a minute and the NextEdge after it. The
 // built-in random profiles are sparse, so a crowded one (many overlapping
 // windows, wildcard letters and sites) rides along.
 func TestDenseViewMatchesReference(t *testing.T) {
@@ -202,11 +219,17 @@ func TestDenseViewMatchesReference(t *testing.T) {
 								compared++
 							}
 						}
-						// A steady minute promises last minute's factors.
+						// A steady minute promises last minute's factors, and a
+						// minute before the next edge every answer of the last.
 						if minute > 0 && minute < minutes && view.ServiceSteadyAt(minute) {
 							if ref.CapacityFactor(l, site, minute-1) != wantF || ref.ExtraLossFrac(l, site, minute-1) != wantX {
 								t.Fatalf("%s seed %d: ServiceSteadyAt(%c, %d) but site %d's factors moved", pr.Name, seed, l, minute, site)
 							}
+						}
+						if next := view.NextEdge(minute - 1); next <= minute-1 {
+							t.Fatalf("%s seed %d: NextEdge(%c, %d) = %d, not after it", pr.Name, seed, l, minute-1, next)
+						} else if next > minute && !sameAnswers(ref, l, site, minute-1, minute) {
+							t.Fatalf("%s seed %d: NextEdge(%c, %d) = %d but site %d's faults moved at %d", pr.Name, seed, l, minute-1, next, site, minute)
 						}
 					}
 				}
@@ -223,7 +246,7 @@ func TestDenseViewMatchesReference(t *testing.T) {
 	}
 	var none *Letter
 	if c.Letter('z') != nil || none.SiteForcedDown(0, 0, 1, 5) || none.CapacityFactor(0, 5) != 1 ||
-		none.ExtraLossFrac(0, 5) != 0 || none.MonitorGapAt(5) || !none.ServiceSteadyAt(5) {
+		none.ExtraLossFrac(0, 5) != 0 || none.MonitorGapAt(5) || !none.ServiceSteadyAt(5) || none.NextEdge(5) != math.MaxInt {
 		t.Error("absent letter reports a fault")
 	}
 }

@@ -21,6 +21,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/rootevent/anycastddos/internal/anycast"
 )
@@ -308,4 +309,37 @@ func (r *Router) Step(minute int, utilization float64) bool {
 		return true
 	}
 	return false
+}
+
+// NextChange returns the first minute m >= from at which Step(m, u) returns
+// true when Step is called at every minute from `from` on with the same
+// utilization u, or math.MaxInt when it never does. Step is integer
+// counters, so this is arithmetic: an announced router at or over its
+// trigger withdraws once its hold fills, a withdrawn one re-announces once
+// its cooldown has passed, and any other router never changes.
+func (r *Router) NextChange(from int, u float64) int {
+	switch {
+	case r.policy != anycast.Withdraw:
+		return math.MaxInt
+	case !r.announced:
+		return max(from, r.downSince+r.CooldownMinutes)
+	case u >= r.TriggerRatio:
+		return from + max(0, r.HoldMinutes-r.overMinutes-1)
+	default:
+		return math.MaxInt
+	}
+}
+
+// Skip advances the state machine through minutes [from, to) at a constant
+// utilization u, leaving it as that many Step calls would. None of those
+// calls may change the announcement: to must not exceed NextChange(from, u).
+func (r *Router) Skip(from, to int, u float64) {
+	if to <= from || r.policy != anycast.Withdraw || !r.announced {
+		return
+	}
+	if u >= r.TriggerRatio {
+		r.overMinutes += to - from
+	} else {
+		r.overMinutes = 0
+	}
 }

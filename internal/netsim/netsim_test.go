@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -248,6 +249,66 @@ func TestRouterForceOperations(t *testing.T) {
 	}
 	if r.ForceAnnounce() {
 		t.Fatal("double ForceAnnounce should be a no-op")
+	}
+}
+
+// TestRouterSkipMatchesSteps holds the span arithmetic to the minute-by-minute
+// state machine: for every policy, announced and withdrawn routers, hold
+// counters on both sides of the hold edge, withdrawals on both sides of the
+// cooldown edge, and utilization under, at and over the trigger, NextChange
+// is the first minute Step returns true, and Skip over any L minutes short of
+// it leaves the router as L Step calls do.
+func TestRouterSkipMatchesSteps(t *testing.T) {
+	const trigger, hold, cooldown, from, horizon = 3.0, 5, 12, 40, 100
+	type start struct {
+		name string
+		st   RouterState
+	}
+	var starts []start
+	for _, over := range []int{0, 1, hold - 2, hold - 1, hold, hold + 1} {
+		starts = append(starts, start{fmt.Sprintf("announced over=%d", over), RouterState{Announced: true, OverMinutes: over}})
+	}
+	for _, ago := range []int{0, 1, cooldown - 2, cooldown - 1, cooldown, cooldown + 1, 90} {
+		starts = append(starts, start{fmt.Sprintf("withdrawn %d min ago", ago), RouterState{DownSince: from - ago}})
+	}
+	for _, policy := range []anycast.Policy{anycast.Absorb, anycast.Withdraw, anycast.Adaptive} {
+		for _, s := range starts {
+			for _, u := range []float64{0, trigger - 0.5, math.Nextafter(trigger, 0), trigger, trigger + 0.5, 50, math.NaN()} {
+				name := fmt.Sprintf("%v %s u=%v", policy, s.name, u)
+				newRouter := func() *Router {
+					r := NewRouter(policy, trigger, hold, cooldown)
+					r.Restore(s.st)
+					return r
+				}
+				next := newRouter().NextChange(from, u)
+				stepped := newRouter()
+				first := math.MaxInt
+				for m := from; m < from+horizon; m++ {
+					changed := stepped.Step(m, u)
+					if changed && first == math.MaxInt {
+						first = m
+					}
+					if first == math.MaxInt {
+						// Every Step so far kept the announcement: Skip over
+						// the same minutes must land on the same state.
+						skipped := newRouter()
+						skipped.Skip(from, m+1, u)
+						if got, want := skipped.State(), stepped.State(); got != want {
+							t.Fatalf("%s: Skip(%d, %d) = %+v, %d Step calls from %+v give %+v",
+								name, from, m+1, got, m+1-from, s.st, want)
+						}
+					}
+				}
+				if next != first {
+					t.Errorf("%s: NextChange(%d) = %d, Step first returns true at %d", name, from, next, first)
+				}
+				skipped := newRouter()
+				skipped.Skip(from, from, u)
+				if skipped.State() != s.st {
+					t.Errorf("%s: an empty Skip moved the router to %+v", name, skipped.State())
+				}
+			}
+		}
 	}
 }
 

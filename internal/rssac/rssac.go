@@ -93,65 +93,83 @@ func newSizeHistogram() *stats.Histogram {
 	return stats.NewHistogram(0, SizeBinWidth, SizeBins)
 }
 
-// legitQuerySizes spreads normal query traffic over realistic DNS message
-// sizes (root queries are mostly 17-60 bytes; EDNS adds a tail).
-var legitQuerySizes = []struct {
+// sizeShare is one message size of a traffic mix, the fraction of the
+// messages that have it, and the size histogram's bin for it.
+type sizeShare struct {
 	bytes int
 	frac  float64
-}{
-	{24, 0.15}, {30, 0.25}, {38, 0.25}, {45, 0.20}, {52, 0.10}, {70, 0.05},
+	bin   int
 }
+
+// sizeMix fills in the bins of a mix's shares.
+func sizeMix(shares ...sizeShare) []sizeShare {
+	h := newSizeHistogram()
+	for i := range shares {
+		shares[i].bin = h.Bin(float64(shares[i].bytes))
+	}
+	return shares
+}
+
+// legitQuerySizes spreads normal query traffic over realistic DNS message
+// sizes (root queries are mostly 17-60 bytes; EDNS adds a tail).
+var legitQuerySizes = sizeMix(
+	sizeShare{bytes: 24, frac: 0.15}, sizeShare{bytes: 30, frac: 0.25}, sizeShare{bytes: 38, frac: 0.25},
+	sizeShare{bytes: 45, frac: 0.20}, sizeShare{bytes: 52, frac: 0.10}, sizeShare{bytes: 70, frac: 0.05},
+)
 
 // legitResponseSizes models the mixed referral/NXDOMAIN response sizes of
 // normal root traffic.
-var legitResponseSizes = []struct {
-	bytes int
-	frac  float64
-}{
-	{110, 0.20}, {250, 0.30}, {500, 0.30}, {750, 0.15}, {900, 0.05},
-}
+var legitResponseSizes = sizeMix(
+	sizeShare{bytes: 110, frac: 0.20}, sizeShare{bytes: 250, frac: 0.30}, sizeShare{bytes: 500, frac: 0.30},
+	sizeShare{bytes: 750, frac: 0.15}, sizeShare{bytes: 900, frac: 0.05},
+)
 
 // Accumulator aggregates per-minute traffic summaries into daily reports.
 type Accumulator struct {
-	days    int
-	mix     attack.SourceMix
-	reports map[byte][]*Report
-	// attackQueries tracks accepted attack queries per letter per day to
-	// derive unique-source estimates; retryQueries tracks failover load
-	// from other letters' resolver populations.
-	attackQueries map[byte][]float64
-	retryQueries  map[byte][]float64
-	baselineIPs   float64
+	days int
+	mix  attack.SourceMix
+	// letters is indexed by letter byte; a letter that has recorded
+	// nothing has no slot.
+	letters     [256]*letterDays
+	baselineIPs float64
+}
+
+// letterDays is one letter's daily reports plus, per day, the accepted
+// attack queries its unique-source estimate derives from and the failover
+// load from other letters' resolver populations.
+type letterDays struct {
+	reports       []*Report
+	attackQueries []float64
+	retryQueries  []float64
 }
 
 // NewAccumulator creates an accumulator covering the given number of days.
 func NewAccumulator(days int, mix attack.SourceMix) *Accumulator {
 	return &Accumulator{
-		days:          days,
-		mix:           mix,
-		reports:       make(map[byte][]*Report),
-		attackQueries: make(map[byte][]float64),
-		retryQueries:  make(map[byte][]float64),
-		baselineIPs:   2_900_000, // ~2.9M distinct resolvers/day (Table 3 baseline)
+		days:        days,
+		mix:         mix,
+		baselineIPs: 2_900_000, // ~2.9M distinct resolvers/day (Table 3 baseline)
 	}
 }
 
-func (a *Accumulator) letterReports(letter byte) []*Report {
-	rs, ok := a.reports[letter]
-	if !ok {
-		rs = make([]*Report, a.days)
-		for d := range rs {
-			rs[d] = &Report{
+func (a *Accumulator) letterDays(letter byte) *letterDays {
+	ld := a.letters[letter]
+	if ld == nil {
+		ld = &letterDays{
+			reports:       make([]*Report, a.days),
+			attackQueries: make([]float64, a.days),
+			retryQueries:  make([]float64, a.days),
+		}
+		for d := range ld.reports {
+			ld.reports[d] = &Report{
 				Letter: letter, Day: d,
 				QuerySizes:    newSizeHistogram(),
 				ResponseSizes: newSizeHistogram(),
 			}
 		}
-		a.reports[letter] = rs
-		a.attackQueries[letter] = make([]float64, a.days)
-		a.retryQueries[letter] = make([]float64, a.days)
+		a.letters[letter] = ld
 	}
-	return rs
+	return ld
 }
 
 // Minute is one minute of measured (served) traffic at one letter.
@@ -184,7 +202,7 @@ func (a *Accumulator) RecordGap(letter byte, minute int) {
 	if day >= a.days {
 		return
 	}
-	a.letterReports(letter)[day].MissingMinutes++
+	a.letterDays(letter).reports[day].MissingMinutes++
 }
 
 // Record folds one minute of traffic into the letter's daily report.
@@ -196,17 +214,17 @@ func (a *Accumulator) Record(letter byte, m Minute) {
 	if day >= a.days {
 		return
 	}
-	rs := a.letterReports(letter)
-	r := rs[day]
+	ld := a.letterDays(letter)
+	r := ld.reports[day]
 	legitQ := (m.LegitServedQPS + m.RetryServedQPS) * 60
 	attackQ := m.AttackServedQPS * 60
 	r.Queries += legitQ + attackQ
 	r.Responses += m.ResponseQPS * 60
-	a.attackQueries[letter][day] += attackQ
-	a.retryQueries[letter][day] += m.RetryServedQPS * 60
+	ld.attackQueries[day] += attackQ
+	ld.retryQueries[day] += m.RetryServedQPS * 60
 
 	for _, sz := range legitQuerySizes {
-		r.QuerySizes.Add(float64(sz.bytes), int64(legitQ*sz.frac))
+		r.QuerySizes.Counts[sz.bin] += int64(legitQ * sz.frac)
 	}
 	if attackQ > 0 && m.AttackQueryBytes > 0 {
 		r.QuerySizes.Add(float64(m.AttackQueryBytes), int64(attackQ))
@@ -219,7 +237,7 @@ func (a *Accumulator) Record(letter byte, m Minute) {
 	}
 	attackResp := m.ResponseQPS*60 - legitResp
 	for _, sz := range legitResponseSizes {
-		r.ResponseSizes.Add(float64(sz.bytes), int64(legitResp*sz.frac))
+		r.ResponseSizes.Counts[sz.bin] += int64(legitResp * sz.frac)
 	}
 	if attackResp > 0 && m.AttackResponseBytes > 0 {
 		r.ResponseSizes.Add(float64(m.AttackResponseBytes), int64(attackResp))
@@ -229,24 +247,24 @@ func (a *Accumulator) Record(letter byte, m Minute) {
 // Finalize computes derived fields (unique sources) and returns the daily
 // reports for a letter, or nil if the letter never recorded traffic.
 func (a *Accumulator) Finalize(letter byte) []*Report {
-	rs, ok := a.reports[letter]
-	if !ok {
+	ld := a.letters[letter]
+	if ld == nil {
 		return nil
 	}
-	for d, r := range rs {
-		r.UniqueSources = a.baselineIPs + a.mix.ExpectedUniqueIPs(a.attackQueries[letter][d])
+	for d, r := range ld.reports {
+		r.UniqueSources = a.baselineIPs + a.mix.ExpectedUniqueIPs(ld.attackQueries[d])
 		// Failover traffic arrives from other letters' resolver
 		// populations. The multiplier is calibrated to the paper's
 		// observation that L-Root saw a 6-13x unique-IP increase while
 		// its query rate grew only 1.66x (§3.2.2).
-		if retry := a.retryQueries[letter][d]; retry > 0 {
-			baseDay := r.Queries - retry - a.attackQueries[letter][d]
+		if retry := ld.retryQueries[d]; retry > 0 {
+			baseDay := r.Queries - retry - ld.attackQueries[d]
 			if baseDay > 0 {
 				r.UniqueSources += a.baselineIPs * 15 * retry / baseDay
 			}
 		}
 	}
-	return rs
+	return ld.reports
 }
 
 // SyntheticBaseline fabricates a pre-event daily report for a letter

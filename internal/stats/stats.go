@@ -143,6 +143,12 @@ func NewHistogram(origin, width float64, n int) *Histogram {
 
 // Add increments the bin containing x by w.
 func (h *Histogram) Add(x float64, w int64) {
+	h.Counts[h.Bin(x)] += w
+}
+
+// Bin returns the index of the bin containing x; values outside the range
+// fall into the first or the last bin.
+func (h *Histogram) Bin(x float64) int {
 	i := int(math.Floor((x - h.Origin) / h.Width))
 	if i < 0 {
 		i = 0
@@ -150,7 +156,7 @@ func (h *Histogram) Add(x float64, w int64) {
 	if i >= len(h.Counts) {
 		i = len(h.Counts) - 1
 	}
-	h.Counts[i] += w
+	return i
 }
 
 // Total returns the sum of all bin counts.
