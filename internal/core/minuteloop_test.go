@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/rootevent/anycastddos/internal/anycast"
@@ -79,17 +80,21 @@ type engineState struct {
 }
 
 // spanEnds counts the quiet spans a run crossed by what ended them; a span
-// may count under several causes.
+// may count under several causes. longest is the longest span.
 type spanEnds struct {
 	spans, minutes                             int
 	schedule, fault, router, checkpoint, other int
 	dayCrossed                                 bool
+	longest                                    [2]int
 }
 
 // classify counts the span [from, end) of ev's run.
 func (c *spanEnds) classify(ev *Evaluator, from, end, every int) {
 	c.spans++
 	c.minutes += end - from
+	if end-from > c.longest[1]-c.longest[0] {
+		c.longest = [2]int{from, end}
+	}
 	if from/rssac.MinutesPerDay != (end-1)/rssac.MinutesPerDay {
 		c.dayCrossed = true
 	}
@@ -124,9 +129,19 @@ func (c *spanEnds) classify(ev *Evaluator, from, end, every int) {
 	}
 }
 
+// runEngineState runs cfg to the end, requiring progress once per simulated
+// minute, in order.
 func runEngineState(t *testing.T, cfg Config, noReplay bool, workers int, plan *faults.Plan, extra ...Option) (engineState, spanEnds) {
 	t.Helper()
-	ev, err := NewEvaluator(cfg, append(engineStateOpts(workers, plan), extra...)...)
+	done := 0
+	progress := WithProgress(func(p Progress) {
+		if p.Stage == StageRun {
+			if done++; p.Done != done {
+				t.Errorf("progress reports minute %d done after %d minutes", p.Done, done)
+			}
+		}
+	})
+	ev, err := NewEvaluator(cfg, append(engineStateOpts(workers, plan), append(extra, progress)...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +150,9 @@ func runEngineState(t *testing.T, cfg Config, noReplay bool, workers int, plan *
 	ev.onQuietSpan = func(from, end int) { spans = append(spans, [2]int{from, end}) }
 	if err := ev.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if done != cfg.Minutes {
+		t.Errorf("progress fired %d times in %d minutes", done, cfg.Minutes)
 	}
 	var ends spanEnds
 	for _, sp := range spans {
@@ -251,7 +269,8 @@ func loadedSitePlan(t *testing.T, cfg Config, sched *attack.Schedule, base *faul
 // and degrade and burst windows on loaded sites of every attacked letter.
 // The span runs must have crossed spans ended by a schedule edge, a fault
 // edge and a router's own change, and a two-day run one that crosses an
-// RSSAC day boundary. A run checkpointing every 7 minutes, so that replayed
+// RSSAC day boundary. Every run reports progress once per minute, and one
+// canceled inside a span names the minute it reached. A run checkpointing every 7 minutes, so that replayed
 // spans cross record boundaries, is stopped at a middle record and resumed:
 // its state and its checkpoint log must equal those of a from-scratch run
 // checkpointing at the same minutes.
@@ -276,6 +295,25 @@ func TestSiteReplayIsAnEquivalence(t *testing.T) {
 			t.Logf("%s: spans %+v", label, ends)
 			if ends.schedule == 0 || ends.router == 0 || (plan != nil && ends.fault == 0) || ends.other > 0 {
 				t.Errorf("%s: spans %+v: want some ended by a schedule edge, a router change and (faulted) a fault edge, none by anything else", label, ends)
+			}
+			// Canceled inside a span, the run names the minute it reached.
+			from, end := ends.longest[0], ends.longest[1]
+			if end-from < 3 {
+				t.Fatalf("%s: longest span [%d, %d) leaves no minute inside it to cancel at", label, from, end)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			ev, err := NewEvaluator(cfg, append(engineStateOpts(workers, plan), WithContext(ctx), WithProgress(func(p Progress) {
+				if p.Stage == StageRun && p.Done == from+1 {
+					cancel()
+				}
+			}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = ev.Run()
+			cancel()
+			if want := fmt.Sprintf("canceled at minute %d", from+1); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: canceled inside span [%d, %d): err = %v, want context.Canceled naming %q", label, from, end, err, want)
 			}
 		}
 
