@@ -57,6 +57,7 @@ func main() {
 
 	// 1. CHAOS catchment mapping, exactly like an Atlas VP.
 	prober := dnsserver.NewProber(1)
+	defer prober.Close()
 	prober.Timeout = time.Second
 	sites, err := prober.MapCatchment([]*net.UDPAddr{ams.Addr(), lhr.Addr()}, 'K')
 	if err != nil {

@@ -110,6 +110,33 @@ func BenchmarkServerEcho(b *testing.B) {
 	}
 }
 
+// BenchmarkProbeUDP measures one closed-loop identity probe over loopback
+// UDP against an idle in-process server: what a legitimate client, a
+// sitemgr health check or one catchment-mapping probe pays per query.
+// rootbench's probe_closed workload tracks the same path end to end.
+func BenchmarkProbeUDP(b *testing.B) {
+	s, err := Start(Config{Letter: 'K', Site: "AMS", Server: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	p := NewProber(1)
+	defer p.Close()
+	addr := s.Addr()
+	probe := func() {
+		res, err := p.Probe(addr, 'K')
+		if err != nil || !res.Matched {
+			b.Fatalf("probe: %+v, %v", res, err)
+		}
+	}
+	probe() // warm the server's scratch and the prober's socket
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probe()
+	}
+}
+
 // reportQPS emits queries-per-second as a custom metric.
 func reportQPS(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {

@@ -2,10 +2,12 @@ package dnsserver
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -15,10 +17,19 @@ import (
 
 // Prober issues measurement queries the way an Atlas VP does: one UDP CHAOS
 // TXT query per probe, a per-attempt deadline, capped exponential backoff
-// between retries, and identity parsing of the reply. UDP probes, TCP
-// probes and the lanes of a parallel sweep differ only in transport; they
-// share one retry loop (retry), one backoff (backoffDelay) and one reply
-// parser (parseReply).
+// between retries, and identity parsing of the reply. UDP and TCP probes
+// differ only in transport; they share one retry loop (retry), one backoff
+// (backoffDelay) and one reply parser (parseReply).
+//
+// A UDP probe runs over a connected socket, and the prober keeps that
+// socket for the next probe to the same address when the attempt read its
+// reply and parsed it cleanly. Any other outcome — timeout, read or write
+// error, cancellation, malformed reply — closes it, so a kept socket never
+// carries a stale deadline, a pending ICMP error or a late reply. At most
+// one socket per address and maxIdleSockets in total wait between probes;
+// a probe finding none idle dials its own, so two in-flight probes never
+// share a socket. Close releases the idle sockets. TCP probes dial a fresh
+// connection every time, as a TC=1 fallback does.
 type Prober struct {
 	// Timeout per probe attempt (Atlas uses 5 s). A context deadline
 	// shorter than this wins.
@@ -37,8 +48,22 @@ type Prober struct {
 	// MaxBackoff caps the exponential growth (default 2 s when zero).
 	MaxBackoff time.Duration
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu     sync.Mutex // guards rng, idle and closed
+	rng    *rand.Rand
+	idle   map[netip.AddrPort]*udpSock
+	closed bool
+}
+
+// maxIdleSockets bounds the connected UDP sockets one Prober keeps between
+// probes, across all destinations.
+const maxIdleSockets = 64
+
+// udpSock is one connected UDP probe socket with the buffers probes over
+// it reuse: the outgoing query and the reply.
+type udpSock struct {
+	conn  *net.UDPConn
+	query []byte
+	buf   []byte
 }
 
 // NewProber creates a prober with the Atlas timeout, no retries, and a
@@ -155,6 +180,57 @@ func (p *Prober) backoffDelay(retry int) time.Duration {
 	return time.Duration(float64(d) * jitter)
 }
 
+// Close closes the idle UDP sockets and stops keeping sockets between
+// probes: later probes still work, each over its own socket. It is safe to
+// call more than once.
+func (p *Prober) Close() error {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle, p.closed = nil, true
+	p.mu.Unlock()
+	var errs []error //repolint:allow maprange -- each error names its own socket; their order means nothing
+	for _, s := range idle {
+		if err := s.conn.Close(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// takeSock returns the idle socket connected to addr, removing it from the
+// idle set, or dials a new one when none is idle.
+func (p *Prober) takeSock(key netip.AddrPort, addr *net.UDPAddr) (*udpSock, error) {
+	p.mu.Lock()
+	s := p.idle[key]
+	delete(p.idle, key)
+	p.mu.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	conn, err := net.DialUDP("udp", nil, addr)
+	if err != nil {
+		return nil, fmt.Errorf("dnsserver: dial: %w", err)
+	}
+	return &udpSock{conn: conn, buf: make([]byte, 4096)}, nil
+}
+
+// putSock keeps s for the next probe to key, or closes it when key already
+// has an idle socket, the idle set is full, or the prober is closed.
+func (p *Prober) putSock(key netip.AddrPort, s *udpSock) {
+	p.mu.Lock()
+	if !p.closed && p.idle[key] == nil && len(p.idle) < maxIdleSockets {
+		if p.idle == nil {
+			p.idle = make(map[netip.AddrPort]*udpSock)
+		}
+		p.idle[key] = s
+		s = nil
+	}
+	p.mu.Unlock()
+	if s != nil {
+		s.conn.Close()
+	}
+}
+
 // queryID draws the next query ID from the prober's seeded stream.
 func (p *Prober) queryID() uint16 {
 	p.mu.Lock()
@@ -208,9 +284,22 @@ func finishErr(ctx context.Context, err error) error {
 	return err
 }
 
-// probeQuery packs the hostname.bind CHAOS TXT query every probe sends.
-func probeQuery(id uint16) ([]byte, error) {
-	return dnswire.NewQuery(id, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS).Pack()
+// probeTemplate is the hostname.bind CHAOS TXT query every probe sends,
+// packed once with ID 0.
+var probeTemplate = sync.OnceValues(func() ([]byte, error) {
+	return dnswire.NewQuery(0, "hostname.bind", dnswire.TypeTXT, dnswire.ClassCHAOS).Pack()
+})
+
+// probeQuery writes the probe query with the given ID over dst[:0] and
+// returns it.
+func probeQuery(dst []byte, id uint16) ([]byte, error) {
+	tmpl, err := probeTemplate()
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst[:0], tmpl...)
+	binary.BigEndian.PutUint16(dst, id)
+	return dst, nil
 }
 
 // messages recycles decode scratch across probes and TCP connections. Each
@@ -247,47 +336,68 @@ func parseReply(m *dnswire.Message, letter byte, rtt time.Duration) (ProbeResult
 	return res, nil
 }
 
-// probeUDP is one UDP attempt over a connected per-probe socket, so an
-// ICMP port-unreachable ends the attempt at the next read instead of
-// running to the deadline.
+// probeUDP is one UDP attempt over a connected socket, so an ICMP
+// port-unreachable ends the attempt at the next read instead of running to
+// the deadline. The socket is the one kept from the last clean probe to
+// addr, or a new one; it is kept again only if this attempt ends clean.
 func (p *Prober) probeUDP(ctx context.Context, addr *net.UDPAddr, letter byte) (ProbeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return ProbeResult{}, fmt.Errorf("dnsserver: probe canceled: %w", err)
 	}
-	conn, err := net.DialUDP("udp", nil, addr)
+	ap := addr.AddrPort()
+	key := netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	s, err := p.takeSock(key, addr)
 	if err != nil {
-		return ProbeResult{}, fmt.Errorf("dnsserver: dial: %w", err)
+		return ProbeResult{}, err
 	}
-	defer conn.Close()
-	// Cancellation must wake a read blocked inside the attempt window.
-	stop := context.AfterFunc(ctx, func() { conn.SetReadDeadline(aLongTimeAgo) })
-	defer stop()
+	res, clean, err := p.exchangeUDP(ctx, s, letter)
+	if clean {
+		p.putSock(key, s)
+	} else {
+		s.conn.Close()
+	}
+	return res, err
+}
+
+// exchangeUDP sends one query over s and reads until the matching reply or
+// the deadline. clean reports that the reply arrived and parsed without
+// error and that cancellation never touched the socket's deadline.
+func (p *Prober) exchangeUDP(ctx context.Context, s *udpSock, letter byte) (res ProbeResult, clean bool, err error) {
+	// Cancellation must wake a read blocked inside the attempt window. A
+	// context that can never be canceled needs no watcher.
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { s.conn.SetReadDeadline(aLongTimeAgo) })
+		defer func() {
+			if !stop() {
+				clean = false // the watcher fired or is about to: the deadline is poisoned
+			}
+		}()
+	}
 
 	id := p.queryID()
-	pkt, err := probeQuery(id)
-	if err != nil {
-		return ProbeResult{}, err
+	if s.query, err = probeQuery(s.query, id); err != nil {
+		return ProbeResult{}, false, err
 	}
 	start := time.Now()
-	if _, err := conn.Write(pkt); err != nil {
-		return ProbeResult{}, fmt.Errorf("dnsserver: send: %w", err)
+	if _, err := s.conn.Write(s.query); err != nil {
+		return ProbeResult{}, false, fmt.Errorf("dnsserver: send: %w", err)
 	}
-	if err := conn.SetReadDeadline(p.attemptDeadline(ctx, start)); err != nil {
-		return ProbeResult{}, err
+	if err := s.conn.SetReadDeadline(p.attemptDeadline(ctx, start)); err != nil {
+		return ProbeResult{}, false, err
 	}
-	buf := make([]byte, 4096)
 	m := messages.Get().(*dnswire.Message)
 	defer messages.Put(m)
 	for {
-		n, err := conn.Read(buf)
+		n, err := s.conn.Read(s.buf)
 		if err != nil {
-			return ProbeResult{}, finishErr(ctx, err)
+			return ProbeResult{}, false, finishErr(ctx, err)
 		}
 		rtt := time.Since(start)
-		if !isReply(buf[:n], m, id) {
+		if !isReply(s.buf[:n], m, id) {
 			continue // not our reply; keep reading until deadline
 		}
-		return parseReply(m, letter, rtt)
+		res, err := parseReply(m, letter, rtt)
+		return res, err == nil, err
 	}
 }
 
@@ -310,7 +420,7 @@ func (p *Prober) probeTCP(ctx context.Context, addr *net.UDPAddr, letter byte) (
 	defer stop()
 
 	id := p.queryID()
-	pkt, err := probeQuery(id)
+	pkt, err := probeQuery(nil, id)
 	if err != nil {
 		return ProbeResult{}, err
 	}

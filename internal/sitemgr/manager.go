@@ -365,9 +365,13 @@ func (m *Manager) publishState() error {
 	return nil
 }
 
-// Close stops every server and closes the journal, joining their errors.
+// Close stops every server, closes the journal and releases the health
+// prober's sockets, joining their errors.
 func (m *Manager) Close() error {
 	var errs []error
+	if err := m.prober.Close(); err != nil {
+		errs = append(errs, err)
+	}
 	for _, s := range m.sites {
 		if err := s.srv.Close(); err != nil {
 			errs = append(errs, err)
