@@ -1,16 +1,20 @@
 package anycastddos
 
 // Benchmarks that cmd/rootbench does not run: the Atlas campaign alone at
-// one and two workers (the ns/probe figure DESIGN.md §9 cites) and the
-// engine at several worker counts (`make bench-workers`). Every table,
+// one and two workers (the ns/probe figure DESIGN.md §9 cites), one grid
+// scenario's user-impact experiment, and the engine at several worker
+// counts (`make bench-workers`). Every table,
 // figure and per-layer cost is measured end to end by cmd/rootbench; see
 // bench/README.md.
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
+	"github.com/rootevent/anycastddos/internal/analysis"
 	"github.com/rootevent/anycastddos/internal/atlas"
+	"github.com/rootevent/anycastddos/internal/campaign"
 	"github.com/rootevent/anycastddos/internal/core"
 	"github.com/rootevent/anycastddos/internal/topo"
 )
@@ -57,6 +61,45 @@ func BenchmarkMeasure(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probes), "ns/probe")
 		})
+	}
+}
+
+// BenchmarkUserImpact is the user-impact experiment every campaign cell
+// runs through Outcome: cell 0 of bench/campaign_grid.json at seed 7, with
+// DefaultOutcomeConfig's population (60 resolvers, 8 queries per bin, 150
+// names; 23 040 user queries over the grid's 480 minutes). The simulation
+// runs once; each iteration repeats only UserImpact, as a campaign worker
+// does for every cell it runs.
+func BenchmarkUserImpact(b *testing.B) {
+	data, err := os.ReadFile("bench/campaign_grid.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := campaign.ParseSpec(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Axes.Seeds = []int64{7}
+	sc := spec.Expand()[0]
+	cfg, opts, err := sc.EngineConfig()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev, err := core.NewEvaluator(cfg, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ev.Run(); err != nil {
+		b.Fatal(err)
+	}
+	an := analysis.New(ev, nil)
+	ucfg := *analysis.DefaultOutcomeConfig(sc.Seed).User
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := an.UserImpact(ucfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func (a *Analyzer) UserImpact(cfg UserImpactConfig) (*UserImpactResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	stubs := ev.Graph.StubASNs()
 	// A name is its Zipf rank: the resolvers' caches key on it.
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Domains-1))
+	zipf := newZipfTable(rng, 1.2, 1, uint64(cfg.Domains-1))
 
 	type resolverState struct {
 		r  *resolver.Resolver

@@ -188,7 +188,7 @@ func (d *differ) resolve(name, minute int) error {
 }
 
 func (d *differ) flush() {
-	d.got.FlushCache()
+	flushCache(d.got)
 	d.want.cache = make(map[string]int)
 }
 

@@ -10,6 +10,17 @@
 // A Resolver keeps a per-letter smoothed RTT estimate (the BIND-style
 // server-selection behaviour the paper cites), prefers the fastest letter,
 // retries across letters on timeout, and caches answers by name.
+//
+// Server selection is cheap on purpose: a population answers tens of
+// thousands of queries per grid cell. Under PreferFastest the letters are
+// kept in (SRTT, position) order: observe moves the one letter whose
+// estimate changed to its place, and order only copies that order and
+// draws the exploration coin. Where the order cannot be kept — a letter
+// configured twice, or an estimate gone NaN — order sorts it per query.
+// A resolver's random stream is exactly rand.NewSource(seed)'s;
+// its first values come from a per-process cache of each seed's stream
+// prefix, so a population re-seeded in every cell seeds no source after
+// the first.
 package resolver
 
 import (
@@ -123,9 +134,12 @@ type Resolver struct {
 	// written.
 	slot [256]uint16
 	srtt []float64
-	// byRTT is the last PreferFastest order, as positions in cfg.Letters;
+	// byRTT is the PreferFastest order, as positions in cfg.Letters. When
+	// kept is set (PreferFastest, every letter configured once) observe
+	// keeps it sorted by (SRTT, position); otherwise order sorts it.
 	// nanSRTT is set once an estimate is NaN (see order).
 	byRTT   []int
+	kept    bool
 	nanSRTT bool
 	// cache[name] is the minute name's cached answer expires.
 	cache []int
@@ -153,19 +167,25 @@ func New(cfg Config) (*Resolver, error) {
 	if cfg.SRTTDecay <= 0 || cfg.SRTTDecay > 1 {
 		return nil, errors.New("resolver: SRTTDecay must be in (0,1]")
 	}
+	if cfg.Strategy > Uniform {
+		return nil, fmt.Errorf("resolver: unknown strategy %v", cfg.Strategy)
+	}
 	r := &Resolver{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(newStreamSource(cfg.Seed)), //repolint:allow unseededrand -- rand.NewSource(seed)'s own stream, its prefix cached per process
 		ord:   make([]byte, len(cfg.Letters)),
 		byRTT: make([]int, len(cfg.Letters)),
 	}
 	r.swapOrd = func(i, j int) { r.ord[i], r.ord[j] = r.ord[j], r.ord[i] }
-	r.srtt = append(r.srtt, 0)
+	r.srtt = make([]float64, 1, len(cfg.Letters)+1)
+	r.kept = cfg.Strategy == PreferFastest
 	for p, l := range cfg.Letters {
 		if r.slot[l] == 0 {
 			r.slot[l] = uint16(len(r.srtt))
 			// Optimistic initial estimates force early exploration.
 			r.srtt = append(r.srtt, 50)
+		} else {
+			r.kept = false
 		}
 		r.byRTT[p] = p
 	}
@@ -193,16 +213,19 @@ func (r *Resolver) order() []byte {
 	default: // PreferFastest
 		// Sort by (SRTT, position), a total order: from any start it is the
 		// stable sort of cfg.Letters by SRTT, and from the last order about
-		// one pass. With a NaN it is not, so start where a fresh sort does.
+		// one pass. observe keeps a kept order sorted already. With a NaN
+		// the order is not total, so start where a fresh sort does.
 		byRTT := r.byRTT
 		if r.nanSRTT {
 			for i := range byRTT {
 				byRTT[i] = i
 			}
 		}
-		for i := 1; i < len(byRTT); i++ {
-			for j := i; j > 0 && r.rttBefore(byRTT[j], byRTT[j-1]); j-- {
-				byRTT[j], byRTT[j-1] = byRTT[j-1], byRTT[j]
+		if !r.kept || r.nanSRTT {
+			for i := 1; i < len(byRTT); i++ {
+				for j := i; j > 0 && r.rttBefore(byRTT[j], byRTT[j-1]); j-- {
+					byRTT[j], byRTT[j-1] = byRTT[j-1], byRTT[j]
+				}
 			}
 		}
 		for i, p := range byRTT {
@@ -269,15 +292,48 @@ func (r *Resolver) growCache(name int) {
 	}
 }
 
-// observe updates the SRTT estimate for a letter.
+// observe updates the SRTT estimate for a letter and, in a kept order,
+// moves the letter to its place.
 func (r *Resolver) observe(letter byte, rttMs float64, timeout bool) {
-	est := &r.srtt[r.slot[letter]]
+	slot := r.slot[letter]
+	est := &r.srtt[slot]
 	if timeout {
 		*est += r.cfg.TimeoutPenaltyMs
 	} else {
 		*est = *est*(1-r.cfg.SRTTDecay) + rttMs*r.cfg.SRTTDecay
 	}
 	r.nanSRTT = r.nanSRTT || math.IsNaN(*est)
+	if r.kept && !r.nanSRTT {
+		r.place(int(slot) - 1) // each letter once: position p has slot p+1
+	}
+}
+
+// place moves position p, whose estimate just changed, to its place in
+// byRTT's (SRTT, position) order, every other position being in order. No
+// estimate is NaN, so the order is strict and total: the result is the one
+// permutation a full sort produces.
+func (r *Resolver) place(p int) {
+	byRTT, srtt := r.byRTT, r.srtt[1:]
+	e := srtt[p]
+	i := 0
+	for byRTT[i] != p {
+		i++
+	}
+	for ; i > 0; i-- {
+		q := byRTT[i-1]
+		if !(e < srtt[q] || e == srtt[q] && p < q) {
+			break
+		}
+		byRTT[i] = q
+	}
+	for ; i+1 < len(byRTT); i++ {
+		q := byRTT[i+1]
+		if !(srtt[q] < e || srtt[q] == e && q < p) {
+			break
+		}
+		byRTT[i] = q
+	}
+	byRTT[i] = p
 }
 
 // SRTT returns the current smoothed RTT estimate for a letter.
@@ -303,6 +359,3 @@ func (r *Resolver) LetterShare() map[byte]float64 {
 	}
 	return out
 }
-
-// FlushCache drops all cached entries (for tests and phase boundaries).
-func (r *Resolver) FlushCache() { r.cache = r.cache[:0] }

@@ -34,12 +34,16 @@ func newTestResolver(t *testing.T, mutate func(*Config)) *Resolver {
 	return r
 }
 
+// flushCache drops every cached answer.
+func flushCache(r *Resolver) { r.cache = r.cache[:0] }
+
 func TestNewValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Letters = nil },
 		func(c *Config) { c.MaxAttempts = 0 },
 		func(c *Config) { c.SRTTDecay = 0 },
 		func(c *Config) { c.SRTTDecay = 1.5 },
+		func(c *Config) { c.Strategy = Uniform + 1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1)
@@ -132,7 +136,7 @@ func TestSRTTConvergesToFastest(t *testing.T) {
 	up := &scriptedUpstream{ok: map[byte]bool{'A': true, 'B': true, 'C': true},
 		rtt: map[byte]float64{'A': 150, 'B': 12, 'C': 90}}
 	for i := 0; i < 50; i++ {
-		r.FlushCache()
+		flushCache(r)
 		r.Resolve(0, i, up)
 	}
 	share := r.LetterShare()
@@ -146,7 +150,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 	up := &scriptedUpstream{ok: map[byte]bool{'A': true, 'B': true, 'C': true},
 		rtt: map[byte]float64{'A': 10, 'B': 10, 'C': 10}}
 	for i := 0; i < 30; i++ {
-		r.FlushCache()
+		flushCache(r)
 		r.Resolve(0, i, up)
 	}
 	share := r.LetterShare()
@@ -162,7 +166,7 @@ func TestUniformStrategyServes(t *testing.T) {
 	up := &scriptedUpstream{ok: map[byte]bool{'A': true, 'B': true, 'C': true},
 		rtt: map[byte]float64{'A': 10, 'B': 10, 'C': 10}}
 	for i := 0; i < 20; i++ {
-		r.FlushCache()
+		flushCache(r)
 		if res := r.Resolve(0, i, up); !res.Served {
 			t.Fatal("uniform strategy failed to serve")
 		}
@@ -183,7 +187,7 @@ func TestExplorationRefreshesEstimates(t *testing.T) {
 	up := &scriptedUpstream{ok: map[byte]bool{'A': true, 'B': true},
 		rtt: map[byte]float64{'A': 10, 'B': 20}}
 	for i := 0; i < 60; i++ {
-		r.FlushCache()
+		flushCache(r)
 		r.Resolve(0, i, up)
 	}
 	if up.hits['B'] == 0 {
